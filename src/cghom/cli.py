@@ -114,7 +114,31 @@ def apply_overrides(config: dict, assignments: list[str]) -> dict:
     return out
 
 
-def validate_config(config: dict) -> None:
+# A 3D level-3 cube has N=21,952 nodes; its sparse KKT factorization alone
+# takes over a minute (about 1.4e8 entries of fill), so such runs cannot finish.
+MAX_LEVEL_3D = 2
+
+
+def _coarse_grained_level(config: dict, command: str) -> int:
+    """Level of the largest cube ``command`` coarse-grains (-1 for none)."""
+    hx = config["homexp"]
+    return {"coarsegrain": config["field"]["level"],
+            "ellipticity": config["field"]["level"],
+            "ergodic": config["ergodic"]["n_max"],
+            "homogenize": hx["n_max"] if hx["a_bar"] is None else -1,
+            }.get(command, -1)
+
+
+def _check_3d_level(dim: int, level: int, what: str) -> None:
+    if dim == 3 and level > MAX_LEVEL_3D:
+        raise ConfigError(
+            f"{what} would coarse-grain a 3D cube of level {level}; 3D cubes "
+            f"above level {MAX_LEVEL_3D} are rejected because their sparse KKT "
+            f"factorization takes minutes")
+
+
+def validate_config(config: dict, command: str | None = None) -> None:
+    """Reject inconsistent settings; with ``command``, also runs it cannot finish."""
     if config["dim"] not in (2, 3):
         raise ConfigError(f"dim must be 2 or 3, got {config['dim']}")
     if not isinstance(config["seed"], int) or config["seed"] < 0:
@@ -155,6 +179,9 @@ def validate_config(config: dict) -> None:
     tgt = hx["target"]
     if tgt.get("family") not in ("affine", "quadratic", "trig"):
         raise ConfigError("homexp.target.family must be affine, quadratic or trig")
+    if command is not None:
+        _check_3d_level(config["dim"], _coarse_grained_level(config, command),
+                        f"'{command}'")
 
 
 def config_fingerprint(config: dict) -> str:
@@ -227,7 +254,9 @@ def cmd_gen_field(config: dict, out_dir: Path, fingerprint: str) -> int:
 
 def _load_or_generate(config: dict, field_file: str | None):
     if field_file:
-        return load_field(field_file)
+        field = load_field(field_file)
+        _check_3d_level(field.dim, field.level, f"field file {field_file}")
+        return field
     return field_from_config(config)
 
 
@@ -291,7 +320,7 @@ def cmd_ergodic(config: dict, out_dir: Path, fingerprint: str) -> int:
     estimates = [
         ergodic.estimate_Abar(spec, n, er["samples"], seed=config["seed"],
                               resolution=config["coarsegrain"]["resolution"],
-                              workers=config["workers"])
+                              workers=config["workers"], keep_samples=er["csv"])
         for n in range(er["n_min"], er["n_max"] + 1)
     ]
     gap = ergodic.gap_diagnostic(estimates) if len(estimates) >= 3 else None
@@ -611,7 +640,7 @@ def main(argv=None) -> int:
             config["seed"] = args.seed
         if args.workers is not None:
             config["workers"] = args.workers
-        validate_config(config)
+        validate_config(config, args.command)
         out_dir = resolve_output_dir(config, args.output_dir)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
@@ -633,6 +662,9 @@ def main(argv=None) -> int:
         if args.command == "selftest":
             return cmd_selftest(config, out_dir, fingerprint)
         raise AssertionError(f"unhandled command {args.command}")
+    except ConfigError as exc:
+        print(f"config error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
     except (SolverError, DegenerateCellError, fields.CascadeOverflowError,
             np.linalg.LinAlgError, ValueError, FloatingPointError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)

@@ -9,9 +9,11 @@ is maximized over discrete a-harmonic mean-zero functions.  Its Hessian in
 2d x 2d matrix ``A`` that packages four coarse-grained quantities: an
 upper symmetric part ``b``, a lower symmetric part ``s`` (its Schur
 complement), a dual symmetric part ``s_star`` (inverse of the lower-right
-block), and a skew-ish coupling ``k``.  For a single constant cell ``A``
-reduces to a closed form in (s, k), which this module also uses as a fast
-exact path for constant cubes.
+block), and a skew-ish coupling ``k``.  ``J`` is quadratic in
+xi = (-p, q), so ``A`` is read off the maximizers of the 2d unit loads,
+all solved on one sparse factorization per cube.  For a single constant
+cell ``A`` reduces to a closed form in (s, k), which this module also uses
+as a fast exact path for constant cubes.
 """
 from __future__ import annotations
 
@@ -101,22 +103,6 @@ class CoarseGrainedMatrices:
         return self.s - self.s_star
 
 
-def _xi_basis(dim: int):
-    """Polarization probe vectors: 2d basis directions plus all pair sums."""
-    n = 2 * dim
-    basis = list(np.eye(n))
-    pairs, pair_idx = [], {}
-    for i in range(n):
-        for j in range(i + 1, n):
-            pair_idx[(i, j)] = len(basis) + len(pairs)
-            pairs.append(basis[i] + basis[j])
-    return basis + pairs, pair_idx
-
-
-def _pq_from_xi(xi: np.ndarray, dim: int):
-    return -xi[:dim], xi[dim:]
-
-
 def J_from_A(A: np.ndarray, p, q, dim: int) -> float:
     """Evaluate J(p, q) from a coarse matrix: J = xi.A xi / 2 - p.q."""
     p = np.asarray(p, float)
@@ -139,34 +125,31 @@ def Jstar_from_A(A: np.ndarray, p, q, dim: int) -> float:
 def coarse_grain_cube(field: CoefficientField, cube: TriadicCube | None = None,
                       resolution: int = 1, op: AssembledOperator | None = None,
                       check: bool = True, psd_tol: float = 1e-8) -> CoarseGrainedMatrices:
-    """Coarse-grain one cube by d(2d+1) saddle solves on one factorization.
+    """Coarse-grain one cube by 2d saddle solves on one factorization.
 
-    Constant cubes short-circuit to the exact closed form.  With ``check``
-    the result is verified positive semidefinite up to ``psd_tol`` times its
-    norm.
+    With xi = (-p, q) the load of J is L^T xi for L = [B; G], so J is
+    quadratic in xi.  The maximizers V of the 2d unit loads give
+    A = sym(L V) / |U| - jswap(d).  Constant cubes short-circuit to the exact
+    closed form.  With ``check`` the result is verified positive
+    semidefinite up to ``psd_tol`` times its norm.
     """
     cube = cube or field.domain
     d = field.dim
     sl = cube.slices
-    a_block = field.a_cells[sl].reshape(-1, d * d)
+    s_block = field.s_cells[sl]
+    k_block = field.k_cells[sl]
+    a_block = (s_block + k_block).reshape(-1, d * d)
     if op is None and np.ptp(a_block, axis=0).max() == 0.0:
-        A = pointwise_A(field.s_cells[sl].reshape(-1, d, d)[0],
-                        field.k_cells[sl].reshape(-1, d, d)[0])
+        A = pointwise_A(s_block.reshape(-1, d, d)[0], k_block.reshape(-1, d, d)[0])
         return CoarseGrainedMatrices.from_A(A, cube)
 
     if op is None:
         op = assemble(field, cube, resolution)
-    xis, pair_idx = _xi_basis(d)
-    pairs = [_pq_from_xi(xi, d) for xi in xis]
-    Jvals, _ = maximize_J_backend(op, pairs)
-    Q = Jvals + np.array([p @ q for p, q in pairs])
-    n = 2 * d
-    A = np.zeros((n, n))
-    for i in range(n):
-        A[i, i] = 2.0 * Q[i]
-    for (i, j), idx in pair_idx.items():
-        A[i, j] = A[j, i] = Q[idx] - Q[i] - Q[j]
-    A = 0.5 * (A + A.T)
+    eye, zero = np.eye(d), np.zeros(d)
+    unit_loads = [(-e, zero) for e in eye] + [(zero, e) for e in eye]
+    _, V = maximize_J_backend(op, unit_loads)
+    LV = np.vstack([op.B, op.G]) @ V
+    A = 0.5 * (LV + LV.T) / op.vol - jswap(d)
     if check:
         lo = np.linalg.eigvalsh(A).min()
         scale = max(1.0, float(np.linalg.norm(A, 2)))

@@ -2,9 +2,15 @@
 
 Assembles the stiffness of ``-div(a grad .)`` with ``a`` constant per unit
 cell, together with the volume functionals ``G u = int grad u`` and
-``B u = int a grad u``, on triadic cubes.  The saddle-point backend maximizes
-the coarse-graining objective over discrete a-harmonic functions with one LU
-factorization per cube, reused across all load vectors.
+``B u = int a grad u``, on triadic cubes.  The saddle-point (KKT) backend
+maximizes the coarse-graining objective over discrete a-harmonic functions
+with one sparse LU factorization per cube, reused across all load vectors.
+
+Every functional here sees only gradients, so the additive constant is fixed
+by pinning node 0 (a corner, hence a boundary node) to zero and removing it
+from the system; solutions are then shifted to zero mass-weighted mean.  The
+pinned KKT matrix has a CSC structure that depends only on the cube's shape,
+so it is built once per shape and filled with each cube's values.
 """
 from __future__ import annotations
 
@@ -12,7 +18,6 @@ import itertools
 from dataclasses import dataclass, field as dc_field
 
 import numpy as np
-import scipy.linalg
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
@@ -20,7 +25,6 @@ from .fields import CoefficientField
 from .triadic import TriadicCube
 
 COND_CAP = 1e12
-DENSE_CUTOFF = 2200
 
 
 class SolverError(RuntimeError):
@@ -96,7 +100,6 @@ class AssembledOperator:
     boundary: np.ndarray
     gid: np.ndarray        # (n_elements, 2^dim) global node ids per element
     a_elems: np.ndarray    # (n_elements, dim, dim)
-    dense: bool
     _kkt: object = dc_field(default=None, repr=False)
     _int: object = dc_field(default=None, repr=False)
     _neu: object = dc_field(default=None, repr=False)
@@ -135,8 +138,8 @@ def assemble(field: CoefficientField, cube: TriadicCube | None = None,
     if not field.domain.contains(cube):
         raise ValueError("cube not contained in the field window")
 
-    a_block = field.a_cells[cube.slices]
     s_block = field.s_cells[cube.slices]
+    a_block = s_block + field.k_cells[cube.slices]
     _check_cells(s_block)
 
     for ax in range(d):
@@ -197,27 +200,45 @@ def assemble(field: CoefficientField, cube: TriadicCube | None = None,
         dim=d, level=cube.level, resolution=r, h=h, vol=float(cube.volume),
         nodes_per_axis=npa, N=N, K=K, S=S, G=G, B=B, mass=mass,
         interior=interior, boundary=boundary, gid=gid, a_elems=a_elems,
-        dense=(N <= DENSE_CUTOFF),
     )
 
 
+def _remove_mean(op: AssembledOperator, u: np.ndarray) -> np.ndarray:
+    """Shift u (or each column of u) to zero mass-weighted mean."""
+    return u - (op.mass @ u) / op.vol
+
+
+_KKT_PATTERNS: dict = {}
+
+
+def _kkt_pattern(op: AssembledOperator) -> sp.csc_matrix:
+    """CSC structure of [S C^T; C 0] without node 0, C = interior rows of K.
+
+    K and S share one canonical CSR structure that depends only on the cube's
+    shape, so this is built once per (dim, nodes_per_axis).  Its values are
+    not numbers but indices: entry e of a cube's KKT matrix is entry
+    ``data[e]`` of ``concatenate([S.data, K.data])``.
+    """
+    key = (op.dim, op.nodes_per_axis)
+    if key not in _KKT_PATTERNS:
+        K = op.K
+        pos = sp.csr_matrix((np.arange(1, K.nnz + 1), K.indices, K.indptr),
+                            shape=K.shape)   # 1-based, so no index is a zero
+        C = pos[op.interior][:, 1:]
+        C.data += K.nnz
+        pattern = sp.bmat([[pos[1:, 1:], C.T], [C, None]], format="csc")
+        pattern.data -= 1
+        _KKT_PATTERNS[key] = pattern
+    return _KKT_PATTERNS[key]
+
+
 def _kkt_solver(op: AssembledOperator):
-    """Factor the saddle system [S C^T m; C 0 0; m^T 0 0] once per cube."""
+    """Factor the saddle system [S C^T; C 0] with node 0 pinned, once per cube."""
     if op._kkt is None:
-        C = op.K[op.interior]
-        nc = C.shape[0]
-        if op.dense:
-            top = np.hstack([op.S.toarray(), C.toarray().T, op.mass[:, None]])
-            mid = np.hstack([C.toarray(), np.zeros((nc, nc + 1))])
-            bot = np.hstack([op.mass[None, :], np.zeros((1, nc + 1))])
-            lu = scipy.linalg.lu_factor(np.vstack([top, mid, bot]))
-            op._kkt = lambda rhs: scipy.linalg.lu_solve(lu, rhs)
-        else:
-            mcol = sp.csr_matrix(op.mass[:, None])
-            kkt = sp.bmat([[op.S, C.T, mcol], [C, None, None], [mcol.T, None, None]],
-                          format="csc")
-            lu = spla.splu(kkt)
-            op._kkt = lu.solve
+        pat = _kkt_pattern(op)
+        values = np.concatenate([op.S.data, op.K.data])[pat.data]
+        kkt = sp.csc_matrix((values, pat.indices, pat.indptr), shape=pat.shape)
+        op._kkt = spla.splu(kkt).solve
     return op._kkt
 
 
@@ -227,27 +248,24 @@ def maximize_J_backend(op: AssembledOperator, pairs, tol: float = 1e-8,
     over discrete a-harmonic mean-zero u, for each (p, q).
 
     Returns (J_values, V): the optima and the maximizers as columns.
-    Guards: J >= 0 up to tolerance, and the saddle-point energy identity
-    J = v^T S v / (2|U|) to relative tolerance.
+    Guards on every column: J >= 0 up to tolerance, and the saddle-point
+    energy identity J = v^T S v / (2|U|) to relative tolerance.
     """
     pairs = [(np.asarray(p, float), np.asarray(q, float)) for p, q in pairs]
-    nc = len(op.interior)
-    rhs = np.zeros((op.N + nc + 1, len(pairs)))
-    for c, (p, q) in enumerate(pairs):
-        rhs[: op.N, c] = -op.B.T @ p + op.G.T @ q
-    sol = _kkt_solver(op)(rhs)
-    V = sol[: op.N]
-    Jvals = np.empty(len(pairs))
-    for c, (p, q) in enumerate(pairs):
-        v = V[:, c]
-        ell = rhs[: op.N, c]
-        Sv = op.S @ v
-        Jvals[c] = (-0.5 * v @ Sv + ell @ v) / op.vol
-        if check:
-            scale = max(1.0, float(np.linalg.norm(p) ** 2 + np.linalg.norm(q) ** 2))
+    loads = np.stack([-op.B.T @ p + op.G.T @ q for p, q in pairs], axis=1)
+    rhs = np.zeros((op.N - 1 + len(op.interior), len(pairs)))
+    rhs[: op.N - 1] = loads[1:]
+    V = np.zeros((op.N, len(pairs)))
+    V[1:] = _kkt_solver(op)(rhs)[: op.N - 1]
+    V = _remove_mean(op, V)
+    vSv = np.einsum("ic,ic->c", V, op.S @ V)
+    Jvals = (-0.5 * vSv + np.einsum("ic,ic->c", loads, V)) / op.vol
+    if check:
+        for c, (p, q) in enumerate(pairs):
+            scale = max(1.0, float(p @ p + q @ q))
             if Jvals[c] < -tol * scale:
                 raise SolverError(f"negative objective J={Jvals[c]:.3e} for pair {c}")
-            ener = (v @ Sv) / (2.0 * op.vol)
+            ener = vSv[c] / (2.0 * op.vol)
             if abs(Jvals[c] - ener) > tol * max(1.0, abs(Jvals[c])):
                 raise SolverError(
                     f"energy identity violated: J={Jvals[c]:.6e} vs {ener:.6e}"
@@ -273,13 +291,7 @@ def flux_rhs(op: AssembledOperator, f_cells: np.ndarray) -> np.ndarray:
 
 def _interior_solver(op: AssembledOperator):
     if op._int is None:
-        KII = op.K[op.interior][:, op.interior]
-        if op.dense:
-            lu = scipy.linalg.lu_factor(KII.toarray())
-            op._int = lambda rhs: scipy.linalg.lu_solve(lu, rhs)
-        else:
-            lu = spla.splu(KII.tocsc())
-            op._int = lu.solve
+        op._int = spla.splu(op.K[op.interior][:, op.interior].tocsc()).solve
     return op._int
 
 
@@ -314,23 +326,17 @@ def solve_neumann(op: AssembledOperator, f_cells: np.ndarray,
     """Solve div(a grad u) = div f with no-flux boundary n.(a grad u - f) = 0.
 
     The constant in f is fixed first (cell mean removed), so the solution has
-    zero mean and zero average flux.
+    zero average flux; node 0 is pinned and the result shifted to zero mean.
     """
     d = op.dim
     f = np.asarray(f_cells, float).reshape(-1, d)
     f = f - f.mean(axis=0)
     F = flux_rhs(op, f.reshape((op.cells_per_axis,) * d + (d,)))
     if op._neu is None:
-        mcol = sp.csr_matrix(op.mass[:, None])
-        aug = sp.bmat([[op.K, mcol], [mcol.T, None]], format="csc")
-        if op.dense:
-            lu = scipy.linalg.lu_factor(aug.toarray())
-            op._neu = lambda rhs: scipy.linalg.lu_solve(lu, rhs)
-        else:
-            lu = spla.splu(aug)
-            op._neu = lu.solve
-    sol = op._neu(np.concatenate([F, [0.0]]))
-    u = sol[: op.N]
+        op._neu = spla.splu(op.K[1:, 1:].tocsc()).solve
+    u = np.zeros(op.N)
+    u[1:] = op._neu(F[1:])
+    u = _remove_mean(op, u)
     flux_avg = op.B @ u / op.vol
     if np.linalg.norm(flux_avg) > tol * (np.linalg.norm(f) + 1.0):
         raise SolverError(f"Neumann flux average {flux_avg} not zero")
@@ -345,8 +351,7 @@ def harmonic_extension(op: AssembledOperator, boundary_values: np.ndarray) -> np
 def random_aharmonic(op: AssembledOperator, rng: np.random.Generator) -> np.ndarray:
     """Random mean-zero discrete a-harmonic function (Gaussian boundary data)."""
     g = rng.standard_normal(len(op.boundary))
-    u = harmonic_extension(op, g)
-    return u - (op.mass @ u) / op.vol
+    return _remove_mean(op, harmonic_extension(op, g))
 
 
 def energy_seminorm_sq(op: AssembledOperator, u: np.ndarray) -> float:

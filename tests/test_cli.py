@@ -109,6 +109,40 @@ def test_ergodic_outputs_are_deterministic(tmp_path):
     assert "a_bar" in report or "a_bar_error" in report
 
 
+def test_ergodic_csv_holds_every_sample(tmp_path):
+    samples, d = 4, 2
+    assert _run(["ergodic", "--set", f"ergodic.samples={samples}",
+                 "--set", "ergodic.n_max=2", "--set", "ergodic.csv=true"],
+                tmp_path) == 0
+    report = _load_report(next(tmp_path.glob("ergodic_*.json")))
+    rows = np.loadtxt(next(tmp_path.glob("ergodic_samples_*.csv")),
+                      delimiter=",", skiprows=1)
+    for entry in report["per_scale"]:
+        vals = rows[rows[:, 0] == entry["n"], 4]
+        assert vals.size == samples * (2 * d) ** 2
+        mean = vals.reshape(samples, 2 * d, 2 * d).mean(axis=0)
+        assert np.abs(mean - np.array(entry["A_bar"])).max() < 1e-12
+
+
+def test_3d_levels_that_cannot_finish_are_config_errors(tmp_path, monkeypatch,
+                                                        capsys):
+    def no_solve(*args, **kwargs):
+        raise AssertionError("a solve was started")
+    monkeypatch.setattr(cli.coarsegrain, "hierarchy_sweep", no_solve)
+    monkeypatch.setattr(cli.ergodic, "estimate_Abar", no_solve)
+    assert _run(["coarsegrain", "--set", "dim=3", "--set", "field.level=3"],
+                tmp_path) == 2
+    assert "3D cube of level 3" in capsys.readouterr().err
+    assert _run(["ergodic", "--set", "dim=3"], tmp_path) == 2
+    assert not any(tmp_path.iterdir())
+    config = cli.apply_overrides(cli.load_config(None),
+                                 ["dim=3", "ergodic.n_max=2"])
+    for command in ("coarsegrain", "ergodic", "gen-field", "selftest"):
+        cli.validate_config(config, command)
+    with pytest.raises(cli.ConfigError, match="homogenize"):
+        cli.validate_config(config, "homogenize")
+
+
 def test_output_dir_precedence(tmp_path, monkeypatch):
     cfg_dir = tmp_path / "from_config"
     env_dir = tmp_path / "from_env"

@@ -1,7 +1,9 @@
 """Coarse-graining layer: closed forms, identities, orderings, hierarchy."""
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from cghom import solver
 from cghom.coarsegrain import (CoarseGrainedMatrices, HierarchyCache,
                                J_from_A, Jstar_from_A, blocks_from_A,
                                center_skew, center_skew_transform,
@@ -11,8 +13,8 @@ from cghom.coarsegrain import (CoarseGrainedMatrices, HierarchyCache,
                                verify_cg_inequalities, verify_loewner_chain,
                                verify_maximizer_averages,
                                verify_quadratic_response)
-from cghom.fields import gen_named_field
-from cghom.solver import assemble
+from cghom.fields import CoefficientField, gen_named_field
+from cghom.solver import assemble, maximize_J_backend
 from cghom.triadic import TriadicCube
 from reference_impl import brute_force_J
 
@@ -234,3 +236,131 @@ def test_hierarchy_sweep_subdomain_and_validation():
     assert np.allclose(cache.A_at(1, (3, 3)), direct.A, atol=1e-12)
     with pytest.raises(ValueError, match="not contained"):
         hierarchy_sweep(field, domain=TriadicCube(level=2, offset=(3, 0), dim=2))
+
+
+# ---------------------------------------------------------------------------
+# the 2d-load KKT path against independent oracles
+
+
+def _polarized_brute_force_A(op):
+    """A from J(p, q) + p.q at the 2d unit xi = (-p, q) and their pair sums,
+    each J by the dense nullspace oracle."""
+    d = op.dim
+    n = 2 * d
+
+    def Q(xi):
+        p, q = -xi[:d], xi[d:]
+        return brute_force_J(op, p, q) + p @ q
+
+    eye = np.eye(n)
+    A = np.diag([2.0 * Q(e) for e in eye])
+    for i in range(n):
+        for j in range(i + 1, n):
+            A[i, j] = A[j, i] = Q(eye[i] + eye[j]) - 0.5 * (A[i, i] + A[j, j])
+    return A
+
+
+def _assert_close_to_oracle(field, cube=None, resolution=1):
+    op = assemble(field, cube, resolution)
+    A = coarse_grain_cube(field, cube, resolution, op=op).A
+    want = _polarized_brute_force_A(op)
+    assert np.abs(A - want).max() < 1e-10 * max(1.0, np.linalg.norm(want, 2))
+    return op
+
+
+@pytest.mark.parametrize("i", range(8))
+def test_A_matches_polarized_nullspace_oracle_on_suite_fields(i):
+    # the c1/c2 suite draws its fields the same way
+    kinds = ("checkerboard", "lognormal_iso", "skew_lognormal", "cascade_iso")
+    _assert_close_to_oracle(gen_named_field(kinds[i % 4], level=1, seed=1000 + i))
+
+
+def test_A_matches_polarized_nullspace_oracle_in_3d_and_refined():
+    f3 = gen_named_field("skew_lognormal", level=2, dim=3, seed=31, sigma=0.5,
+                         kappa=0.6)
+    _assert_close_to_oracle(f3, TriadicCube(level=1, offset=(3, 0, 6), dim=3))
+    f2 = gen_named_field("skew_lognormal", level=1, seed=32, sigma=0.6,
+                         kappa=0.8)
+    _assert_close_to_oracle(f2, resolution=2)
+
+
+@pytest.mark.parametrize("dim,resolution", [(2, 1), (2, 2), (3, 1)])
+def test_maximizers_have_zero_mass_weighted_mean(dim, resolution):
+    field = gen_named_field("skew_lognormal", level=1, dim=dim, seed=33,
+                            sigma=0.5, kappa=0.7)
+    op = assemble(field, resolution=resolution)
+    rng = np.random.default_rng(8)
+    pairs = [(rng.normal(size=dim), rng.normal(size=dim)) for _ in range(3)]
+    _, V = maximize_J_backend(op, pairs)
+    assert np.abs(op.mass @ V).max() < 1e-12 * max(1.0, np.abs(V).max())
+
+
+def test_cubes_of_one_shape_share_the_kkt_pattern():
+    f1 = gen_named_field("skew_lognormal", level=1, seed=34, sigma=0.5, kappa=0.7)
+    f2 = gen_named_field("checkerboard", level=2, seed=35, low=1.0, high=5.0)
+    op1 = _assert_close_to_oracle(f1)
+    op2 = _assert_close_to_oracle(f2, TriadicCube(level=1, offset=(6, 3), dim=2))
+    pattern = solver._kkt_pattern(op1)
+    assert solver._kkt_pattern(op2) is pattern
+    assert solver._KKT_PATTERNS[(2, op1.nodes_per_axis)] is pattern
+    # the cache holds indices only, never values of a field
+    assert pattern.data.dtype.kind == "i"
+    assert pattern.data.max() < op1.S.nnz + op1.K.nnz
+    assert not np.allclose(coarse_grain_cube(f1).A,
+                           coarse_grain_cube(f2, TriadicCube(level=1, offset=(6, 3), dim=2)).A)
+
+
+# ---------------------------------------------------------------------------
+# exact symmetry: the grid is invariant under the square's symmetry group, so
+# a field mapped by R, a'(x) = R a(R^T x) R^T, has A' = diag(R,R) A diag(R,R)^T
+
+
+def _random_skew_field(seed, level, dim=2):
+    rng = np.random.default_rng(seed)
+    shape = (3 ** level,) * dim
+    g = rng.normal(size=shape + (dim, dim))
+    s = g @ np.swapaxes(g, -1, -2) + 0.3 * np.eye(dim)
+    k = rng.normal(size=shape + (dim, dim))
+    return CoefficientField(dim=dim, level=level, s_cells=s,
+                            k_cells=k - np.swapaxes(k, -1, -2))
+
+
+def _mapped(field, move_cells, R):
+    def move(cells):
+        return np.einsum("ab,...bc,dc->...ad", R, move_cells(cells), R)
+    return CoefficientField(dim=field.dim, level=field.level,
+                            s_cells=move(field.s_cells), k_cells=move(field.k_cells))
+
+
+def _symmetry_defect(field, move_cells, R):
+    A = coarse_grain_cube(field).A
+    A_moved = coarse_grain_cube(_mapped(field, move_cells, R)).A
+    Q = np.kron(np.eye(2), R)
+    return np.abs(A_moved - Q @ A @ Q.T).max() / max(1.0, np.linalg.norm(A, 2))
+
+
+@settings(max_examples=15, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), level=st.integers(1, 2),
+       turns=st.integers(1, 3))
+def test_quarter_turns_map_A_exactly(seed, level, turns):
+    field = _random_skew_field(seed, level)
+    R = np.linalg.matrix_power(np.array([[0.0, -1.0], [1.0, 0.0]]), turns)
+    assert _symmetry_defect(field, lambda c: np.rot90(c, turns, axes=(0, 1)),
+                            R) < 1e-10
+
+
+@settings(max_examples=15, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), level=st.integers(1, 2),
+       axis=st.integers(0, 1))
+def test_reflections_map_A_exactly(seed, level, axis):
+    field = _random_skew_field(seed, level)
+    R = np.eye(2)
+    R[axis, axis] = -1.0
+    assert _symmetry_defect(field, lambda c: np.flip(c, axis=axis), R) < 1e-10
+
+
+def test_3d_quarter_turn_maps_A_exactly():
+    field = _random_skew_field(36, 1, dim=3)
+    R = np.array([[0.0, -1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 1.0]])
+    assert _symmetry_defect(field, lambda c: np.rot90(c, 1, axes=(0, 1)),
+                            R) < 1e-10
