@@ -27,7 +27,7 @@ import numpy as np
 
 from . import coarsegrain, ergodic, fields, homexp, norms, solver
 from .fields import _KIND_PARAMS, gen_named_field, load_field, save_field
-from .solver import DegenerateCellError, SolverError
+from .solver import NUMERICAL_ERRORS
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -400,82 +400,17 @@ def cmd_homogenize(config: dict, out_dir: Path, fingerprint: str) -> int:
 # cascade verification
 
 
-def layer_moment_check(sigmas, powers, draws: int, seed: int = 0) -> list[dict]:
-    """Monte Carlo moments of one cascade factor against the lognormal law.
-
-    A factor W = exp(g - sigma^2/2) with g ~ N(0, sigma^2) has
-    E[W^p] = exp(p(p-1) sigma^2 / 2); reports the z-score of the sample mean
-    for each (sigma, p).
-    """
-    out = []
-    rng = np.random.default_rng((seed, 0xCA5CADE))
-    for sigma in sigmas:
-        w = np.exp(rng.normal(0.0, sigma, size=draws) - 0.5 * sigma ** 2)
-        for p in powers:
-            wp = w ** p
-            exact = float(np.exp(0.5 * p * (p - 1) * sigma ** 2))
-            mean = float(wp.mean())
-            se = float(wp.std(ddof=1) / np.sqrt(draws))
-            out.append({"sigma": sigma, "p": p, "exact": exact, "mean": mean,
-                        "se": se, "z": abs(mean - exact) / se if se else 0.0})
-    return out
-
-
-def product_slope_check(sigma: float, level: int, p: float, seeds: int,
-                        seed0: int = 0, dim: int = 2) -> dict:
-    """Exponential growth rate of the running layer product's p-th moment.
-
-    E[avg f_m^p] = exp(m p(p-1) sigma^2 / 2) exactly; fits the log of the
-    Monte Carlo means linearly in m and compares the slope.
-    """
-    m_max = 2 * level + 4
-    sums = np.zeros(m_max)
-    for i in range(seeds):
-        rng = np.random.default_rng((seed0 + i, 0xCA5CADE))
-        prod = np.ones((3 ** level,) * dim)
-        for m in range(1, m_max + 1):
-            prod = prod * fields.gen_cascade_layer(m, level, sigma, rng, dim)
-            sums[m - 1] += float((prod ** p).mean())
-    log_means = np.log(sums / seeds)
-    ms = np.arange(1, m_max + 1, dtype=float)
-    slope = float(np.polyfit(ms, log_means, 1)[0])
-    target = 0.5 * p * (p - 1) * sigma ** 2
-    return {"sigma": sigma, "p": p, "m_max": m_max, "slope": slope,
-            "target": target,
-            "rel_err": abs(slope - target) / target if target else abs(slope)}
-
-
-def bnorm_trend_check(sigma: float, t: float, levels, seeds: int,
-                      seed0: int = 0, dim: int = 2) -> dict:
-    """Mean scale-discounted sup norm of the cascade sum across window sizes.
-
-    Returns per-level ensemble means and the pairwise-sign trend statistic;
-    a nonpositive statistic means no increasing trend.
-    """
-    means = []
-    for level in levels:
-        vals = []
-        for i in range(seeds):
-            spec = fields.CascadeSpec(sigma=sigma, level=level, seed=seed0 + i)
-            f, _ = fields.gen_cascade_field(spec, dim)
-            vals.append(norms.bnorm(f, t, dim=dim, tail=True))
-        means.append(float(np.mean(vals)))
-    return {"sigma": sigma, "t": t, "levels": list(levels), "means": means,
-            "trend": homexp.mann_kendall(means),
-            "final_over_initial": means[-1] / means[0] if means[0] else float("nan")}
-
-
 def cmd_cascade_verify(config: dict, out_dir: Path, fingerprint: str) -> int:
     ca = config["cascade"]
     report = {
-        "moments": layer_moment_check(ca["sigmas"], ca["powers"], ca["draws"],
-                                      seed=config["seed"]),
-        "slope": product_slope_check(ca["slope_sigma"], ca["slope_level"],
-                                     ca["slope_power"], ca["slope_seeds"],
-                                     seed0=config["seed"], dim=config["dim"]),
-        "bounded_trend": bnorm_trend_check(ca["trend_sigma"], ca["trend_t"],
-                                           ca["trend_levels"], ca["trend_seeds"],
-                                           seed0=config["seed"], dim=config["dim"]),
+        "moments": fields.layer_moment_check(
+            ca["sigmas"], ca["powers"], ca["draws"], seed=config["seed"]),
+        "slope": fields.product_slope_check(
+            ca["slope_sigma"], ca["slope_level"], ca["slope_power"],
+            ca["slope_seeds"], seed0=config["seed"], dim=config["dim"]),
+        "bounded_trend": homexp.bnorm_trend_check(
+            ca["trend_sigma"], ca["trend_t"], ca["trend_levels"],
+            ca["trend_seeds"], seed0=config["seed"], dim=config["dim"]),
     }
     write_json_report(report, out_dir / f"cascade_{fingerprint[:10]}.json",
                       fingerprint)
@@ -665,8 +600,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except (SolverError, DegenerateCellError, fields.CascadeOverflowError,
-            np.linalg.LinAlgError, ValueError, FloatingPointError) as exc:
+    except NUMERICAL_ERRORS as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
     except OSError as exc:

@@ -14,6 +14,13 @@ xi = (-p, q), so ``A`` is read off the maximizers of the 2d unit loads,
 all solved on one sparse factorization per cube.  For a single constant
 cell ``A`` reduces to a closed form in (s, k), which this module also uses
 as a fast exact path for constant cubes.
+
+``A_from_blocks`` and ``blocks_from_A`` are the one codec between ``A`` and
+its blocks; the closed form (``pointwise_A``) and the pointwise bounds are
+its single-cell case.  ``order_slacks`` runs the subadditivity and sandwich
+checks on every cube of a hierarchy, batched per scale, and the sweep's
+``diagnostics`` and the cache's defects are read from it.  Block means come
+from ``triadic.block_means``.
 """
 from __future__ import annotations
 
@@ -25,7 +32,7 @@ import numpy as np
 from .fields import CoefficientField
 from .solver import (AssembledOperator, assemble, maximize_J_backend,
                      random_aharmonic)
-from .triadic import TriadicCube, partition_children
+from .triadic import TriadicCube, block_means
 
 
 def jswap(dim: int) -> np.ndarray:
@@ -36,22 +43,44 @@ def jswap(dim: int) -> np.ndarray:
     return J
 
 
-def pointwise_A(s: np.ndarray, k: np.ndarray) -> np.ndarray:
-    """Closed-form coarse matrix of a single constant coefficient a = s + k.
+def A_from_blocks(s: np.ndarray, s_star: np.ndarray, k: np.ndarray) -> np.ndarray:
+    """Inverse of ``blocks_from_A``, batched over leading axes:
 
-    Batched over leading axes: s, k of shape (..., d, d) give (..., 2d, 2d).
+        A = [[s + k^T s_star^{-1} k, -k^T s_star^{-1}],
+             [-s_star^{-1} k,          s_star^{-1}     ]]
     """
-    s = np.asarray(s, float)
-    k = np.asarray(k, float)
+    s, s_star, k = (np.asarray(x, float) for x in (s, s_star, k))
     d = s.shape[-1]
-    sinv_k = np.linalg.solve(s, k)
-    sinv = np.linalg.inv(s)
+    sinv_k = np.linalg.solve(s_star, k)
     A = np.zeros(s.shape[:-2] + (2 * d, 2 * d))
     A[..., :d, :d] = s + np.swapaxes(k, -1, -2) @ sinv_k
     A[..., :d, d:] = -np.swapaxes(sinv_k, -1, -2)
     A[..., d:, :d] = -sinv_k
-    A[..., d:, d:] = sinv
+    A[..., d:, d:] = np.linalg.inv(s_star)
     return A
+
+
+def blocks_from_A(A: np.ndarray, dim: int):
+    """Extract (s_star, k, b, s) from a coarse matrix, batched over leading axes."""
+    d = dim
+    A11, A12 = A[..., :d, :d], A[..., :d, d:]
+    A21, A22 = A[..., d:, :d], A[..., d:, d:]
+    lo = np.linalg.eigvalsh(A22)[..., 0]
+    if np.any(lo < 1e-12 * np.maximum(np.trace(A22, axis1=-2, axis2=-1), 1e-300)):
+        raise ValueError(f"degenerate lower block: min eig {lo.min():.3e}")
+    s_star = np.linalg.inv(A22)
+    kmat = -s_star @ A21
+    b = A11.copy()
+    s = A11 - A12 @ np.linalg.solve(A22, A21)
+    return s_star, kmat, b, s
+
+
+def pointwise_A(s: np.ndarray, k: np.ndarray) -> np.ndarray:
+    """Closed-form coarse matrix of a single constant coefficient a = s + k.
+
+    A single cell is self-dual (s_star = s); batched over leading axes.
+    """
+    return A_from_blocks(s, s, k)
 
 
 def pointwise_A_cells(field: CoefficientField,
@@ -62,19 +91,12 @@ def pointwise_A_cells(field: CoefficientField,
     return pointwise_A(field.s_cells[sl], field.k_cells[sl])
 
 
-def blocks_from_A(A: np.ndarray, dim: int):
-    """Extract (s_star, k, b, s) from a coarse matrix."""
-    d = dim
-    A11, A12 = A[:d, :d], A[:d, d:]
-    A21, A22 = A[d:, :d], A[d:, d:]
-    eigs = np.linalg.eigvalsh(A22)
-    if eigs.min() < 1e-12 * max(np.trace(A22), 1e-300):
-        raise ValueError(f"degenerate lower block: min eig {eigs.min():.3e}")
-    s_star = np.linalg.inv(A22)
-    kmat = -s_star @ A21
-    b = A11.copy()
-    s = A11 - A12 @ np.linalg.solve(A22, A21)
-    return s_star, kmat, b, s
+def pointwise_bounds(field: CoefficientField, cube: TriadicCube | None = None):
+    """Cube averages (avg s^{-1}, avg (s + k^T s^{-1} k)) of the cell data:
+    the diagonal blocks of the mean of ``pointwise_A_cells``."""
+    d = field.dim
+    avg = pointwise_A_cells(field, cube).reshape(-1, 2 * d, 2 * d).mean(axis=0)
+    return avg[d:, d:], avg[:d, :d]
 
 
 @dataclass(frozen=True)
@@ -213,18 +235,14 @@ def verify_centering(field: CoefficientField, h: np.ndarray,
     cube = cube or field.domain
     cg0 = coarse_grain_cube(field, cube, resolution)
     cg1 = coarse_grain_cube(center_skew(field, h), cube, resolution)
+    # b of the shifted coupling k - h at fixed s, s_star
+    b_shifted = A_from_blocks(cg0.s, cg0.s_star, cg0.k - h)[:field.dim, :field.dim]
     return {
         "s_star": float(np.abs(cg1.s_star - cg0.s_star).max()),
         "s": float(np.abs(cg1.s - cg0.s).max()),
-        "b_shifted": float(np.abs(cg1.b - (cg0.b + _b_shift(cg0, h))).max()),
+        "b_shifted": float(np.abs(cg1.b - b_shifted).max()),
         "k_shift": float(np.abs(cg1.k - (cg0.k - np.asarray(h))).max()),
     }
-
-
-def _b_shift(cg: CoarseGrainedMatrices, h: np.ndarray) -> np.ndarray:
-    """Exact change of b under k -> k - h at fixed s, s_star."""
-    k1 = cg.k - np.asarray(h)
-    return k1.T @ np.linalg.solve(cg.s_star, k1) - cg.k.T @ np.linalg.solve(cg.s_star, cg.k)
 
 
 def verify_maximizer_averages(field: CoefficientField, cube: TriadicCube | None = None,
@@ -344,18 +362,38 @@ def verify_loewner_chain(field: CoefficientField, cube: TriadicCube | None = Non
     cube = cube or field.domain
     if cg is None:
         cg = coarse_grain_cube(field, cube, resolution)
-    sl = cube.slices
-    s_cells = field.s_cells[sl].reshape(-1, field.dim, field.dim)
-    k_cells = field.k_cells[sl].reshape(-1, field.dim, field.dim)
-    sinv_avg = np.linalg.inv(s_cells).mean(axis=0)
-    b_pt_avg = (s_cells + np.swapaxes(k_cells, -1, -2)
-                @ np.linalg.solve(s_cells, k_cells)).mean(axis=0)
+    sinv_avg, b_pt_avg = pointwise_bounds(field, cube)
     return {
         "harmonic_lower": float(np.linalg.eigvalsh(cg.s_star - np.linalg.inv(sinv_avg)).min()),
         "dual_vs_primal": float(np.linalg.eigvalsh(cg.s - cg.s_star).min()),
         "primal_vs_b": float(np.linalg.eigvalsh(cg.b - cg.s).min()),
         "b_vs_pointwise": float(np.linalg.eigvalsh(b_pt_avg - cg.b).min()),
     }
+
+
+def order_slacks(A_by_scale: dict) -> dict:
+    """Smallest eigenvalue of each partition cube's order checks.
+
+    Returns {k: {check: array of shape (3^(n-k),)*dim}} for the scales
+    k >= 1 with a check whose inputs are present: ``subadditivity``
+    (needs scale k-1) of the children's mean minus A, and, with scale 0,
+    ``sandwich_upper`` of the cells' mean minus A and ``sandwich_lower`` of
+    A minus jswap (cells' mean)^{-1} jswap.  Each entry is >= 0 up to roundoff.
+    """
+    out = {}
+    for k in sorted(set(A_by_scale) - {0}):
+        A = A_by_scale[k]
+        d = A.shape[-1] // 2
+        gaps = {}
+        if k - 1 in A_by_scale:
+            gaps["subadditivity"] = block_means(A_by_scale[k - 1], d, 3) - A
+        if 0 in A_by_scale:
+            cells = block_means(A_by_scale[0], d, 3 ** k)
+            gaps["sandwich_upper"] = cells - A
+            gaps["sandwich_lower"] = A - jswap(d) @ np.linalg.inv(cells) @ jswap(d)
+        if gaps:
+            out[k] = {c: np.linalg.eigvalsh(g)[..., 0] for c, g in gaps.items()}
+    return out
 
 
 @dataclass
@@ -394,41 +432,18 @@ class HierarchyCache:
 
     def subadditivity_defect(self) -> float:
         """Most negative eigenvalue of (children average - parent), all scales."""
-        worst = np.inf
-        d = self.dim
-        for k in self.scales[1:]:
-            if k - 1 not in self.A_by_scale:
-                continue
-            kids = self.A_by_scale[k - 1]
-            m = self.A_by_scale[k].shape[0]
-            shape = []
-            for _ in range(d):
-                shape.extend([m, 3])
-            kids = kids.reshape(shape + [2 * d, 2 * d])
-            avg = kids.mean(axis=tuple(2 * ax + 1 for ax in range(d)))
-            diff = avg - self.A_by_scale[k]
-            worst = min(worst, float(np.linalg.eigvalsh(diff).min()))
-        return worst
+        return min((float(c["subadditivity"].min())
+                    for c in order_slacks(self.A_by_scale).values()
+                    if "subadditivity" in c), default=np.inf)
 
     def sandwich_defect(self) -> dict:
         """Most negative eigenvalues of the pointwise upper and lower orderings."""
-        d = self.dim
-        Jsw = jswap(d)
-        worst_up = worst_lo = np.inf
         if 0 not in self.A_by_scale:
             raise ValueError("sandwich check needs the cell scale (k_min = 0)")
-        cells = self.A_by_scale[0]
-        for k in self.scales[1:]:
-            m = self.A_by_scale[k].shape[0]
-            for idx in np.ndindex(*(m,) * d):
-                sl = tuple(slice(3 ** k * i, 3 ** k * (i + 1)) for i in idx)
-                blk = cells[sl].reshape(-1, 2 * d, 2 * d)
-                avg = blk.mean(axis=0)
-                A = self.A_by_scale[k][idx]
-                worst_up = min(worst_up, float(np.linalg.eigvalsh(avg - A).min()))
-                low = Jsw @ np.linalg.inv(avg) @ Jsw
-                worst_lo = min(worst_lo, float(np.linalg.eigvalsh(A - low).min()))
-        return {"upper": worst_up, "lower": worst_lo}
+        slacks = order_slacks(self.A_by_scale).values()
+        return {side: min((float(c[f"sandwich_{side}"].min()) for c in slacks),
+                          default=np.inf)
+                for side in ("upper", "lower")}
 
     def save(self, path: str) -> None:
         arrays = {f"scale_{k}": v for k, v in self.A_by_scale.items()}
@@ -463,10 +478,10 @@ def hierarchy_sweep(field: CoefficientField, domain: TriadicCube | None = None,
                     tol: float = 1e-8) -> HierarchyCache:
     """Coarse-grain every partition subcube of the domain, scale by scale.
 
-    With ``check`` the sweep verifies per-parent subadditivity and the
-    two-sided pointwise sandwich on every cube as it goes; violations
-    beyond ``tol`` are collected in the cache's ``diagnostics`` list (the
-    sweep never aborts on them).
+    With ``check`` the sweep then runs ``order_slacks`` (per-parent
+    subadditivity and the two-sided pointwise sandwich on every cube); each
+    slack below -tol * max(1, |A|_2) is listed in the cache's ``diagnostics``
+    by scale, cube (C order) and check (the sweep never aborts on them).
     """
     domain = domain or field.domain
     if not field.domain.contains(domain):
@@ -476,39 +491,24 @@ def hierarchy_sweep(field: CoefficientField, domain: TriadicCube | None = None,
     A_by_scale = {}
     if k_min == 0:
         A_by_scale[0] = pointwise_A_cells(field, domain)
-    diagnostics = []
-    Jsw = jswap(d)
     for k in range(max(k_min, 1), n + 1):
         m = 3 ** (n - k)
         out = np.empty((m,) * d + (2 * d, 2 * d))
         for idx in np.ndindex(*(m,) * d):
             offset = tuple(b + 3 ** k * i for b, i in zip(base, idx))
             cube = TriadicCube(level=k, offset=offset, dim=d)
-            A = coarse_grain_cube(field, cube, resolution).A
-            out[idx] = A
-            if not check:
-                continue
-            scale = max(1.0, float(np.linalg.norm(A, 2)))
-            if k - 1 in A_by_scale:
-                sl = tuple(slice(3 * i, 3 * (i + 1)) for i in idx)
-                kid_avg = A_by_scale[k - 1][sl].reshape(-1, 2 * d, 2 * d).mean(axis=0)
-                lo = float(np.linalg.eigvalsh(kid_avg - A).min())
-                if lo < -tol * scale:
-                    diagnostics.append({"cube": [k, list(offset)],
-                                        "check": "subadditivity", "min_eig": lo})
-            if 0 in A_by_scale:
-                sl0 = tuple(slice(3 ** k * i, 3 ** k * (i + 1)) for i in idx)
-                pt_avg = A_by_scale[0][sl0].reshape(-1, 2 * d, 2 * d).mean(axis=0)
-                up = float(np.linalg.eigvalsh(pt_avg - A).min())
-                low = float(np.linalg.eigvalsh(
-                    A - Jsw @ np.linalg.inv(pt_avg) @ Jsw).min())
-                if up < -tol * scale:
-                    diagnostics.append({"cube": [k, list(offset)],
-                                        "check": "sandwich_upper", "min_eig": up})
-                if low < -tol * scale:
-                    diagnostics.append({"cube": [k, list(offset)],
-                                        "check": "sandwich_lower", "min_eig": low})
+            out[idx] = coarse_grain_cube(field, cube, resolution).A
         A_by_scale[k] = out
+    diagnostics = []
+    if check:
+        for k, checks in order_slacks(A_by_scale).items():
+            names = list(checks)
+            slack = np.stack([checks[c] for c in names], axis=-1)
+            scale = np.maximum(1.0, np.linalg.norm(A_by_scale[k], 2, axis=(-2, -1)))
+            for *idx, c in np.argwhere(slack < -tol * scale[..., None]):
+                offset = [int(b + 3 ** k * i) for b, i in zip(base, idx)]
+                diagnostics.append({"cube": [k, offset], "check": names[c],
+                                    "min_eig": float(slack[tuple(idx) + (c,)])})
     return HierarchyCache(dim=d, top_level=n, resolution=resolution,
                           fingerprint=field.fingerprint, A_by_scale=A_by_scale,
                           base_offset=base, diagnostics=diagnostics)

@@ -23,8 +23,10 @@ from dataclasses import dataclass, field as dc_field
 import numpy as np
 from scipy import stats
 
-from .coarsegrain import J_from_A, Jstar_from_A, coarse_grain_cube
+from .coarsegrain import (A_from_blocks, J_from_A, Jstar_from_A,
+                          blocks_from_A, coarse_grain_cube, pointwise_bounds)
 from .fields import gen_named_field
+from .solver import NUMERICAL_ERRORS, SolverError
 from .triadic import TriadicCube
 
 
@@ -44,33 +46,16 @@ class FieldSpec:
 def derive_blocks(A_bar: np.ndarray, dim: int) -> dict:
     """Homogenized blocks from a mean coarse matrix.
 
-    s̄* = (mean lower block)^{-1}, k̄ = -s̄* (mean A21), b̄ = mean A11,
-    s̄ = b̄ - k̄^T s̄*^{-1} k̄.  The reconstruction [[b̄, -k̄^T s̄*^{-1}],
-    [-s̄*^{-1} k̄, s̄*^{-1}]] equals A_bar identically — an algebraic identity
-    used as an accumulation sanity check.
+    s̄* = (mean lower block)^{-1}, k̄ = -s̄* (mean A21), b̄ = mean A11 and
+    s̄ the Schur complement (``blocks_from_A``).  Rebuilding the matrix
+    from them (``A_from_blocks``) gives A_bar back identically — an
+    algebraic identity used as an accumulation sanity check.
     """
-    d = dim
-    s_star = np.linalg.inv(A_bar[d:, d:])
-    k = -s_star @ A_bar[d:, :d]
-    b = A_bar[:d, :d].copy()
-    s = b - k.T @ np.linalg.solve(s_star, k)
-    recon = Abar_from_blocks(s, s_star, k)
+    s_star, k, b, s = blocks_from_A(A_bar, dim)
+    recon = A_from_blocks(s, s_star, k)
     return {"s_star": s_star, "k": k, "b": b, "s": s, "gap": s - s_star,
             "sym_k": 0.5 * (k + k.T),
             "reconstruction_err": float(np.abs(recon - A_bar).max())}
-
-
-def Abar_from_blocks(s_bar: np.ndarray, s_star_bar: np.ndarray,
-                     k_bar: np.ndarray) -> np.ndarray:
-    """Assemble the 2d x 2d mean coarse matrix from homogenized blocks."""
-    d = s_bar.shape[0]
-    sinv = np.linalg.inv(s_star_bar)
-    A = np.zeros((2 * d, 2 * d))
-    A[:d, :d] = s_bar + k_bar.T @ sinv @ k_bar
-    A[:d, d:] = -k_bar.T @ sinv
-    A[d:, :d] = -sinv @ k_bar
-    A[d:, d:] = sinv
-    return A
 
 
 @dataclass
@@ -129,18 +114,19 @@ class ErgodicEstimate:
         return {"J_sums": sums, "gap_quadratic": quads, "residual": resid}
 
 
+class SampleError(SolverError):
+    """A Monte Carlo sample failed; the message names its index, seed and cause."""
+
+
 def _mc_sample(args) -> tuple:
-    kind, dim, params, n, resolution, seed = args
-    spec = FieldSpec(kind=kind, dim=dim, params=params)
-    field = spec.realize(n, seed)
-    A = coarse_grain_cube(field, resolution=resolution).A
-    d = dim
-    s_cells = field.s_cells.reshape(-1, d, d)
-    k_cells = field.k_cells.reshape(-1, d, d)
-    sinv = np.linalg.inv(s_cells).mean(axis=0)
-    bpt = (s_cells + np.swapaxes(k_cells, -1, -2)
-           @ np.linalg.solve(s_cells, k_cells)).mean(axis=0)
-    return A, sinv, bpt
+    index, spec, n, resolution, seed = args
+    try:
+        field = spec.realize(n, seed)
+        return (coarse_grain_cube(field, resolution=resolution).A,
+                *pointwise_bounds(field))
+    except NUMERICAL_ERRORS as exc:
+        raise SampleError(f"sample {index} (seed {seed}) failed: "
+                          f"{type(exc).__name__}: {exc}") from exc
 
 
 def sample_seeds(seed: int, n: int, samples: int) -> np.ndarray:
@@ -156,19 +142,13 @@ def estimate_Abar(spec: FieldSpec, n: int, samples: int, seed: int = 0,
     if samples < 2:
         raise ValueError("need at least 2 samples")
     seeds = sample_seeds(seed, n, samples)
-    jobs = [(spec.kind, spec.dim, dict(spec.params), n, resolution, int(s))
-            for s in seeds]
-    results = []
+    jobs = [(i, spec, n, resolution, int(s)) for i, s in enumerate(seeds)]
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            futs = list(pool.map(_mc_sample, jobs, chunksize=max(1, samples // (4 * workers))))
-        results = futs
+            results = list(pool.map(_mc_sample, jobs,
+                                    chunksize=max(1, samples // (4 * workers))))
     else:
-        for i, job in enumerate(jobs):
-            try:
-                results.append(_mc_sample(job))
-            except Exception as exc:
-                raise RuntimeError(f"sample {i} (seed {job[-1]}) failed: {exc}") from exc
+        results = list(map(_mc_sample, jobs))
     As = np.stack([r[0] for r in results])
     A_bar = As.mean(axis=0)
     A_se = As.std(axis=0, ddof=1) / np.sqrt(samples)
@@ -195,11 +175,7 @@ def estimate_Abar_spatial(spec: FieldSpec, n: int, window_level: int,
         As.append(coarse_grain_cube(field, cube, resolution).A)
     As = np.stack(As)
     samples = len(As)
-    s_cells = field.s_cells.reshape(-1, d, d)
-    k_cells = field.k_cells.reshape(-1, d, d)
-    sinv_bar = np.linalg.inv(s_cells).mean(axis=0)
-    bpt_bar = (s_cells + np.swapaxes(k_cells, -1, -2)
-               @ np.linalg.solve(s_cells, k_cells)).mean(axis=0)
+    sinv_bar, bpt_bar = pointwise_bounds(field)
     return ErgodicEstimate(n=n, samples=samples, seed=seed, method="spatial",
                            A_bar=As.mean(axis=0),
                            A_se=As.std(axis=0, ddof=1) / np.sqrt(samples),

@@ -26,13 +26,16 @@ class CascadeOverflowError(RuntimeError):
     """Raised when a cascade layer product exceeds the configured cap."""
 
     def __init__(self, m, worst, cap):
-        super().__init__(
-            f"cascade product f_{m} reached {worst:.3e}, above cap {cap:.3e}; "
-            f"lower sigma or m_max, or raise the cap"
-        )
+        # the constructor's arguments are the exception's args, so a pickle
+        # round trip (e.g. out of a worker process) rebuilds it
+        super().__init__(m, worst, cap)
         self.m = m
         self.worst = worst
         self.cap = cap
+
+    def __str__(self) -> str:
+        return (f"cascade product f_{self.m} reached {self.worst:.3e}, above "
+                f"cap {self.cap:.3e}; lower sigma or m_max, or raise the cap")
 
 
 @dataclass
@@ -149,6 +152,51 @@ def gen_cascade_layer(j: int, level: int, sigma: float, rng: np.random.Generator
     for ax in range(dim):
         w = np.repeat(w, reps, axis=ax)
     return w
+
+
+def layer_moment_check(sigmas, powers, draws: int, seed: int = 0) -> list[dict]:
+    """Monte Carlo moments of one cascade factor against the lognormal law.
+
+    A factor W = exp(g - sigma^2/2) with g ~ N(0, sigma^2) has
+    E[W^p] = exp(p(p-1) sigma^2 / 2); reports the z-score of the sample mean
+    for each (sigma, p).
+    """
+    out = []
+    rng = np.random.default_rng((seed, 0xCA5CADE))
+    for sigma in sigmas:
+        w = np.exp(rng.normal(0.0, sigma, size=draws) - 0.5 * sigma ** 2)
+        for p in powers:
+            wp = w ** p
+            exact = float(np.exp(0.5 * p * (p - 1) * sigma ** 2))
+            mean = float(wp.mean())
+            se = float(wp.std(ddof=1) / np.sqrt(draws))
+            out.append({"sigma": sigma, "p": p, "exact": exact, "mean": mean,
+                        "se": se, "z": abs(mean - exact) / se if se else 0.0})
+    return out
+
+
+def product_slope_check(sigma: float, level: int, p: float, seeds: int,
+                        seed0: int = 0, dim: int = 2) -> dict:
+    """Exponential growth rate of the running layer product's p-th moment.
+
+    E[avg f_m^p] = exp(m p(p-1) sigma^2 / 2) exactly; fits the log of the
+    Monte Carlo means linearly in m and compares the slope.
+    """
+    m_max = 2 * level + 4
+    sums = np.zeros(m_max)
+    for i in range(seeds):
+        rng = np.random.default_rng((seed0 + i, 0xCA5CADE))
+        prod = np.ones((3 ** level,) * dim)
+        for m in range(1, m_max + 1):
+            prod = prod * gen_cascade_layer(m, level, sigma, rng, dim)
+            sums[m - 1] += float((prod ** p).mean())
+    log_means = np.log(sums / seeds)
+    ms = np.arange(1, m_max + 1, dtype=float)
+    slope = float(np.polyfit(ms, log_means, 1)[0])
+    target = 0.5 * p * (p - 1) * sigma ** 2
+    return {"sigma": sigma, "p": p, "m_max": m_max, "slope": slope,
+            "target": target,
+            "rel_err": abs(slope - target) / target if target else abs(slope)}
 
 
 def gen_cascade_field(spec: CascadeSpec, dim: int = 2) -> tuple[np.ndarray, dict]:

@@ -17,7 +17,6 @@ boundedness is the only claim made for it).
 from __future__ import annotations
 
 import csv
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,8 +24,9 @@ import numpy as np
 from . import solver
 from .coarsegrain import blocks_from_A, coarse_grain_cube, hierarchy_sweep, HierarchyCache
 from .ergodic import FieldSpec
-from .fields import CoefficientField
-from .norms import ring_dual_norm, spec_norms
+from .fields import CascadeSpec, CoefficientField, gen_cascade_field
+from .norms import (bnorm, ellipticity_constants, ring_dual_norm,
+                    scale_weighted_sum, spec_norms)
 from .triadic import subcubes_at_scale
 
 
@@ -216,7 +216,7 @@ def run_dirichlet_experiment(exp: HomExperiment, seed: int = 0,
                                       s_star_bar - k_bar, exp.alpha,
                                       min(exp.ring_levels, n), exp.resolution)
                     rec.G_alpha, rec.H_alpha = G, H
-        except Exception:
+        except solver.NUMERICAL_ERRORS:
             rec.failed = True
         records.append(rec)
     return records
@@ -229,6 +229,26 @@ def mann_kendall(values) -> int:
     for i in range(len(v)):
         stat += int(np.sign(v[i + 1:] - v[i]).sum())
     return stat
+
+
+def bnorm_trend_check(sigma: float, t: float, levels, seeds: int,
+                      seed0: int = 0, dim: int = 2) -> dict:
+    """Mean scale-discounted sup norm of the cascade sum across window sizes.
+
+    Returns per-level ensemble means and the pairwise-sign trend statistic;
+    a nonpositive statistic means no increasing trend.
+    """
+    means = []
+    for level in levels:
+        vals = []
+        for i in range(seeds):
+            spec = CascadeSpec(sigma=sigma, level=level, seed=seed0 + i)
+            f, _ = gen_cascade_field(spec, dim)
+            vals.append(bnorm(f, t, dim=dim, tail=True))
+        means.append(float(np.mean(vals)))
+    return {"sigma": sigma, "t": t, "levels": list(levels), "means": means,
+            "trend": mann_kendall(means),
+            "final_over_initial": means[-1] / means[0] if means[0] else float("nan")}
 
 
 def summarize_records(per_seed: list[list[ErrorRecord]]) -> dict:
@@ -267,17 +287,9 @@ def compute_E_s(cache: HierarchyCache, A_bar: np.ndarray, s: float,
     if missing:
         raise ValueError(f"cache is missing scales {missing}")
     A_bar = np.asarray(A_bar, float)
-    total = 0.0
-    for k in range(k_min, n + 1):
-        dev = spec_norms(cache.A_by_scale[k] - A_bar)
-        total += 3.0 ** (2 * s * (k - n)) * float(dev.max())
-    if tail:
-        if k_min != 0:
-            raise ValueError("tail correction assumes k_min = 0")
-        r = 3.0 ** (-2 * s)
-        dev0 = float(spec_norms(cache.A_by_scale[0] - A_bar).max())
-        total += dev0 * 3.0 ** (-2 * s * n) * r / (1.0 - r)
-    return total
+    devs = {k: float(spec_norms(cache.A_by_scale[k] - A_bar).max())
+            for k in range(k_min, n + 1)}
+    return scale_weighted_sum(devs, s, n, tail)
 
 
 def half_lattice_matrices(field: CoefficientField, k: int,
@@ -304,13 +316,13 @@ def compute_GH(field: CoefficientField, A_top: np.ndarray, A_bar: np.ndarray,
     c = float(spec_norms(np.asarray(prefactor_mat, float)) ** 2)
     A_top = np.asarray(A_top, float)
     A_bar = np.asarray(A_bar, float)
-    G = H = 0.0
+    G, H = {}, {}
     for k in range(n - l + 1, n + 1):
         mats = half_lattice_matrices(field, k, resolution)
-        w = 3.0 ** (2 * s * (k - n))
-        G += w * float(spec_norms(mats.mean(axis=0) - A_top))
-        H += w * float(np.mean(spec_norms(mats - A_bar) ** 2))
-    return c * G, c * H
+        G[k] = float(spec_norms(mats.mean(axis=0) - A_top))
+        H[k] = float(np.mean(spec_norms(mats - A_bar) ** 2))
+    return (c * scale_weighted_sum(G, s, n, False),
+            c * scale_weighted_sum(H, s, n, False))
 
 
 def energy_estimate_diagnostic(field: CoefficientField, s: float = 0.4,
@@ -328,7 +340,6 @@ def energy_estimate_diagnostic(field: CoefficientField, s: float = 0.4,
     positive-regularity norms (piecewise-constant data degenerates the
     latter).
     """
-    from .norms import ellipticity_constants
     d = field.dim
     n = field.level
     if cache is None:
@@ -372,8 +383,3 @@ def write_records_csv(per_seed: list[list[ErrorRecord]], path: str,
                             repr(r.flux_err), repr(r.energy), repr(r.E_alpha),
                             repr(r.G_alpha), repr(r.H_alpha), int(r.failed)]
                            + list(extra_cols.values()))
-
-
-def write_summary_json(summary: dict, path: str) -> None:
-    with open(path, "w") as fh:
-        json.dump(summary, fh, sort_keys=True, indent=1)

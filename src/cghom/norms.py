@@ -20,7 +20,11 @@ exact; the ring norm defaults to the truncated sum.
 The coarse-grained ellipticity constants weight the spectral norms of
 per-cube coarse-grained blocks (dual lower block inverse, upper block) the
 same way the bnorm weights averages; they consume a hierarchy cache and
-never solve anything themselves.
+never solve anything themselves.  The bnorm, these constants and the
+deviation functionals of ``homexp`` share one weighted sum with its exact
+tail, ``scale_weighted_sum``; the ring norm sums weighted mean squares under
+a square root and keeps its own.  Partition-cube averages come from
+``triadic.block_means``.
 """
 from __future__ import annotations
 
@@ -30,6 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .coarsegrain import HierarchyCache
+from .triadic import block_means
 
 
 def spec_norms(mats: np.ndarray) -> np.ndarray:
@@ -62,16 +67,21 @@ def _level_of(values: np.ndarray, dim: int) -> int:
     return n
 
 
-def block_means(values: np.ndarray, dim: int, factor: int) -> np.ndarray:
-    """Mean over non-overlapping blocks of side ``factor`` (trailing axes kept)."""
-    m = values.shape[0]
-    mc = m // factor
-    shape = []
-    for _ in range(dim):
-        shape.extend([mc, factor])
-    shape.extend(values.shape[dim:])
-    v = values.reshape(shape)
-    return v.mean(axis=tuple(2 * ax + 1 for ax in range(dim)))
+def scale_weighted_sum(maxima: dict, t: float, n: int, tail: bool) -> float:
+    """sum_k 3^{2t(k-n)} m_k over the scales k of ``maxima`` (ascending).
+
+    With ``tail`` the sum continues below the cell scale with every k < 0
+    term equal to m_0, the exact geometric series for cell data.
+    """
+    total = 0.0
+    for k, m in maxima.items():
+        total += 3.0 ** (2 * t * (k - n)) * m
+    if tail:
+        if min(maxima) != 0:
+            raise ValueError("tail correction assumes k_min = 0")
+        r = 3.0 ** (-2 * t)
+        total += maxima[0] * 3.0 ** (-2 * t * n) * r / (1.0 - r)
+    return total
 
 
 def sliding_box_means(values: np.ndarray, dim: int, side: int, step: int) -> np.ndarray:
@@ -106,16 +116,9 @@ def bnorm(values: np.ndarray, t: float, dim: int = 2, k_min: int = 0,
     if values.size == 0:
         raise ValueError("empty domain")
     n = _level_of(values, dim)
-    total = 0.0
-    for k in range(k_min, n + 1):
-        avg = block_means(values, dim, 3 ** k)
-        total += 3.0 ** (2 * t * (k - n)) * float(_cell_magnitudes(avg, dim).max())
-    if tail:
-        if k_min != 0:
-            raise ValueError("tail correction assumes k_min = 0")
-        r = 3.0 ** (-2 * t)
-        total += float(_cell_magnitudes(values, dim).max()) * 3.0 ** (-2 * t * n) * r / (1.0 - r)
-    return total
+    maxima = {k: float(_cell_magnitudes(block_means(values, dim, 3 ** k), dim).max())
+              for k in range(k_min, n + 1)}
+    return scale_weighted_sum(maxima, t, n, tail)
 
 
 def ring_dual_norm(values: np.ndarray, s: float, dim: int = 2, k_min: int = 0,
@@ -213,16 +216,10 @@ def ellipticity_constants(cache: HierarchyCache, s: float, t: float,
     if missing:
         raise ValueError(f"cache is missing scales {missing}")
     sinv_max, b_max = _scale_maxima(cache)
-    sum_sinv = sum(3.0 ** (2 * s * (k - n)) * sinv_max[k] for k in cache.scales)
-    sum_b = sum(3.0 ** (2 * t * (k - n)) * b_max[k] for k in cache.scales)
-    if tail:
-        rs, rt = 3.0 ** (-2 * s), 3.0 ** (-2 * t)
-        sum_sinv += sinv_max[0] * 3.0 ** (-2 * s * n) * rs / (1.0 - rs)
-        sum_b += b_max[0] * 3.0 ** (-2 * t * n) * rt / (1.0 - rt)
     cs = (1.0 - 3.0 ** (-2 * s)) if normalized else 1.0
     ct = (1.0 - 3.0 ** (-2 * t)) if normalized else 1.0
-    lam = 1.0 / (cs * sum_sinv)
-    Lam = ct * sum_b
+    lam = 1.0 / (cs * scale_weighted_sum(sinv_max, s, n, tail))
+    Lam = ct * scale_weighted_sum(b_max, t, n, tail)
 
     lp_b = lq_sinv = float("nan")
     besov_b = besov_sinv = float("nan")

@@ -21,8 +21,8 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .fields import CoefficientField
-from .triadic import TriadicCube
+from .fields import CascadeOverflowError, CoefficientField
+from .triadic import TriadicCube, block_means
 
 COND_CAP = 1e12
 
@@ -33,6 +33,13 @@ class SolverError(RuntimeError):
 
 class DegenerateCellError(ValueError):
     pass
+
+
+# Failures of the numerics on a valid configuration: the CLI maps them to
+# exit code 3 and a Dirichlet sweep records them per scale.  Anything else
+# is a programming error and propagates.
+NUMERICAL_ERRORS = (SolverError, DegenerateCellError, CascadeOverflowError,
+                    np.linalg.LinAlgError, ValueError, FloatingPointError)
 
 
 def reference_tensors(dim: int):
@@ -367,32 +374,17 @@ def element_gradient_averages(op: AssembledOperator, u: np.ndarray) -> np.ndarra
 
 def cell_gradient_averages(op: AssembledOperator, u: np.ndarray) -> np.ndarray:
     """Average of grad u over each unit cell, shape (cells,)*dim + (dim,)."""
-    d, r = op.dim, op.resolution
     ge = element_gradient_averages(op, u)
-    mE = op.elements_per_axis
-    mc = op.cells_per_axis
-    ge = ge.reshape((mE,) * d + (d,))
-    shape = []
-    for _ in range(d):
-        shape.extend([mc, r])
-    shape.append(d)
-    ge = ge.reshape(shape)
-    return ge.mean(axis=tuple(2 * ax + 1 for ax in range(d)))
+    ge = ge.reshape((op.elements_per_axis,) * op.dim + (op.dim,))
+    return block_means(ge, op.dim, op.resolution)
 
 
 def cell_flux_averages(op: AssembledOperator, u: np.ndarray) -> np.ndarray:
     """Average of a grad u over each unit cell (a is constant per cell)."""
     ge = element_gradient_averages(op, u)
     fe = np.einsum("eab,eb->ea", op.a_elems, ge)
-    d, r = op.dim, op.resolution
-    mE, mc = op.elements_per_axis, op.cells_per_axis
-    fe = fe.reshape((mE,) * d + (d,))
-    shape = []
-    for _ in range(d):
-        shape.extend([mc, r])
-    shape.append(d)
-    fe = fe.reshape(shape)
-    return fe.mean(axis=tuple(2 * ax + 1 for ax in range(d)))
+    fe = fe.reshape((op.elements_per_axis,) * op.dim + (op.dim,))
+    return block_means(fe, op.dim, op.resolution)
 
 
 def node_coordinates(op: AssembledOperator) -> np.ndarray:

@@ -129,6 +129,18 @@ def subcubes_at_scale(domain: TriadicCube, k: int, lattice: str = "partition") -
     return out
 
 
+def block_means(values: np.ndarray, dim: int, factor: int) -> np.ndarray:
+    """Mean over non-overlapping blocks of side ``factor`` (trailing axes kept):
+    ``(m,)*dim + trailing`` values give ``(m // factor,)*dim + trailing``."""
+    mc = values.shape[0] // factor
+    shape = []
+    for _ in range(dim):
+        shape.extend([mc, factor])
+    shape.extend(values.shape[dim:])
+    v = values.reshape(shape)
+    return v.mean(axis=tuple(2 * ax + 1 for ax in range(dim)))
+
+
 def cell_average(values: np.ndarray, cube: TriadicCube) -> np.ndarray:
     """Average of per-cell data over a cube.
 

@@ -16,7 +16,6 @@ so the expensive sweeps are shared through module-scoped fixtures.
 import numpy as np
 import pytest
 
-from cghom.cli import bnorm_trend_check, layer_moment_check, product_slope_check
 from cghom.coarsegrain import (blocks_from_A, coarse_grain_adjoint,
                                coarse_grain_cube, center_skew_transform,
                                hierarchy_sweep, J_from_A, Jstar_from_A,
@@ -25,9 +24,9 @@ from cghom.coarsegrain import (blocks_from_A, coarse_grain_adjoint,
                                verify_quadratic_response)
 from cghom.ergodic import (FieldSpec, check_monotone, derive_blocks,
                            estimate_Abar, gap_diagnostic, homogenized_matrix)
-from cghom.fields import gen_named_field
-from cghom.homexp import (HomExperiment, TargetFunction, compute_E_s,
-                          compute_GH, energy_estimate_diagnostic,
+from cghom.fields import gen_named_field, layer_moment_check, product_slope_check
+from cghom.homexp import (HomExperiment, TargetFunction, bnorm_trend_check,
+                          compute_E_s, compute_GH, energy_estimate_diagnostic,
                           run_dirichlet_experiment, summarize_records)
 from cghom.norms import bnorm, ellipticity_constants, ring_dual_norm
 from cghom.solver import assemble, maximize_J_backend

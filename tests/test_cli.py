@@ -124,6 +124,18 @@ def test_ergodic_csv_holds_every_sample(tmp_path):
         assert np.abs(mean - np.array(entry["A_bar"])).max() < 1e-12
 
 
+@pytest.mark.parametrize("workers", [1, 2])
+def test_failed_sample_is_named_numerical_failure(tmp_path, capsys, workers):
+    code = _run(["ergodic", "--set", 'field.kind="cascade_iso"',
+                 "--set", 'field.params={"sigma": 0.3, "cap": 1.0}',
+                 "--set", "ergodic.n_max=1", "--set", "ergodic.samples=4",
+                 "--workers", str(workers)], tmp_path)
+    assert code == 3
+    err = capsys.readouterr().err
+    assert "sample 0 (seed" in err
+    assert "CascadeOverflowError" in err
+
+
 def test_3d_levels_that_cannot_finish_are_config_errors(tmp_path, monkeypatch,
                                                         capsys):
     def no_solve(*args, **kwargs):

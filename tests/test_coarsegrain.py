@@ -3,20 +3,21 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cghom import solver
-from cghom.coarsegrain import (CoarseGrainedMatrices, HierarchyCache,
-                               J_from_A, Jstar_from_A, blocks_from_A,
-                               center_skew, center_skew_transform,
+from cghom import coarsegrain, solver
+from cghom.coarsegrain import (A_from_blocks, CoarseGrainedMatrices,
+                               HierarchyCache, J_from_A, Jstar_from_A,
+                               blocks_from_A, center_skew, center_skew_transform,
                                coarse_grain_adjoint, coarse_grain_cube,
-                               hierarchy_sweep, jswap, pointwise_A,
-                               pointwise_A_cells, verify_centering,
+                               hierarchy_sweep, jswap, order_slacks,
+                               pointwise_A, pointwise_A_cells,
+                               verify_centering,
                                verify_cg_inequalities, verify_loewner_chain,
                                verify_maximizer_averages,
                                verify_quadratic_response)
 from cghom.fields import CoefficientField, gen_named_field
 from cghom.solver import assemble, maximize_J_backend
 from cghom.triadic import TriadicCube
-from reference_impl import brute_force_J
+from reference_impl import brute_force_J, order_slacks_loops
 
 
 def _random_spd_skew(rng, n=6, dim=2):
@@ -43,6 +44,18 @@ def test_pointwise_A_structure():
         assert np.allclose(ss, s[i], atol=1e-12)
         assert np.allclose(kk, k[i], atol=1e-12)
         assert np.allclose(b, s[i] + k[i].T @ np.linalg.solve(s[i], k[i]))
+    # batched codec round trip on general blocks: s >= s_star, k not skew
+    s_star, _ = _random_spd_skew(rng)
+    gap, _ = _random_spd_skew(rng)
+    k_gen = rng.normal(size=(6, 2, 2))
+    got_s_star, got_k, got_b, got_s = blocks_from_A(
+        A_from_blocks(s_star + gap, s_star, k_gen), 2)
+    np.testing.assert_allclose(got_s_star, s_star, rtol=1e-12, atol=1e-12)
+    np.testing.assert_allclose(got_k, k_gen, rtol=1e-12, atol=1e-12)
+    np.testing.assert_allclose(got_s, s_star + gap, rtol=1e-12, atol=1e-12)
+    np.testing.assert_allclose(
+        got_b, s_star + gap + np.swapaxes(k_gen, -1, -2)
+        @ np.linalg.solve(s_star, k_gen), rtol=1e-12, atol=1e-12)
 
 
 def test_pointwise_A_jswap_involution():
@@ -236,6 +249,75 @@ def test_hierarchy_sweep_subdomain_and_validation():
     assert np.allclose(cache.A_at(1, (3, 3)), direct.A, atol=1e-12)
     with pytest.raises(ValueError, match="not contained"):
         hierarchy_sweep(field, domain=TriadicCube(level=2, offset=(3, 0), dim=2))
+
+
+def _assert_slacks_match_loops(cache):
+    got = order_slacks(cache.A_by_scale)
+    want = order_slacks_loops(cache.A_by_scale)
+    assert list(got) == list(want)
+    for k in want:
+        assert list(got[k]) == list(want[k])
+        scale = max(1.0, np.abs(cache.A_by_scale[k]).max())
+        for check, slack in want[k].items():
+            assert got[k][check].shape == slack.shape
+            assert np.abs(got[k][check] - slack).max() <= 1e-12 * scale, (k, check)
+
+
+def test_order_slacks_match_loops_on_suite_fields():
+    # the c1/c2 suite draws its fields the same way
+    kinds = ("checkerboard", "lognormal_iso", "skew_lognormal", "cascade_iso")
+    for i in range(100):
+        field = gen_named_field(kinds[i % 4], level=1, seed=1000 + i)
+        _assert_slacks_match_loops(hierarchy_sweep(field, check=False))
+
+
+def test_order_slacks_match_loops_in_3d_kmin_and_subdomain():
+    f3 = gen_named_field("skew_lognormal", level=2, dim=3, seed=38, sigma=0.5,
+                         kappa=0.6)
+    _assert_slacks_match_loops(hierarchy_sweep(f3, check=False))
+    f2 = gen_named_field("skew_lognormal", level=3, seed=39, sigma=0.6,
+                         kappa=0.7)
+    kmin = hierarchy_sweep(f2, k_min=1, check=False)
+    assert {k: list(c) for k, c in order_slacks(kmin.A_by_scale).items()} == {
+        2: ["subadditivity"], 3: ["subadditivity"]}
+    _assert_slacks_match_loops(kmin)
+    subdomain = TriadicCube(level=2, offset=(9, 18), dim=2)
+    sub = hierarchy_sweep(f2, domain=subdomain, check=False)
+    _assert_slacks_match_loops(sub)
+    # with tol=-1 every slack passes the threshold, so the sweep lists every
+    # check of every cube: by scale, then cube in C order, then check
+    listed = hierarchy_sweep(f2, domain=subdomain, tol=-1).diagnostics
+    want = [([k, [9 + 3 ** k * i, 18 + 3 ** k * j]], check, slacks[check][i, j])
+            for k, slacks in order_slacks_loops(sub.A_by_scale).items()
+            for i, j in np.ndindex(*slacks["sandwich_upper"].shape)
+            for check in slacks]
+    assert [(d["cube"], d["check"]) for d in listed] == [w[:2] for w in want]
+    assert np.allclose([d["min_eig"] for d in listed], [w[2] for w in want],
+                       rtol=0, atol=1e-12)
+
+
+def test_sweep_diagnostics_name_the_raised_cube(monkeypatch):
+    # raising one cube's A by delta*I breaks its subadditivity and its upper
+    # sandwich and nothing else: its lower sandwich and its parent's
+    # subadditivity only gain slack
+    field = gen_named_field("lognormal_iso", level=2, seed=40, sigma=0.3)
+    target = TriadicCube(level=1, offset=(3, 6), dim=2)
+    real = coarsegrain.coarse_grain_cube
+
+    def raised(field, cube=None, resolution=1, **kwargs):
+        cg = real(field, cube, resolution, **kwargs)
+        if cube == target:
+            return CoarseGrainedMatrices.from_A(cg.A + np.eye(4), cube)
+        return cg
+
+    monkeypatch.setattr(coarsegrain, "coarse_grain_cube", raised)
+    cache = hierarchy_sweep(field)
+    assert [(d["cube"], d["check"]) for d in cache.diagnostics] == [
+        ([1, [3, 6]], "subadditivity"), ([1, [3, 6]], "sandwich_upper")]
+    assert all(d["min_eig"] < -0.5 for d in cache.diagnostics)
+    assert cache.subadditivity_defect() == cache.diagnostics[0]["min_eig"]
+    assert cache.sandwich_defect()["upper"] == cache.diagnostics[1]["min_eig"]
+    assert cache.sandwich_defect()["lower"] > 0
 
 
 # ---------------------------------------------------------------------------

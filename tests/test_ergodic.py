@@ -4,8 +4,8 @@ import json
 import numpy as np
 import pytest
 
-from cghom.coarsegrain import coarse_grain_cube
-from cghom.ergodic import (Abar_from_blocks, ErgodicEstimate, FieldSpec,
+from cghom.coarsegrain import A_from_blocks, coarse_grain_cube
+from cghom.ergodic import (ErgodicEstimate, FieldSpec,
                            check_monotone, derive_blocks, estimate_Abar,
                            estimate_Abar_spatial, estimates_report,
                            gap_diagnostic, homogenized_matrix, sample_seeds,
@@ -18,8 +18,8 @@ SKW = FieldSpec(kind="skew_lognormal", dim=2,
 
 
 def _synthetic(n, s_bar, s_star, k, sinv_bar=None, bpt_bar=None, se=0.0):
-    A = Abar_from_blocks(np.asarray(s_bar, float), np.asarray(s_star, float),
-                         np.asarray(k, float))
+    A = A_from_blocks(np.asarray(s_bar, float), np.asarray(s_star, float),
+                      np.asarray(k, float))
     return ErgodicEstimate(
         n=n, samples=100, seed=0, method="independent", A_bar=A,
         A_se=np.full_like(A, se),

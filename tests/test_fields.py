@@ -1,4 +1,6 @@
 """Coefficient-field generators, validation and the binary file format."""
+import pickle
+
 import numpy as np
 import pytest
 
@@ -100,8 +102,12 @@ def test_cascade_field_and_overflow():
     assert (f > 0).all()
     assert info["m_max"] == 2 * 2 + 4
     assert len(info["layer_max"]) == info["m_max"]
-    with pytest.raises(CascadeOverflowError):
+    with pytest.raises(CascadeOverflowError) as info:
         gen_cascade_field(CascadeSpec(sigma=0.3, level=2, seed=5, cap=1e-6))
+    # it must survive the pickle round trip out of a worker process
+    back = pickle.loads(pickle.dumps(info.value))
+    assert str(back) == str(info.value)
+    assert (back.m, back.worst, back.cap) == (info.value.m, info.value.worst, 1e-6)
 
 
 def test_cascade_iso_field_kind():

@@ -126,6 +126,22 @@ def test_run_experiment_records_failures():
     assert all(np.isnan(r.grad_err) for r in recs)
 
 
+@pytest.mark.parametrize("error", [solver.SolverError, TypeError])
+def test_run_experiment_records_only_numerical_failures(monkeypatch, error):
+    def failing(*args, **kwargs):
+        raise error("forced")
+
+    monkeypatch.setattr("cghom.homexp.solve_oscillating", failing)
+    exp = HomExperiment(spec=FieldSpec(kind="constant"), a_bar=np.eye(2),
+                        h=TargetFunction("affine", p=[1.0, 0.0]), alpha=0.5,
+                        n_min=1, n_max=1)
+    if error is TypeError:          # a programming error is not a result
+        with pytest.raises(TypeError, match="forced"):
+            run_dirichlet_experiment(exp, seed=0)
+    else:
+        assert [r.failed for r in run_dirichlet_experiment(exp, seed=0)] == [True]
+
+
 def test_mann_kendall_frozen_values():
     assert mann_kendall([1.0, 2.0, 3.0]) == 3
     assert mann_kendall([3.0, 2.0, 1.0]) == -3
