@@ -114,8 +114,8 @@ def apply_overrides(config: dict, assignments: list[str]) -> dict:
     return out
 
 
-# A 3D level-3 cube has N=21,952 nodes; its sparse KKT factorization alone
-# takes over a minute (about 1.4e8 entries of fill), so such runs cannot finish.
+# Merging the 27 children of a 3D level-3 cube is a dense boundary problem on
+# 8,128 union nodes, about 0.5 GB per matrix, so such runs cannot finish.
 MAX_LEVEL_3D = 2
 
 
@@ -133,8 +133,8 @@ def _check_3d_level(dim: int, level: int, what: str) -> None:
     if dim == 3 and level > MAX_LEVEL_3D:
         raise ConfigError(
             f"{what} would coarse-grain a 3D cube of level {level}; 3D cubes "
-            f"above level {MAX_LEVEL_3D} are rejected because their sparse KKT "
-            f"factorization takes minutes")
+            f"above level {MAX_LEVEL_3D} are rejected because their merge is a "
+            f"dense boundary problem of about 0.5 GB per matrix")
 
 
 def validate_config(config: dict, command: str | None = None) -> None:
@@ -377,7 +377,8 @@ def cmd_homogenize(config: dict, out_dir: Path, fingerprint: str) -> int:
     seeds = list(range(config["seed"], config["seed"] + hx["seeds"]))
     jobs = [(exp, s, hx["with_E"], hx["with_GH"]) for s in seeds]
     if config["workers"] > 1:
-        with ProcessPoolExecutor(max_workers=config["workers"]) as pool:
+        with ProcessPoolExecutor(max_workers=config["workers"],
+                                 initializer=solver.single_blas_thread) as pool:
             per_seed = list(pool.map(_run_seed, jobs))
     else:
         per_seed = [_run_seed(j) for j in jobs]
@@ -431,13 +432,13 @@ def _selftest_checks():
 
     def constant_matrix():
         field = gen_named_field("constant", level=1, dim=d, matrix=(2.0 * eye).tolist())
-        op = solver.assemble(field)
-        cg = coarsegrain.coarse_grain_cube(field, op=op)
+        # without the field the condensed traces skip the closed form
+        A = coarsegrain.condensed_A(solver.partition_traces(field, 1))[0, 0]
         want = np.zeros((2 * d, 2 * d))
         want[:d, :d] = 2.0 * eye
         want[d:, d:] = 0.5 * eye
-        dev = np.abs(cg.A - want).max()
-        J = coarsegrain.J_from_A(cg.A, eye[0], eye[0], d)
+        dev = np.abs(A - want).max()
+        J = coarsegrain.J_from_A(A, eye[0], eye[0], d)
         return dev < 1e-10 and abs(J - 0.25) < 1e-10, \
             f"|A - diag(2I, I/2)| = {dev:.2e}, J(e1,e1) = {J:.6f}"
 

@@ -10,10 +10,11 @@ is maximized over discrete a-harmonic mean-zero functions.  Its Hessian in
 upper symmetric part ``b``, a lower symmetric part ``s`` (its Schur
 complement), a dual symmetric part ``s_star`` (inverse of the lower-right
 block), and a skew-ish coupling ``k``.  ``J`` is quadratic in
-xi = (-p, q), so ``A`` is read off the maximizers of the 2d unit loads,
-all solved on one sparse factorization per cube.  For a single constant
-cell ``A`` reduces to a closed form in (s, k), which this module also uses
-as a fast exact path for constant cubes.
+xi = (-p, q), so ``A`` is read off the maximizers of the 2d unit loads.
+These are solved on each cube's boundary traces, which ``solver.condense``
+builds for every cube of every scale by merging children into parents
+(``condensed_A``).  For a single constant cell ``A`` reduces to a closed
+form in (s, k), which every cube whose cells are all equal takes exactly.
 
 ``A_from_blocks`` and ``blocks_from_A`` are the one codec between ``A`` and
 its blocks; the closed form (``pointwise_A``) and the pointwise bounds are
@@ -28,10 +29,12 @@ import json
 from dataclasses import dataclass, field as dc_field
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .fields import CoefficientField
-from .solver import (AssembledOperator, assemble, maximize_J_backend,
-                     random_aharmonic)
+from .solver import (BoundaryTraces, assemble, check_objective, condense,
+                     maximize_J_backend, partition_traces, random_aharmonic,
+                     trace_loads)
 from .triadic import TriadicCube, block_means
 
 
@@ -144,39 +147,58 @@ def Jstar_from_A(A: np.ndarray, p, q, dim: int) -> float:
     return J_from_A(D @ A @ D, p, q, dim)
 
 
-def coarse_grain_cube(field: CoefficientField, cube: TriadicCube | None = None,
-                      resolution: int = 1, op: AssembledOperator | None = None,
-                      check: bool = True, psd_tol: float = 1e-8) -> CoarseGrainedMatrices:
-    """Coarse-grain one cube by 2d saddle solves on one factorization.
+def _constant_cubes(field: CoefficientField, traces: BoundaryTraces):
+    """Which cubes of a trace batch hold one coefficient in all their cells,
+    and each cube's corner cell (s, k)."""
+    d, side = traces.dim, 3 ** traces.level
+    count = traces.Lam.shape[:d]
+    sl = tuple(slice(o, o + traces.step * (n - 1) + side)
+               for o, n in zip(traces.origin, count))
+    corners = tuple(slice(0, traces.step * (n - 1) + 1, traces.step) for n in count)
+    a = field.s_cells[sl] + field.k_cells[sl]
+    cubes = sliding_window_view(a, (side,) * d, axis=tuple(range(d)))[corners]
+    axes = tuple(range(-d, 0))
+    const = np.all(cubes.max(axis=axes) == cubes.min(axis=axes), axis=(-2, -1))
+    return const, field.s_cells[sl][corners], field.k_cells[sl][corners]
+
+
+def condensed_A(traces: BoundaryTraces, field: CoefficientField | None = None,
+                check: bool = True, psd_tol: float = 1e-8) -> np.ndarray:
+    """A(U) of every cube of a trace batch, shaped batch + (2d, 2d).
 
     With xi = (-p, q) the load of J is L^T xi for L = [B; G], so J is
     quadratic in xi.  The maximizers V of the 2d unit loads give
-    A = sym(L V) / |U| - jswap(d).  Constant cubes short-circuit to the exact
-    closed form.  With ``check`` the result is verified positive
-    semidefinite up to ``psd_tol`` times its norm.
+    A = sym(L V) / |U| - jswap(d).  Every load column is checked for J >= 0
+    and the energy identity and, with ``check``, every A for positive
+    semidefiniteness up to ``psd_tol`` times its norm.  Given the ``field``,
+    cubes whose cells are all equal take the exact closed form instead.
     """
-    cube = cube or field.domain
-    d = field.dim
-    sl = cube.slices
-    s_block = field.s_cells[sl]
-    k_block = field.k_cells[sl]
-    a_block = (s_block + k_block).reshape(-1, d * d)
-    if op is None and np.ptp(a_block, axis=0).max() == 0.0:
-        A = pointwise_A(s_block.reshape(-1, d, d)[0], k_block.reshape(-1, d, d)[0])
-        return CoarseGrainedMatrices.from_A(A, cube)
-
-    if op is None:
-        op = assemble(field, cube, resolution)
-    eye, zero = np.eye(d), np.zeros(d)
-    unit_loads = [(-e, zero) for e in eye] + [(zero, e) for e in eye]
-    _, V = maximize_J_backend(op, unit_loads)
-    LV = np.vstack([op.B, op.G]) @ V
-    A = 0.5 * (LV + LV.T) / op.vol - jswap(d)
+    LV, J, energy = trace_loads(traces)
+    A = 0.5 * (LV + np.swapaxes(LV, -1, -2)) / traces.vol - jswap(traces.dim)
+    exact = np.zeros(A.shape[:-2], dtype=bool)
+    if field is not None:
+        exact, s0, k0 = _constant_cubes(field, traces)
+        if exact.any():
+            A[exact] = pointwise_A(s0[exact], k0[exact])
+    check_objective(J[~exact], energy[~exact])
     if check:
-        lo = np.linalg.eigvalsh(A).min()
-        scale = max(1.0, float(np.linalg.norm(A, 2)))
-        if lo < -psd_tol * scale:
-            raise ValueError(f"coarse matrix not PSD: min eig {lo:.3e}")
+        lo = np.linalg.eigvalsh(A[~exact])[:, 0]
+        scale = np.maximum(1.0, np.linalg.norm(A[~exact], 2, axis=(-2, -1)))
+        if np.any(lo < -psd_tol * scale):
+            raise ValueError("coarse matrix not PSD: min eig "
+                             f"{lo[lo < -psd_tol * scale][0]:.3e}")
+    return A
+
+
+def coarse_grain_cube(field: CoefficientField, cube: TriadicCube | None = None,
+                      resolution: int = 1, check: bool = True,
+                      psd_tol: float = 1e-8) -> CoarseGrainedMatrices:
+    """Coarse-grain one cube: condense its cells' traces up to the cube and
+    solve the 2d unit loads there (``condensed_A``).  A cube whose cells are
+    all equal gets the exact closed form."""
+    cube = cube or field.domain
+    top = partition_traces(field, cube.level, cube, resolution)
+    A = condensed_A(top, field, check, psd_tol)[(0,) * field.dim]
     return CoarseGrainedMatrices.from_A(A, cube)
 
 
@@ -257,7 +279,7 @@ def verify_maximizer_averages(field: CoefficientField, cube: TriadicCube | None 
     cube = cube or field.domain
     d = field.dim
     op = assemble(field, cube, resolution)
-    cg = coarse_grain_cube(field, cube, resolution, op=op)
+    cg = coarse_grain_cube(field, cube, resolution)
     if pairs is None:
         eye = np.eye(d)
         pairs = [(eye[i], np.zeros(d)) for i in range(d)]
@@ -330,7 +352,7 @@ def verify_cg_inequalities(field: CoefficientField, cube: TriadicCube | None = N
     p = np.ones(d) if p is None else np.asarray(p, float)
     q = np.zeros(d) if q is None else np.asarray(q, float)
     op = assemble(field, cube, resolution)
-    cg = coarse_grain_cube(field, cube, resolution, op=op)
+    cg = coarse_grain_cube(field, cube, resolution)
     Jv, V = maximize_J_backend(op, [(p, q)])
     J, v = float(Jv[0]), V[:, 0]
     binv = np.linalg.inv(cg.b)
@@ -362,13 +384,18 @@ def verify_loewner_chain(field: CoefficientField, cube: TriadicCube | None = Non
     cube = cube or field.domain
     if cg is None:
         cg = coarse_grain_cube(field, cube, resolution)
-    sinv_avg, b_pt_avg = pointwise_bounds(field, cube)
-    return {
-        "harmonic_lower": float(np.linalg.eigvalsh(cg.s_star - np.linalg.inv(sinv_avg)).min()),
-        "dual_vs_primal": float(np.linalg.eigvalsh(cg.s - cg.s_star).min()),
-        "primal_vs_b": float(np.linalg.eigvalsh(cg.b - cg.s).min()),
-        "b_vs_pointwise": float(np.linalg.eigvalsh(b_pt_avg - cg.b).min()),
-    }
+    return loewner_chain(cg.s_star, cg.s, cg.b, *pointwise_bounds(field, cube))
+
+
+def loewner_chain(s_star, s, b, sinv_avg, b_pt_avg) -> dict:
+    """Min eigenvalues of each step of the chain
+    (avg s^{-1})^{-1} <= s_star <= s <= b <= avg (s + k^T s^{-1} k)."""
+    def lo(m):
+        return float(np.linalg.eigvalsh(m).min())
+    return {"harmonic_lower": lo(s_star - np.linalg.inv(sinv_avg)),
+            "dual_vs_primal": lo(s - s_star),
+            "primal_vs_b": lo(b - s),
+            "b_vs_pointwise": lo(b_pt_avg - b)}
 
 
 def order_slacks(A_by_scale: dict) -> dict:
@@ -478,10 +505,13 @@ def hierarchy_sweep(field: CoefficientField, domain: TriadicCube | None = None,
                     tol: float = 1e-8) -> HierarchyCache:
     """Coarse-grain every partition subcube of the domain, scale by scale.
 
-    With ``check`` the sweep then runs ``order_slacks`` (per-parent
-    subadditivity and the two-sided pointwise sandwich on every cube); each
-    slack below -tol * max(1, |A|_2) is listed in the cache's ``diagnostics``
-    by scale, cube (C order) and check (the sweep never aborts on them).
+    One condensation of the domain's cells gives every scale's boundary
+    traces (``solver.condense``), and ``condensed_A`` reads each scale's
+    matrices off them.  With ``check`` the sweep then runs ``order_slacks``
+    (per-parent subadditivity and the two-sided pointwise sandwich on every
+    cube); each slack below -tol * max(1, |A|_2) is listed in the cache's
+    ``diagnostics`` by scale, cube (C order) and check (the sweep never
+    aborts on them).
     """
     domain = domain or field.domain
     if not field.domain.contains(domain):
@@ -491,14 +521,11 @@ def hierarchy_sweep(field: CoefficientField, domain: TriadicCube | None = None,
     A_by_scale = {}
     if k_min == 0:
         A_by_scale[0] = pointwise_A_cells(field, domain)
-    for k in range(max(k_min, 1), n + 1):
-        m = 3 ** (n - k)
-        out = np.empty((m,) * d + (2 * d, 2 * d))
-        for idx in np.ndindex(*(m,) * d):
-            offset = tuple(b + 3 ** k * i for b, i in zip(base, idx))
-            cube = TriadicCube(level=k, offset=offset, dim=d)
-            out[idx] = coarse_grain_cube(field, cube, resolution).A
-        A_by_scale[k] = out
+    scales = range(max(k_min, 1), n + 1)
+    if scales:
+        for traces in condense(field, domain, resolution):
+            if traces.level in scales:
+                A_by_scale[traces.level] = condensed_A(traces, field)
     diagnostics = []
     if check:
         for k, checks in order_slacks(A_by_scale).items():

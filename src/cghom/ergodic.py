@@ -24,10 +24,11 @@ import numpy as np
 from scipy import stats
 
 from .coarsegrain import (A_from_blocks, J_from_A, Jstar_from_A,
-                          blocks_from_A, coarse_grain_cube, pointwise_bounds)
+                          blocks_from_A, coarse_grain_cube, condensed_A,
+                          loewner_chain, pointwise_bounds)
 from .fields import gen_named_field
-from .solver import NUMERICAL_ERRORS, SolverError
-from .triadic import TriadicCube
+from .solver import (NUMERICAL_ERRORS, SolverError, partition_traces,
+                     single_blas_thread)
 
 
 @dataclass(frozen=True)
@@ -144,7 +145,8 @@ def estimate_Abar(spec: FieldSpec, n: int, samples: int, seed: int = 0,
     seeds = sample_seeds(seed, n, samples)
     jobs = [(i, spec, n, resolution, int(s)) for i, s in enumerate(seeds)]
     if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+        with ProcessPoolExecutor(max_workers=workers,
+                                 initializer=single_blas_thread) as pool:
             results = list(pool.map(_mc_sample, jobs,
                                     chunksize=max(1, samples // (4 * workers))))
     else:
@@ -168,12 +170,8 @@ def estimate_Abar_spatial(spec: FieldSpec, n: int, window_level: int,
         raise ValueError("window must be strictly larger than the target scale")
     field = spec.realize(window_level, seed)
     d = spec.dim
-    m = 3 ** (window_level - n)
-    As = []
-    for idx in np.ndindex(*(m,) * d):
-        cube = TriadicCube(level=n, offset=tuple(3 ** n * i for i in idx), dim=d)
-        As.append(coarse_grain_cube(field, cube, resolution).A)
-    As = np.stack(As)
+    traces = partition_traces(field, n, resolution=resolution)
+    As = condensed_A(traces, field).reshape(-1, 2 * d, 2 * d)
     samples = len(As)
     sinv_bar, bpt_bar = pointwise_bounds(field)
     return ErgodicEstimate(n=n, samples=samples, seed=seed, method="spatial",
@@ -254,17 +252,13 @@ def homogenized_matrix(estimates: list, factor: float = 3.0,
     """
     est = max(estimates, key=lambda e: e.n)
     se_scale = factor * float(np.linalg.norm(est.A_se))
-    checks = {
-        "harmonic_lower": float(np.linalg.eigvalsh(
-            est.s_star_bar - np.linalg.inv(est.sinv_bar)).min()),
-        "dual_vs_primal": float(np.linalg.eigvalsh(est.s_bar - est.s_star_bar).min()),
-        "b_vs_pointwise": float(np.linalg.eigvalsh(est.bpt_bar - est.b_bar).min()),
-    }
-    for name, lo in checks.items():
+    chain = loewner_chain(est.s_star_bar, est.s_bar, est.b_bar, est.sinv_bar,
+                          est.bpt_bar)
+    for name in ("harmonic_lower", "dual_vs_primal", "b_vs_pointwise"):
         tol = 1e-10 if name == "dual_vs_primal" else se_scale
-        if lo < -tol:
+        if chain[name] < -tol:
             raise ValueError(f"homogenized bound violated ({name}): "
-                             f"min eig {lo:.3e} < -{tol:.3e}")
+                             f"min eig {chain[name]:.3e} < -{tol:.3e}")
     a_bar = est.s_bar + est.k_bar
     sym = 0.5 * (a_bar + a_bar.T)
     if np.linalg.eigvalsh(sym).min() <= 0:

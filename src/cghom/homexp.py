@@ -22,12 +22,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import solver
-from .coarsegrain import blocks_from_A, coarse_grain_cube, hierarchy_sweep, HierarchyCache
+from .coarsegrain import blocks_from_A, condensed_A, hierarchy_sweep, HierarchyCache
 from .ergodic import FieldSpec
 from .fields import CascadeSpec, CoefficientField, gen_cascade_field
 from .norms import (bnorm, ellipticity_constants, ring_dual_norm,
                     scale_weighted_sum, spec_norms)
-from .triadic import subcubes_at_scale
 
 
 class TargetFunction:
@@ -292,11 +291,27 @@ def compute_E_s(cache: HierarchyCache, A_bar: np.ndarray, s: float,
     return scale_weighted_sum(devs, s, n, tail)
 
 
+def _half_lattice_A(field: CoefficientField, partition) -> np.ndarray:
+    """Coarse matrices of the scale-(k+1) cubes on the 3^k lattice, from the
+    traces of the scale-k partition: each such cube is exactly a 3^d block
+    of partition cubes, so it costs one merge.  The cubes overlap, so there
+    are about 3^d times as many as in a partition; merging one row of them
+    at a time keeps the merge's memory at a row's worth."""
+    rows = [condensed_A(solver.merge_traces(partition.rows(i, i + 3), stride=1), field)
+            for i in range(partition.Lam.shape[0] - 2)]
+    return np.concatenate(rows).reshape(-1, 2 * field.dim, 2 * field.dim)
+
+
 def half_lattice_matrices(field: CoefficientField, k: int,
                           resolution: int = 1) -> np.ndarray:
-    """Coarse matrices over the contained half-overlap scale-k lattice."""
-    cubes = subcubes_at_scale(field.domain, k, lattice="half_overlap")
-    return np.stack([coarse_grain_cube(field, c, resolution).A for c in cubes])
+    """Coarse matrices over the contained half-overlap scale-k lattice, in
+    ``subcubes_at_scale`` order (at k = 0, the cells)."""
+    if not 0 <= k <= field.level:
+        raise ValueError(f"scale k={k} outside [0, {field.level}]")
+    partition = solver.partition_traces(field, max(k - 1, 0), resolution=resolution)
+    if k == 0:
+        return condensed_A(partition, field).reshape(-1, 2 * field.dim, 2 * field.dim)
+    return _half_lattice_A(field, partition)
 
 
 def compute_GH(field: CoefficientField, A_top: np.ndarray, A_bar: np.ndarray,
@@ -309,6 +324,8 @@ def compute_GH(field: CoefficientField, A_top: np.ndarray, A_bar: np.ndarray,
       H = c sum_{k = n-l+1..n} 3^{2s(k-n)} avg_z | A(z+cube_k) - A_bar |^2
     where z runs over the contained half-overlap lattice of the window,
     A_top is the window's own coarse matrix and A_bar the ensemble mean.
+    The window is condensed once; each scale-k lattice is merged from the
+    scale-(k-1) partition.
     """
     n = field.level
     if not 1 <= l <= n:
@@ -317,10 +334,14 @@ def compute_GH(field: CoefficientField, A_top: np.ndarray, A_bar: np.ndarray,
     A_top = np.asarray(A_top, float)
     A_bar = np.asarray(A_bar, float)
     G, H = {}, {}
-    for k in range(n - l + 1, n + 1):
-        mats = half_lattice_matrices(field, k, resolution)
-        G[k] = float(spec_norms(mats.mean(axis=0) - A_top))
-        H[k] = float(np.mean(spec_norms(mats - A_bar) ** 2))
+    for partition in solver.condense(field, resolution=resolution):
+        k = partition.level + 1
+        if k > n - l:
+            mats = _half_lattice_A(field, partition)
+            G[k] = float(spec_norms(mats.mean(axis=0) - A_top))
+            H[k] = float(np.mean(spec_norms(mats - A_bar) ** 2))
+        if k == n:
+            break
     return (c * scale_weighted_sum(G, s, n, False),
             c * scale_weighted_sum(H, s, n, False))
 

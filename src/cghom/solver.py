@@ -2,20 +2,30 @@
 
 Assembles the stiffness of ``-div(a grad .)`` with ``a`` constant per unit
 cell, together with the volume functionals ``G u = int grad u`` and
-``B u = int a grad u``, on triadic cubes.  The saddle-point (KKT) backend
-maximizes the coarse-graining objective over discrete a-harmonic functions
-with one sparse LU factorization per cube, reused across all load vectors.
+``B u = int a grad u``, on triadic cubes.
 
-Every functional here sees only gradients, so the additive constant is fixed
-by pinning node 0 (a corner, hence a boundary node) to zero and removing it
-from the system; solutions are then shifted to zero mass-weighted mean.  The
-pinned KKT matrix has a CSC structure that depends only on the cube's shape,
-so it is built once per shape and filled with each cube's values.
+``A(U)`` comes from boundary traces condensed from the cells up.  Each cube
+carries, on its boundary nodes, the Schur complement of ``K`` (the discrete
+Dirichlet-to-Neumann map), the energy form of the a-harmonic extension and
+the loads ``[B; G]`` of that extension.  A parent's interior rows of ``K``
+touch only its own children's elements and ``S``, ``G``, ``B`` are sums over
+elements, so merging its 3^d children's traces and eliminating the shared
+skeleton is exact (nested dissection).  All cubes of one scale share one
+node grid, so every step is batched over them.
+
+The assembled operator serves the nodal solves: the saddle-point (KKT)
+maximizers, Dirichlet and Neumann problems.  Every functional here sees
+only gradients, so the additive constant is fixed by pinning node 0 (a
+corner, hence a boundary node) to zero and removing it from the system;
+nodal solutions are then shifted to zero mass-weighted mean.  The pinned
+KKT matrix has a CSC structure that depends only on the cube's shape, so it
+is built once per shape and filled with each cube's values.
 """
 from __future__ import annotations
 
+import ctypes
 import itertools
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass, field as dc_field, replace
 
 import numpy as np
 import scipy.sparse as sp
@@ -40,6 +50,32 @@ class DegenerateCellError(ValueError):
 # is a programming error and propagates.
 NUMERICAL_ERRORS = (SolverError, DegenerateCellError, CascadeOverflowError,
                     np.linalg.LinAlgError, ValueError, FloatingPointError)
+
+
+def single_blas_thread() -> None:
+    """Make OpenBLAS run single-threaded in this process.
+
+    Pool workers call it on start: the pool already keeps every core busy,
+    and BLAS threads on top of it spin against each other (four workers on
+    two cores ran the dense merges several times slower).  OpenBLAS is found
+    among the libraries mapped into the process; where there is none, or no
+    /proc/self/maps, nothing changes.
+    """
+    try:
+        with open("/proc/self/maps") as fh:
+            paths = {line.split()[-1] for line in fh if "openblas" in line}
+    except OSError:
+        return
+    for path in paths:
+        try:
+            lib = ctypes.CDLL(path)
+        except OSError:         # a mapping whose file is gone
+            continue
+        for name in ("openblas_set_num_threads", "openblas_set_num_threads64_",
+                     "scipy_openblas_set_num_threads",
+                     "scipy_openblas_set_num_threads64_"):
+            if hasattr(lib, name):
+                getattr(lib, name)(1)
 
 
 def reference_tensors(dim: int):
@@ -268,16 +304,234 @@ def maximize_J_backend(op: AssembledOperator, pairs, tol: float = 1e-8,
     vSv = np.einsum("ic,ic->c", V, op.S @ V)
     Jvals = (-0.5 * vSv + np.einsum("ic,ic->c", loads, V)) / op.vol
     if check:
-        for c, (p, q) in enumerate(pairs):
-            scale = max(1.0, float(p @ p + q @ q))
-            if Jvals[c] < -tol * scale:
-                raise SolverError(f"negative objective J={Jvals[c]:.3e} for pair {c}")
-            ener = vSv[c] / (2.0 * op.vol)
-            if abs(Jvals[c] - ener) > tol * max(1.0, abs(Jvals[c])):
-                raise SolverError(
-                    f"energy identity violated: J={Jvals[c]:.6e} vs {ener:.6e}"
-                )
+        scale = np.array([max(1.0, float(p @ p + q @ q)) for p, q in pairs])
+        check_objective(Jvals, vSv / (2.0 * op.vol), scale, tol)
     return Jvals, V
+
+
+def check_objective(J: np.ndarray, energy: np.ndarray, scale=1.0,
+                    tol: float = 1e-8) -> None:
+    """Raise SolverError at the first load column, in C order, whose optimum
+    is below -tol * scale or misses the energy identity J = v^T S v / (2|U|)
+    by more than tol * max(1, |J|)."""
+    neg = J < -tol * np.asarray(scale)
+    bad = neg | (np.abs(J - energy) > tol * np.maximum(1.0, np.abs(J)))
+    if bad.any():
+        first = np.unravel_index(np.argmax(bad), bad.shape)
+        if neg[first]:
+            raise SolverError(f"negative objective J={J[first]:.3e} "
+                              f"for pair {first[-1]}")
+        raise SolverError(f"energy identity violated: J={J[first]:.6e} "
+                          f"vs {energy[first]:.6e}")
+
+
+# ---------------------------------------------------------------------------
+# boundary-trace condensation
+
+
+@dataclass
+class BoundaryTraces:
+    """Boundary data of a batch of same-level cubes at one resolution.
+
+    For the boundary nodes of each cube (C order of its node grid):
+    ``Lam`` is the Schur complement of K onto them (the discrete
+    Dirichlet-to-Neumann map), ``Q = E^T S E`` the energy form of the
+    a-harmonic extension E, and ``L = [B; G] E`` the 2d load functionals of
+    that extension.  The batch axes come first; cube ``idx`` has its corner
+    at cell ``origin + step * idx``.
+    """
+
+    dim: int
+    level: int
+    resolution: int
+    origin: tuple
+    step: int
+    Lam: np.ndarray        # batch + (nb, nb)
+    Q: np.ndarray          # batch + (nb, nb)
+    L: np.ndarray          # batch + (2d, nb)
+
+    @property
+    def vol(self) -> float:
+        return float(3 ** (self.level * self.dim))
+
+    def rows(self, start: int, stop: int) -> "BoundaryTraces":
+        """The cubes whose first batch index lies in [start, stop)."""
+        origin = (self.origin[0] + self.step * start,) + tuple(self.origin[1:])
+        return replace(self, origin=origin, Lam=self.Lam[start:stop],
+                       Q=self.Q[start:stop], L=self.L[start:stop])
+
+
+def _on_boundary(coords: np.ndarray, m: int) -> np.ndarray:
+    return np.any((coords == 0) | (coords == m), axis=0)
+
+
+def _eliminate(Lam, Q, L, nb: int):
+    """Condense batched traces onto their first ``nb`` nodes: the trailing
+    nodes take their a-harmonic values w_s = -X w_b, X = Lam_ss^{-1} Lam_sb."""
+    if Lam.shape[-1] == nb:
+        return Lam, Q, L
+    X = np.linalg.solve(Lam[..., nb:, nb:], Lam[..., nb:, :nb])
+    QE = Q[..., :, :nb] - Q[..., :, nb:] @ X
+    return (Lam[..., :nb, :nb] - Lam[..., :nb, nb:] @ X,
+            QE[..., :nb, :] - np.swapaxes(X, -1, -2) @ QE[..., nb:, :],
+            L[..., :nb] - L[..., nb:] @ X)
+
+
+_CELL_REFS: dict = {}
+
+
+def _cell_reference(dim: int, r: int):
+    """Unit-coefficient stiffness and gradient functionals of one cell.
+
+    Returns (Kref, Gref, nb): the (dim, dim, n, n) tensor whose contraction
+    with a cell's ``a`` (or ``s``) is its K (or S), the (dim, n) functional
+    G, and the number of boundary nodes; the cell's (r+1)^dim nodes are
+    ordered boundary first, then interior, each in C order.
+    """
+    key = (dim, r)
+    if key not in _CELL_REFS:
+        locs, EK, EG, _ = reference_tensors(dim)
+        h = 1.0 / r
+        shape = (r + 1,) * dim
+        coords = np.indices(shape).reshape(dim, -1)
+        bnd = _on_boundary(coords, r)
+        order = np.concatenate([np.nonzero(bnd)[0], np.nonzero(~bnd)[0]])
+        pos = np.empty_like(order)
+        pos[order] = np.arange(len(order))
+        corners = np.indices((r,) * dim).reshape(dim, -1)
+        Kref = np.zeros((dim, dim, len(order), len(order)))
+        Gref = np.zeros((dim, len(order)))
+        for corner in corners.T:
+            g = pos[np.ravel_multi_index((corner + locs).T, shape)]
+            Kref[:, :, g[:, None], g] += EK * h ** (dim - 2)
+            Gref[:, g] += EG * h ** (dim - 1)
+        _CELL_REFS[key] = (Kref, Gref, int(bnd.sum()))
+    return _CELL_REFS[key]
+
+
+def cell_traces(field: CoefficientField, domain: TriadicCube | None = None,
+                resolution: int = 1) -> BoundaryTraces:
+    """Boundary traces of every unit cell of a cube, batched.
+
+    At resolution 1 a cell is one element and all its nodes are boundary
+    nodes; at resolution r the cell's interior element nodes are eliminated.
+    """
+    domain = domain or field.domain
+    d, r = field.dim, int(resolution)
+    if r < 1:
+        raise ValueError("resolution must be >= 1")
+    if not field.domain.contains(domain):
+        raise ValueError("cube not contained in the field window")
+    s = field.s_cells[domain.slices]
+    a = s + field.k_cells[domain.slices]
+    _check_cells(s)
+    Kref, Gref, nb = _cell_reference(d, r)
+    B = np.einsum("...ab,bj->...aj", a, Gref)
+    L = np.concatenate([B, np.broadcast_to(Gref, B.shape)], axis=-2)
+    Lam, Q, L = _eliminate(np.einsum("...ab,abij->...ij", a, Kref),
+                           np.einsum("...ab,abij->...ij", s, Kref), L, nb)
+    return BoundaryTraces(dim=d, level=0, resolution=r, origin=domain.offset,
+                          step=1, Lam=Lam, Q=Q, L=L)
+
+
+_MERGE_MAPS: dict = {}
+
+
+def _merge_maps(dim: int, level: int, r: int):
+    """Where a level-``level`` parent puts its children's boundary nodes.
+
+    Returns (maps, nb, nu): ``maps[j]`` holds, for child j of the 3^dim in C
+    order, the positions of that child's boundary nodes among the nu union
+    nodes; the union lists the parent's nb boundary nodes first, then the
+    skeleton, each in C order.  Indices only, built once per
+    (dim, level, resolution).
+    """
+    key = (dim, level, r)
+    if key not in _MERGE_MAPS:
+        mc = r * 3 ** (level - 1)                 # elements per child axis
+        child = np.indices((mc + 1,) * dim).reshape(dim, -1)
+        child = child[:, _on_boundary(child, mc)]
+        shape = (3 * mc + 1,) * dim
+        coords = np.indices(shape).reshape(dim, -1)
+        bnd = _on_boundary(coords, 3 * mc)
+        skeleton = np.any(coords % mc == 0, axis=0) & ~bnd
+        order = np.concatenate([np.nonzero(bnd)[0], np.nonzero(skeleton)[0]])
+        pos = np.full(coords.shape[1], -1)
+        pos[order] = np.arange(len(order))
+        maps = np.stack([pos[np.ravel_multi_index(child + mc * np.array(j)[:, None], shape)]
+                         for j in np.ndindex(*(3,) * dim)])
+        _MERGE_MAPS[key] = (maps, int(bnd.sum()), len(order))
+    return _MERGE_MAPS[key]
+
+
+def merge_traces(children: BoundaryTraces, stride: int = 3) -> BoundaryTraces:
+    """Traces of the cubes one level up, each merged from a 3^d block of
+    children: stride 3 gives the partition, stride 1 every block on the
+    children's lattice.
+
+    The children's traces are added onto the union of their boundary nodes
+    and the skeleton (the union nodes off the parent boundary) is
+    eliminated, batched over all parents.
+    """
+    d = children.dim
+    maps, nb, nu = _merge_maps(d, children.level + 1, children.resolution)
+    m = children.Lam.shape[:d]
+    M = tuple((mi - 3) // stride + 1 for mi in m)
+    Lam = np.zeros(M + (nu, nu))
+    Q = np.zeros(M + (nu, nu))
+    L = np.zeros(M + (2 * d, nu))
+    for j, ix in zip(np.ndindex(*(3,) * d), maps):
+        block = tuple(slice(i, i + stride * (n - 1) + 1, stride)
+                      for i, n in zip(j, M))
+        Lam[..., ix[:, None], ix] += children.Lam[block]
+        Q[..., ix[:, None], ix] += children.Q[block]
+        L[..., ix] += children.L[block]
+    Lam, Q, L = _eliminate(Lam, Q, L, nb)
+    return BoundaryTraces(dim=d, level=children.level + 1,
+                          resolution=children.resolution,
+                          origin=children.origin, step=children.step * stride,
+                          Lam=Lam, Q=Q, L=L)
+
+
+def condense(field: CoefficientField, domain: TriadicCube | None = None,
+             resolution: int = 1):
+    """Yield the boundary traces of every partition cube of the domain,
+    scale by scale from the cells (level 0) up to the domain itself."""
+    domain = domain or field.domain
+    traces = cell_traces(field, domain, resolution)
+    yield traces
+    while traces.level < domain.level:
+        traces = merge_traces(traces)
+        yield traces
+
+
+def partition_traces(field: CoefficientField, k: int,
+                     domain: TriadicCube | None = None,
+                     resolution: int = 1) -> BoundaryTraces:
+    """The traces of the scale-k partition of the domain (``condense``
+    stopped at scale k)."""
+    domain = domain or field.domain
+    if not 0 <= k <= domain.level:
+        raise ValueError(f"scale k={k} outside [0, {domain.level}]")
+    for traces in condense(field, domain, resolution):
+        if traces.level == k:
+            return traces
+
+
+def trace_loads(traces: BoundaryTraces):
+    """Maximizers of the 2d unit loads on every cube of a trace batch.
+
+    With boundary node 0 pinned, Q v = L^T on the other boundary nodes.
+    Returns (LV, J, energy): the batch of 2d x 2d matrices L V, and per load
+    column the optimum J and the energy v^T Q v / (2|U|).
+    """
+    Q = traces.Q[..., 1:, 1:]
+    Lt = np.swapaxes(traces.L[..., 1:], -1, -2)
+    V = np.linalg.solve(Q, Lt)
+    LV = np.swapaxes(Lt, -1, -2) @ V
+    vQv = np.einsum("...ic,...ic->...c", V, Q @ V)
+    J = (np.diagonal(LV, axis1=-2, axis2=-1) - 0.5 * vQv) / traces.vol
+    return LV, J, 0.5 * vQv / traces.vol
 
 
 def flux_rhs(op: AssembledOperator, f_cells: np.ndarray) -> np.ndarray:

@@ -140,13 +140,3 @@ def block_means(values: np.ndarray, dim: int, factor: int) -> np.ndarray:
     v = values.reshape(shape)
     return v.mean(axis=tuple(2 * ax + 1 for ax in range(dim)))
 
-
-def cell_average(values: np.ndarray, cube: TriadicCube) -> np.ndarray:
-    """Average of per-cell data over a cube.
-
-    ``values`` holds one entry per unit cell of the window the cube lives in,
-    shaped ``(m,)*dim + trailing``; the average runs over the cube's cells and
-    keeps the trailing (scalar/vector/matrix) axes.
-    """
-    block = values[cube.slices]
-    return block.mean(axis=tuple(range(cube.dim)))

@@ -2,10 +2,15 @@
 
 Everything here is written the slow, obvious way — explicit Python loops,
 dense linear algebra, no shared helpers with the package — so that agreement
-with the vectorized/sparse production code is meaningful.
+with the vectorized/sparse production code is meaningful.  The one
+exception is ``kkt_A``: the package's earlier per-cube path to A(U) (an
+assembled operator and its sparse saddle-point solves), kept as an oracle
+for the batched condensation that replaced it.
 """
 import numpy as np
 import scipy.linalg
+
+from cghom.solver import maximize_J_backend
 
 
 def magnitude(value):
@@ -159,3 +164,17 @@ def brute_force_J(op, p, q):
     y, *_ = np.linalg.lstsq(hess, lin, rcond=None)
     u = basis @ y
     return float((-0.5 * u @ (op.S @ u) + ell @ u) / op.vol)
+
+
+def kkt_A(op):
+    """A(U) of one assembled cube from the saddle-point maximizers V of the
+    2d unit loads xi = (-p, q):  A = sym(L V)/|U| - [[0, I], [I, 0]],
+    L = [B; G]."""
+    d = op.dim
+    eye, zero = np.eye(d), np.zeros(d)
+    unit_loads = [(-e, zero) for e in eye] + [(zero, e) for e in eye]
+    _, V = maximize_J_backend(op, unit_loads)
+    LV = np.vstack([op.B, op.G]) @ V
+    swap = np.zeros((2 * d, 2 * d))
+    swap[:d, d:] = swap[d:, :d] = np.eye(d)
+    return 0.5 * (LV + LV.T) / op.vol - swap

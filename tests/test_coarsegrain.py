@@ -8,16 +8,16 @@ from cghom.coarsegrain import (A_from_blocks, CoarseGrainedMatrices,
                                HierarchyCache, J_from_A, Jstar_from_A,
                                blocks_from_A, center_skew, center_skew_transform,
                                coarse_grain_adjoint, coarse_grain_cube,
-                               hierarchy_sweep, jswap, order_slacks,
+                               condensed_A, hierarchy_sweep, jswap, order_slacks,
                                pointwise_A, pointwise_A_cells,
                                verify_centering,
                                verify_cg_inequalities, verify_loewner_chain,
                                verify_maximizer_averages,
                                verify_quadratic_response)
 from cghom.fields import CoefficientField, gen_named_field
-from cghom.solver import assemble, maximize_J_backend
-from cghom.triadic import TriadicCube
-from reference_impl import brute_force_J, order_slacks_loops
+from cghom.solver import assemble, maximize_J_backend, partition_traces
+from cghom.triadic import TriadicCube, subcubes_at_scale
+from reference_impl import brute_force_J, kkt_A, order_slacks_loops
 
 
 def _random_spd_skew(rng, n=6, dim=2):
@@ -90,11 +90,11 @@ def test_fem_path_reproduces_constant_closed_form():
     mat = [[2.0, 0.7], [-0.7, 1.5]]
     field = gen_named_field("constant", level=1, matrix=mat)
     exact = coarse_grain_cube(field)          # closed-form shortcut
-    op = assemble(field)
-    fem = coarse_grain_cube(field, op=op)     # forced variational path
-    assert np.abs(fem.A - exact.A).max() < 1e-9
+    # forced variational path: the condensed traces without the field
+    fem_A = condensed_A(partition_traces(field, 1))[0, 0]
+    assert np.abs(fem_A - exact.A).max() < 1e-9
     e1 = np.array([1.0, 0.0])
-    assert np.isclose(J_from_A(fem.A, e1, e1, 2),
+    assert np.isclose(J_from_A(fem_A, e1, e1, 2),
                       J_from_A(exact.A, e1, e1, 2), atol=1e-10)
 
 
@@ -102,7 +102,7 @@ def test_coarse_grain_matches_dense_nullspace_oracle():
     field = gen_named_field("skew_lognormal", level=1, seed=21, sigma=0.6,
                             kappa=0.8)
     op = assemble(field)
-    cg = coarse_grain_cube(field, op=op)
+    cg = coarse_grain_cube(field)
     rng = np.random.default_rng(3)
     for _ in range(5):
         p, q = rng.normal(size=2), rng.normal(size=2)
@@ -301,16 +301,15 @@ def test_sweep_diagnostics_name_the_raised_cube(monkeypatch):
     # sandwich and nothing else: its lower sandwich and its parent's
     # subadditivity only gain slack
     field = gen_named_field("lognormal_iso", level=2, seed=40, sigma=0.3)
-    target = TriadicCube(level=1, offset=(3, 6), dim=2)
-    real = coarsegrain.coarse_grain_cube
+    real = coarsegrain.condensed_A
 
-    def raised(field, cube=None, resolution=1, **kwargs):
-        cg = real(field, cube, resolution, **kwargs)
-        if cube == target:
-            return CoarseGrainedMatrices.from_A(cg.A + np.eye(4), cube)
-        return cg
+    def raised(traces, *args, **kwargs):
+        A = real(traces, *args, **kwargs)
+        if traces.level == 1:       # the level-1 cube at offset (3, 6)
+            A[1, 2] += np.eye(4)
+        return A
 
-    monkeypatch.setattr(coarsegrain, "coarse_grain_cube", raised)
+    monkeypatch.setattr(coarsegrain, "condensed_A", raised)
     cache = hierarchy_sweep(field)
     assert [(d["cube"], d["check"]) for d in cache.diagnostics] == [
         ([1, [3, 6]], "subadditivity"), ([1, [3, 6]], "sandwich_upper")]
@@ -344,7 +343,7 @@ def _polarized_brute_force_A(op):
 
 def _assert_close_to_oracle(field, cube=None, resolution=1):
     op = assemble(field, cube, resolution)
-    A = coarse_grain_cube(field, cube, resolution, op=op).A
+    A = coarse_grain_cube(field, cube, resolution).A
     want = _polarized_brute_force_A(op)
     assert np.abs(A - want).max() < 1e-10 * max(1.0, np.linalg.norm(want, 2))
     return op
@@ -390,6 +389,105 @@ def test_cubes_of_one_shape_share_the_kkt_pattern():
     assert pattern.data.max() < op1.S.nnz + op1.K.nnz
     assert not np.allclose(coarse_grain_cube(f1).A,
                            coarse_grain_cube(f2, TriadicCube(level=1, offset=(6, 3), dim=2)).A)
+
+
+# ---------------------------------------------------------------------------
+# the batched condensation against the per-cube saddle-point oracle
+
+
+def _assert_sweep_matches_kkt(field, cache):
+    domain = TriadicCube(level=cache.top_level, offset=cache.base_offset,
+                         dim=cache.dim)
+    for k in cache.scales:
+        if k == 0:
+            continue
+        mats = cache.A_by_scale[k].reshape(-1, 2 * cache.dim, 2 * cache.dim)
+        cubes = subcubes_at_scale(domain, k)
+        assert len(mats) == len(cubes)
+        for A, cube in zip(mats, cubes):
+            want = kkt_A(assemble(field, cube, cache.resolution))
+            assert (np.abs(A - want).max()
+                    <= 1e-10 * max(1.0, np.linalg.norm(want, 2))), (k, cube)
+
+
+def test_sweep_matches_kkt_oracle_on_suite_fields():
+    # the c1/c2 suite draws its fields the same way
+    kinds = ("checkerboard", "lognormal_iso", "skew_lognormal", "cascade_iso")
+    for i in range(100):
+        field = gen_named_field(kinds[i % 4], level=1, seed=1000 + i)
+        _assert_sweep_matches_kkt(field, hierarchy_sweep(field, check=False))
+
+
+def test_sweep_matches_kkt_oracle_in_3d_refined_kmin_and_subdomain():
+    f3 = gen_named_field("skew_lognormal", level=2, dim=3, seed=41, sigma=0.5,
+                         kappa=0.6)
+    _assert_sweep_matches_kkt(f3, hierarchy_sweep(f3, check=False))
+    f2 = gen_named_field("skew_lognormal", level=2, seed=42, sigma=0.8,
+                         kappa=0.9)
+    _assert_sweep_matches_kkt(f2, hierarchy_sweep(f2, resolution=2))
+    f3 = gen_named_field("cascade_iso", level=3, seed=43)
+    kmin = hierarchy_sweep(f3, k_min=1, check=False)
+    assert kmin.scales == [1, 2, 3]
+    _assert_sweep_matches_kkt(f3, kmin)
+    sub = hierarchy_sweep(f3, domain=TriadicCube(level=2, offset=(9, 18), dim=2))
+    _assert_sweep_matches_kkt(f3, sub)
+    sub2 = hierarchy_sweep(f2, domain=TriadicCube(level=1, offset=(6, 3), dim=2),
+                           k_min=1, resolution=2)
+    _assert_sweep_matches_kkt(f2, sub2)
+    # the merge maps are cached per (dim, level, resolution) and hold indices
+    maps, nb, nu = solver._MERGE_MAPS[(2, 2, 2)]
+    assert maps.dtype.kind == "i" and maps.shape == (9, 4 * 6)
+    assert maps.min() == 0 and maps.max() == nu - 1 and nb == 4 * 18
+
+
+def test_constant_block_gets_the_closed_form_exactly():
+    field = gen_named_field("skew_lognormal", level=2, seed=44, sigma=0.5,
+                            kappa=0.7)
+    s, k = field.s_cells[4, 4].copy(), field.k_cells[4, 4].copy()
+    field.s_cells[3:6, 3:6] = s
+    field.k_cells[3:6, 3:6] = k
+    exact = pointwise_A(s, k)
+    cube = TriadicCube(level=1, offset=(3, 3), dim=2)
+    assert np.array_equal(hierarchy_sweep(field).A_by_scale[1][1, 1], exact)
+    assert np.array_equal(coarse_grain_cube(field, cube).A, exact)
+    # every other cube is coarse-grained, and agrees with the oracle
+    _assert_sweep_matches_kkt(field, hierarchy_sweep(field, check=False))
+
+
+def test_degenerate_cell_raises_from_the_condensation():
+    field = gen_named_field("lognormal_iso", level=2, seed=45, sigma=0.4)
+    field.s_cells[4, 7] = np.diag([1.0, 1e15])
+    with pytest.raises(solver.DegenerateCellError, match="exceeds cap"):
+        hierarchy_sweep(field)
+    with pytest.raises(solver.DegenerateCellError, match="exceeds cap"):
+        coarse_grain_cube(field, TriadicCube(level=1, offset=(3, 6), dim=2))
+    field.s_cells[4, 7] = 0.0
+    with pytest.raises(solver.DegenerateCellError, match="not positive definite"):
+        hierarchy_sweep(field, k_min=1)
+    with pytest.raises(solver.DegenerateCellError, match="not positive definite"):
+        coarse_grain_cube(field, TriadicCube(level=1, offset=(3, 6), dim=2))
+    # a cube clear of the bad cell is still coarse-grained
+    coarse_grain_cube(field, TriadicCube(level=1, offset=(0, 0), dim=2))
+
+
+def test_energy_identity_failure_raises_solver_error(monkeypatch):
+    real = coarsegrain.trace_loads
+
+    def off(traces):
+        LV, J, energy = real(traces)
+        return LV, J, 1.01 * energy
+
+    monkeypatch.setattr(coarsegrain, "trace_loads", off)
+    field = gen_named_field("skew_lognormal", level=2, seed=46, sigma=0.5,
+                            kappa=0.6)
+    with pytest.raises(solver.SolverError, match="energy identity violated"):
+        hierarchy_sweep(field)
+    with pytest.raises(solver.SolverError, match="energy identity violated"):
+        coarse_grain_cube(field)
+    # the closed form of a constant cube needs no solve and is not checked
+    const = gen_named_field("constant", level=1, matrix=[[2.0, 0.5], [-0.5, 1.0]])
+    assert np.array_equal(coarse_grain_cube(const).A,
+                          pointwise_A(const.s_cells[0, 0], const.k_cells[0, 0]))
 
 
 # ---------------------------------------------------------------------------

@@ -14,6 +14,8 @@ from cghom.homexp import (ErrorRecord, HomExperiment, TargetFunction,
                           summarize_records, unit_ring_error,
                           write_records_csv)
 from cghom.norms import ring_dual_norm, spec_norms
+from cghom.triadic import subcubes_at_scale
+from reference_impl import kkt_A
 
 
 def test_affine_target():
@@ -207,6 +209,24 @@ def test_half_lattice_count_and_GH_properties():
         compute_GH(field, A0, A0, np.eye(2), 0.6, 0)
     with pytest.raises(ValueError, match="l must"):
         compute_GH(field, A0, A0, np.eye(2), 0.6, 3)
+
+
+def test_half_lattice_matches_kkt_oracle():
+    field = gen_named_field("skew_lognormal", level=3, seed=8, sigma=0.6,
+                            kappa=0.7)
+    for k in (1, 2, 3):
+        mats = half_lattice_matrices(field, k)
+        cubes = subcubes_at_scale(field.domain, k, lattice="half_overlap")
+        assert len(mats) == len(cubes)
+        for A, cube in zip(mats, cubes):
+            want = kkt_A(solver.assemble(field, cube))
+            assert (np.abs(A - want).max()
+                    <= 1e-10 * max(1.0, np.linalg.norm(want, 2))), cube
+    # a constant block on the half lattice takes the closed form exactly
+    field.s_cells[2:5, 4:7] = field.s_cells[0, 0]
+    field.k_cells[2:5, 4:7] = field.k_cells[0, 0]
+    exact = pointwise_A(field.s_cells[0, 0], field.k_cells[0, 0])
+    assert np.array_equal(half_lattice_matrices(field, 1)[2 * 25 + 4], exact)
 
 
 def test_energy_diagnostic_keys_and_cache_reuse():
