@@ -26,7 +26,7 @@ from ``triadic.block_means``.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass, field as dc_field, replace
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -205,10 +205,7 @@ def coarse_grain_cube(field: CoefficientField, cube: TriadicCube | None = None,
 def coarse_grain_adjoint(field: CoefficientField, cube: TriadicCube | None = None,
                          resolution: int = 1) -> CoarseGrainedMatrices:
     """Coarse-grain the transposed coefficient a^T = s - k."""
-    flipped = CoefficientField(dim=field.dim, level=field.level,
-                               s_cells=field.s_cells, k_cells=-field.k_cells,
-                               kind=field.kind, seed=field.seed,
-                               params=dict(field.params), extension=field.extension)
+    flipped = replace(field, k_cells=-field.k_cells, params=dict(field.params))
     return coarse_grain_cube(flipped, cube, resolution)
 
 
@@ -222,11 +219,8 @@ def _require_skew(h: np.ndarray) -> np.ndarray:
 def center_skew(field: CoefficientField, h: np.ndarray) -> CoefficientField:
     """Subtract a constant skew matrix h from the coefficient, cell by cell."""
     h = _require_skew(h)
-    return CoefficientField(dim=field.dim, level=field.level,
-                            s_cells=field.s_cells, k_cells=field.k_cells - h,
-                            kind=field.kind, seed=field.seed,
-                            params={**field.params, "centered_by": h.tolist()},
-                            extension=field.extension)
+    return replace(field, k_cells=field.k_cells - h,
+                   params={**field.params, "centered_by": h.tolist()})
 
 
 def center_skew_transform(A: np.ndarray, dim: int, h: np.ndarray | None = None):
@@ -506,12 +500,13 @@ def hierarchy_sweep(field: CoefficientField, domain: TriadicCube | None = None,
     """Coarse-grain every partition subcube of the domain, scale by scale.
 
     One condensation of the domain's cells gives every scale's boundary
-    traces (``solver.condense``), and ``condensed_A`` reads each scale's
-    matrices off them.  With ``check`` the sweep then runs ``order_slacks``
-    (per-parent subadditivity and the two-sided pointwise sandwich on every
-    cube); each slack below -tol * max(1, |A|_2) is listed in the cache's
-    ``diagnostics`` by scale, cube (C order) and check (the sweep never
-    aborts on them).
+    traces (``solver.condense``, which checks the cells first), and
+    ``condensed_A`` reads each scale's matrices off them; the cells (scale
+    0) take the closed form.  With ``check`` the sweep then runs
+    ``order_slacks`` (per-parent subadditivity and the two-sided pointwise
+    sandwich on every cube); each slack below -tol * max(1, |A|_2) is
+    listed in the cache's ``diagnostics`` by scale, cube (C order) and check
+    (the sweep never aborts on them).
     """
     domain = domain or field.domain
     if not field.domain.contains(domain):
@@ -519,13 +514,10 @@ def hierarchy_sweep(field: CoefficientField, domain: TriadicCube | None = None,
     n, d = domain.level, field.dim
     base = domain.offset
     A_by_scale = {}
-    if k_min == 0:
-        A_by_scale[0] = pointwise_A_cells(field, domain)
-    scales = range(max(k_min, 1), n + 1)
-    if scales:
-        for traces in condense(field, domain, resolution):
-            if traces.level in scales:
-                A_by_scale[traces.level] = condensed_A(traces, field)
+    for traces in condense(field, domain, resolution):
+        if traces.level >= k_min:
+            A_by_scale[traces.level] = (condensed_A(traces, field) if traces.level > 0
+                                        else pointwise_A_cells(field, domain))
     diagnostics = []
     if check:
         for k, checks in order_slacks(A_by_scale).items():

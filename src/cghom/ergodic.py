@@ -16,7 +16,6 @@ standard errors remain the naive i.i.d. ones.
 from __future__ import annotations
 
 import csv
-import json
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field as dc_field
 
@@ -284,11 +283,6 @@ def estimates_report(estimates: list, gap: dict | None = None) -> dict:
     if gap is not None:
         out["gap_diagnostic"] = gap
     return out
-
-
-def write_report_json(report: dict, path: str) -> None:
-    with open(path, "w") as fh:
-        json.dump(report, fh, sort_keys=True, indent=1)
 
 
 def write_samples_csv(estimates: list, path: str) -> None:

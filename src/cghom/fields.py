@@ -11,7 +11,7 @@ from __future__ import annotations
 import hashlib
 import json
 import struct
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass, field as dc_field, replace
 from pathlib import Path
 
 import numpy as np
@@ -336,14 +336,9 @@ def shift_field(field: CoefficientField, z: tuple[int, ...]) -> CoefficientField
         raise ValueError("shift vector length must match dimension")
     sh = tuple(-int(v) for v in z)
     axes = tuple(range(field.dim))
-    return CoefficientField(
-        dim=field.dim, level=field.level,
-        s_cells=np.roll(field.s_cells, sh, axis=axes),
-        k_cells=np.roll(field.k_cells, sh, axis=axes),
-        kind=field.kind, seed=field.seed,
-        params=dict(field.params, shifted_by=list(z)),
-        extension=field.extension,
-    )
+    return replace(field, s_cells=np.roll(field.s_cells, sh, axis=axes),
+                   k_cells=np.roll(field.k_cells, sh, axis=axes),
+                   params=dict(field.params, shifted_by=list(z)))
 
 
 def save_field(field: CoefficientField, path: str | Path) -> Path:

@@ -13,13 +13,14 @@ elements, so merging its 3^d children's traces and eliminating the shared
 skeleton is exact (nested dissection).  All cubes of one scale share one
 node grid, so every step is batched over them.
 
-The assembled operator serves the nodal solves: the saddle-point (KKT)
-maximizers, Dirichlet and Neumann problems.  Every functional here sees
-only gradients, so the additive constant is fixed by pinning node 0 (a
-corner, hence a boundary node) to zero and removing it from the system;
-nodal solutions are then shifted to zero mass-weighted mean.  The pinned
-KKT matrix has a CSC structure that depends only on the cube's shape, so it
-is built once per shape and filled with each cube's values.
+The assembled operator serves the nodal solves: the maximizers of J on one
+cube, Dirichlet and Neumann problems.  An a-harmonic function is fixed by
+its boundary values, so the maximizers are solved on the boundary, as the
+traces are, after the a-harmonic extension is built with the interior LU.
+Every functional here sees only gradients, so the additive constant is
+fixed by pinning node 0 (a corner, hence a boundary node) to zero and
+removing it from the system; nodal solutions are then shifted to zero
+mass-weighted mean.
 """
 from __future__ import annotations
 
@@ -143,7 +144,6 @@ class AssembledOperator:
     boundary: np.ndarray
     gid: np.ndarray        # (n_elements, 2^dim) global node ids per element
     a_elems: np.ndarray    # (n_elements, dim, dim)
-    _kkt: object = dc_field(default=None, repr=False)
     _int: object = dc_field(default=None, repr=False)
     _neu: object = dc_field(default=None, repr=False)
 
@@ -251,38 +251,10 @@ def _remove_mean(op: AssembledOperator, u: np.ndarray) -> np.ndarray:
     return u - (op.mass @ u) / op.vol
 
 
-_KKT_PATTERNS: dict = {}
-
-
-def _kkt_pattern(op: AssembledOperator) -> sp.csc_matrix:
-    """CSC structure of [S C^T; C 0] without node 0, C = interior rows of K.
-
-    K and S share one canonical CSR structure that depends only on the cube's
-    shape, so this is built once per (dim, nodes_per_axis).  Its values are
-    not numbers but indices: entry e of a cube's KKT matrix is entry
-    ``data[e]`` of ``concatenate([S.data, K.data])``.
-    """
-    key = (op.dim, op.nodes_per_axis)
-    if key not in _KKT_PATTERNS:
-        K = op.K
-        pos = sp.csr_matrix((np.arange(1, K.nnz + 1), K.indices, K.indptr),
-                            shape=K.shape)   # 1-based, so no index is a zero
-        C = pos[op.interior][:, 1:]
-        C.data += K.nnz
-        pattern = sp.bmat([[pos[1:, 1:], C.T], [C, None]], format="csc")
-        pattern.data -= 1
-        _KKT_PATTERNS[key] = pattern
-    return _KKT_PATTERNS[key]
-
-
-def _kkt_solver(op: AssembledOperator):
-    """Factor the saddle system [S C^T; C 0] with node 0 pinned, once per cube."""
-    if op._kkt is None:
-        pat = _kkt_pattern(op)
-        values = np.concatenate([op.S.data, op.K.data])[pat.data]
-        kkt = sp.csc_matrix((values, pat.indices, pat.indptr), shape=pat.shape)
-        op._kkt = spla.splu(kkt).solve
-    return op._kkt
+def _interior_solver(op: AssembledOperator):
+    if op._int is None:
+        op._int = spla.splu(op.K[op.interior][:, op.interior].tocsc()).solve
+    return op._int
 
 
 def maximize_J_backend(op: AssembledOperator, pairs, tol: float = 1e-8,
@@ -290,17 +262,26 @@ def maximize_J_backend(op: AssembledOperator, pairs, tol: float = 1e-8,
     """Maximize  avg(-1/2 grad u . s grad u - p . a grad u + q . grad u)
     over discrete a-harmonic mean-zero u, for each (p, q).
 
+    An a-harmonic u is fixed by its boundary values w: u = E w, with E the
+    a-harmonic extension, built with the interior LU.  On the boundary the
+    problem is  E^T S E w = E^T loads,  solved with boundary node 0 pinned
+    (as in ``trace_loads``); u is then shifted to zero mass-weighted mean.
+    E is dense, (N, boundary nodes), so this suits single small cubes.
+
     Returns (J_values, V): the optima and the maximizers as columns.
-    Guards on every column: J >= 0 up to tolerance, and the saddle-point
-    energy identity J = v^T S v / (2|U|) to relative tolerance.
+    Guards on every column: J >= 0 up to tolerance, and the energy identity
+    J = v^T S v / (2|U|) to relative tolerance.
     """
     pairs = [(np.asarray(p, float), np.asarray(q, float)) for p, q in pairs]
     loads = np.stack([-op.B.T @ p + op.G.T @ q for p, q in pairs], axis=1)
-    rhs = np.zeros((op.N - 1 + len(op.interior), len(pairs)))
-    rhs[: op.N - 1] = loads[1:]
-    V = np.zeros((op.N, len(pairs)))
-    V[1:] = _kkt_solver(op)(rhs)[: op.N - 1]
-    V = _remove_mean(op, V)
+    bnd, inner = op.boundary, op.interior
+    E = np.zeros((op.N, len(bnd)))
+    E[bnd] = np.eye(len(bnd))
+    E[inner] = -_interior_solver(op)(op.K[inner][:, bnd].toarray())
+    Q = E.T @ (op.S @ E)
+    w = np.zeros((len(bnd), len(pairs)))
+    w[1:] = np.linalg.solve(Q[1:, 1:], (E.T @ loads)[1:])
+    V = _remove_mean(op, E @ w)
     vSv = np.einsum("ic,ic->c", V, op.S @ V)
     Jvals = (-0.5 * vSv + np.einsum("ic,ic->c", loads, V)) / op.vol
     if check:
@@ -550,12 +531,6 @@ def flux_rhs(op: AssembledOperator, f_cells: np.ndarray) -> np.ndarray:
     return out
 
 
-def _interior_solver(op: AssembledOperator):
-    if op._int is None:
-        op._int = spla.splu(op.K[op.interior][:, op.interior].tocsc()).solve
-    return op._int
-
-
 def solve_dirichlet(op: AssembledOperator, boundary_values: np.ndarray,
                     f_cells: np.ndarray | None = None,
                     load_nodal: np.ndarray | None = None,
@@ -604,15 +579,10 @@ def solve_neumann(op: AssembledOperator, f_cells: np.ndarray,
     return u
 
 
-def harmonic_extension(op: AssembledOperator, boundary_values: np.ndarray) -> np.ndarray:
-    """a-harmonic extension of boundary data (zero interior load)."""
-    return solve_dirichlet(op, boundary_values)
-
-
 def random_aharmonic(op: AssembledOperator, rng: np.random.Generator) -> np.ndarray:
     """Random mean-zero discrete a-harmonic function (Gaussian boundary data)."""
     g = rng.standard_normal(len(op.boundary))
-    return _remove_mean(op, harmonic_extension(op, g))
+    return _remove_mean(op, solve_dirichlet(op, g))
 
 
 def energy_seminorm_sq(op: AssembledOperator, u: np.ndarray) -> float:

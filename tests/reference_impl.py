@@ -2,15 +2,16 @@
 
 Everything here is written the slow, obvious way — explicit Python loops,
 dense linear algebra, no shared helpers with the package — so that agreement
-with the vectorized/sparse production code is meaningful.  The one
-exception is ``kkt_A``: the package's earlier per-cube path to A(U) (an
-assembled operator and its sparse saddle-point solves), kept as an oracle
-for the batched condensation that replaced it.
+with the vectorized/sparse production code is meaningful.  The exception is
+the saddle-point oracle (``kkt_maximizers``, ``kkt_A``): it takes the
+package's assembled operator but maximizes J by the constrained (KKT)
+formulation over all nodes, which the package does not use, so it checks
+both the boundary-reduced maximizers and the batched condensation.
 """
 import numpy as np
 import scipy.linalg
-
-from cghom.solver import maximize_J_backend
+import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
 
 def magnitude(value):
@@ -166,6 +167,28 @@ def brute_force_J(op, p, q):
     return float((-0.5 * u @ (op.S @ u) + ell @ u) / op.vol)
 
 
+def kkt_maximizers(op, pairs):
+    """(J, V) of each (p, q) by the saddle-point system of one cube.
+
+    Maximizing J over {u : K u = 0 at the interior nodes} is stationarity of
+    its Lagrangian: [S C^T; C 0] [v; mu] = [loads; 0], C = the interior rows
+    of K.  Node 0 is pinned (its row and column dropped) and v is shifted to
+    zero mass-weighted mean; one sparse LU per call, nothing cached.
+    """
+    N = op.N
+    loads = np.stack([-op.B.T @ np.asarray(p, float)
+                      + op.G.T @ np.asarray(q, float) for p, q in pairs], axis=1)
+    C = op.K[op.interior][:, 1:]
+    kkt = sp.bmat([[op.S[1:, 1:], C.T], [C, None]], format="csc")
+    rhs = np.zeros((kkt.shape[0], len(pairs)))
+    rhs[:N - 1] = loads[1:]
+    V = np.zeros((N, len(pairs)))
+    V[1:] = spla.splu(kkt).solve(rhs)[:N - 1]
+    V -= (op.mass @ V) / op.vol
+    vSv = np.einsum("ic,ic->c", V, op.S @ V)
+    return (-0.5 * vSv + np.einsum("ic,ic->c", loads, V)) / op.vol, V
+
+
 def kkt_A(op):
     """A(U) of one assembled cube from the saddle-point maximizers V of the
     2d unit loads xi = (-p, q):  A = sym(L V)/|U| - [[0, I], [I, 0]],
@@ -173,7 +196,7 @@ def kkt_A(op):
     d = op.dim
     eye, zero = np.eye(d), np.zeros(d)
     unit_loads = [(-e, zero) for e in eye] + [(zero, e) for e in eye]
-    _, V = maximize_J_backend(op, unit_loads)
+    _, V = kkt_maximizers(op, unit_loads)
     LV = np.vstack([op.B, op.G]) @ V
     swap = np.zeros((2 * d, 2 * d))
     swap[:d, d:] = swap[d:, :d] = np.eye(d)

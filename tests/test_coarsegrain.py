@@ -17,7 +17,8 @@ from cghom.coarsegrain import (A_from_blocks, CoarseGrainedMatrices,
 from cghom.fields import CoefficientField, gen_named_field
 from cghom.solver import assemble, maximize_J_backend, partition_traces
 from cghom.triadic import TriadicCube, subcubes_at_scale
-from reference_impl import brute_force_J, kkt_A, order_slacks_loops
+from reference_impl import (brute_force_J, kkt_A, kkt_maximizers,
+                            order_slacks_loops)
 
 
 def _random_spd_skew(rng, n=6, dim=2):
@@ -320,7 +321,7 @@ def test_sweep_diagnostics_name_the_raised_cube(monkeypatch):
 
 
 # ---------------------------------------------------------------------------
-# the 2d-load KKT path against independent oracles
+# the maximizers of J against independent oracles
 
 
 def _polarized_brute_force_A(op):
@@ -346,7 +347,6 @@ def _assert_close_to_oracle(field, cube=None, resolution=1):
     A = coarse_grain_cube(field, cube, resolution).A
     want = _polarized_brute_force_A(op)
     assert np.abs(A - want).max() < 1e-10 * max(1.0, np.linalg.norm(want, 2))
-    return op
 
 
 @pytest.mark.parametrize("i", range(8))
@@ -369,24 +369,46 @@ def test_A_matches_polarized_nullspace_oracle_in_3d_and_refined():
 def test_maximizers_have_zero_mass_weighted_mean(dim, resolution):
     field = gen_named_field("skew_lognormal", level=1, dim=dim, seed=33,
                             sigma=0.5, kappa=0.7)
-    op = assemble(field, resolution=resolution)
     rng = np.random.default_rng(8)
     pairs = [(rng.normal(size=dim), rng.normal(size=dim)) for _ in range(3)]
-    _, V = maximize_J_backend(op, pairs)
-    assert np.abs(op.mass @ V).max() < 1e-12 * max(1.0, np.abs(V).max())
+    # the whole window, and one cell (at resolution 1 it has no interior node)
+    for cube in (None, TriadicCube(level=0, offset=(1,) * dim, dim=dim)):
+        op = assemble(field, cube, resolution)
+        _, V = maximize_J_backend(op, pairs)
+        assert np.abs(op.mass @ V).max() < 1e-12 * max(1.0, np.abs(V).max())
+
+
+def test_maximizers_match_the_saddle_point_oracle():
+    # the c1 fields, a 3D level-1 cube, a refined grid and single cells
+    fields = [gen_named_field(kind, level=1, seed=300 + j)
+              for j, kind in enumerate(("checkerboard", "lognormal_iso",
+                                        "skew_lognormal", "cascade_iso"))]
+    fields.append(gen_named_field("constant", level=1,
+                                  matrix=[[2.0, 0.5], [-0.5, 1.5]]))
+    cases = [(f, None, 1) for f in fields]
+    f3 = gen_named_field("skew_lognormal", level=2, dim=3, seed=31, sigma=0.5,
+                         kappa=0.6)
+    cases.append((f3, TriadicCube(level=1, offset=(3, 0, 6), dim=3), 1))
+    cases.append((fields[2], None, 2))
+    cases.append((fields[2], TriadicCube(level=0, offset=(1, 2), dim=2), 1))
+    cases.append((f3, TriadicCube(level=0, offset=(4, 0, 8), dim=3), 1))
+    rng = np.random.default_rng(9)
+    for field, cube, resolution in cases:
+        d = field.dim
+        op = assemble(field, cube, resolution)
+        pairs = [(np.eye(d)[0], np.zeros(d)), (np.zeros(d), np.eye(d)[-1])]
+        pairs += [(rng.normal(size=d), rng.normal(size=d)) for _ in range(3)]
+        J, V = maximize_J_backend(op, pairs)
+        J_ref, V_ref = kkt_maximizers(op, pairs)
+        assert np.abs(J - J_ref).max() <= 1e-10 * max(1.0, np.abs(J_ref).max())
+        assert np.abs(V - V_ref).max() <= 1e-10 * max(1.0, np.abs(V_ref).max())
 
 
 def test_cubes_of_one_shape_share_the_kkt_pattern():
     f1 = gen_named_field("skew_lognormal", level=1, seed=34, sigma=0.5, kappa=0.7)
     f2 = gen_named_field("checkerboard", level=2, seed=35, low=1.0, high=5.0)
-    op1 = _assert_close_to_oracle(f1)
-    op2 = _assert_close_to_oracle(f2, TriadicCube(level=1, offset=(6, 3), dim=2))
-    pattern = solver._kkt_pattern(op1)
-    assert solver._kkt_pattern(op2) is pattern
-    assert solver._KKT_PATTERNS[(2, op1.nodes_per_axis)] is pattern
-    # the cache holds indices only, never values of a field
-    assert pattern.data.dtype.kind == "i"
-    assert pattern.data.max() < op1.S.nnz + op1.K.nnz
+    _assert_close_to_oracle(f1)
+    _assert_close_to_oracle(f2, TriadicCube(level=1, offset=(6, 3), dim=2))
     assert not np.allclose(coarse_grain_cube(f1).A,
                            coarse_grain_cube(f2, TriadicCube(level=1, offset=(6, 3), dim=2)).A)
 
@@ -462,8 +484,10 @@ def test_degenerate_cell_raises_from_the_condensation():
     with pytest.raises(solver.DegenerateCellError, match="exceeds cap"):
         coarse_grain_cube(field, TriadicCube(level=1, offset=(3, 6), dim=2))
     field.s_cells[4, 7] = 0.0
-    with pytest.raises(solver.DegenerateCellError, match="not positive definite"):
-        hierarchy_sweep(field, k_min=1)
+    for k_min in (0, 1):    # the cells are checked before any scale is read
+        with pytest.raises(solver.DegenerateCellError,
+                           match="not positive definite"):
+            hierarchy_sweep(field, k_min=k_min)
     with pytest.raises(solver.DegenerateCellError, match="not positive definite"):
         coarse_grain_cube(field, TriadicCube(level=1, offset=(3, 6), dim=2))
     # a cube clear of the bad cell is still coarse-grained

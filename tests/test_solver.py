@@ -9,30 +9,32 @@ from cghom import solver
 from cghom.fields import gen_named_field
 from cghom.solver import (DegenerateCellError, assemble, cell_flux_averages,
                           cell_gradient_averages, energy_seminorm_sq, flux_rhs,
-                          harmonic_extension, maximize_J_backend,
-                          node_coordinates, quadrature_flux_rhs,
-                          random_aharmonic, reference_tensors, solve_dirichlet,
-                          solve_neumann)
+                          maximize_J_backend, node_coordinates,
+                          quadrature_flux_rhs, random_aharmonic,
+                          reference_tensors, solve_dirichlet, solve_neumann)
 from cghom.triadic import TriadicCube
 
 
 def _sympy_reference(dim):
-    """Recompute the unit-element integrals symbolically."""
+    """Recompute the unit-element integrals symbolically and exactly.
+
+    Every integrand is a polynomial, so each monomial integrates over the
+    unit cube as a product of  int_0^1 x^k dx = 1/(k+1).
+    """
     import sympy as sym
 
     xs = sym.symbols(f"x0:{dim}")
     locs = list(itertools.product((0, 1), repeat=dim))
     phis = []
     for loc in locs:
-        phi = sym.Integer(1)
+        phi = sym.Poly(1, *xs)
         for ax in range(dim):
-            phi *= xs[ax] if loc[ax] == 1 else (1 - xs[ax])
-        phis.append(sym.expand(phi))
+            phi *= sym.Poly(xs[ax] if loc[ax] == 1 else 1 - xs[ax], *xs)
+        phis.append(phi)
 
-    def integrate(expr):
-        for ax in range(dim):
-            expr = sym.integrate(expr, (xs[ax], 0, 1))
-        return float(expr)
+    def integrate(poly):
+        return float(sum(coeff * sym.prod(sym.Rational(1, k + 1) for k in monom)
+                         for monom, coeff in poly.terms()))
 
     n = len(locs)
     EK = np.zeros((dim, dim, n, n))
@@ -41,11 +43,11 @@ def _sympy_reference(dim):
     for i in range(n):
         EM[i] = integrate(phis[i])
         for a in range(dim):
-            EG[a, i] = integrate(sym.diff(phis[i], xs[a]))
+            EG[a, i] = integrate(phis[i].diff(xs[a]))
             for j in range(n):
                 for b in range(dim):
                     EK[a, b, i, j] = integrate(
-                        sym.diff(phis[i], xs[a]) * sym.diff(phis[j], xs[b]))
+                        phis[i].diff(xs[a]) * phis[j].diff(xs[b]))
     return EK, EG, EM
 
 
@@ -172,7 +174,7 @@ def test_harmonic_extension_and_random_aharmonic():
     field = gen_named_field("checkerboard", level=1, seed=10, low=1.0, high=5.0)
     op = assemble(field)
     rng = np.random.default_rng(5)
-    u = harmonic_extension(op, rng.normal(size=len(op.boundary)))
+    u = solve_dirichlet(op, rng.normal(size=len(op.boundary)))
     assert np.abs((op.K @ u)[op.interior]).max() < 1e-10
     w = random_aharmonic(op, rng)
     assert abs(op.mass @ w) < 1e-10
