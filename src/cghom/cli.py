@@ -137,6 +137,12 @@ def _check_3d_level(dim: int, level: int, what: str) -> None:
             f"dense boundary problem of about 0.5 GB per matrix")
 
 
+def _check_k_min(k_min: int, level: int, what: str) -> None:
+    if k_min > level:
+        raise ConfigError(f"coarsegrain.k_min={k_min} exceeds {what}: "
+                          f"the sweep would keep no scale")
+
+
 def validate_config(config: dict, command: str | None = None) -> None:
     """Reject inconsistent settings; with ``command``, also runs it cannot finish."""
     if config["dim"] not in (2, 3):
@@ -179,6 +185,8 @@ def validate_config(config: dict, command: str | None = None) -> None:
     tgt = hx["target"]
     if tgt.get("family") not in ("affine", "quadratic", "trig"):
         raise ConfigError("homexp.target.family must be affine, quadratic or trig")
+    if command in ("coarsegrain", "ellipticity"):
+        _check_k_min(cg["k_min"], fld["level"], f"field.level={fld['level']}")
     if command is not None:
         _check_3d_level(config["dim"], _coarse_grained_level(config, command),
                         f"'{command}'")
@@ -212,10 +220,12 @@ def _jsonable(obj):
     raise TypeError(f"not JSON-serializable: {type(obj)}")
 
 
-def write_json_report(obj: dict, path: Path, fingerprint: str) -> None:
+def write_json_report(obj: dict, path: Path, fingerprint: str,
+                      meta: dict | None = None) -> None:
     body = dict(obj)
     body["config_sha256"] = fingerprint
-    body["meta"] = {"created": datetime.now(timezone.utc).isoformat(timespec="seconds")}
+    body["meta"] = {"created": datetime.now(timezone.utc).isoformat(timespec="seconds"),
+                    **(meta or {})}
     path.write_text(json.dumps(body, sort_keys=True, indent=1,
                                default=_jsonable) + "\n")
 
@@ -256,6 +266,8 @@ def _load_or_generate(config: dict, field_file: str | None):
     if field_file:
         field = load_field(field_file)
         _check_3d_level(field.dim, field.level, f"field file {field_file}")
+        _check_k_min(config["coarsegrain"]["k_min"], field.level,
+                     f"the level {field.level} of field file {field_file}")
         return field
     return field_from_config(config)
 
@@ -390,8 +402,11 @@ def cmd_homogenize(config: dict, out_dir: Path, fingerprint: str) -> int:
     summary = homexp.summarize_records(per_seed)
     summary["family"] = family
     summary["a_bar"] = a_bar
+    # how close the interior solves came to their residual check (1e-9)
+    residuals = [r.residual for recs in per_seed for r in recs if not r.failed]
     write_json_report(summary, out_dir / f"homog_summary_{fingerprint[:10]}.json",
-                      fingerprint)
+                      fingerprint,
+                      meta={"max_interior_residual": max(residuals, default=None)})
     print(f"{family}: median grad errors {np.round(summary['median_grad_err'], 6).tolist()}"
           f" (trend {summary['mk_grad']}), {summary['failures']} failures")
     return EXIT_NUMERICAL if summary["failures"] else EXIT_OK

@@ -136,6 +136,7 @@ class ErrorRecord:
     G_alpha: float = float("nan")
     H_alpha: float = float("nan")
     failed: bool = False
+    residual: float = float("nan")     # of the interior solve, see solve_dirichlet
 
 
 def _quad_order(h: TargetFunction) -> int:
@@ -199,6 +200,7 @@ def run_dirichlet_experiment(exp: HomExperiment, seed: int = 0,
         try:
             field = exp.spec.realize(n, seed)
             op, u = solve_oscillating(field, exp.a_bar, exp.h, exp.resolution)
+            rec.residual = op.residual
             g_err, f_err = error_fields(op, u, exp.a_bar, exp.h)
             rec.grad_err = unit_ring_error(g_err, exp.alpha, d)
             rec.flux_err = unit_ring_error(f_err, exp.alpha, d)

@@ -17,6 +17,9 @@ The assembled operator serves the nodal solves: the maximizers of J on one
 cube, Dirichlet and Neumann problems.  An a-harmonic function is fixed by
 its boundary values, so the maximizers are solved on the boundary, as the
 traces are, after the a-harmonic extension is built with the interior LU.
+The nodal LUs are factored in a nested-dissection order of the node grid,
+and the index arrays of assembly and of that order are built once per grid
+shape.
 Every functional here sees only gradients, so the additive constant is
 fixed by pinning node 0 (a corner, hence a boundary node) to zero and
 removing it from the system; nodal solutions are then shifted to zero
@@ -144,6 +147,9 @@ class AssembledOperator:
     boundary: np.ndarray
     gid: np.ndarray        # (n_elements, 2^dim) global node ids per element
     a_elems: np.ndarray    # (n_elements, dim, dim)
+    # |K_II u_I - r| / (|r| + 1) of the last interior solve, the quantity
+    # ``solve_dirichlet`` checks against its tolerance
+    residual: float = float("nan")
     _int: object = dc_field(default=None, repr=False)
     _neu: object = dc_field(default=None, repr=False)
 
@@ -170,9 +176,48 @@ def _check_cells(s_block: np.ndarray) -> None:
         )
 
 
+_GRID_SHAPES: dict = {}
+
+
+def _grid_shape(dim: int, npa: int):
+    """What assembly needs of an npa^dim node grid that depends on nothing else.
+
+    Returns (gid, interior, boundary, indptr, indices, slot): the global node
+    ids of each element's corners, the interior and boundary node ids (C
+    order), and the CSR pattern of the stiffness together with ``slot``, the
+    position in its data of each (element, i, j) triplet, element-major.
+    Read-only indices, built once per (dim, nodes_per_axis).
+    """
+    key = (dim, npa)
+    if key not in _GRID_SHAPES:
+        locs = reference_tensors(dim)[0]
+        mE, N = npa - 1, npa ** dim
+        corners = np.indices((mE,) * dim).reshape(dim, -1)
+        gid = np.stack([np.ravel_multi_index(corners + li[:, None], (npa,) * dim)
+                        for li in locs], axis=1)
+        rows = np.repeat(gid, len(locs), axis=1).ravel()
+        cols = np.tile(gid, len(locs)).ravel()
+        keys, slot = np.unique(rows * N + cols, return_inverse=True)
+        indptr = np.searchsorted(keys, np.arange(N + 1) * N)
+        coords = np.indices((npa,) * dim).reshape(dim, N)
+        inner = np.all((coords > 0) & (coords < mE), axis=0)
+        arrays = (gid, np.nonzero(inner)[0], np.nonzero(~inner)[0],
+                  indptr.astype(np.int32), (keys % N).astype(np.int32), slot)
+        for arr in arrays:
+            arr.flags.writeable = False
+        _GRID_SHAPES[key] = arrays
+    return _GRID_SHAPES[key]
+
+
 def assemble(field: CoefficientField, cube: TriadicCube | None = None,
              resolution: int = 1) -> AssembledOperator:
-    """Assemble K, S, G, B and the mean functional on a cube of the field."""
+    """Assemble K, S, G, B and the mean functional on a cube of the field.
+
+    The element ids, the interior/boundary split and the CSR pattern of K
+    and S depend only on the node grid and come from a cache per
+    (dim, nodes_per_axis); K and S are then one ``bincount`` of the element
+    triplets into that pattern each.
+    """
     cube = cube or field.domain
     d = field.dim
     r = int(resolution)
@@ -197,52 +242,31 @@ def assemble(field: CoefficientField, cube: TriadicCube | None = None,
     nloc = len(locs)
     h = 1.0 / r
     npa = mE + 1
-    nshape = (npa,) * d
     N = npa ** d
+    gid, interior, boundary, indptr, indices, slot = _grid_shape(d, npa)
 
-    corners = np.indices((mE,) * d).reshape(d, nE)
-    gid = np.empty((nE, nloc), dtype=np.int64)
-    for i, li in enumerate(locs):
-        gid[:, i] = np.ravel_multi_index(corners + li[:, None], nshape)
+    # (a, b) x (i, j) element tensor, so a cell's triplets are one product
+    EKf = EK.reshape(d * d, nloc * nloc) * h ** (d - 2)
 
-    hK = h ** (d - 2)
+    def stiffness(c_elems):
+        data = np.bincount(slot, weights=(c_elems.reshape(nE, d * d) @ EKf).ravel(),
+                           minlength=len(indices))
+        return sp.csr_matrix((data, indices, indptr), shape=(N, N))
+
     hG = h ** (d - 1)
-    rows = np.empty(nE * nloc * nloc, dtype=np.int64)
-    cols = np.empty_like(rows)
-    kvals = np.empty(nE * nloc * nloc)
-    svals = np.empty_like(kvals)
-    pos = 0
-    for i in range(nloc):
-        for j in range(nloc):
-            sl = slice(pos, pos + nE)
-            rows[sl] = gid[:, i]
-            cols[sl] = gid[:, j]
-            kvals[sl] = a_elems.reshape(nE, -1) @ (EK[:, :, i, j].ravel() * hK)
-            svals[sl] = s_elems.reshape(nE, -1) @ (EK[:, :, i, j].ravel() * hK)
-            pos += nE
-    K = sp.coo_matrix((kvals, (rows, cols)), shape=(N, N)).tocsr()
-    S = sp.coo_matrix((svals, (rows, cols)), shape=(N, N)).tocsr()
-
-    G = np.zeros((d, N))
-    B = np.zeros((d, N))
-    mass = np.zeros(N)
-    for i in range(nloc):
-        idx = gid[:, i]
-        mass += np.bincount(idx, weights=np.full(nE, EM[i] * h ** d), minlength=N)
-        bw = a_elems @ (EG[:, i] * hG)      # (nE, d): int (a grad phi_i) per elem
-        for ax in range(d):
-            G[ax] += np.bincount(idx, weights=np.full(nE, EG[ax, i] * hG), minlength=N)
-            B[ax] += np.bincount(idx, weights=bw[:, ax], minlength=N)
-
-    coords = np.indices(nshape).reshape(d, N)
-    inner = np.all((coords > 0) & (coords < mE), axis=0)
-    interior = np.nonzero(inner)[0]
-    boundary = np.nonzero(~inner)[0]
+    flat = gid.ravel()
+    mass = np.bincount(flat, weights=np.tile(EM * h ** d, nE), minlength=N)
+    G = np.stack([np.bincount(flat, weights=np.tile(EG[ax] * hG, nE), minlength=N)
+                  for ax in range(d)])
+    bw = a_elems @ (EG * hG)                # (nE, d, 2^d): int a grad phi_i
+    B = np.stack([np.bincount(flat, weights=bw[:, ax].ravel(), minlength=N)
+                  for ax in range(d)])
 
     return AssembledOperator(
         dim=d, level=cube.level, resolution=r, h=h, vol=float(cube.volume),
-        nodes_per_axis=npa, N=N, K=K, S=S, G=G, B=B, mass=mass,
-        interior=interior, boundary=boundary, gid=gid, a_elems=a_elems,
+        nodes_per_axis=npa, N=N, K=stiffness(a_elems), S=stiffness(s_elems),
+        G=G, B=B, mass=mass, interior=interior, boundary=boundary, gid=gid,
+        a_elems=a_elems,
     )
 
 
@@ -251,9 +275,55 @@ def _remove_mean(op: AssembledOperator, u: np.ndarray) -> np.ndarray:
     return u - (op.mass @ u) / op.vol
 
 
+_ND_ORDERS: dict = {}
+
+
+def _nd_order(dim: int, m: int) -> np.ndarray:
+    """Nested-dissection elimination order of an m^dim node grid.
+
+    Returns the grid's C-order node ids in elimination order.  A box of
+    nodes is split by the middle node plane of its longest axis: the two
+    halves come first, each ordered the same way, then the plane.  A Q1
+    element spans one grid step, so the plane separates the halves and the
+    LU fills only within the separators (George, SIAM J. Numer. Anal. 10,
+    1973).  Boxes of at most 16 nodes keep C order.  Read-only indices,
+    built once per (dim, m).
+    """
+    key = (dim, m)
+    if key not in _ND_ORDERS:
+        parts = []
+
+        def split(box):
+            if box.size <= 16:
+                parts.append(box.ravel())
+                return
+            ax = int(np.argmax(box.shape))
+            mid = box.shape[ax] // 2
+            cut = (slice(None),) * ax
+            split(box[cut + (slice(None, mid),)])
+            split(box[cut + (slice(mid + 1, None),)])
+            parts.append(box[cut + (mid,)].ravel())
+
+        split(np.arange(m ** dim).reshape((m,) * dim))
+        order = np.concatenate(parts)
+        order.flags.writeable = False
+        _ND_ORDERS[key] = order
+    return _ND_ORDERS[key]
+
+
 def _interior_solver(op: AssembledOperator):
+    """The interior block of K and its LU, in nested-dissection order.
+
+    Returns (order, K_II, lu): the interior node ids in the nested-dissection
+    order of the interior grid, K restricted to them in that order, and its
+    SuperLU factorization with no further column permutation, so that
+    ``lu.solve(r[order])`` solves the interior equations.  Built once per
+    operator.
+    """
     if op._int is None:
-        op._int = spla.splu(op.K[op.interior][:, op.interior].tocsc()).solve
+        order = op.interior[_nd_order(op.dim, op.nodes_per_axis - 2)]
+        K_II = op.K[order][:, order]
+        op._int = (order, K_II, spla.splu(K_II.tocsc(), permc_spec="NATURAL"))
     return op._int
 
 
@@ -274,10 +344,11 @@ def maximize_J_backend(op: AssembledOperator, pairs, tol: float = 1e-8,
     """
     pairs = [(np.asarray(p, float), np.asarray(q, float)) for p, q in pairs]
     loads = np.stack([-op.B.T @ p + op.G.T @ q for p, q in pairs], axis=1)
-    bnd, inner = op.boundary, op.interior
+    bnd = op.boundary
     E = np.zeros((op.N, len(bnd)))
     E[bnd] = np.eye(len(bnd))
-    E[inner] = -_interior_solver(op)(op.K[inner][:, bnd].toarray())
+    order, _, lu = _interior_solver(op)
+    E[order] = -lu.solve(op.K[order][:, bnd].toarray())
     Q = E.T @ (op.S @ E)
     w = np.zeros((len(bnd), len(pairs)))
     w[1:] = np.linalg.solve(Q[1:, 1:], (E.T @ loads)[1:])
@@ -539,7 +610,10 @@ def solve_dirichlet(op: AssembledOperator, boundary_values: np.ndarray,
 
     ``boundary_values`` is aligned with ``op.boundary``.  ``load_nodal``
     adds a raw nodal functional to the interior equations (used for exact
-    right-hand sides assembled by quadrature).
+    right-hand sides assembled by quadrature).  The interior equations are
+    solved with the operator's nested-dissection LU (``_interior_solver``);
+    the residual relative to |r| + 1 is kept as ``op.residual`` and must
+    not exceed ``tol``.
     """
     u = np.zeros(op.N)
     u[op.boundary] = boundary_values
@@ -548,12 +622,14 @@ def solve_dirichlet(op: AssembledOperator, boundary_values: np.ndarray,
         load -= flux_rhs(op, f_cells)
     if load_nodal is not None:
         load += load_nodal
-    r = load[op.interior] - (op.K @ u)[op.interior]
-    uI = _interior_solver(op)(r)
-    res = np.linalg.norm(op.K[op.interior][:, op.interior] @ uI - r)
-    if res > tol * (np.linalg.norm(r) + 1.0):
+    order, K_II, lu = _interior_solver(op)
+    r = load[order] - (op.K @ u)[order]
+    uI = lu.solve(r)
+    res = np.linalg.norm(K_II @ uI - r)
+    op.residual = res / (np.linalg.norm(r) + 1.0)
+    if op.residual > tol:
         raise SolverError(f"interior solve residual {res:.3e}")
-    u[op.interior] = uI
+    u[order] = uI
     return u
 
 
@@ -563,15 +639,22 @@ def solve_neumann(op: AssembledOperator, f_cells: np.ndarray,
 
     The constant in f is fixed first (cell mean removed), so the solution has
     zero average flux; node 0 is pinned and the result shifted to zero mean.
+    The LU of K without node 0 is factored once per operator, in the
+    nested-dissection order of the node grid (``_nd_order``) with no further
+    column permutation.
     """
     d = op.dim
     f = np.asarray(f_cells, float).reshape(-1, d)
     f = f - f.mean(axis=0)
     F = flux_rhs(op, f.reshape((op.cells_per_axis,) * d + (d,)))
     if op._neu is None:
-        op._neu = spla.splu(op.K[1:, 1:].tocsc()).solve
+        order = _nd_order(d, op.nodes_per_axis)
+        order = order[order != 0]
+        op._neu = (order, spla.splu(op.K[order][:, order].tocsc(),
+                                    permc_spec="NATURAL"))
+    order, lu = op._neu
     u = np.zeros(op.N)
-    u[1:] = op._neu(F[1:])
+    u[order] = lu.solve(F[order])
     u = _remove_mean(op, u)
     flux_avg = op.B @ u / op.vol
     if np.linalg.norm(flux_avg) > tol * (np.linalg.norm(f) + 1.0):

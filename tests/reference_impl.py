@@ -6,8 +6,13 @@ with the vectorized/sparse production code is meaningful.  The exception is
 the saddle-point oracle (``kkt_maximizers``, ``kkt_A``): it takes the
 package's assembled operator but maximizes J by the constrained (KKT)
 formulation over all nodes, which the package does not use, so it checks
-both the boundary-reduced maximizers and the batched condensation.
+both the boundary-reduced maximizers and the batched condensation.  The
+default-order solves (``default_order_dirichlet``, ``default_order_neumann``)
+also take the operator, and factor its K in SuperLU's own (COLAMD) column
+order instead of the package's nested-dissection order.
 """
+import itertools
+
 import numpy as np
 import scipy.linalg
 import scipy.sparse as sp
@@ -201,3 +206,53 @@ def kkt_A(op):
     swap = np.zeros((2 * d, 2 * d))
     swap[:d, d:] = swap[d:, :d] = np.eye(d)
     return 0.5 * (LV + LV.T) / op.vol - swap
+
+
+def loop_assembly(a_elems, s_elems, tensors, elements_per_axis, h):
+    """(K, S, G, B, mass) assembled element by element into COO triplets.
+
+    ``tensors`` are the unit-element integrals (locs, EK, EG, EM); elements
+    and nodes are numbered in C order of their grids.
+    """
+    locs, EK, EG, EM = tensors
+    d = a_elems.shape[-1]
+    m = elements_per_axis
+    shape = (m + 1,) * d
+    N = (m + 1) ** d
+    rows, cols, kvals, svals = [], [], [], []
+    G, B, mass = np.zeros((d, N)), np.zeros((d, N)), np.zeros(N)
+    for e, corner in enumerate(itertools.product(range(m), repeat=d)):
+        ids = [np.ravel_multi_index(tuple(c + l for c, l in zip(corner, loc)), shape)
+               for loc in locs]
+        for i, gi in enumerate(ids):
+            for j, gj in enumerate(ids):
+                rows.append(gi)
+                cols.append(gj)
+                kvals.append(np.sum(a_elems[e] * EK[:, :, i, j]) * h ** (d - 2))
+                svals.append(np.sum(s_elems[e] * EK[:, :, i, j]) * h ** (d - 2))
+            G[:, gi] += EG[:, i] * h ** (d - 1)
+            B[:, gi] += a_elems[e] @ EG[:, i] * h ** (d - 1)
+            mass[gi] += EM[i] * h ** d
+    K = sp.coo_matrix((kvals, (rows, cols)), shape=(N, N)).tocsr()
+    S = sp.coo_matrix((svals, (rows, cols)), shape=(N, N)).tocsr()
+    return K, S, G, B, mass
+
+
+def default_order_dirichlet(op, boundary_values, load):
+    """Nodal Dirichlet solution: the interior block of K sliced in C order
+    and factored by SuperLU in its default column order; nothing cached."""
+    u = np.zeros(op.N)
+    u[op.boundary] = boundary_values
+    ii = op.interior
+    r = load[ii] - (op.K @ u)[ii]
+    u[ii] = spla.splu(op.K[ii][:, ii].tocsc()).solve(r)
+    return u
+
+
+def default_order_neumann(op, load):
+    """Nodal Neumann solution for a nodal load: node 0 pinned, K without it
+    factored by SuperLU in its default column order, the result shifted to
+    zero mass-weighted mean; nothing cached."""
+    u = np.zeros(op.N)
+    u[1:] = spla.splu(op.K[1:, 1:].tocsc()).solve(load[1:])
+    return u - (op.mass @ u) / op.vol

@@ -155,6 +155,26 @@ def test_3d_levels_that_cannot_finish_are_config_errors(tmp_path, monkeypatch,
         cli.validate_config(config, "homogenize")
 
 
+def test_k_min_above_the_field_level_is_a_config_error(tmp_path, monkeypatch,
+                                                      capsys):
+    def no_solve(*args, **kwargs):
+        raise AssertionError("a solve was started")
+    monkeypatch.setattr(cli.coarsegrain, "hierarchy_sweep", no_solve)
+    out = tmp_path / "out"
+    for command in ("coarsegrain", "ellipticity"):
+        assert _run([command, "--set", "field.level=1",
+                     "--set", "coarsegrain.k_min=3"], out) == 2
+        err = capsys.readouterr().err
+        assert "coarsegrain.k_min=3" in err and "field.level=1" in err
+    assert not out.exists()
+    # a field file's own level is checked too
+    assert _run(["gen-field", "--set", "field.level=1"], tmp_path) == 0
+    field_file = str(tmp_path / "field_checkerboard_n1_seed0.cghf")
+    assert _run(["coarsegrain", field_file, "--set", "coarsegrain.k_min=2"],
+                tmp_path) == 2
+    assert "coarsegrain.k_min=2 exceeds the level 1 of field file" in capsys.readouterr().err
+
+
 def test_output_dir_precedence(tmp_path, monkeypatch):
     cfg_dir = tmp_path / "from_config"
     env_dir = tmp_path / "from_env"
@@ -209,6 +229,10 @@ def test_homogenize_worker_equivalence(tmp_path):
     s1, = d1.glob("homog_summary_*.json")
     s2, = d2.glob("homog_summary_*.json")
     r1, r2 = _load_report(s1), _load_report(s2)
+    # the worst interior-solve residual goes under meta, below the 1e-9 check
+    for path in (s1, s2):
+        worst = json.loads(path.read_text())["meta"]["max_interior_residual"]
+        assert 0.0 <= worst < 1e-12
     # the digests differ (workers is part of the config), the numbers don't
     for rep in (r1, r2):
         rep.pop("config_sha256")

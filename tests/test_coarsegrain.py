@@ -568,3 +568,41 @@ def test_3d_quarter_turn_maps_A_exactly():
     R = np.array([[0.0, -1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 1.0]])
     assert _symmetry_defect(field, lambda c: np.rot90(c, 1, axes=(0, 1)),
                             R) < 1e-10
+
+
+# the c2 order checks see the same cubes, moved: their slacks are an exact
+# permutation of the original ones, each scale's array moved like the cells
+
+C2_KINDS = ("checkerboard", "lognormal_iso", "skew_lognormal", "cascade_iso")
+
+
+def _slack_defect(field, move_cells, R):
+    A = hierarchy_sweep(field, check=False).A_by_scale
+    A_moved = hierarchy_sweep(_mapped(field, move_cells, R), check=False).A_by_scale
+    slacks, moved = order_slacks(A), order_slacks(A_moved)
+    assert slacks.keys() == moved.keys()
+    worst = 0.0
+    for k, checks in slacks.items():
+        assert checks.keys() == moved[k].keys() == {
+            "subadditivity", "sandwich_upper", "sandwich_lower"}
+        for name, values in checks.items():
+            worst = max(worst, np.abs(moved[k][name] - move_cells(values)).max())
+    return worst / max(1.0, max(np.abs(a).max() for a in A.values()))
+
+
+@settings(max_examples=15, deadline=None)
+@given(i=st.integers(0, 99), level=st.integers(1, 2), turns=st.integers(1, 3))
+def test_quarter_turns_permute_the_order_slacks(i, level, turns):
+    field = gen_named_field(C2_KINDS[i % 4], level=level, seed=1000 + i)
+    R = np.linalg.matrix_power(np.array([[0.0, -1.0], [1.0, 0.0]]), turns)
+    assert _slack_defect(field, lambda c: np.rot90(c, turns, axes=(0, 1)),
+                         R) < 1e-10
+
+
+@settings(max_examples=15, deadline=None)
+@given(i=st.integers(0, 99), level=st.integers(1, 2), axis=st.integers(0, 1))
+def test_reflections_permute_the_order_slacks(i, level, axis):
+    field = gen_named_field(C2_KINDS[i % 4], level=level, seed=1000 + i)
+    R = np.eye(2)
+    R[axis, axis] = -1.0
+    assert _slack_defect(field, lambda c: np.flip(c, axis=axis), R) < 1e-10

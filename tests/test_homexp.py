@@ -115,6 +115,7 @@ def test_run_experiment_populates_functionals():
         assert np.isfinite(r.flux_err) and np.isfinite(r.energy)
         assert np.isfinite(r.E_alpha) and np.isfinite(r.G_alpha)
         assert np.isfinite(r.H_alpha)
+        assert 0.0 <= r.residual < 1e-12
 
 
 def test_run_experiment_records_failures():

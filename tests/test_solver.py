@@ -13,6 +13,8 @@ from cghom.solver import (DegenerateCellError, assemble, cell_flux_averages,
                           quadrature_flux_rhs, random_aharmonic,
                           reference_tensors, solve_dirichlet, solve_neumann)
 from cghom.triadic import TriadicCube
+from reference_impl import (default_order_dirichlet, default_order_neumann,
+                            loop_assembly)
 
 
 def _sympy_reference(dim):
@@ -258,3 +260,148 @@ def test_subcube_assembly_uses_window_slice():
     assert np.allclose(op.a_elems.reshape(3, 3, 2, 2), sub)
     with pytest.raises(ValueError):
         assemble(field, TriadicCube(level=1, offset=(7, 0), dim=2))
+
+
+# ---------------------------------------------------------------------------
+# shape caches: the assembly pattern and the nested-dissection order
+
+
+@pytest.mark.parametrize("dim,level,resolution", [(2, 2, 1), (2, 1, 3), (3, 1, 2)])
+def test_assembly_matches_the_element_loop(dim, level, resolution):
+    field = gen_named_field("skew_lognormal", level=level, dim=dim, seed=16,
+                            sigma=0.5, kappa=0.6)
+    op = assemble(field, resolution=resolution)
+    s_elems = field.s_cells
+    for ax in range(dim):
+        s_elems = np.repeat(s_elems, resolution, axis=ax)
+    K, S, G, B, mass = loop_assembly(op.a_elems, s_elems.reshape(op.a_elems.shape),
+                                     reference_tensors(dim),
+                                     op.elements_per_axis, op.h)
+    for got, want in ((op.K, K), (op.S, S)):
+        assert got.has_canonical_format and got.nnz == want.nnz
+        assert np.array_equal(got.indptr, want.indptr)
+        assert np.array_equal(got.indices, want.indices)
+        assert np.abs(got.data - want.data).max() <= 1e-14 * np.abs(want.data).max()
+    for got, want in ((op.G, G), (op.B, B), (op.mass, mass)):
+        assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
+
+
+def test_grid_shape_is_cached_read_only_and_shared():
+    f1 = gen_named_field("lognormal_iso", level=2, seed=17)
+    f2 = gen_named_field("checkerboard", level=2, seed=18)
+    op1, op2 = assemble(f1), assemble(f2)
+    gid, interior, boundary, indptr, indices, slot = solver._GRID_SHAPES[(2, 10)]
+    for op in (op1, op2):
+        assert op.gid is gid and op.interior is interior and op.boundary is boundary
+        assert np.shares_memory(op.K.indices, indices)
+        assert np.shares_memory(op.S.indptr, indptr)
+    for arr in (gid, interior, boundary, indptr, indices, slot):
+        assert arr.dtype.kind == "i" and not arr.flags.writeable
+    assert slot.shape == (81 * 16,) and slot.max() == len(indices) - 1
+    # a sub-cube of another window with the same node grid reuses it
+    op3 = assemble(gen_named_field("constant", level=3),
+                   TriadicCube(level=2, offset=(9, 0), dim=2))
+    assert op3.gid is gid
+
+
+@pytest.mark.parametrize("dim,m", [(2, 0), (2, 1), (2, 7), (2, 26), (3, 7), (3, 8)])
+def test_nested_dissection_order_is_a_cached_permutation(dim, m):
+    order = solver._nd_order(dim, m)
+    assert solver._nd_order(dim, m) is order            # built once
+    assert order.dtype.kind == "i" and not order.flags.writeable
+    assert np.array_equal(np.sort(order), np.arange(m ** dim))
+    if m ** dim > 16:
+        # eliminated last: the middle node plane of the first longest axis
+        coords = np.indices((m,) * dim).reshape(dim, -1)
+        plane = np.nonzero(coords[0] == m // 2)[0]
+        assert np.array_equal(order[-len(plane):], plane)
+
+
+def test_interior_order_is_a_permutation_of_the_interior():
+    field = gen_named_field("checkerboard", level=2, seed=19)
+    op = assemble(field)
+    u = solve_dirichlet(op, np.ones(len(op.boundary)))
+    order, K_II, _ = op._int
+    assert np.array_equal(order, op.interior[solver._nd_order(2, 8)])
+    assert np.array_equal(np.sort(order), op.interior)
+    assert (K_II != op.K[order][:, order]).nnz == 0
+    assert np.allclose(u, 1.0, atol=1e-12)
+
+
+def test_residual_check_reads_the_interior_solve():
+    field = gen_named_field("skew_lognormal", level=2, seed=20, sigma=0.5,
+                            kappa=0.6)
+    op = assemble(field)
+    order, K_II, lu = solver._interior_solver(op)
+    rng = np.random.default_rng(8)
+    g = rng.normal(size=len(op.boundary))
+    noise = rng.normal(size=len(order))
+
+    class Off:          # an LU whose solutions are off by eps * noise
+        def __init__(self, eps):
+            self.eps = eps
+
+        def solve(self, r):
+            return lu.solve(r) + self.eps * noise
+
+    op._int = (order, K_II, Off(1e-12))
+    u = solve_dirichlet(op, g)
+    ii, bb = op.interior, op.boundary
+    r = -(op.K[ii][:, bb] @ g)
+    want = (np.linalg.norm(op.K[ii][:, ii] @ u[ii] - r)
+            / (np.linalg.norm(r) + 1.0))
+    assert 1e-13 < want < 1e-9
+    assert op.residual == pytest.approx(want, rel=1e-3)
+    op._int = (order, K_II, Off(1e-6))
+    with pytest.raises(solver.SolverError, match="interior solve residual"):
+        solve_dirichlet(op, g)
+
+
+# ---------------------------------------------------------------------------
+# the nested-dissection LUs against SuperLU's default (COLAMD) column order
+
+
+def _default_order_gaps(op, rng):
+    """Relative gaps to the default-order solves: the Dirichlet solution
+    (random boundary data and cell fluxes), and the Neumann solution in
+    nodal values and in the energy seminorm."""
+    g = rng.normal(size=len(op.boundary))
+    f = rng.normal(size=(op.cells_per_axis,) * op.dim + (op.dim,))
+    u = solve_dirichlet(op, g, f_cells=f)
+    u_ref = default_order_dirichlet(op, g, -flux_rhs(op, f))
+    v = solve_neumann(op, f)
+    v_ref = default_order_neumann(op, flux_rhs(op, f - f.reshape(-1, op.dim).mean(axis=0)))
+    dv = v - v_ref
+    return (np.linalg.norm(u - u_ref) / np.linalg.norm(u_ref),
+            np.linalg.norm(dv) / np.linalg.norm(v_ref),
+            np.sqrt((dv @ (op.S @ dv)) / (v_ref @ (op.S @ v_ref))))
+
+
+@pytest.mark.parametrize("kind,params", [
+    ("laminate", {"a1": 1.0, "a2": 4.0, "phase": "random"}),
+    ("checkerboard", {"low": 0.75, "high": 4.0 / 3.0}),
+])
+def test_nodal_solves_match_the_default_order_lu_on_the_c6_fields(kind, params):
+    for n in range(1, 6):
+        op = assemble(gen_named_field(kind, level=n, seed=1, **params))
+        dirichlet, neumann, neumann_energy = _default_order_gaps(
+            op, np.random.default_rng(n))
+        assert dirichlet < 1e-12
+        assert neumann_energy < 1e-12
+        # K with one node pinned has condition number about 2e6 at n = 5,
+        # so the nodal values of two orders agree only to a few 1e-12
+        assert neumann < 1e-10
+
+
+def test_nodal_solves_match_the_default_order_lu_on_c8_3d_and_refined():
+    ops = [assemble(gen_named_field("skew_lognormal", level=2, seed=9000 + i,
+                                    sigma=0.5, kappa=0.5)) for i in range(50)]
+    ops.append(assemble(gen_named_field("skew_lognormal", level=2, dim=3,
+                                        seed=21, sigma=0.5, kappa=0.6)))
+    ops.append(assemble(gen_named_field("skew_lognormal", level=2, seed=22,
+                                        sigma=0.5, kappa=0.6), resolution=2))
+    ops.append(assemble(gen_named_field("lognormal_iso", level=1, dim=3,
+                                        seed=23), resolution=2))
+    rng = np.random.default_rng(9)
+    for op in ops:
+        assert max(_default_order_gaps(op, rng)) < 1e-12
