@@ -7,7 +7,7 @@ from .triadic import TriadicCube, GridSpec, domain_cube, partition_children, sub
 from .fields import (CoefficientField, CascadeSpec, gen_named_field,
                      gen_cascade_field, shift_field, save_field, load_field)
 from .solver import (assemble, solve_dirichlet, solve_neumann,
-                     maximize_J_backend, SolverError, DegenerateCellError)
+                     SolverError, DegenerateCellError)
 from .coarsegrain import (CoarseGrainedMatrices, HierarchyCache,
                           coarse_grain_cube, coarse_grain_adjoint,
                           hierarchy_sweep, pointwise_A, blocks_from_A,
@@ -28,7 +28,7 @@ __all__ = [
     "subcubes_at_scale",
     "CoefficientField", "CascadeSpec", "gen_named_field", "gen_cascade_field",
     "shift_field", "save_field", "load_field",
-    "assemble", "solve_dirichlet", "solve_neumann", "maximize_J_backend",
+    "assemble", "solve_dirichlet", "solve_neumann",
     "SolverError", "DegenerateCellError",
     "CoarseGrainedMatrices", "HierarchyCache", "coarse_grain_cube",
     "coarse_grain_adjoint", "hierarchy_sweep", "pointwise_A", "blocks_from_A",

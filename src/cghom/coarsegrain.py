@@ -15,6 +15,9 @@ These are solved on each cube's boundary traces, which ``solver.condense``
 builds for every cube of every scale by merging children into parents
 (``condensed_A``).  For a single constant cell ``A`` reduces to a closed
 form in (s, k), which every cube whose cells are all equal takes exactly.
+The ``verify_*`` identities and inequalities read the same top trace: the
+maximizer of (p, q) is the unit-load maximizers combined by xi, and a random
+a-harmonic function is a Gaussian vector of boundary values.
 
 ``A_from_blocks`` and ``blocks_from_A`` are the one codec between ``A`` and
 its blocks; the closed form (``pointwise_A``) and the pointwise bounds are
@@ -32,8 +35,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .fields import CoefficientField
-from .solver import (BoundaryTraces, assemble, check_objective, condense,
-                     maximize_J_backend, partition_traces, random_aharmonic,
+from .solver import (BoundaryTraces, SolverError, condense, partition_traces,
                      trace_loads)
 from .triadic import TriadicCube, block_means
 
@@ -162,18 +164,33 @@ def _constant_cubes(field: CoefficientField, traces: BoundaryTraces):
     return const, field.s_cells[sl][corners], field.k_cells[sl][corners]
 
 
-def condensed_A(traces: BoundaryTraces, field: CoefficientField | None = None,
-                check: bool = True, psd_tol: float = 1e-8) -> np.ndarray:
+def check_objective(J: np.ndarray, energy: np.ndarray) -> None:
+    """Raise SolverError at the first load column, in C order, whose optimum
+    is below -1e-8 or misses the energy identity J = v^T S v / (2|U|) by
+    more than 1e-8 * max(1, |J|)."""
+    neg = J < -1e-8
+    bad = neg | (np.abs(J - energy) > 1e-8 * np.maximum(1.0, np.abs(J)))
+    if bad.any():
+        first = np.unravel_index(np.argmax(bad), bad.shape)
+        if neg[first]:
+            raise SolverError(f"negative objective J={J[first]:.3e} "
+                              f"for pair {first[-1]}")
+        raise SolverError(f"energy identity violated: J={J[first]:.6e} "
+                          f"vs {energy[first]:.6e}")
+
+
+def condensed_A(traces: BoundaryTraces,
+                field: CoefficientField | None = None) -> np.ndarray:
     """A(U) of every cube of a trace batch, shaped batch + (2d, 2d).
 
     With xi = (-p, q) the load of J is L^T xi for L = [B; G], so J is
     quadratic in xi.  The maximizers V of the 2d unit loads give
     A = sym(L V) / |U| - jswap(d).  Every load column is checked for J >= 0
-    and the energy identity and, with ``check``, every A for positive
-    semidefiniteness up to ``psd_tol`` times its norm.  Given the ``field``,
-    cubes whose cells are all equal take the exact closed form instead.
+    and the energy identity, and every A for positive semidefiniteness up
+    to 1e-8 times its norm.  Given the ``field``, cubes whose cells are all
+    equal take the exact closed form instead.
     """
-    LV, J, energy = trace_loads(traces)
+    _, LV, J, energy = trace_loads(traces)
     A = 0.5 * (LV + np.swapaxes(LV, -1, -2)) / traces.vol - jswap(traces.dim)
     exact = np.zeros(A.shape[:-2], dtype=bool)
     if field is not None:
@@ -181,24 +198,22 @@ def condensed_A(traces: BoundaryTraces, field: CoefficientField | None = None,
         if exact.any():
             A[exact] = pointwise_A(s0[exact], k0[exact])
     check_objective(J[~exact], energy[~exact])
-    if check:
-        lo = np.linalg.eigvalsh(A[~exact])[:, 0]
-        scale = np.maximum(1.0, np.linalg.norm(A[~exact], 2, axis=(-2, -1)))
-        if np.any(lo < -psd_tol * scale):
-            raise ValueError("coarse matrix not PSD: min eig "
-                             f"{lo[lo < -psd_tol * scale][0]:.3e}")
+    lo = np.linalg.eigvalsh(A[~exact])[:, 0]
+    scale = np.maximum(1.0, np.linalg.norm(A[~exact], 2, axis=(-2, -1)))
+    if np.any(lo < -1e-8 * scale):
+        raise ValueError("coarse matrix not PSD: min eig "
+                         f"{lo[lo < -1e-8 * scale][0]:.3e}")
     return A
 
 
 def coarse_grain_cube(field: CoefficientField, cube: TriadicCube | None = None,
-                      resolution: int = 1, check: bool = True,
-                      psd_tol: float = 1e-8) -> CoarseGrainedMatrices:
+                      resolution: int = 1) -> CoarseGrainedMatrices:
     """Coarse-grain one cube: condense its cells' traces up to the cube and
     solve the 2d unit loads there (``condensed_A``).  A cube whose cells are
     all equal gets the exact closed form."""
     cube = cube or field.domain
     top = partition_traces(field, cube.level, cube, resolution)
-    A = condensed_A(top, field, check, psd_tol)[(0,) * field.dim]
+    A = condensed_A(top, field)[(0,) * field.dim]
     return CoarseGrainedMatrices.from_A(A, cube)
 
 
@@ -261,6 +276,21 @@ def verify_centering(field: CoefficientField, h: np.ndarray,
     }
 
 
+def _top_maximizers(field: CoefficientField, cube: TriadicCube, resolution: int):
+    """The cube's coarse matrices and what the verifiers read of it, all
+    from its top trace: (cg, L, Q, V).  An a-harmonic function with boundary
+    values b has [B; G] values L b and S-energy b^T Q b.  V, (nb, 2d), holds
+    the boundary values of the unit-load maximizers (node 0 pinned to zero):
+    the maximizer of (p, q) is V xi, xi = (-p, q).  Gaussian b give random
+    a-harmonic functions."""
+    top = partition_traces(field, cube.level, cube, resolution)
+    at = (0,) * field.dim
+    cg = CoarseGrainedMatrices.from_A(condensed_A(top, field)[at], cube)
+    V = np.zeros((top.L.shape[-1], 2 * field.dim))
+    V[1:] = trace_loads(top)[0][at]
+    return cg, top.L[at], top.Q[at], V
+
+
 def verify_maximizer_averages(field: CoefficientField, cube: TriadicCube | None = None,
                               pairs=None, resolution: int = 1) -> dict:
     """Check the closed-form mean gradient and mean flux of each maximizer.
@@ -272,22 +302,18 @@ def verify_maximizer_averages(field: CoefficientField, cube: TriadicCube | None 
     """
     cube = cube or field.domain
     d = field.dim
-    op = assemble(field, cube, resolution)
-    cg = coarse_grain_cube(field, cube, resolution)
+    cg, L, _, V = _top_maximizers(field, cube, resolution)
     if pairs is None:
         eye = np.eye(d)
         pairs = [(eye[i], np.zeros(d)) for i in range(d)]
         pairs += [(np.zeros(d), eye[i]) for i in range(d)]
         pairs += [(eye[0], eye[-1])]
-    _, V = maximize_J_backend(op, pairs)
     sinv = np.linalg.inv(cg.s_star)
     worst_g = worst_f = 0.0
-    for c, (p, q) in enumerate(pairs):
+    for p, q in pairs:
         p = np.asarray(p, float)
         q = np.asarray(q, float)
-        v = V[:, c]
-        g_avg = op.G @ v / op.vol
-        f_avg = op.B @ v / op.vol
+        f_avg, g_avg = np.split(L @ (V @ np.concatenate([-p, q])) / cube.volume, 2)
         g_pred = -p + sinv @ (q + cg.k @ p)
         f_pred = (np.eye(d) - cg.k.T @ sinv) @ q - cg.b @ p
         worst_g = max(worst_g, float(np.abs(g_avg - g_pred).max()))
@@ -311,18 +337,21 @@ def verify_quadratic_response(field: CoefficientField, cube: TriadicCube | None 
     rng = rng or np.random.default_rng(0)
     p = np.ones(d) if p is None else np.asarray(p, float)
     q = np.zeros(d) if q is None else np.asarray(q, float)
-    op = assemble(field, cube, resolution)
-    Jv, V = maximize_J_backend(op, [(p, q)])
-    J, v = float(Jv[0]), V[:, 0]
-    ell = -op.B.T @ p + op.G.T @ q
-    ws = [np.zeros(op.N), v]
-    ws += [random_aharmonic(op, rng) for _ in range(n_trials)]
+    _, L, Q, V = _top_maximizers(field, cube, resolution)
+    xi = np.concatenate([-p, q])
+    v = V @ xi
+
+    def F(w):
+        return (-0.5 * w @ Q @ w + xi @ (L @ w)) / cube.volume
+
+    J = F(v)
+    ws = [np.zeros(len(v)), v]
+    ws += [rng.standard_normal(len(v)) for _ in range(n_trials)]
     worst = 0.0
     for w in ws:
-        Fw = (-0.5 * w @ (op.S @ w) + ell @ w) / op.vol
         dvw = v - w
-        rhs = 0.5 * dvw @ (op.S @ dvw) / op.vol
-        worst = max(worst, abs((J - Fw) - rhs) / max(1.0, abs(J)))
+        rhs = 0.5 * dvw @ Q @ dvw / cube.volume
+        worst = max(worst, abs((J - F(w)) - rhs) / max(1.0, abs(J)))
     return worst
 
 
@@ -345,22 +374,23 @@ def verify_cg_inequalities(field: CoefficientField, cube: TriadicCube | None = N
     rng = rng or np.random.default_rng(0)
     p = np.ones(d) if p is None else np.asarray(p, float)
     q = np.zeros(d) if q is None else np.asarray(q, float)
-    op = assemble(field, cube, resolution)
-    cg = coarse_grain_cube(field, cube, resolution)
-    Jv, V = maximize_J_backend(op, [(p, q)])
-    J, v = float(Jv[0]), V[:, 0]
+    cg, L, Q, V = _top_maximizers(field, cube, resolution)
+    xi = np.concatenate([-p, q])
+    v = V @ xi
+    J = (-0.5 * v @ Q @ v + xi @ (L @ v)) / cube.volume
     binv = np.linalg.inv(cg.b)
+
+    def averages(w):
+        F, g = np.split(L @ w / cube.volume, 2)
+        return g, F, w @ Q @ w / cube.volume
+
     slack1 = slack2 = slack3 = np.inf
-    for w in [v] + [random_aharmonic(op, rng) for _ in range(n_trials)]:
-        g = op.G @ w / op.vol
-        F = op.B @ w / op.vol
-        e = w @ (op.S @ w) / op.vol
+    for w in [v] + [rng.standard_normal(len(v)) for _ in range(n_trials)]:
+        g, F, e = averages(w)
         slack1 = min(slack1, e - g @ cg.s_star @ g)
         slack2 = min(slack2, e - F @ binv @ F)
         slack3 = min(slack3, np.sqrt(max(2.0 * J, 0.0) * e) - abs(p @ F - q @ g))
-    gv = op.G @ v / op.vol
-    Fv = op.B @ v / op.vol
-    ev = v @ (op.S @ v) / op.vol
+    gv, Fv, ev = averages(v)
     eq_res = abs(np.sqrt(max(2.0 * J, 0.0) * ev) - abs(p @ Fv - q @ gv))
     return {"dual_lower": float(slack1), "flux_upper": float(slack2),
             "cauchy_schwarz": float(slack3), "maximizer_equality": float(eq_res)}

@@ -13,16 +13,18 @@ elements, so merging its 3^d children's traces and eliminating the shared
 skeleton is exact (nested dissection).  All cubes of one scale share one
 node grid, so every step is batched over them.
 
-The assembled operator serves the nodal solves: the maximizers of J on one
-cube, Dirichlet and Neumann problems.  An a-harmonic function is fixed by
-its boundary values, so the maximizers are solved on the boundary, as the
-traces are, after the a-harmonic extension is built with the interior LU.
-The nodal LUs are factored in a nested-dissection order of the node grid,
-and the index arrays of assembly and of that order are built once per grid
-shape.
+``trace_loads`` solves Q v = L^T for the maximizers of the 2d unit loads on
+the boundary; ``A(U)`` and the verifiers' maximizers both come from them,
+and a verifier reads a function with boundary values b only through ``L b``
+and ``b^T Q b``.
+
+The assembled operator serves the nodal solves: Dirichlet and Neumann
+problems.  The nodal LUs are factored in a nested-dissection order of the
+node grid, and the index arrays of assembly and of that order are built once
+per grid shape.
 Every functional here sees only gradients, so the additive constant is
 fixed by pinning node 0 (a corner, hence a boundary node) to zero and
-removing it from the system; nodal solutions are then shifted to zero
+removing it from the system; a Neumann solution is then shifted to zero
 mass-weighted mean.
 """
 from __future__ import annotations
@@ -270,11 +272,6 @@ def assemble(field: CoefficientField, cube: TriadicCube | None = None,
     )
 
 
-def _remove_mean(op: AssembledOperator, u: np.ndarray) -> np.ndarray:
-    """Shift u (or each column of u) to zero mass-weighted mean."""
-    return u - (op.mass @ u) / op.vol
-
-
 _ND_ORDERS: dict = {}
 
 
@@ -325,56 +322,6 @@ def _interior_solver(op: AssembledOperator):
         K_II = op.K[order][:, order]
         op._int = (order, K_II, spla.splu(K_II.tocsc(), permc_spec="NATURAL"))
     return op._int
-
-
-def maximize_J_backend(op: AssembledOperator, pairs, tol: float = 1e-8,
-                       check: bool = True):
-    """Maximize  avg(-1/2 grad u . s grad u - p . a grad u + q . grad u)
-    over discrete a-harmonic mean-zero u, for each (p, q).
-
-    An a-harmonic u is fixed by its boundary values w: u = E w, with E the
-    a-harmonic extension, built with the interior LU.  On the boundary the
-    problem is  E^T S E w = E^T loads,  solved with boundary node 0 pinned
-    (as in ``trace_loads``); u is then shifted to zero mass-weighted mean.
-    E is dense, (N, boundary nodes), so this suits single small cubes.
-
-    Returns (J_values, V): the optima and the maximizers as columns.
-    Guards on every column: J >= 0 up to tolerance, and the energy identity
-    J = v^T S v / (2|U|) to relative tolerance.
-    """
-    pairs = [(np.asarray(p, float), np.asarray(q, float)) for p, q in pairs]
-    loads = np.stack([-op.B.T @ p + op.G.T @ q for p, q in pairs], axis=1)
-    bnd = op.boundary
-    E = np.zeros((op.N, len(bnd)))
-    E[bnd] = np.eye(len(bnd))
-    order, _, lu = _interior_solver(op)
-    E[order] = -lu.solve(op.K[order][:, bnd].toarray())
-    Q = E.T @ (op.S @ E)
-    w = np.zeros((len(bnd), len(pairs)))
-    w[1:] = np.linalg.solve(Q[1:, 1:], (E.T @ loads)[1:])
-    V = _remove_mean(op, E @ w)
-    vSv = np.einsum("ic,ic->c", V, op.S @ V)
-    Jvals = (-0.5 * vSv + np.einsum("ic,ic->c", loads, V)) / op.vol
-    if check:
-        scale = np.array([max(1.0, float(p @ p + q @ q)) for p, q in pairs])
-        check_objective(Jvals, vSv / (2.0 * op.vol), scale, tol)
-    return Jvals, V
-
-
-def check_objective(J: np.ndarray, energy: np.ndarray, scale=1.0,
-                    tol: float = 1e-8) -> None:
-    """Raise SolverError at the first load column, in C order, whose optimum
-    is below -tol * scale or misses the energy identity J = v^T S v / (2|U|)
-    by more than tol * max(1, |J|)."""
-    neg = J < -tol * np.asarray(scale)
-    bad = neg | (np.abs(J - energy) > tol * np.maximum(1.0, np.abs(J)))
-    if bad.any():
-        first = np.unravel_index(np.argmax(bad), bad.shape)
-        if neg[first]:
-            raise SolverError(f"negative objective J={J[first]:.3e} "
-                              f"for pair {first[-1]}")
-        raise SolverError(f"energy identity violated: J={J[first]:.6e} "
-                          f"vs {energy[first]:.6e}")
 
 
 # ---------------------------------------------------------------------------
@@ -573,9 +520,10 @@ def partition_traces(field: CoefficientField, k: int,
 def trace_loads(traces: BoundaryTraces):
     """Maximizers of the 2d unit loads on every cube of a trace batch.
 
-    With boundary node 0 pinned, Q v = L^T on the other boundary nodes.
-    Returns (LV, J, energy): the batch of 2d x 2d matrices L V, and per load
-    column the optimum J and the energy v^T Q v / (2|U|).
+    With boundary node 0 pinned to zero, Q v = L^T on the other boundary
+    nodes.  Returns (V, LV, J, energy): the maximizers' values on those
+    nodes, batch + (nb - 1, 2d), the batch of 2d x 2d matrices L V, and per
+    load column the optimum J and the energy v^T Q v / (2|U|).
     """
     Q = traces.Q[..., 1:, 1:]
     Lt = np.swapaxes(traces.L[..., 1:], -1, -2)
@@ -583,7 +531,7 @@ def trace_loads(traces: BoundaryTraces):
     LV = np.swapaxes(Lt, -1, -2) @ V
     vQv = np.einsum("...ic,...ic->...c", V, Q @ V)
     J = (np.diagonal(LV, axis1=-2, axis2=-1) - 0.5 * vQv) / traces.vol
-    return LV, J, 0.5 * vQv / traces.vol
+    return V, LV, J, 0.5 * vQv / traces.vol
 
 
 def flux_rhs(op: AssembledOperator, f_cells: np.ndarray) -> np.ndarray:
@@ -655,17 +603,11 @@ def solve_neumann(op: AssembledOperator, f_cells: np.ndarray,
     order, lu = op._neu
     u = np.zeros(op.N)
     u[order] = lu.solve(F[order])
-    u = _remove_mean(op, u)
+    u = u - (op.mass @ u) / op.vol
     flux_avg = op.B @ u / op.vol
     if np.linalg.norm(flux_avg) > tol * (np.linalg.norm(f) + 1.0):
         raise SolverError(f"Neumann flux average {flux_avg} not zero")
     return u
-
-
-def random_aharmonic(op: AssembledOperator, rng: np.random.Generator) -> np.ndarray:
-    """Random mean-zero discrete a-harmonic function (Gaussian boundary data)."""
-    g = rng.standard_normal(len(op.boundary))
-    return _remove_mean(op, solve_dirichlet(op, g))
 
 
 def energy_seminorm_sq(op: AssembledOperator, u: np.ndarray) -> float:

@@ -6,7 +6,8 @@ with the vectorized/sparse production code is meaningful.  The exception is
 the saddle-point oracle (``kkt_maximizers``, ``kkt_A``): it takes the
 package's assembled operator but maximizes J by the constrained (KKT)
 formulation over all nodes, which the package does not use, so it checks
-both the boundary-reduced maximizers and the batched condensation.  The
+the trace path's maximizers, extended to the nodes, and the batched
+condensation.  The
 default-order solves (``default_order_dirichlet``, ``default_order_neumann``)
 also take the operator, and factor its K in SuperLU's own (COLAMD) column
 order instead of the package's nested-dissection order.

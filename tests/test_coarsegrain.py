@@ -15,7 +15,9 @@ from cghom.coarsegrain import (A_from_blocks, CoarseGrainedMatrices,
                                verify_maximizer_averages,
                                verify_quadratic_response)
 from cghom.fields import CoefficientField, gen_named_field
-from cghom.solver import assemble, maximize_J_backend, partition_traces
+from cghom.homexp import half_lattice_matrices
+from cghom.solver import (assemble, partition_traces, solve_dirichlet,
+                          trace_loads)
 from cghom.triadic import TriadicCube, subcubes_at_scale
 from reference_impl import (brute_force_J, kkt_A, kkt_maximizers,
                             order_slacks_loops)
@@ -365,8 +367,27 @@ def test_A_matches_polarized_nullspace_oracle_in_3d_and_refined():
     _assert_close_to_oracle(f2, resolution=2)
 
 
+def _trace_maximizers(field, cube, resolution, pairs):
+    """J of each (p, q) and its maximizer's boundary values (node 0 pinned to
+    zero), from the unit-load maximizers V of the cube's top trace: the
+    maximizer of (p, q) is V xi, xi = (-p, q).  Returns (J, W, L, Q)."""
+    cube = cube or field.domain
+    top = partition_traces(field, cube.level, cube, resolution)
+    at = (0,) * field.dim
+    X = np.stack([np.concatenate([-p, q]) for p, q in pairs], axis=1)
+    W = np.zeros((top.L.shape[-1], len(pairs)))
+    W[1:] = trace_loads(top)[0][at] @ X
+    L, Q = top.L[at], top.Q[at]
+    J = (np.einsum("ic,ic->c", X, L @ W)
+         - 0.5 * np.einsum("ic,ic->c", W, Q @ W)) / top.vol
+    return J, W, L, Q
+
+
 @pytest.mark.parametrize("dim,resolution", [(2, 1), (2, 2), (3, 1)])
 def test_maximizers_have_zero_mass_weighted_mean(dim, resolution):
+    # The trace path pins boundary node 0 instead of fixing the mean.  The
+    # zero-mean shift of the maximizer's nodal extension leaves everything
+    # the verifiers read of it (L b and b^T Q b) unchanged.
     field = gen_named_field("skew_lognormal", level=1, dim=dim, seed=33,
                             sigma=0.5, kappa=0.7)
     rng = np.random.default_rng(8)
@@ -374,8 +395,15 @@ def test_maximizers_have_zero_mass_weighted_mean(dim, resolution):
     # the whole window, and one cell (at resolution 1 it has no interior node)
     for cube in (None, TriadicCube(level=0, offset=(1,) * dim, dim=dim)):
         op = assemble(field, cube, resolution)
-        _, V = maximize_J_backend(op, pairs)
+        _, W, L, Q = _trace_maximizers(field, cube, resolution, pairs)
+        V = np.stack([solve_dirichlet(op, w) for w in W.T], axis=1)
+        V -= (op.mass @ V) / op.vol
         assert np.abs(op.mass @ V).max() < 1e-12 * max(1.0, np.abs(V).max())
+        scale = max(1.0, np.abs(L @ W).max())
+        assert np.abs(np.vstack([op.B, op.G]) @ V - L @ W).max() < 1e-12 * scale
+        energy = np.einsum("ic,ic->c", W, Q @ W)
+        assert (np.abs(np.einsum("ic,ic->c", V, op.S @ V) - energy).max()
+                < 1e-12 * max(1.0, energy.max()))
 
 
 def test_maximizers_match_the_saddle_point_oracle():
@@ -398,7 +426,10 @@ def test_maximizers_match_the_saddle_point_oracle():
         op = assemble(field, cube, resolution)
         pairs = [(np.eye(d)[0], np.zeros(d)), (np.zeros(d), np.eye(d)[-1])]
         pairs += [(rng.normal(size=d), rng.normal(size=d)) for _ in range(3)]
-        J, V = maximize_J_backend(op, pairs)
+        J, W, _, _ = _trace_maximizers(field, cube, resolution, pairs)
+        # the nodal maximizers: a-harmonic extensions, shifted to zero mean
+        V = np.stack([solve_dirichlet(op, w) for w in W.T], axis=1)
+        V -= (op.mass @ V) / op.vol
         J_ref, V_ref = kkt_maximizers(op, pairs)
         assert np.abs(J - J_ref).max() <= 1e-10 * max(1.0, np.abs(J_ref).max())
         assert np.abs(V - V_ref).max() <= 1e-10 * max(1.0, np.abs(V_ref).max())
@@ -498,8 +529,8 @@ def test_energy_identity_failure_raises_solver_error(monkeypatch):
     real = coarsegrain.trace_loads
 
     def off(traces):
-        LV, J, energy = real(traces)
-        return LV, J, 1.01 * energy
+        V, LV, J, energy = real(traces)
+        return V, LV, J, 1.01 * energy
 
     monkeypatch.setattr(coarsegrain, "trace_loads", off)
     field = gen_named_field("skew_lognormal", level=2, seed=46, sigma=0.5,
@@ -568,6 +599,29 @@ def test_3d_quarter_turn_maps_A_exactly():
     R = np.array([[0.0, -1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 1.0]])
     assert _symmetry_defect(field, lambda c: np.rot90(c, 1, axes=(0, 1)),
                             R) < 1e-10
+
+
+# the half-lattice cubes of a mapped field are the original ones, moved: the
+# output is the original's, each matrix mapped by diag(R,R) and the lattice
+# positions (C order) permuted like the cells
+
+
+@pytest.mark.parametrize("level", [2, 3])
+def test_half_lattice_matrices_are_permuted_exactly(level):
+    field = _random_skew_field(37 + level, level)
+    turn = (lambda c: np.rot90(c, 1, axes=(0, 1)),
+            np.array([[0.0, -1.0], [1.0, 0.0]]))
+    reflect = (lambda c: np.flip(c, axis=0), np.diag([-1.0, 1.0]))
+    for move_cells, R in (turn, reflect):
+        moved = _mapped(field, move_cells, R)
+        Q = np.kron(np.eye(2), R)
+        for k in range(level + 1):
+            mats = half_lattice_matrices(field, k)
+            m = round(np.sqrt(len(mats)))
+            want = move_cells((Q @ mats @ Q.T).reshape(m, m, 4, 4))
+            got = half_lattice_matrices(moved, k).reshape(m, m, 4, 4)
+            assert (np.abs(got - want).max()
+                    <= 1e-10 * max(1.0, np.abs(mats).max())), (k, R)
 
 
 # the c2 order checks see the same cubes, moved: their slacks are an exact

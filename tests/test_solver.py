@@ -9,9 +9,9 @@ from cghom import solver
 from cghom.fields import gen_named_field
 from cghom.solver import (DegenerateCellError, assemble, cell_flux_averages,
                           cell_gradient_averages, energy_seminorm_sq, flux_rhs,
-                          maximize_J_backend, node_coordinates,
-                          quadrature_flux_rhs, random_aharmonic,
-                          reference_tensors, solve_dirichlet, solve_neumann)
+                          node_coordinates, partition_traces,
+                          quadrature_flux_rhs, reference_tensors,
+                          solve_dirichlet, solve_neumann, trace_loads)
 from cghom.triadic import TriadicCube
 from reference_impl import (default_order_dirichlet, default_order_neumann,
                             loop_assembly)
@@ -178,9 +178,14 @@ def test_harmonic_extension_and_random_aharmonic():
     rng = np.random.default_rng(5)
     u = solve_dirichlet(op, rng.normal(size=len(op.boundary)))
     assert np.abs((op.K @ u)[op.interior]).max() < 1e-10
-    w = random_aharmonic(op, rng)
-    assert abs(op.mass @ w) < 1e-10
+    # a random a-harmonic function is Gaussian boundary values: the top
+    # trace reads its G, B and S-energy as the extension's nodal ones
+    top = partition_traces(field, 1)
+    g = rng.standard_normal(len(op.boundary))
+    w = solve_dirichlet(op, g)
     assert np.abs((op.K @ w)[op.interior]).max() < 1e-10
+    assert np.abs(np.vstack([op.B, op.G]) @ w - top.L[0, 0] @ g).max() < 1e-10
+    assert abs(w @ (op.S @ w) - g @ top.Q[0, 0] @ g) < 1e-10
 
 
 def test_energy_seminorm_matches_dense_quadratic_form():
@@ -196,17 +201,21 @@ def test_maximizer_backend_energy_identity():
     field = gen_named_field("skew_lognormal", level=1, seed=12, sigma=0.5,
                             kappa=0.6)
     op = assemble(field)
+    top = partition_traces(field, 1)
+    L, Q = top.L[0, 0], top.Q[0, 0]
+    V = trace_loads(top)[0][0, 0]
     pairs = [(np.array([1.0, 0.0]), np.array([0.0, 0.5])),
              (np.array([1.0, 1.0]), np.array([1.0, 0.0]))]
-    Jvals, V = maximize_J_backend(op, pairs)
-    for c in range(len(pairs)):
-        v = V[:, c]
-        assert Jvals[c] >= -1e-12
-        assert np.isclose(Jvals[c], v @ (op.S @ v) / (2 * op.vol),
+    for p, q in pairs:
+        xi = np.concatenate([-p, q])
+        b = np.concatenate([[0.0], V @ xi])    # boundary node 0 pinned
+        J = (xi @ (L @ b) - 0.5 * b @ Q @ b) / top.vol
+        # the maximizer is the a-harmonic extension of its boundary values
+        v = solve_dirichlet(op, b)
+        assert J >= -1e-12
+        assert np.isclose(J, v @ (op.S @ v) / (2 * op.vol),
                           rtol=1e-10, atol=1e-12)
-        # maximizers are admissible: a-harmonic and mean zero
         assert np.abs((op.K @ v)[op.interior]).max() < 1e-8
-        assert abs(op.mass @ v) < 1e-8
 
 
 def test_flux_rhs_agrees_with_quadrature():
