@@ -3,7 +3,7 @@ coefficients on triadic lattices: variational coarse matrices, scale-weighted
 ellipticity constants, ergodic averaging, and oscillating-to-homogenized
 Dirichlet experiments."""
 
-from .triadic import TriadicCube, GridSpec, domain_cube, partition_children, subcubes_at_scale
+from .triadic import TriadicCube, domain_cube
 from .fields import (CoefficientField, CascadeSpec, gen_named_field,
                      gen_cascade_field, shift_field, save_field, load_field)
 from .solver import (assemble, solve_dirichlet, solve_neumann,
@@ -24,8 +24,7 @@ from .homexp import (TargetFunction, HomExperiment, ErrorRecord,
 __version__ = "0.1.0"
 
 __all__ = [
-    "TriadicCube", "GridSpec", "domain_cube", "partition_children",
-    "subcubes_at_scale",
+    "TriadicCube", "domain_cube",
     "CoefficientField", "CascadeSpec", "gen_named_field", "gen_cascade_field",
     "shift_field", "save_field", "load_field",
     "assemble", "solve_dirichlet", "solve_neumann",

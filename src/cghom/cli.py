@@ -185,6 +185,10 @@ def validate_config(config: dict, command: str | None = None) -> None:
     tgt = hx["target"]
     if tgt.get("family") not in ("affine", "quadratic", "trig"):
         raise ConfigError("homexp.target.family must be affine, quadratic or trig")
+    wanted = [f"homexp.{key}" for key in ("with_E", "with_GH") if hx[key]]
+    if command == "homogenize" and hx["a_bar"] is not None and wanted:
+        raise ConfigError(f"{' and '.join(wanted)}: E, G and H need the ensemble "
+                          f"mean A_bar, estimated only when homexp.a_bar is null")
     if command in ("coarsegrain", "ellipticity"):
         _check_k_min(cg["k_min"], fld["level"], f"field.level={fld['level']}")
     if command is not None:

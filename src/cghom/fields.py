@@ -364,7 +364,8 @@ def save_field(field: CoefficientField, path: str | Path) -> Path:
 
 
 def load_field(path: str | Path) -> CoefficientField:
-    """Inverse of save_field; verifies magic, version and checksum."""
+    """Inverse of save_field; verifies magic, version, checksum and the cells
+    (``CoefficientField.validate``)."""
     path = Path(path)
     raw = path.read_bytes()
     if raw[:4] != _MAGIC:
@@ -390,7 +391,9 @@ def load_field(path: str | Path) -> CoefficientField:
         seed = meta.get("seed")
         params = meta.get("params", {})
         extension = meta.get("extension", extension)
-    return CoefficientField(
+    field = CoefficientField(
         dim=dim, level=level, s_cells=s_cells, k_cells=k_cells,
         kind=kind, seed=seed, params=params, extension=extension,
     )
+    field.validate()
+    return field

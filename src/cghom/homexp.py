@@ -191,9 +191,10 @@ def run_dirichlet_experiment(exp: HomExperiment, seed: int = 0,
     ``with_E`` adds the scale-weighted hierarchy deviation from ``exp.A_bar``;
     ``with_GH`` adds the half-lattice functionals (both need ``exp.A_bar``).
     """
+    if (with_E or with_GH) and exp.A_bar is None:
+        raise ValueError("with_E and with_GH need the ensemble mean exp.A_bar")
     records = []
     d = exp.spec.dim
-    need_cache = (with_E or with_GH) and exp.A_bar is not None
     for n in range(exp.n_min, exp.n_max + 1):
         rec = ErrorRecord(n=n, seed=seed, grad_err=float("nan"),
                           flux_err=float("nan"), energy=float("nan"))
@@ -205,7 +206,7 @@ def run_dirichlet_experiment(exp: HomExperiment, seed: int = 0,
             rec.grad_err = unit_ring_error(g_err, exp.alpha, d)
             rec.flux_err = unit_ring_error(f_err, exp.alpha, d)
             rec.energy = float(np.sqrt(solver.energy_seminorm_sq(op, u)))
-            if need_cache:
+            if with_E or with_GH:
                 cache = hierarchy_sweep(field, resolution=exp.resolution,
                                         check=False)
                 if with_E:
@@ -306,8 +307,8 @@ def _half_lattice_A(field: CoefficientField, partition) -> np.ndarray:
 
 def half_lattice_matrices(field: CoefficientField, k: int,
                           resolution: int = 1) -> np.ndarray:
-    """Coarse matrices over the contained half-overlap scale-k lattice, in
-    ``subcubes_at_scale`` order (at k = 0, the cells)."""
+    """Coarse matrices over the contained half-overlap scale-k lattice, its
+    offsets in C order (at k = 0, the cells)."""
     if not 0 <= k <= field.level:
         raise ValueError(f"scale k={k} outside [0, {field.level}]")
     partition = solver.partition_traces(field, max(k - 1, 0), resolution=resolution)

@@ -7,14 +7,17 @@ averages of per-cell data on a side-3^n window:
   3^{2t(k-n)} max over the disjoint partition of |cube average|, and
 * a dual-type ring norm: the square root of sum over scales of
   3^{2sk} times the *average* squared cube mean over the half-overlapping
-  lattice (offsets in 3^{k-1} Z^d, cubes contained in the window).
+  lattice (offsets in 3^{k-1} Z^d, cubes contained in the window).  Each
+  such cube is a 3^d block of scale-(k-1) partition cubes, so its mean is
+  the mean of 3 consecutive partition means along every axis, and the scale
+  sweep walks the partition up from the cells.
 
 The continuum definitions sum scales down to k = -infinity; cell data is
 constant below scale 0, and partition cubes with k < 0 always sit inside a
 single cell, so that tail is an exact geometric-series correction.  Both
-truncated (k_min = 0) and tail-corrected values are available.  For the
-half-lattice ring norm a sub-cell cube can straddle a cell boundary, so its
-tail correction (mean squared cell value) is the limiting value rather than
+norms sum the scales 0..n, with the tail on request.  For the half-lattice
+ring norm a sub-cell cube can straddle a cell boundary, so its tail
+correction (mean squared cell value) is the limiting value rather than
 exact; the ring norm defaults to the truncated sum.
 
 The coarse-grained ellipticity constants weight the spectral norms of
@@ -22,9 +25,9 @@ per-cube coarse-grained blocks (dual lower block inverse, upper block) the
 same way the bnorm weights averages; they consume a hierarchy cache and
 never solve anything themselves.  The bnorm, these constants and the
 deviation functionals of ``homexp`` share one weighted sum with its exact
-tail, ``scale_weighted_sum``; the ring norm sums weighted mean squares under
-a square root and keeps its own.  Partition-cube averages come from
-``triadic.block_means``.
+tail, ``scale_weighted_sum``; the ring norm takes the square root of that sum
+over its mean squares, rescaled to its weight origin.  Partition-cube
+averages come from ``triadic.block_means``.
 """
 from __future__ import annotations
 
@@ -84,31 +87,13 @@ def scale_weighted_sum(maxima: dict, t: float, n: int, tail: bool) -> float:
     return total
 
 
-def sliding_box_means(values: np.ndarray, dim: int, side: int, step: int) -> np.ndarray:
-    """Mean over all cubes of given side at offsets step*Z^d, cubes contained.
-
-    Uses running sums per axis; trailing (component) axes pass through.
-    Result spatial shape per axis: (m - side)/step + 1.
-    """
-    out = np.asarray(values, float)
-    for ax in range(dim):
-        c = np.cumsum(out, axis=ax)
-        zero = np.zeros_like(np.take(c, [0], axis=ax))
-        c = np.concatenate([zero, c], axis=ax)
-        n_ax = out.shape[ax]
-        starts = np.arange(0, n_ax - side + 1, step)
-        out = np.take(c, starts + side, axis=ax) - np.take(c, starts, axis=ax)
-    return out / float(side) ** dim
-
-
-def bnorm(values: np.ndarray, t: float, dim: int = 2, k_min: int = 0,
-          tail: bool = True) -> float:
+def bnorm(values: np.ndarray, t: float, dim: int = 2, tail: bool = True) -> float:
     """Scale-discounted sup of partition-cube averages.
 
-    sum_{k=k_min..n} 3^{2t(k-n)} max_z |average over z+cube_k|, plus (with
-    ``tail``, exact for cell data) the k < k_min continuation where every
-    term equals the max cell magnitude.  Matrix cells are averaged entrywise
-    and measured in spectral norm.
+    sum_{k=0..n} 3^{2t(k-n)} max_z |average over z+cube_k|, plus (with
+    ``tail``, exact for cell data) the k < 0 continuation where every term
+    equals the max cell magnitude.  Matrix cells are averaged entrywise and
+    measured in spectral norm.
     """
     if not 0.0 < t < 1.0:
         raise ValueError("exponent t must lie in (0, 1)")
@@ -117,43 +102,40 @@ def bnorm(values: np.ndarray, t: float, dim: int = 2, k_min: int = 0,
         raise ValueError("empty domain")
     n = _level_of(values, dim)
     maxima = {k: float(_cell_magnitudes(block_means(values, dim, 3 ** k), dim).max())
-              for k in range(k_min, n + 1)}
+              for k in range(n + 1)}
     return scale_weighted_sum(maxima, t, n, tail)
 
 
-def ring_dual_norm(values: np.ndarray, s: float, dim: int = 2, k_min: int = 0,
+def ring_dual_norm(values: np.ndarray, s: float, dim: int = 2,
                    tail: bool = False, scale_origin: int = 0) -> float:
-    """Half-lattice dual-type norm of a per-cell scalar or vector field.
+    """Half-lattice dual-type norm of per-cell scalars, vectors or matrices.
 
-    sqrt( sum_{k=k_min..n} 3^{2s(k - scale_origin)} avg_z |(f)_{z+cube_k}|^2 )
+    sqrt( sum_{k=0..n} 3^{2s(k - scale_origin)} avg_z |(f)_{z+cube_k}|^2 )
     with z running over offsets in 3^{k-1} Z^d whose cube is contained in the
-    window (at k = 0 this degenerates to the cell partition).  Vector cells
-    contribute their squared Euclidean norm.  ``scale_origin`` shifts the
-    weight normalization (0 reproduces the plain 3^{2sk} convention; n gives
-    the unit-domain weights directly).
+    window (at k = 0 this degenerates to the cell partition).  Vector and
+    matrix cells contribute their squared Euclidean (Frobenius) norm.
+    ``scale_origin`` shifts the weight normalization (0 reproduces the plain
+    3^{2sk} convention; n gives the unit-domain weights directly).
     """
     if not 0.0 < s < 1.0:
         raise ValueError("exponent s must lie in (0, 1)")
     values = np.asarray(values, float)
     n = _level_of(values, dim)
-    total = 0.0
-    for k in range(k_min, n + 1):
-        side = 3 ** k
-        step = 3 ** (k - 1) if k >= 1 else 1
-        means = sliding_box_means(values, dim, side, step)
-        sq = means ** 2
-        if values.ndim > dim:
-            sq = sq.sum(axis=tuple(range(dim, values.ndim)))
-        total += 3.0 ** (2 * s * (k - scale_origin)) * float(sq.mean())
-    if tail:
-        if k_min != 0:
-            raise ValueError("tail correction assumes k_min = 0")
-        sq = values ** 2
-        if values.ndim > dim:
-            sq = sq.sum(axis=tuple(range(dim, values.ndim)))
-        r = 3.0 ** (-2 * s)
-        total += float(sq.mean()) * 3.0 ** (-2 * s * scale_origin) * r / (1.0 - r)
-    return float(np.sqrt(total))
+    comps = tuple(range(dim, values.ndim))
+    mean_sq, partition = {}, values
+    for k in range(n + 1):
+        means = partition
+        if k:
+            # each cube is a 3^d block of the scale-(k-1) partition: average
+            # 3 consecutive partition means along every axis
+            for ax in range(dim):
+                m = means.shape[ax]
+                means = sum(np.take(means, range(i, m - 2 + i), axis=ax)
+                            for i in range(3)) / 3.0
+            partition = block_means(partition, dim, 3)
+        mean_sq[k] = float((means ** 2).sum(axis=comps).mean())
+    weighted = scale_weighted_sum(mean_sq, s, n, tail)
+    return float(np.sqrt(3.0 ** (2 * s * (n - scale_origin)) * weighted))
 
 
 @dataclass

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from cghom import cli
+from cghom.fields import gen_named_field, save_field
 
 
 def _run(argv, tmp_path=None):
@@ -173,6 +174,44 @@ def test_k_min_above_the_field_level_is_a_config_error(tmp_path, monkeypatch,
     assert _run(["coarsegrain", field_file, "--set", "coarsegrain.k_min=2"],
                 tmp_path) == 2
     assert "coarsegrain.k_min=2 exceeds the level 1 of field file" in capsys.readouterr().err
+
+
+def test_invalid_field_file_stops_before_any_solve(tmp_path, monkeypatch,
+                                                  capsys):
+    def no_solve(*args, **kwargs):
+        raise AssertionError("a solve was started")
+    monkeypatch.setattr(cli.coarsegrain, "hierarchy_sweep", no_solve)
+    field = gen_named_field("checkerboard", level=2, seed=0)
+    field.s_cells[4, 4, 0, 1] += 0.5
+    path = save_field(field, tmp_path / "asym.cghf")
+    out = tmp_path / "out"
+    for command in ("coarsegrain", "ellipticity"):
+        assert _run([command, str(path)], out) == 3
+        assert "s must be symmetric" in capsys.readouterr().err
+    assert not any(out.iterdir())
+
+
+def test_deviation_functionals_need_the_estimated_A_bar(tmp_path, monkeypatch,
+                                                        capsys):
+    def no_solve(*args, **kwargs):
+        raise AssertionError("a solve was started")
+    monkeypatch.setattr(cli.homexp, "run_dirichlet_experiment", no_solve)
+    a_bar = "homexp.a_bar=[[1,0],[0,1]]"
+    out = tmp_path / "out"
+    assert _run(["homogenize", "--set", a_bar, "--set", "homexp.with_E=true",
+                 "--set", "homexp.with_GH=true"], out) == 2
+    assert "homexp.with_E and homexp.with_GH:" in capsys.readouterr().err
+    assert not out.exists()
+    for flag in ("with_E", "with_GH"):
+        config = cli.apply_overrides(cli.load_config(None),
+                                     [a_bar, f"homexp.{flag}=true"])
+        with pytest.raises(cli.ConfigError, match=f"homexp.{flag}: "):
+            cli.validate_config(config, "homogenize")
+        cli.validate_config(config, "ergodic")
+        config["homexp"]["a_bar"] = None          # A_bar is then estimated
+        cli.validate_config(config, "homogenize")
+    cli.validate_config(cli.apply_overrides(cli.load_config(None), [a_bar]),
+                        "homogenize")
 
 
 def test_output_dir_precedence(tmp_path, monkeypatch):

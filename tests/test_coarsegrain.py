@@ -18,9 +18,9 @@ from cghom.fields import CoefficientField, gen_named_field
 from cghom.homexp import half_lattice_matrices
 from cghom.solver import (assemble, partition_traces, solve_dirichlet,
                           trace_loads)
-from cghom.triadic import TriadicCube, subcubes_at_scale
+from cghom.triadic import TriadicCube
 from reference_impl import (brute_force_J, kkt_A, kkt_maximizers,
-                            order_slacks_loops)
+                            order_slacks_loops, partition_offsets)
 
 
 def _random_spd_skew(rng, n=6, dim=2):
@@ -449,15 +449,16 @@ def test_cubes_of_one_shape_share_the_kkt_pattern():
 
 
 def _assert_sweep_matches_kkt(field, cache):
-    domain = TriadicCube(level=cache.top_level, offset=cache.base_offset,
-                         dim=cache.dim)
+    d = cache.dim
     for k in cache.scales:
         if k == 0:
             continue
-        mats = cache.A_by_scale[k].reshape(-1, 2 * cache.dim, 2 * cache.dim)
-        cubes = subcubes_at_scale(domain, k)
-        assert len(mats) == len(cubes)
-        for A, cube in zip(mats, cubes):
+        mats = cache.A_by_scale[k].reshape(-1, 2 * d, 2 * d)
+        offsets = partition_offsets(3 ** cache.top_level, 3 ** k, d)
+        assert len(mats) == len(offsets)
+        for A, rel in zip(mats, offsets):
+            off = tuple(z + r for z, r in zip(cache.base_offset, rel))
+            cube = TriadicCube(level=k, offset=off, dim=d)
             want = kkt_A(assemble(field, cube, cache.resolution))
             assert (np.abs(A - want).max()
                     <= 1e-10 * max(1.0, np.linalg.norm(want, 2))), (k, cube)

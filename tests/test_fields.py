@@ -152,6 +152,20 @@ def test_load_rejects_corruption(tmp_path):
         load_field(path)
 
 
+def test_load_rejects_invalid_cells(tmp_path):
+    # files whose cells break the field's contract, with a valid checksum
+    cases = (("s must be symmetric", "s_cells", (0, 1), 0.5),
+             ("k skew", "k_cells", (0, 0), 0.5),
+             ("positive definite", "s_cells", (0, 0), -10.0))
+    for i, (message, cells, entry, shift) in enumerate(cases):
+        f = gen_named_field("skew_lognormal", level=2, seed=21, sigma=0.6,
+                            kappa=0.4)
+        getattr(f, cells)[(4, 4) + entry] += shift
+        path = save_field(f, tmp_path / f"bad{i}.cghf")
+        with pytest.raises(ValueError, match=message):
+            load_field(path)
+
+
 def test_shift_field_rolls_cells():
     f = gen_named_field("lognormal_iso", level=1, seed=2)
     g = shift_field(f, (1, 2))

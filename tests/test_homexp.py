@@ -14,8 +14,8 @@ from cghom.homexp import (ErrorRecord, HomExperiment, TargetFunction,
                           summarize_records, unit_ring_error,
                           write_records_csv)
 from cghom.norms import ring_dual_norm, spec_norms
-from cghom.triadic import subcubes_at_scale
-from reference_impl import kkt_A
+from cghom.triadic import TriadicCube
+from reference_impl import half_overlap_offsets, kkt_A
 
 
 def test_affine_target():
@@ -129,6 +129,14 @@ def test_run_experiment_records_failures():
     assert all(np.isnan(r.grad_err) for r in recs)
 
 
+def test_run_experiment_rejects_functionals_without_A_bar():
+    exp = HomExperiment(spec=FieldSpec(kind="constant"), a_bar=np.eye(2),
+                        h=TargetFunction("affine", p=[1.0, 0.0]), alpha=0.5)
+    for flags in ({"with_E": True}, {"with_GH": True}):
+        with pytest.raises(ValueError, match="A_bar"):
+            run_dirichlet_experiment(exp, seed=0, **flags)
+
+
 @pytest.mark.parametrize("error", [solver.SolverError, TypeError])
 def test_run_experiment_records_only_numerical_failures(monkeypatch, error):
     def failing(*args, **kwargs):
@@ -198,6 +206,9 @@ def test_half_lattice_count_and_GH_properties():
     field = gen_named_field("lognormal_iso", level=2, seed=6, sigma=0.3)
     mats = half_lattice_matrices(field, 1)
     assert mats.shape == (49, 4, 4)
+    for bad in (-1, 3):
+        with pytest.raises(ValueError, match="outside"):
+            half_lattice_matrices(field, bad)
     const = gen_named_field("constant", level=2, matrix=np.eye(2).tolist())
     A0 = pointwise_A(np.eye(2), np.zeros((2, 2)))
     G, H = compute_GH(const, A0, A0, np.eye(2), 0.6, 2)
@@ -217,9 +228,11 @@ def test_half_lattice_matches_kkt_oracle():
                             kappa=0.7)
     for k in (1, 2, 3):
         mats = half_lattice_matrices(field, k)
-        cubes = subcubes_at_scale(field.domain, k, lattice="half_overlap")
-        assert len(mats) == len(cubes)
-        for A, cube in zip(mats, cubes):
+        offsets = half_overlap_offsets(field.cells_per_axis, k, 2)
+        assert len(mats) == len(offsets)
+        for A, rel in zip(mats, offsets):
+            off = tuple(z + r for z, r in zip(field.domain.offset, rel))
+            cube = TriadicCube(level=k, offset=off, dim=2)
             want = kkt_A(solver.assemble(field, cube))
             assert (np.abs(A - want).max()
                     <= 1e-10 * max(1.0, np.linalg.norm(want, 2))), cube

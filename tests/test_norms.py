@@ -1,13 +1,14 @@
 """Triadic norms against brute-force loop recomputations and closed forms."""
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cghom import norms
 from cghom.coarsegrain import hierarchy_sweep
 from cghom.fields import gen_named_field
 from cghom.norms import (bnorm, block_means, ellipticity_constants,
-                         embedding_check, ring_dual_norm, sliding_box_means,
-                         spec_norms, write_ellipticity_csv)
+                         embedding_check, ring_dual_norm, spec_norms,
+                         write_ellipticity_csv)
 
 from reference_impl import bnorm_loops, ellipticity_loops, ring_norm_loops
 
@@ -33,16 +34,6 @@ def test_block_means_matches_loops():
         for j in range(3):
             want = v[3 * i:3 * i + 3, 3 * j:3 * j + 3].mean(axis=(0, 1))
             assert np.allclose(got[i, j], want)
-
-
-def test_sliding_box_means_matches_loops():
-    rng = np.random.default_rng(2)
-    v = rng.normal(size=(9, 9))
-    got = sliding_box_means(v, 2, side=3, step=1)
-    assert got.shape == (7, 7)
-    for i in range(7):
-        for j in range(7):
-            assert np.isclose(got[i, j], v[i:i + 3, j:j + 3].mean())
 
 
 def test_bnorm_against_bruteforce():
@@ -90,6 +81,68 @@ def test_ring_norm_against_bruteforce():
     got = ring_dual_norm(vec, 0.45, dim=2, scale_origin=2)
     want = ring_norm_loops(vec, 0.45, 2, scale_origin=2)
     assert abs(got - want) < 1e-12 * max(1.0, want)
+
+
+def test_ring_norm_against_bruteforce_in_3d():
+    rng = np.random.default_rng(9)
+    for values in (rng.normal(size=(9, 9, 9)), rng.normal(size=(9, 9, 9, 3))):
+        for tail, origin in ((False, 0), (True, 2)):
+            got = ring_dual_norm(values, 0.45, dim=3, tail=tail,
+                                 scale_origin=origin)
+            want = ring_norm_loops(values, 0.45, 3, tail=tail,
+                                   scale_origin=origin)
+            assert abs(got - want) < 1e-12 * max(1.0, want)
+
+
+# a quarter turn or reflection of the window maps the partition and the
+# half-overlap lattice onto themselves, and the cell magnitudes are
+# invariant when vector cells move by R and matrix cells by R M R^T: both
+# norms are unchanged
+
+QUARTER_2D = np.array([[0.0, -1.0], [1.0, 0.0]])
+
+
+def _norm_defect(seed, level, move_cells, R):
+    d = R.shape[0]
+    rng = np.random.default_rng(seed)
+    m = 3 ** level
+    scal = rng.normal(size=(m,) * d)
+    vec = rng.normal(size=(m,) * d + (d,))
+    mats = rng.normal(size=(m,) * d + (d, d))
+    pairs = [(scal, move_cells(scal), ring_dual_norm),
+             (vec, move_cells(vec) @ R.T, ring_dual_norm),
+             (scal, move_cells(scal), bnorm),
+             (mats, R @ move_cells(mats) @ R.T, bnorm)]
+    defects = []
+    for values, moved, norm in pairs:
+        for tail in (False, True):
+            want = norm(values, 0.4, dim=d, tail=tail)
+            defects.append(abs(norm(moved, 0.4, dim=d, tail=tail) - want) / want)
+    return np.max(defects)          # a nan defect fails the caller's check
+
+
+@settings(max_examples=20, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), level=st.integers(0, 3),
+       turns=st.integers(1, 3))
+def test_quarter_turns_leave_the_norms_unchanged(seed, level, turns):
+    R = np.linalg.matrix_power(QUARTER_2D, turns)
+    assert _norm_defect(seed, level, lambda c: np.rot90(c, turns, axes=(0, 1)),
+                        R) < 1e-12
+
+
+@settings(max_examples=20, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), level=st.integers(0, 3),
+       axis=st.integers(0, 1))
+def test_reflections_leave_the_norms_unchanged(seed, level, axis):
+    R = np.eye(2)
+    R[axis, axis] = -1.0
+    assert _norm_defect(seed, level, lambda c: np.flip(c, axis=axis), R) < 1e-12
+
+
+def test_3d_quarter_turn_leaves_the_norms_unchanged():
+    R = np.array([[0.0, -1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 1.0]])
+    assert _norm_defect(10, 2, lambda c: np.rot90(c, 1, axes=(0, 1)),
+                        R) < 1e-12
 
 
 def test_ring_norm_scale_origin_rescales():
