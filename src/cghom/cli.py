@@ -296,8 +296,10 @@ def cmd_coarsegrain(config: dict, out_dir: Path, fingerprint: str,
     }
     if cg["k_min"] == 0:
         report["sandwich_defect"] = cache.sandwich_defect()
+    slack_min = {str(k): {c: v.min() for c, v in checks.items()}
+                 for k, checks in cache.slacks().items()}
     write_json_report(report, out_dir / f"coarsegrain_{fingerprint[:10]}.json",
-                      fingerprint)
+                      fingerprint, meta={"order_slack_min": slack_min})
     print(f"coarse-grained {field.kind} field at n={field.level}: "
           f"{len(cache.diagnostics)} ordering diagnostics")
     return EXIT_OK

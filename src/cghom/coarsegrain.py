@@ -454,7 +454,9 @@ class HierarchyCache:
     ``A_by_scale[k]`` has shape (3^(n-k),)*dim + (2d, 2d), indexed by the
     partition position of the scale-k cube relative to the domain corner.
     ``diagnostics`` lists per-cube ordering violations found during a checked
-    sweep (empty = all clean).
+    sweep (empty = all clean).  ``slacks()`` is ``order_slacks`` of
+    ``A_by_scale``, computed on its first call and kept; the sweep's check,
+    both defects and the CLI's margins read it.
     """
 
     dim: int
@@ -464,6 +466,7 @@ class HierarchyCache:
     A_by_scale: dict
     base_offset: tuple = ()
     diagnostics: list = dc_field(default_factory=list)
+    _slacks: dict = dc_field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not self.base_offset:
@@ -481,17 +484,21 @@ class HierarchyCache:
         cube = TriadicCube(level=k, offset=tuple(int(o) for o in z), dim=self.dim)
         return CoarseGrainedMatrices.from_A(self.A_at(k, z), cube)
 
+    def slacks(self) -> dict:
+        if self._slacks is None:
+            self._slacks = order_slacks(self.A_by_scale)
+        return self._slacks
+
     def subadditivity_defect(self) -> float:
         """Most negative eigenvalue of (children average - parent), all scales."""
-        return min((float(c["subadditivity"].min())
-                    for c in order_slacks(self.A_by_scale).values()
+        return min((float(c["subadditivity"].min()) for c in self.slacks().values()
                     if "subadditivity" in c), default=np.inf)
 
     def sandwich_defect(self) -> dict:
         """Most negative eigenvalues of the pointwise upper and lower orderings."""
         if 0 not in self.A_by_scale:
             raise ValueError("sandwich check needs the cell scale (k_min = 0)")
-        slacks = order_slacks(self.A_by_scale).values()
+        slacks = self.slacks().values()
         return {side: min((float(c[f"sandwich_{side}"].min()) for c in slacks),
                           default=np.inf)
                 for side in ("upper", "lower")}
@@ -532,8 +539,8 @@ def hierarchy_sweep(field: CoefficientField, domain: TriadicCube | None = None,
     One condensation of the domain's cells gives every scale's boundary
     traces (``solver.condense``, which checks the cells first), and
     ``condensed_A`` reads each scale's matrices off them; the cells (scale
-    0) take the closed form.  With ``check`` the sweep then runs
-    ``order_slacks`` (per-parent subadditivity and the two-sided pointwise
+    0) take the closed form.  With ``check`` the sweep then reads the
+    cache's ``slacks`` (per-parent subadditivity and the two-sided pointwise
     sandwich on every cube); each slack below -tol * max(1, |A|_2) is
     listed in the cache's ``diagnostics`` by scale, cube (C order) and check
     (the sweep never aborts on them).
@@ -548,16 +555,16 @@ def hierarchy_sweep(field: CoefficientField, domain: TriadicCube | None = None,
         if traces.level >= k_min:
             A_by_scale[traces.level] = (condensed_A(traces, field) if traces.level > 0
                                         else pointwise_A_cells(field, domain))
-    diagnostics = []
+    cache = HierarchyCache(dim=d, top_level=n, resolution=resolution,
+                           fingerprint=field.fingerprint, A_by_scale=A_by_scale,
+                           base_offset=base)
     if check:
-        for k, checks in order_slacks(A_by_scale).items():
+        for k, checks in cache.slacks().items():
             names = list(checks)
             slack = np.stack([checks[c] for c in names], axis=-1)
             scale = np.maximum(1.0, np.linalg.norm(A_by_scale[k], 2, axis=(-2, -1)))
             for *idx, c in np.argwhere(slack < -tol * scale[..., None]):
                 offset = [int(b + 3 ** k * i) for b, i in zip(base, idx)]
-                diagnostics.append({"cube": [k, offset], "check": names[c],
-                                    "min_eig": float(slack[tuple(idx) + (c,)])})
-    return HierarchyCache(dim=d, top_level=n, resolution=resolution,
-                          fingerprint=field.fingerprint, A_by_scale=A_by_scale,
-                          base_offset=base, diagnostics=diagnostics)
+                cache.diagnostics.append({"cube": [k, offset], "check": names[c],
+                                          "min_eig": float(slack[tuple(idx) + (c,)])})
+    return cache

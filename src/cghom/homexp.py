@@ -276,21 +276,21 @@ def summarize_records(per_seed: list[list[ErrorRecord]]) -> dict:
 
 
 def compute_E_s(cache: HierarchyCache, A_bar: np.ndarray, s: float,
-                k_min: int = 0, tail: bool = False) -> float:
+                tail: bool = False) -> float:
     """Scale-weighted worst deviation of the hierarchy from a reference matrix.
 
-    sum_{k = k_min..n} 3^{2s(k-n)} max over partition cubes |A(z+cube_k) - A_bar|
+    sum_{k = 0..n} 3^{2s(k-n)} max over partition cubes |A(z+cube_k) - A_bar|
     in spectral norm.  Below the cell scale every cube of the partition
     lattice lies inside a single cell, so the k < 0 terms all equal the
     scale-0 maximum; ``tail`` adds that geometric continuation exactly.
     """
     n = cache.top_level
-    missing = [k for k in range(k_min, n + 1) if k not in cache.A_by_scale]
+    missing = [k for k in range(n + 1) if k not in cache.A_by_scale]
     if missing:
         raise ValueError(f"cache is missing scales {missing}")
     A_bar = np.asarray(A_bar, float)
     devs = {k: float(spec_norms(cache.A_by_scale[k] - A_bar).max())
-            for k in range(k_min, n + 1)}
+            for k in range(n + 1)}
     return scale_weighted_sum(devs, s, n, tail)
 
 

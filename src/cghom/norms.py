@@ -80,8 +80,6 @@ def scale_weighted_sum(maxima: dict, t: float, n: int, tail: bool) -> float:
     for k, m in maxima.items():
         total += 3.0 ** (2 * t * (k - n)) * m
     if tail:
-        if min(maxima) != 0:
-            raise ValueError("tail correction assumes k_min = 0")
         r = 3.0 ** (-2 * t)
         total += maxima[0] * 3.0 ** (-2 * t * n) * r / (1.0 - r)
     return total

@@ -5,18 +5,21 @@ cell, together with the volume functionals ``G u = int grad u`` and
 ``B u = int a grad u``, on triadic cubes.
 
 ``A(U)`` comes from boundary traces condensed from the cells up.  Each cube
-carries, on its boundary nodes, the Schur complement of ``K`` (the discrete
-Dirichlet-to-Neumann map), the energy form of the a-harmonic extension and
-the loads ``[B; G]`` of that extension.  A parent's interior rows of ``K``
-touch only its own children's elements and ``S``, ``G``, ``B`` are sums over
-elements, so merging its 3^d children's traces and eliminating the shared
-skeleton is exact (nested dissection).  All cubes of one scale share one
-node grid, so every step is batched over them.
+carries only the Schur complement ``Lam`` of ``K`` onto its boundary nodes
+(the discrete Dirichlet-to-Neumann map).  A parent's interior rows of ``K``
+touch only its own children's elements, so merging its 3^d children's maps
+and eliminating the shared skeleton is exact (nested dissection).  All cubes
+of one scale share one node grid, so every step is batched over them.  The
+energy form and the loads of the a-harmonic extension E follow from ``Lam``:
+``S = sym(K)`` (grad u . k grad u = 0 in every cell), so ``E^T S E = sym(Lam)``;
+``B = X^T K`` for the node coordinates X (Q1 reproduces x) and ``K E``
+vanishes off the boundary, so ``B E = X_b^T Lam``; and ``G`` vanishes on
+interior nodes, so ``G E = G_b``, fixed by geometry.
 
 ``trace_loads`` solves Q v = L^T for the maximizers of the 2d unit loads on
-the boundary; ``A(U)`` and the verifiers' maximizers both come from them,
-and a verifier reads a function with boundary values b only through ``L b``
-and ``b^T Q b``.
+the boundary, L = [B; G] E; ``A(U)`` and the verifiers' maximizers both come
+from them, and a verifier reads a function with boundary values b only
+through ``L b`` and ``b^T Q b``.
 
 The assembled operator serves the nodal solves: Dirichlet and Neumann
 problems.  The nodal LUs are factored in a nested-dissection order of the
@@ -30,6 +33,7 @@ mass-weighted mean.
 from __future__ import annotations
 
 import ctypes
+import functools
 import itertools
 from dataclasses import dataclass, field as dc_field, replace
 
@@ -98,30 +102,15 @@ def reference_tensors(dim: int):
         dint = np.array([-1.0, 1.0])
         oint = np.array([0.5, 0.5])
         locs = np.array(list(itertools.product((0, 1), repeat=dim)), dtype=int)
-        n = len(locs)
-        EK = np.zeros((dim, dim, n, n))
-        EG = np.zeros((dim, n))
-        for a in range(dim):
-            for b in range(dim):
-                for i, li in enumerate(locs):
-                    for j, lj in enumerate(locs):
-                        v = 1.0
-                        for ax in range(dim):
-                            if ax == a and ax == b:
-                                v *= stif[li[ax], lj[ax]]
-                            elif ax == a:
-                                v *= grad[li[ax], lj[ax]]
-                            elif ax == b:
-                                v *= grad[lj[ax], li[ax]]
-                            else:
-                                v *= mass[li[ax], lj[ax]]
-                        EK[a, b, i, j] = v
-            for i, li in enumerate(locs):
-                v = 1.0
-                for ax in range(dim):
-                    v *= dint[li[ax]] if ax == a else oint[li[ax]]
-                EG[a, i] = v
-        EM = np.full(n, 0.5 ** dim)
+
+        def kron(factor):       # product over the axes, corners in C order
+            return functools.reduce(np.kron, [factor(ax) for ax in range(dim)])
+
+        EK = np.array([[kron(lambda ax: stif if ax == a == b else grad if ax == a
+                             else grad.T if ax == b else mass)
+                        for b in range(dim)] for a in range(dim)])
+        EG = np.array([kron(lambda ax: dint if ax == a else oint) for a in range(dim)])
+        EM = np.full(len(locs), 0.5 ** dim)
         _REF_CACHE[dim] = (locs, EK, EG, EM)
     return _REF_CACHE[dim]
 
@@ -332,12 +321,12 @@ def _interior_solver(op: AssembledOperator):
 class BoundaryTraces:
     """Boundary data of a batch of same-level cubes at one resolution.
 
-    For the boundary nodes of each cube (C order of its node grid):
-    ``Lam`` is the Schur complement of K onto them (the discrete
-    Dirichlet-to-Neumann map), ``Q = E^T S E`` the energy form of the
-    a-harmonic extension E, and ``L = [B; G] E`` the 2d load functionals of
-    that extension.  The batch axes come first; cube ``idx`` has its corner
-    at cell ``origin + step * idx``.
+    ``Lam`` is the Schur complement of K onto each cube's boundary nodes (C
+    order of its node grid).  The energy form ``Q = E^T S E`` and the loads
+    ``L = [B; G] E`` of the a-harmonic extension E are derived from it:
+    ``Q = sym(Lam)`` as S = sym(K), and ``L = [X_b^T Lam; G_b]`` as B = X^T K
+    and G vanishes on interior nodes.  The batch axes come first; cube
+    ``idx`` has its corner at cell ``origin + step * idx``.
     """
 
     dim: int
@@ -346,50 +335,56 @@ class BoundaryTraces:
     origin: tuple
     step: int
     Lam: np.ndarray        # batch + (nb, nb)
-    Q: np.ndarray          # batch + (nb, nb)
-    L: np.ndarray          # batch + (2d, nb)
 
     @property
     def vol(self) -> float:
         return float(3 ** (self.level * self.dim))
 
+    @property
+    def Q(self) -> np.ndarray:
+        """The energy form, batch + (nb, nb)."""
+        return 0.5 * (self.Lam + np.swapaxes(self.Lam, -1, -2))
+
+    @property
+    def L(self) -> np.ndarray:
+        """The loads [B; G] of the extension, batch + (2d, nb)."""
+        X_b, G_b = _boundary_geometry(self.dim, self.level, self.resolution)
+        B = X_b.T @ self.Lam
+        return np.concatenate([B, np.broadcast_to(G_b, B.shape)], axis=-2)
+
     def rows(self, start: int, stop: int) -> "BoundaryTraces":
         """The cubes whose first batch index lies in [start, stop)."""
         origin = (self.origin[0] + self.step * start,) + tuple(self.origin[1:])
-        return replace(self, origin=origin, Lam=self.Lam[start:stop],
-                       Q=self.Q[start:stop], L=self.L[start:stop])
+        return replace(self, origin=origin, Lam=self.Lam[start:stop])
 
 
 def _on_boundary(coords: np.ndarray, m: int) -> np.ndarray:
     return np.any((coords == 0) | (coords == m), axis=0)
 
 
-def _eliminate(Lam, Q, L, nb: int):
-    """Condense batched traces onto their first ``nb`` nodes: the trailing
+def _eliminate(Lam, nb: int):
+    """Condense batched maps onto their first ``nb`` nodes: the trailing
     nodes take their a-harmonic values w_s = -X w_b, X = Lam_ss^{-1} Lam_sb."""
     if Lam.shape[-1] == nb:
-        return Lam, Q, L
+        return Lam
     X = np.linalg.solve(Lam[..., nb:, nb:], Lam[..., nb:, :nb])
-    QE = Q[..., :, :nb] - Q[..., :, nb:] @ X
-    return (Lam[..., :nb, :nb] - Lam[..., :nb, nb:] @ X,
-            QE[..., :nb, :] - np.swapaxes(X, -1, -2) @ QE[..., nb:, :],
-            L[..., :nb] - L[..., nb:] @ X)
+    return Lam[..., :nb, :nb] - Lam[..., :nb, nb:] @ X
 
 
 _CELL_REFS: dict = {}
 
 
 def _cell_reference(dim: int, r: int):
-    """Unit-coefficient stiffness and gradient functionals of one cell.
+    """Unit-coefficient stiffness of one cell.
 
-    Returns (Kref, Gref, nb): the (dim, dim, n, n) tensor whose contraction
-    with a cell's ``a`` (or ``s``) is its K (or S), the (dim, n) functional
-    G, and the number of boundary nodes; the cell's (r+1)^dim nodes are
-    ordered boundary first, then interior, each in C order.
+    Returns (Kref, nb): the (dim, dim, n, n) tensor whose contraction with a
+    cell's ``a`` is its K, and the number of boundary nodes; the cell's
+    (r+1)^dim nodes are ordered boundary first, then interior, each in C
+    order.
     """
     key = (dim, r)
     if key not in _CELL_REFS:
-        locs, EK, EG, _ = reference_tensors(dim)
+        locs, EK, _, _ = reference_tensors(dim)
         h = 1.0 / r
         shape = (r + 1,) * dim
         coords = np.indices(shape).reshape(dim, -1)
@@ -399,12 +394,10 @@ def _cell_reference(dim: int, r: int):
         pos[order] = np.arange(len(order))
         corners = np.indices((r,) * dim).reshape(dim, -1)
         Kref = np.zeros((dim, dim, len(order), len(order)))
-        Gref = np.zeros((dim, len(order)))
         for corner in corners.T:
             g = pos[np.ravel_multi_index((corner + locs).T, shape)]
             Kref[:, :, g[:, None], g] += EK * h ** (dim - 2)
-            Gref[:, g] += EG * h ** (dim - 1)
-        _CELL_REFS[key] = (Kref, Gref, int(bnd.sum()))
+        _CELL_REFS[key] = (Kref, int(bnd.sum()))
     return _CELL_REFS[key]
 
 
@@ -422,18 +415,15 @@ def cell_traces(field: CoefficientField, domain: TriadicCube | None = None,
     if not field.domain.contains(domain):
         raise ValueError("cube not contained in the field window")
     s = field.s_cells[domain.slices]
-    a = s + field.k_cells[domain.slices]
     _check_cells(s)
-    Kref, Gref, nb = _cell_reference(d, r)
-    B = np.einsum("...ab,bj->...aj", a, Gref)
-    L = np.concatenate([B, np.broadcast_to(Gref, B.shape)], axis=-2)
-    Lam, Q, L = _eliminate(np.einsum("...ab,abij->...ij", a, Kref),
-                           np.einsum("...ab,abij->...ij", s, Kref), L, nb)
+    Kref, nb = _cell_reference(d, r)
+    K = np.einsum("...ab,abij->...ij", s + field.k_cells[domain.slices], Kref)
     return BoundaryTraces(dim=d, level=0, resolution=r, origin=domain.offset,
-                          step=1, Lam=Lam, Q=Q, L=L)
+                          step=1, Lam=_eliminate(K, nb))
 
 
 _MERGE_MAPS: dict = {}
+_GEOMETRY: dict = {}
 
 
 def _merge_maps(dim: int, level: int, r: int):
@@ -463,12 +453,29 @@ def _merge_maps(dim: int, level: int, r: int):
     return _MERGE_MAPS[key]
 
 
+def _boundary_geometry(dim: int, level: int, r: int):
+    """(X_b, G_b) of a level-``level`` cube: its boundary nodes' coordinates
+    in cell units from the cube's centre, (nb, dim), and G u = int grad u on
+    them, (dim, nb), a product of 1D hat-function integrals.  The columns of
+    ``Lam`` sum to zero, so the origin of X does not change the loads.
+    Built once per (dim, level, resolution)."""
+    key = (dim, level, r)
+    if key not in _GEOMETRY:
+        m = r * 3 ** level                        # elements per axis
+        c = np.indices((m + 1,) * dim).reshape(dim, -1)
+        c = c[:, _on_boundary(c, m)]
+        hat = np.where((c == 0) | (c == m), 0.5, 1.0) / r     # int phi_i
+        slope = (c == m) - (c == 0).astype(float)             # int phi_i'
+        _GEOMETRY[key] = ((c.T - m / 2) / r, slope * hat.prod(axis=0) / hat)
+    return _GEOMETRY[key]
+
+
 def merge_traces(children: BoundaryTraces, stride: int = 3) -> BoundaryTraces:
     """Traces of the cubes one level up, each merged from a 3^d block of
     children: stride 3 gives the partition, stride 1 every block on the
     children's lattice.
 
-    The children's traces are added onto the union of their boundary nodes
+    The children's maps are added onto the union of their boundary nodes
     and the skeleton (the union nodes off the parent boundary) is
     eliminated, batched over all parents.
     """
@@ -477,19 +484,14 @@ def merge_traces(children: BoundaryTraces, stride: int = 3) -> BoundaryTraces:
     m = children.Lam.shape[:d]
     M = tuple((mi - 3) // stride + 1 for mi in m)
     Lam = np.zeros(M + (nu, nu))
-    Q = np.zeros(M + (nu, nu))
-    L = np.zeros(M + (2 * d, nu))
     for j, ix in zip(np.ndindex(*(3,) * d), maps):
         block = tuple(slice(i, i + stride * (n - 1) + 1, stride)
                       for i, n in zip(j, M))
         Lam[..., ix[:, None], ix] += children.Lam[block]
-        Q[..., ix[:, None], ix] += children.Q[block]
-        L[..., ix] += children.L[block]
-    Lam, Q, L = _eliminate(Lam, Q, L, nb)
     return BoundaryTraces(dim=d, level=children.level + 1,
                           resolution=children.resolution,
                           origin=children.origin, step=children.step * stride,
-                          Lam=Lam, Q=Q, L=L)
+                          Lam=_eliminate(Lam, nb))
 
 
 def condense(field: CoefficientField, domain: TriadicCube | None = None,

@@ -242,6 +242,20 @@ def test_coarsegrain_command_artifacts(tmp_path, capsys):
     assert (tmp_path / report["cache_file"]).exists()
 
 
+def test_coarsegrain_meta_holds_the_worst_order_slacks(tmp_path):
+    assert _run(["coarsegrain", "--set", "field.kind=skew_lognormal"], tmp_path) == 0
+    report_path, = tmp_path.glob("coarsegrain_*.json")
+    body = json.loads(report_path.read_text())
+    cache = cli.coarsegrain.hierarchy_sweep(gen_named_field("skew_lognormal", level=2))
+    want = {str(k): {c: float(v.min()) for c, v in checks.items()}
+            for k, checks in cache.slacks().items()}
+    assert body["meta"]["order_slack_min"] == want
+    assert set(want) == {"1", "2"}
+    assert all(set(c) == {"subadditivity", "sandwich_upper", "sandwich_lower"}
+               for c in want.values())
+    assert body["subadditivity_defect"] == min(c["subadditivity"] for c in want.values())
+
+
 def test_ellipticity_command_with_field_file(tmp_path):
     assert _run(["gen-field"], tmp_path) == 0
     field_file = str(tmp_path / "field_checkerboard_n2_seed0.cghf")

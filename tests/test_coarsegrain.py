@@ -221,6 +221,29 @@ def test_hierarchy_sweep_shapes_and_defects():
     assert np.allclose(cache.A_by_scale[0], pointwise_A_cells(field))
 
 
+def test_order_slacks_are_computed_once_per_cache(monkeypatch):
+    field = gen_named_field("skew_lognormal", level=2, seed=28, sigma=0.5,
+                            kappa=0.6)
+    calls = []
+
+    def counted(A_by_scale):
+        calls.append(1)
+        return order_slacks(A_by_scale)
+
+    monkeypatch.setattr(coarsegrain, "order_slacks", counted)
+    cache = hierarchy_sweep(field)
+    sub, sandwich = cache.subadditivity_defect(), cache.sandwich_defect()
+    assert len(calls) == 1 and cache.slacks() is cache.slacks()
+    # the defects are the minima of a fresh computation, bit for bit
+    fresh = order_slacks(cache.A_by_scale).values()
+    assert sub == min(float(c["subadditivity"].min()) for c in fresh)
+    assert sandwich == {side: min(float(c[f"sandwich_{side}"].min()) for c in fresh)
+                        for side in ("upper", "lower")}
+    unchecked = hierarchy_sweep(field, check=False)
+    assert len(calls) == 1        # an unchecked sweep computes none until asked
+    assert unchecked.subadditivity_defect() == sub and len(calls) == 2
+
+
 def test_hierarchy_cache_save_load(tmp_path):
     field = gen_named_field("lognormal_iso", level=1, seed=29, sigma=0.4)
     cache = hierarchy_sweep(field)

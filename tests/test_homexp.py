@@ -198,8 +198,6 @@ def test_compute_E_s_matches_explicit_scale_sum():
     partial = hierarchy_sweep(field, k_min=1, check=False)
     with pytest.raises(ValueError, match="missing scales"):
         compute_E_s(partial, A_bar, s)
-    with pytest.raises(ValueError, match="k_min = 0"):
-        compute_E_s(cache, A_bar, s, k_min=1, tail=True)
 
 
 def test_half_lattice_count_and_GH_properties():

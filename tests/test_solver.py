@@ -179,13 +179,26 @@ def test_harmonic_extension_and_random_aharmonic():
     u = solve_dirichlet(op, rng.normal(size=len(op.boundary)))
     assert np.abs((op.K @ u)[op.interior]).max() < 1e-10
     # a random a-harmonic function is Gaussian boundary values: the top
-    # trace reads its G, B and S-energy as the extension's nodal ones
-    top = partition_traces(field, 1)
-    g = rng.standard_normal(len(op.boundary))
-    w = solve_dirichlet(op, g)
-    assert np.abs((op.K @ w)[op.interior]).max() < 1e-10
-    assert np.abs(np.vstack([op.B, op.G]) @ w - top.L[0, 0] @ g).max() < 1e-10
-    assert abs(w @ (op.S @ w) - g @ top.Q[0, 0] @ g) < 1e-10
+    # trace reads its G, B and S-energy as the extension's nodal ones.  The
+    # trace stores only Lam; Q = sym(Lam) and L = [X_b^T Lam; G_b] are
+    # derived, so the cases include nonsymmetric a, 3D and refined grids.
+    cases = [(field, 1), (field, 2),
+             (gen_named_field("skew_lognormal", level=1, seed=14, sigma=0.5,
+                              kappa=0.6), 1),
+             (gen_named_field("skew_lognormal", level=2, seed=15, sigma=0.5,
+                              kappa=0.6), 1),
+             (gen_named_field("skew_lognormal", level=1, dim=3, seed=16,
+                              sigma=0.5, kappa=0.6), 1)]
+    for fld, r in cases:
+        op = assemble(fld, resolution=r)
+        top = partition_traces(fld, fld.level, resolution=r)
+        at = (0,) * fld.dim
+        g = rng.standard_normal((len(op.boundary), 3))
+        w = np.stack([solve_dirichlet(op, col) for col in g.T], axis=1)
+        assert np.abs((op.K @ w)[op.interior]).max() < 1e-10
+        assert np.abs(np.vstack([op.B, op.G]) @ w - top.L[at] @ g).max() < 1e-10
+        # the bilinear form, which sees the skew part of a wrong Q
+        assert np.abs(w.T @ (op.S @ w) - g.T @ top.Q[at] @ g).max() < 1e-10
 
 
 def test_energy_seminorm_matches_dense_quadratic_form():
