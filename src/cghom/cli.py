@@ -171,14 +171,20 @@ def validate_config(config: dict, command: str | None = None) -> None:
     if not (max(s, t) < alpha < 1.0):
         raise ConfigError(f"homexp.alpha must lie in (max(s,t), 1) = "
                           f"({max(s, t)}, 1), got {alpha}")
+    for key, low in (("ergodic.n_min", 0), ("ergodic.n_max", 0),
+                     ("ergodic.samples", 2), ("homexp.n_min", 0),
+                     ("homexp.n_max", 0), ("homexp.seeds", 1),
+                     ("homexp.ring_levels", 1)):
+        section, name = key.split(".")
+        value = config[section][name]
+        if not isinstance(value, int) or value < low:
+            raise ConfigError(f"{key} must be an integer >= {low}, got {value!r}")
     hx = config["homexp"]
-    if not 0 <= hx["n_min"] <= hx["n_max"]:
+    if not hx["n_min"] <= hx["n_max"]:
         raise ConfigError("homexp scale range must satisfy 0 <= n_min <= n_max")
     er = config["ergodic"]
-    if not 0 <= er["n_min"] <= er["n_max"]:
+    if not er["n_min"] <= er["n_max"]:
         raise ConfigError("ergodic scale range must satisfy 0 <= n_min <= n_max")
-    if er["samples"] < 2:
-        raise ConfigError("ergodic.samples must be at least 2")
     cg = config["coarsegrain"]
     if not isinstance(cg["resolution"], int) or cg["resolution"] < 1:
         raise ConfigError("coarsegrain.resolution must be a positive integer")

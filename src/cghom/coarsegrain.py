@@ -531,9 +531,13 @@ class HierarchyCache:
                    diagnostics=manifest["diagnostics"])
 
 
+# an order slack below -SLACK_TOL * max(1, |A|_2) is listed by the sweep
+SLACK_TOL = 1e-8
+
+
 def hierarchy_sweep(field: CoefficientField, domain: TriadicCube | None = None,
-                    k_min: int = 0, resolution: int = 1, check: bool = True,
-                    tol: float = 1e-8) -> HierarchyCache:
+                    k_min: int = 0, resolution: int = 1,
+                    check: bool = True) -> HierarchyCache:
     """Coarse-grain every partition subcube of the domain, scale by scale.
 
     One condensation of the domain's cells gives every scale's boundary
@@ -541,7 +545,7 @@ def hierarchy_sweep(field: CoefficientField, domain: TriadicCube | None = None,
     ``condensed_A`` reads each scale's matrices off them; the cells (scale
     0) take the closed form.  With ``check`` the sweep then reads the
     cache's ``slacks`` (per-parent subadditivity and the two-sided pointwise
-    sandwich on every cube); each slack below -tol * max(1, |A|_2) is
+    sandwich on every cube); each slack below -SLACK_TOL * max(1, |A|_2) is
     listed in the cache's ``diagnostics`` by scale, cube (C order) and check
     (the sweep never aborts on them).
     """
@@ -563,7 +567,7 @@ def hierarchy_sweep(field: CoefficientField, domain: TriadicCube | None = None,
             names = list(checks)
             slack = np.stack([checks[c] for c in names], axis=-1)
             scale = np.maximum(1.0, np.linalg.norm(A_by_scale[k], 2, axis=(-2, -1)))
-            for *idx, c in np.argwhere(slack < -tol * scale[..., None]):
+            for *idx, c in np.argwhere(slack < -SLACK_TOL * scale[..., None]):
                 offset = [int(b + 3 ** k * i) for b, i in zip(base, idx)]
                 cache.diagnostics.append({"cube": [k, offset], "check": names[c],
                                           "min_eig": float(slack[tuple(idx) + (c,)])})

@@ -20,6 +20,27 @@ from .triadic import TriadicCube, domain_cube
 
 _MAGIC = b"CGHF"
 _FORMAT_VERSION = 1
+COND_CAP = 1e12
+
+
+class DegenerateCellError(ValueError):
+    pass
+
+
+def check_cells(s_cells: np.ndarray) -> None:
+    """Raise DegenerateCellError unless every cell's symmetric part is
+    positive definite with condition number at most ``COND_CAP``."""
+    eigs = np.linalg.eigvalsh(s_cells)
+    lo, hi = eigs.min(axis=-1), eigs.max(axis=-1)
+    if lo.min() <= 0.0:
+        raise DegenerateCellError(
+            f"cell symmetric part not positive definite (min eig {lo.min():.3e})"
+        )
+    cond = (hi / lo).max()
+    if cond > COND_CAP:
+        raise DegenerateCellError(
+            f"cell condition number {cond:.3e} exceeds cap {COND_CAP:.1e}"
+        )
 
 
 class CascadeOverflowError(RuntimeError):
@@ -71,7 +92,7 @@ class CoefficientField:
     def cells_per_axis(self) -> int:
         return 3 ** self.level
 
-    def validate(self, spd_tol: float = 0.0) -> None:
+    def validate(self) -> None:
         m = self.cells_per_axis
         want = (m,) * self.dim + (self.dim, self.dim)
         if self.s_cells.shape != want or self.k_cells.shape != want:
@@ -80,9 +101,7 @@ class CoefficientField:
         skw_err = np.max(np.abs(self.k_cells + np.swapaxes(self.k_cells, -1, -2)))
         if sym_err > 1e-12 or skw_err > 1e-12:
             raise ValueError(f"s must be symmetric (err {sym_err:.2e}) and k skew (err {skw_err:.2e})")
-        eigs = np.linalg.eigvalsh(self.s_cells)
-        if eigs.min() <= spd_tol:
-            raise ValueError(f"s cells must be positive definite; min eigenvalue {eigs.min():.3e}")
+        check_cells(self.s_cells)
 
     def payload_bytes(self) -> bytes:
         head = _MAGIC + struct.pack(

@@ -163,7 +163,7 @@ def solve_oscillating(field: CoefficientField, a_bar: np.ndarray,
         return h.grad(x * eps) @ np.asarray(a_bar, float).T
 
     load = solver.quadrature_flux_rhs(op, reference_flux, order=_quad_order(h))
-    u = solver.solve_dirichlet(op, bvals, load_nodal=load)
+    u = solver.solve_dirichlet(op, bvals, load)
     return op, u
 
 

@@ -1,8 +1,7 @@
 """Q1 finite elements for nonsymmetric divergence-form operators.
 
-Assembles the stiffness of ``-div(a grad .)`` with ``a`` constant per unit
-cell, together with the volume functionals ``G u = int grad u`` and
-``B u = int a grad u``, on triadic cubes.
+Assembles the stiffness K of ``-div(a grad .)`` with ``a`` constant per
+unit cell on triadic cubes, and condenses it onto cube boundaries.
 
 ``A(U)`` comes from boundary traces condensed from the cells up.  Each cube
 carries only the Schur complement ``Lam`` of ``K`` onto its boundary nodes
@@ -22,13 +21,15 @@ from them, and a verifier reads a function with boundary values b only
 through ``L b`` and ``b^T Q b``.
 
 The assembled operator serves the nodal solves: Dirichlet and Neumann
-problems.  The nodal LUs are factored in a nested-dissection order of the
-node grid, and the index arrays of assembly and of that order are built once
-per grid shape.
-Every functional here sees only gradients, so the additive constant is
-fixed by pinning node 0 (a corner, hence a boundary node) to zero and
+problems.  It holds K alone, and the nodal readers use the same identities:
+the energy of u is u^T K u, the cube mean of a Q1 function is the mean of its
+element corner values, and the average flux is the mean of the cell fluxes.
+The nodal LUs are factored in a nested-dissection order of the node grid,
+and the index arrays of assembly and of that order are built once per grid
+shape.  Every functional here sees only gradients, so the additive constant
+is fixed by pinning node 0 (a corner, hence a boundary node) to zero and
 removing it from the system; a Neumann solution is then shifted to zero
-mass-weighted mean.
+mean.
 """
 from __future__ import annotations
 
@@ -41,17 +42,12 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .fields import CascadeOverflowError, CoefficientField
+from .fields import (CascadeOverflowError, CoefficientField,
+                     DegenerateCellError, check_cells)
 from .triadic import TriadicCube, block_means
-
-COND_CAP = 1e12
 
 
 class SolverError(RuntimeError):
-    pass
-
-
-class DegenerateCellError(ValueError):
     pass
 
 
@@ -91,9 +87,9 @@ def single_blas_thread() -> None:
 def reference_tensors(dim: int):
     """Exact unit-element integrals of Q1 shape-function products.
 
-    Returns (locs, EK, EG, EM): local corner offsets, the (dim,dim,2^d,2^d)
-    tensor of  int d_a phi_i  d_b phi_j,  the (dim,2^d) tensor of
-    int d_a phi_i,  and the (2^d,) vector of  int phi_i.
+    Returns (locs, EK, EG): local corner offsets, the (dim,dim,2^d,2^d)
+    tensor of  int d_a phi_i  d_b phi_j  and the (dim,2^d) tensor of
+    int d_a phi_i.
     """
     if dim not in _REF_CACHE:
         mass = np.array([[1 / 3, 1 / 6], [1 / 6, 1 / 3]])
@@ -110,8 +106,7 @@ def reference_tensors(dim: int):
                              else grad.T if ax == b else mass)
                         for b in range(dim)] for a in range(dim)])
         EG = np.array([kron(lambda ax: dint if ax == a else oint) for a in range(dim)])
-        EM = np.full(len(locs), 0.5 ** dim)
-        _REF_CACHE[dim] = (locs, EK, EG, EM)
+        _REF_CACHE[dim] = (locs, EK, EG)
     return _REF_CACHE[dim]
 
 
@@ -120,20 +115,15 @@ _REF_CACHE: dict = {}
 
 @dataclass
 class AssembledOperator:
-    """Sparse operator bundle for one cube at one resolution."""
+    """The stiffness K of one cube at one resolution, with its node grid."""
 
     dim: int
-    level: int
     resolution: int
     h: float
     vol: float
     nodes_per_axis: int
     N: int
     K: sp.csr_matrix
-    S: sp.csr_matrix
-    G: np.ndarray          # (dim, N)
-    B: np.ndarray          # (dim, N)
-    mass: np.ndarray       # (N,)
     interior: np.ndarray
     boundary: np.ndarray
     gid: np.ndarray        # (n_elements, 2^dim) global node ids per element
@@ -151,20 +141,6 @@ class AssembledOperator:
     @property
     def cells_per_axis(self) -> int:
         return self.elements_per_axis // self.resolution
-
-
-def _check_cells(s_block: np.ndarray) -> None:
-    eigs = np.linalg.eigvalsh(s_block)
-    lo, hi = eigs.min(axis=-1), eigs.max(axis=-1)
-    if lo.min() <= 0.0:
-        raise DegenerateCellError(
-            f"cell symmetric part not positive definite (min eig {lo.min():.3e})"
-        )
-    cond = (hi / lo).max()
-    if cond > COND_CAP:
-        raise DegenerateCellError(
-            f"cell condition number {cond:.3e} exceeds cap {COND_CAP:.1e}"
-        )
 
 
 _GRID_SHAPES: dict = {}
@@ -202,12 +178,12 @@ def _grid_shape(dim: int, npa: int):
 
 def assemble(field: CoefficientField, cube: TriadicCube | None = None,
              resolution: int = 1) -> AssembledOperator:
-    """Assemble K, S, G, B and the mean functional on a cube of the field.
+    """Assemble the stiffness K on a cube of the field.
 
     The element ids, the interior/boundary split and the CSR pattern of K
-    and S depend only on the node grid and come from a cache per
-    (dim, nodes_per_axis); K and S are then one ``bincount`` of the element
-    triplets into that pattern each.
+    depend only on the node grid and come from a cache per
+    (dim, nodes_per_axis); K is then one ``bincount`` of the element
+    triplets into that pattern.
     """
     cube = cube or field.domain
     d = field.dim
@@ -218,46 +194,28 @@ def assemble(field: CoefficientField, cube: TriadicCube | None = None,
         raise ValueError("cube not contained in the field window")
 
     s_block = field.s_cells[cube.slices]
+    check_cells(s_block)
     a_block = s_block + field.k_cells[cube.slices]
-    _check_cells(s_block)
-
     for ax in range(d):
         a_block = np.repeat(a_block, r, axis=ax)
-        s_block = np.repeat(s_block, r, axis=ax)
     mE = r * cube.side                      # elements per axis
     nE = mE ** d
     a_elems = a_block.reshape(nE, d, d)
-    s_elems = s_block.reshape(nE, d, d)
 
-    locs, EK, EG, EM = reference_tensors(d)
+    locs, EK, _ = reference_tensors(d)
     nloc = len(locs)
     h = 1.0 / r
     npa = mE + 1
     N = npa ** d
     gid, interior, boundary, indptr, indices, slot = _grid_shape(d, npa)
-
     # (a, b) x (i, j) element tensor, so a cell's triplets are one product
     EKf = EK.reshape(d * d, nloc * nloc) * h ** (d - 2)
-
-    def stiffness(c_elems):
-        data = np.bincount(slot, weights=(c_elems.reshape(nE, d * d) @ EKf).ravel(),
-                           minlength=len(indices))
-        return sp.csr_matrix((data, indices, indptr), shape=(N, N))
-
-    hG = h ** (d - 1)
-    flat = gid.ravel()
-    mass = np.bincount(flat, weights=np.tile(EM * h ** d, nE), minlength=N)
-    G = np.stack([np.bincount(flat, weights=np.tile(EG[ax] * hG, nE), minlength=N)
-                  for ax in range(d)])
-    bw = a_elems @ (EG * hG)                # (nE, d, 2^d): int a grad phi_i
-    B = np.stack([np.bincount(flat, weights=bw[:, ax].ravel(), minlength=N)
-                  for ax in range(d)])
-
+    data = np.bincount(slot, weights=(a_elems.reshape(nE, d * d) @ EKf).ravel(),
+                       minlength=len(indices))
     return AssembledOperator(
-        dim=d, level=cube.level, resolution=r, h=h, vol=float(cube.volume),
-        nodes_per_axis=npa, N=N, K=stiffness(a_elems), S=stiffness(s_elems),
-        G=G, B=B, mass=mass, interior=interior, boundary=boundary, gid=gid,
-        a_elems=a_elems,
+        dim=d, resolution=r, h=h, vol=float(cube.volume), nodes_per_axis=npa,
+        N=N, K=sp.csr_matrix((data, indices, indptr), shape=(N, N)),
+        interior=interior, boundary=boundary, gid=gid, a_elems=a_elems,
     )
 
 
@@ -384,7 +342,7 @@ def _cell_reference(dim: int, r: int):
     """
     key = (dim, r)
     if key not in _CELL_REFS:
-        locs, EK, _, _ = reference_tensors(dim)
+        locs, EK, _ = reference_tensors(dim)
         h = 1.0 / r
         shape = (r + 1,) * dim
         coords = np.indices(shape).reshape(dim, -1)
@@ -415,7 +373,7 @@ def cell_traces(field: CoefficientField, domain: TriadicCube | None = None,
     if not field.domain.contains(domain):
         raise ValueError("cube not contained in the field window")
     s = field.s_cells[domain.slices]
-    _check_cells(s)
+    check_cells(s)
     Kref, nb = _cell_reference(d, r)
     K = np.einsum("...ab,abij->...ij", s + field.k_cells[domain.slices], Kref)
     return BoundaryTraces(dim=d, level=0, resolution=r, origin=domain.offset,
@@ -543,7 +501,7 @@ def flux_rhs(op: AssembledOperator, f_cells: np.ndarray) -> np.ndarray:
     for ax in range(d):
         f = np.repeat(f, op.resolution, axis=ax)
     fE = f.reshape(-1, d)
-    _, _, EG, _ = reference_tensors(d)
+    EG = reference_tensors(d)[2]
     out = np.zeros(op.N)
     hG = op.h ** (d - 1)
     for i in range(EG.shape[1]):
@@ -553,45 +511,39 @@ def flux_rhs(op: AssembledOperator, f_cells: np.ndarray) -> np.ndarray:
 
 
 def solve_dirichlet(op: AssembledOperator, boundary_values: np.ndarray,
-                    f_cells: np.ndarray | None = None,
-                    load_nodal: np.ndarray | None = None,
-                    tol: float = 1e-9) -> np.ndarray:
-    """Solve -div(a grad u) = div f with u = g on the boundary nodes.
+                    load: np.ndarray | None = None) -> np.ndarray:
+    """Solve (K u)_i = load_i at the interior nodes with u = g on the boundary.
 
-    ``boundary_values`` is aligned with ``op.boundary``.  ``load_nodal``
-    adds a raw nodal functional to the interior equations (used for exact
-    right-hand sides assembled by quadrature).  The interior equations are
-    solved with the operator's nested-dissection LU (``_interior_solver``);
-    the residual relative to |r| + 1 is kept as ``op.residual`` and must
-    not exceed ``tol``.
+    ``boundary_values`` is aligned with ``op.boundary``; ``load`` is a nodal
+    functional, zero if not given (``-flux_rhs(op, f)`` for the equation
+    -div(a grad u) = div f, or an exact right-hand side assembled by
+    ``quadrature_flux_rhs``).  The interior equations are solved with the
+    operator's nested-dissection LU (``_interior_solver``); the residual
+    relative to |r| + 1 is kept as ``op.residual`` and must not exceed 1e-9.
     """
     u = np.zeros(op.N)
     u[op.boundary] = boundary_values
-    load = np.zeros(op.N)
-    if f_cells is not None:
-        load -= flux_rhs(op, f_cells)
-    if load_nodal is not None:
-        load += load_nodal
     order, K_II, lu = _interior_solver(op)
-    r = load[order] - (op.K @ u)[order]
+    r = -(op.K @ u)[order]
+    if load is not None:
+        r += load[order]
     uI = lu.solve(r)
     res = np.linalg.norm(K_II @ uI - r)
     op.residual = res / (np.linalg.norm(r) + 1.0)
-    if op.residual > tol:
+    if op.residual > 1e-9:
         raise SolverError(f"interior solve residual {res:.3e}")
     u[order] = uI
     return u
 
 
-def solve_neumann(op: AssembledOperator, f_cells: np.ndarray,
-                  tol: float = 1e-9) -> np.ndarray:
+def solve_neumann(op: AssembledOperator, f_cells: np.ndarray) -> np.ndarray:
     """Solve div(a grad u) = div f with no-flux boundary n.(a grad u - f) = 0.
 
     The constant in f is fixed first (cell mean removed), so the solution has
-    zero average flux; node 0 is pinned and the result shifted to zero mean.
-    The LU of K without node 0 is factored once per operator, in the
-    nested-dissection order of the node grid (``_nd_order``) with no further
-    column permutation.
+    zero average flux, which is checked to 1e-9 relative to |f| + 1; node 0
+    is pinned and the result shifted to zero mean.  The LU of K without node
+    0 is factored once per operator, in the nested-dissection order of the
+    node grid (``_nd_order``) with no further column permutation.
     """
     d = op.dim
     f = np.asarray(f_cells, float).reshape(-1, d)
@@ -605,21 +557,22 @@ def solve_neumann(op: AssembledOperator, f_cells: np.ndarray,
     order, lu = op._neu
     u = np.zeros(op.N)
     u[order] = lu.solve(F[order])
-    u = u - (op.mass @ u) / op.vol
-    flux_avg = op.B @ u / op.vol
-    if np.linalg.norm(flux_avg) > tol * (np.linalg.norm(f) + 1.0):
+    u = u - u[op.gid].mean()     # a Q1 element's mean is its corners' mean
+    flux_avg = cell_flux_averages(op, u).reshape(-1, d).mean(axis=0)
+    if np.linalg.norm(flux_avg) > 1e-9 * (np.linalg.norm(f) + 1.0):
         raise SolverError(f"Neumann flux average {flux_avg} not zero")
     return u
 
 
 def energy_seminorm_sq(op: AssembledOperator, u: np.ndarray) -> float:
-    """Volume-normalized energy  avg grad u . s grad u."""
-    return float(u @ (op.S @ u)) / op.vol
+    """Volume-normalized energy  avg grad u . s grad u,  read off K as the
+    skew part k adds grad u . k grad u = 0."""
+    return float(u @ (op.K @ u)) / op.vol
 
 
 def element_gradient_averages(op: AssembledOperator, u: np.ndarray) -> np.ndarray:
     """Average of grad u over each element, shape (n_elements, dim)."""
-    _, _, EG, _ = reference_tensors(op.dim)
+    EG = reference_tensors(op.dim)[2]
     return (u[op.gid] @ EG.T) / op.h
 
 
@@ -654,25 +607,20 @@ def quadrature_flux_rhs(op: AssembledOperator, vector_fn, order: int = 2) -> np.
     pts1, wts1 = np.polynomial.legendre.leggauss(order)
     pts1 = 0.5 * (pts1 + 1.0)
     wts1 = 0.5 * wts1
-    locs, _, _, _ = reference_tensors(d)
+    slope = np.array([-1.0, 1.0]) / op.h             # the 1D hats' derivatives
     corners = np.indices((op.elements_per_axis,) * d).reshape(d, -1).T * op.h
     out = np.zeros(op.N)
     for combo in itertools.product(range(order), repeat=d):
-        xi = np.array([pts1[c] for c in combo])
-        w = np.prod([wts1[c] for c in combo]) * op.h ** d
+        xi = pts1[list(combo)]
+        w = np.prod(wts1[list(combo)]) * op.h ** d
         x = corners + xi * op.h                      # (nE, d) physical points
         fx = np.asarray(vector_fn(x), float)         # (nE, d)
-        for i, li in enumerate(locs):
-            gphi = np.empty(d)
-            for a in range(d):
-                val = 1.0
-                for ax in range(d):
-                    t = xi[ax]
-                    if ax == a:
-                        val *= (1.0 if li[ax] == 1 else -1.0) / op.h
-                    else:
-                        val *= t if li[ax] == 1 else (1.0 - t)
-                gphi[a] = val
-            out += np.bincount(op.gid[:, i], weights=w * (fx @ gphi),
-                               minlength=op.N)
+        # (d, 2^d) shape-function gradients at xi: products over the axes of
+        # the 1D hats and their slopes, corners in C order
+        hats = [np.array([1.0 - t, t]) for t in xi]
+        gphi = np.array([functools.reduce(np.kron, [slope if ax == a else hats[ax]
+                                                    for ax in range(d)])
+                         for a in range(d)])
+        out += np.bincount(op.gid.ravel(), weights=(w * (fx @ gphi)).ravel(),
+                           minlength=op.N)
     return out

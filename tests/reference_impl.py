@@ -10,7 +10,10 @@ the trace path's maximizers, extended to the nodes, and the batched
 condensation.  The
 default-order solves (``default_order_dirichlet``, ``default_order_neumann``)
 also take the operator, and factor its K in SuperLU's own (COLAMD) column
-order instead of the package's nested-dissection order.
+order instead of the package's nested-dissection order.  These oracles read
+only the operator's K, a_elems and node grid; ``nodal_functionals`` derives
+the energy form and the volume functionals from them, and is checked
+against ``loop_assembly``.
 """
 import itertools
 
@@ -153,6 +156,28 @@ def order_slacks_loops(A_by_scale):
     return out
 
 
+def nodal_functionals(op):
+    """(S, G, B, mass) of an assembled operator, from its K and node grid.
+
+    S = sym(K), since grad u . k grad u = 0 for the skew part k; B = X^T K
+    for the node coordinates X, since Q1 reproduces x (the columns of K sum
+    to zero, so X is taken from the cube centre); G u = int grad u and the
+    mass weights int phi_i are products of 1D hat-function integrals.
+    """
+    K, d, m = op.K, op.dim, op.nodes_per_axis - 1
+    Kt = K.T.tocsr()
+    assert np.array_equal(Kt.indptr, K.indptr) and np.array_equal(Kt.indices, K.indices)
+    S = sp.csr_matrix((0.5 * (K.data + Kt.data), K.indices, K.indptr), shape=K.shape)
+    c = np.indices((m + 1,) * d).reshape(d, -1)
+    B = (K.T @ ((c.T - m / 2) * op.h)).T
+    hat = np.where((c == 0) | (c == m), 0.5, 1.0) * op.h     # int phi_i, per axis
+    slope = (c == m) - (c == 0).astype(float)                # int phi_i', per axis
+    mass = hat.prod(axis=0)
+    G = np.stack([slope[a] * np.prod(np.delete(hat, a, axis=0), axis=0)
+                  for a in range(d)])
+    return S, G, B, mass
+
+
 def brute_force_J(op, p, q):
     """Maximize the discrete functional over a dense constraint nullspace.
 
@@ -163,14 +188,15 @@ def brute_force_J(op, p, q):
     """
     p = np.asarray(p, float)
     q = np.asarray(q, float)
-    constraints = np.vstack([op.K[op.interior].toarray(), op.mass[None, :]])
+    S, G, B, mass = nodal_functionals(op)
+    constraints = np.vstack([op.K[op.interior].toarray(), mass[None, :]])
     basis = scipy.linalg.null_space(constraints)
-    ell = -op.B.T @ p + op.G.T @ q
-    hess = basis.T @ (op.S @ basis)
+    ell = -B.T @ p + G.T @ q
+    hess = basis.T @ (S @ basis)
     lin = basis.T @ ell
     y, *_ = np.linalg.lstsq(hess, lin, rcond=None)
     u = basis @ y
-    return float((-0.5 * u @ (op.S @ u) + ell @ u) / op.vol)
+    return float((-0.5 * u @ (S @ u) + ell @ u) / op.vol)
 
 
 def kkt_maximizers(op, pairs):
@@ -182,16 +208,17 @@ def kkt_maximizers(op, pairs):
     zero mass-weighted mean; one sparse LU per call, nothing cached.
     """
     N = op.N
-    loads = np.stack([-op.B.T @ np.asarray(p, float)
-                      + op.G.T @ np.asarray(q, float) for p, q in pairs], axis=1)
+    S, G, B, mass = nodal_functionals(op)
+    loads = np.stack([-B.T @ np.asarray(p, float)
+                      + G.T @ np.asarray(q, float) for p, q in pairs], axis=1)
     C = op.K[op.interior][:, 1:]
-    kkt = sp.bmat([[op.S[1:, 1:], C.T], [C, None]], format="csc")
+    kkt = sp.bmat([[S[1:, 1:], C.T], [C, None]], format="csc")
     rhs = np.zeros((kkt.shape[0], len(pairs)))
     rhs[:N - 1] = loads[1:]
     V = np.zeros((N, len(pairs)))
     V[1:] = spla.splu(kkt).solve(rhs)[:N - 1]
-    V -= (op.mass @ V) / op.vol
-    vSv = np.einsum("ic,ic->c", V, op.S @ V)
+    V -= (mass @ V) / op.vol
+    vSv = np.einsum("ic,ic->c", V, S @ V)
     return (-0.5 * vSv + np.einsum("ic,ic->c", loads, V)) / op.vol, V
 
 
@@ -203,7 +230,8 @@ def kkt_A(op):
     eye, zero = np.eye(d), np.zeros(d)
     unit_loads = [(-e, zero) for e in eye] + [(zero, e) for e in eye]
     _, V = kkt_maximizers(op, unit_loads)
-    LV = np.vstack([op.B, op.G]) @ V
+    _, G, B, _ = nodal_functionals(op)
+    LV = np.vstack([B, G]) @ V
     swap = np.zeros((2 * d, 2 * d))
     swap[:d, d:] = swap[d:, :d] = np.eye(d)
     return 0.5 * (LV + LV.T) / op.vol - swap
@@ -212,10 +240,11 @@ def kkt_A(op):
 def loop_assembly(a_elems, s_elems, tensors, elements_per_axis, h):
     """(K, S, G, B, mass) assembled element by element into COO triplets.
 
-    ``tensors`` are the unit-element integrals (locs, EK, EG, EM); elements
-    and nodes are numbered in C order of their grids.
+    ``tensors`` are the unit-element integrals (locs, EK, EG); each corner's
+    shape function integrates to 1/2^d of the element; elements and nodes
+    are numbered in C order of their grids.
     """
-    locs, EK, EG, EM = tensors
+    locs, EK, EG = tensors
     d = a_elems.shape[-1]
     m = elements_per_axis
     shape = (m + 1,) * d
@@ -233,7 +262,7 @@ def loop_assembly(a_elems, s_elems, tensors, elements_per_axis, h):
                 svals.append(np.sum(s_elems[e] * EK[:, :, i, j]) * h ** (d - 2))
             G[:, gi] += EG[:, i] * h ** (d - 1)
             B[:, gi] += a_elems[e] @ EG[:, i] * h ** (d - 1)
-            mass[gi] += EM[i] * h ** d
+            mass[gi] += h ** d / len(locs)
     K = sp.coo_matrix((kvals, (rows, cols)), shape=(N, N)).tocsr()
     S = sp.coo_matrix((svals, (rows, cols)), shape=(N, N)).tocsr()
     return K, S, G, B, mass
@@ -256,4 +285,4 @@ def default_order_neumann(op, load):
     zero mass-weighted mean; nothing cached."""
     u = np.zeros(op.N)
     u[1:] = spla.splu(op.K[1:, 1:].tocsc()).solve(load[1:])
-    return u - (op.mass @ u) / op.vol
+    return u - (nodal_functionals(op)[3] @ u) / op.vol

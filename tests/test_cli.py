@@ -56,13 +56,24 @@ def test_config_file_errors(tmp_path):
     "dim=5",                          # unsupported dimension
     "norms.s=0.6",                    # with default t=0.4 breaks s + t < 1
     "ergodic.samples=1",
+    "ergodic.samples=2.5",
+    "ergodic.n_max=2.5",
+    "ergodic.n_min=\"1\"",
+    "homexp.n_min=-1",
+    "homexp.n_max=1.5",
+    "homexp.seeds=0",
+    "homexp.seeds=-2",
+    "homexp.ring_levels=0",
     "field.kind=\"perlin\"",
     "homexp.target.family=\"bump\"",
     "coarsegrain.resolution=0",
     "workers=0",
 ])
-def test_invalid_overrides_exit_2(tmp_path, override):
+def test_invalid_overrides_exit_2(tmp_path, capsys, override):
     assert _run(["selftest", "--set", override], tmp_path) == 2
+    key = override.partition("=")[0]
+    if key.startswith(("ergodic.", "homexp.n_", "homexp.seeds", "homexp.ring")):
+        assert f"config error: {key} must be an integer" in capsys.readouterr().err
 
 
 def test_malformed_override_and_negative_seed(tmp_path):

@@ -20,7 +20,8 @@ from cghom.solver import (assemble, partition_traces, solve_dirichlet,
                           trace_loads)
 from cghom.triadic import TriadicCube
 from reference_impl import (brute_force_J, kkt_A, kkt_maximizers,
-                            order_slacks_loops, partition_offsets)
+                            nodal_functionals, order_slacks_loops,
+                            partition_offsets)
 
 
 def _random_spd_skew(rng, n=6, dim=2):
@@ -297,7 +298,7 @@ def test_order_slacks_match_loops_on_suite_fields():
         _assert_slacks_match_loops(hierarchy_sweep(field, check=False))
 
 
-def test_order_slacks_match_loops_in_3d_kmin_and_subdomain():
+def test_order_slacks_match_loops_in_3d_kmin_and_subdomain(monkeypatch):
     f3 = gen_named_field("skew_lognormal", level=2, dim=3, seed=38, sigma=0.5,
                          kappa=0.6)
     _assert_slacks_match_loops(hierarchy_sweep(f3, check=False))
@@ -310,9 +311,11 @@ def test_order_slacks_match_loops_in_3d_kmin_and_subdomain():
     subdomain = TriadicCube(level=2, offset=(9, 18), dim=2)
     sub = hierarchy_sweep(f2, domain=subdomain, check=False)
     _assert_slacks_match_loops(sub)
-    # with tol=-1 every slack passes the threshold, so the sweep lists every
-    # check of every cube: by scale, then cube in C order, then check
-    listed = hierarchy_sweep(f2, domain=subdomain, tol=-1).diagnostics
+    # with a tolerance of -1 every slack passes the threshold, so the sweep
+    # lists every check of every cube: by scale, then cube in C order, then
+    # check
+    monkeypatch.setattr(coarsegrain, "SLACK_TOL", -1.0)
+    listed = hierarchy_sweep(f2, domain=subdomain).diagnostics
     want = [([k, [9 + 3 ** k * i, 18 + 3 ** k * j]], check, slacks[check][i, j])
             for k, slacks in order_slacks_loops(sub.A_by_scale).items()
             for i, j in np.ndindex(*slacks["sandwich_upper"].shape)
@@ -418,14 +421,15 @@ def test_maximizers_have_zero_mass_weighted_mean(dim, resolution):
     # the whole window, and one cell (at resolution 1 it has no interior node)
     for cube in (None, TriadicCube(level=0, offset=(1,) * dim, dim=dim)):
         op = assemble(field, cube, resolution)
+        S, G, B, mass = nodal_functionals(op)
         _, W, L, Q = _trace_maximizers(field, cube, resolution, pairs)
         V = np.stack([solve_dirichlet(op, w) for w in W.T], axis=1)
-        V -= (op.mass @ V) / op.vol
-        assert np.abs(op.mass @ V).max() < 1e-12 * max(1.0, np.abs(V).max())
+        V -= (mass @ V) / op.vol
+        assert np.abs(mass @ V).max() < 1e-12 * max(1.0, np.abs(V).max())
         scale = max(1.0, np.abs(L @ W).max())
-        assert np.abs(np.vstack([op.B, op.G]) @ V - L @ W).max() < 1e-12 * scale
+        assert np.abs(np.vstack([B, G]) @ V - L @ W).max() < 1e-12 * scale
         energy = np.einsum("ic,ic->c", W, Q @ W)
-        assert (np.abs(np.einsum("ic,ic->c", V, op.S @ V) - energy).max()
+        assert (np.abs(np.einsum("ic,ic->c", V, S @ V) - energy).max()
                 < 1e-12 * max(1.0, energy.max()))
 
 
@@ -452,7 +456,7 @@ def test_maximizers_match_the_saddle_point_oracle():
         J, W, _, _ = _trace_maximizers(field, cube, resolution, pairs)
         # the nodal maximizers: a-harmonic extensions, shifted to zero mean
         V = np.stack([solve_dirichlet(op, w) for w in W.T], axis=1)
-        V -= (op.mass @ V) / op.vol
+        V -= (nodal_functionals(op)[3] @ V) / op.vol
         J_ref, V_ref = kkt_maximizers(op, pairs)
         assert np.abs(J - J_ref).max() <= 1e-10 * max(1.0, np.abs(J_ref).max())
         assert np.abs(V - V_ref).max() <= 1e-10 * max(1.0, np.abs(V_ref).max())

@@ -156,7 +156,8 @@ def test_load_rejects_invalid_cells(tmp_path):
     # files whose cells break the field's contract, with a valid checksum
     cases = (("s must be symmetric", "s_cells", (0, 1), 0.5),
              ("k skew", "k_cells", (0, 0), 0.5),
-             ("positive definite", "s_cells", (0, 0), -10.0))
+             ("positive definite", "s_cells", (0, 0), -10.0),
+             ("exceeds cap", "s_cells", (0, 0), 1e13))
     for i, (message, cells, entry, shift) in enumerate(cases):
         f = gen_named_field("skew_lognormal", level=2, seed=21, sigma=0.6,
                             kappa=0.4)

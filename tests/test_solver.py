@@ -14,7 +14,7 @@ from cghom.solver import (DegenerateCellError, assemble, cell_flux_averages,
                           solve_dirichlet, solve_neumann, trace_loads)
 from cghom.triadic import TriadicCube
 from reference_impl import (default_order_dirichlet, default_order_neumann,
-                            loop_assembly)
+                            loop_assembly, nodal_functionals)
 
 
 def _sympy_reference(dim):
@@ -41,37 +41,53 @@ def _sympy_reference(dim):
     n = len(locs)
     EK = np.zeros((dim, dim, n, n))
     EG = np.zeros((dim, n))
-    EM = np.zeros(n)
     for i in range(n):
-        EM[i] = integrate(phis[i])
         for a in range(dim):
             EG[a, i] = integrate(phis[i].diff(xs[a]))
             for j in range(n):
                 for b in range(dim):
                     EK[a, b, i, j] = integrate(
                         phis[i].diff(xs[a]) * phis[j].diff(xs[b]))
-    return EK, EG, EM
+    return EK, EG
 
 
 @pytest.mark.parametrize("dim", [2, 3])
 def test_reference_tensors_match_symbolic_integrals(dim):
-    _, EK, EG, EM = reference_tensors(dim)
-    sEK, sEG, sEM = _sympy_reference(dim)
+    _, EK, EG = reference_tensors(dim)
+    sEK, sEG = _sympy_reference(dim)
     assert np.allclose(EK, sEK, atol=1e-14)
     assert np.allclose(EG, sEG, atol=1e-14)
-    assert np.allclose(EM, sEM, atol=1e-14)
 
 
 def test_isotropic_element_stiffness_frozen():
     # classic Q1 Laplace element: 2/3 diagonal, -1/6 edges, -1/3 across
     # (node order (0,0), (0,1), (1,0), (1,1))
-    _, EK, _, _ = reference_tensors(2)
+    _, EK, _ = reference_tensors(2)
     K = EK[0, 0] + EK[1, 1]
     want = np.array([[4, -1, -1, -2],
                      [-1, 4, -2, -1],
                      [-1, -2, 4, -1],
                      [-2, -1, -1, 4]]) / 6.0
     assert np.allclose(K, want)
+
+
+def _loop_assembly(field, op):
+    """(K, S, G, B, mass) of the field's window, element by element."""
+    s_elems = field.s_cells
+    for ax in range(field.dim):
+        s_elems = np.repeat(s_elems, op.resolution, axis=ax)
+    return loop_assembly(op.a_elems, s_elems.reshape(op.a_elems.shape),
+                         reference_tensors(field.dim), op.elements_per_axis, op.h)
+
+
+def _nodal_cases(field):
+    """The field at resolution 1, then a skew lognormal 2D level-2 field, a
+    3D level-1 field and a 2D level-1 field at resolution 2."""
+    yield field, 1
+    yield gen_named_field("skew_lognormal", level=2, seed=24, sigma=0.7, kappa=0.8), 1
+    yield gen_named_field("skew_lognormal", level=1, dim=3, seed=25, sigma=0.5,
+                          kappa=0.6), 1
+    yield gen_named_field("skew_lognormal", level=1, seed=26, sigma=0.5, kappa=0.6), 2
 
 
 def test_stiffness_rows_sum_to_zero():
@@ -87,10 +103,11 @@ def test_skew_part_contributes_antisymmetrically():
     field = gen_named_field("skew_lognormal", level=1, seed=6, sigma=0.4,
                             kappa=0.9)
     op = assemble(field)
-    N = (op.K - op.S).toarray()
+    S = _loop_assembly(field, op)[1]            # assembled from s alone
+    N = (op.K - S).toarray()
     assert np.abs(N + N.T).max() < 1e-12
-    assert np.abs((op.S - op.S.T).toarray()).max() < 1e-12
-    assert np.linalg.eigvalsh(op.S.toarray()).min() > -1e-12
+    assert np.abs((S - S.T).toarray()).max() < 1e-12
+    assert np.linalg.eigvalsh(S.toarray()).min() > -1e-12
 
 
 def test_assembly_rejects_degenerate_cells():
@@ -156,20 +173,23 @@ def test_laminate_reduces_to_series_resistors():
 
 
 def test_neumann_solve_properties():
-    field = gen_named_field("lognormal_iso", level=1, seed=9, sigma=0.4)
-    op = assemble(field)
-    # constant data is removed entirely: zero solution
-    f_const = np.ones((3, 3, 2))
-    u0 = solve_neumann(op, f_const)
-    assert np.abs(u0).max() < 1e-12
     rng = np.random.default_rng(4)
-    f = rng.normal(size=(3, 3, 2))
-    u = solve_neumann(op, f)
-    assert abs(op.mass @ u) < 1e-10            # mean-zero gauge
-    assert np.abs(op.B @ u / op.vol).max() < 1e-10   # zero average flux
-    # weak equation: K u = flux functional of the centered data
-    fc = f - f.reshape(-1, 2).mean(axis=0)
-    assert np.abs(op.K @ u - flux_rhs(op, fc)).max() < 1e-9
+    field = gen_named_field("lognormal_iso", level=1, seed=9, sigma=0.4)
+    for fld, r in _nodal_cases(field):
+        op = assemble(fld, resolution=r)
+        _, _, _, B, mass = _loop_assembly(fld, op)
+        d = op.dim
+        shape = (op.cells_per_axis,) * d + (d,)
+        # constant data is removed entirely: zero solution
+        u0 = solve_neumann(op, np.ones(shape))
+        assert np.abs(u0).max() < 1e-12
+        f = rng.normal(size=shape)
+        u = solve_neumann(op, f)
+        assert abs(mass @ u) < 1e-10            # mean-zero gauge
+        assert np.abs(B @ u / op.vol).max() < 1e-10   # zero average flux
+        # weak equation: K u = flux functional of the centered data
+        fc = f - f.reshape(-1, d).mean(axis=0)
+        assert np.abs(op.K @ u - flux_rhs(op, fc)).max() < 1e-9
 
 
 def test_harmonic_extension_and_random_aharmonic():
@@ -195,25 +215,28 @@ def test_harmonic_extension_and_random_aharmonic():
         at = (0,) * fld.dim
         g = rng.standard_normal((len(op.boundary), 3))
         w = np.stack([solve_dirichlet(op, col) for col in g.T], axis=1)
+        S, G, B, _ = nodal_functionals(op)
         assert np.abs((op.K @ w)[op.interior]).max() < 1e-10
-        assert np.abs(np.vstack([op.B, op.G]) @ w - top.L[at] @ g).max() < 1e-10
+        assert np.abs(np.vstack([B, G]) @ w - top.L[at] @ g).max() < 1e-10
         # the bilinear form, which sees the skew part of a wrong Q
-        assert np.abs(w.T @ (op.S @ w) - g.T @ top.Q[at] @ g).max() < 1e-10
+        assert np.abs(w.T @ (S @ w) - g.T @ top.Q[at] @ g).max() < 1e-10
 
 
 def test_energy_seminorm_matches_dense_quadratic_form():
-    field = gen_named_field("lognormal_iso", level=1, seed=11)
-    op = assemble(field)
     rng = np.random.default_rng(6)
-    u = rng.normal(size=op.N)
-    want = float(u @ op.S.toarray() @ u) / op.vol
-    assert np.isclose(energy_seminorm_sq(op, u), want)
+    for fld, r in _nodal_cases(gen_named_field("lognormal_iso", level=1, seed=11)):
+        op = assemble(fld, resolution=r)
+        S = _loop_assembly(fld, op)[1]
+        u = rng.normal(size=op.N)
+        want = float(u @ S.toarray() @ u) / op.vol
+        assert np.isclose(energy_seminorm_sq(op, u), want)
 
 
 def test_maximizer_backend_energy_identity():
     field = gen_named_field("skew_lognormal", level=1, seed=12, sigma=0.5,
                             kappa=0.6)
     op = assemble(field)
+    S = nodal_functionals(op)[0]
     top = partition_traces(field, 1)
     L, Q = top.L[0, 0], top.Q[0, 0]
     V = trace_loads(top)[0][0, 0]
@@ -226,7 +249,7 @@ def test_maximizer_backend_energy_identity():
         # the maximizer is the a-harmonic extension of its boundary values
         v = solve_dirichlet(op, b)
         assert J >= -1e-12
-        assert np.isclose(J, v @ (op.S @ v) / (2 * op.vol),
+        assert np.isclose(J, v @ (S @ v) / (2 * op.vol),
                           rtol=1e-10, atol=1e-12)
         assert np.abs((op.K @ v)[op.interior]).max() < 1e-8
 
@@ -258,6 +281,17 @@ def test_quadrature_exactness_in_order():
     lo = quadrature_flux_rhs(op, smooth, order=4)
     hi = quadrature_flux_rhs(op, smooth, order=8)
     assert np.abs(lo - hi).max() < 1e-8
+    # f = (x0 x1^2, 0, ...) has per-axis degree 2, so order 2 is exact; at an
+    # interior node y the load is -int x1^2 phi_y = -h^(d-1) (h y1^2 + h^3/6)
+    for dim, r in ((2, 2), (3, 1)):
+        op = assemble(gen_named_field("constant", level=1, dim=dim), resolution=r)
+        y = node_coordinates(op)[op.interior]
+        load = quadrature_flux_rhs(op, lambda x: np.stack(
+            [x[:, 0] * x[:, 1] ** 2] + [0 * x[:, 0]] * (dim - 1), axis=-1))
+        h = op.h
+        assert np.allclose(load[op.interior],
+                           -h ** (dim - 1) * (h * y[:, 1] ** 2 + h ** 3 / 6),
+                           rtol=0, atol=1e-12)
 
 
 def test_resolution_refines_the_grid():
@@ -293,18 +327,14 @@ def test_assembly_matches_the_element_loop(dim, level, resolution):
     field = gen_named_field("skew_lognormal", level=level, dim=dim, seed=16,
                             sigma=0.5, kappa=0.6)
     op = assemble(field, resolution=resolution)
-    s_elems = field.s_cells
-    for ax in range(dim):
-        s_elems = np.repeat(s_elems, resolution, axis=ax)
-    K, S, G, B, mass = loop_assembly(op.a_elems, s_elems.reshape(op.a_elems.shape),
-                                     reference_tensors(dim),
-                                     op.elements_per_axis, op.h)
-    for got, want in ((op.K, K), (op.S, S)):
+    K, S, G, B, mass = _loop_assembly(field, op)
+    nS, nG, nB, nmass = nodal_functionals(op)
+    for got, want in ((op.K, K), (nS, S)):
         assert got.has_canonical_format and got.nnz == want.nnz
         assert np.array_equal(got.indptr, want.indptr)
         assert np.array_equal(got.indices, want.indices)
         assert np.abs(got.data - want.data).max() <= 1e-14 * np.abs(want.data).max()
-    for got, want in ((op.G, G), (op.B, B), (op.mass, mass)):
+    for got, want in ((nG, G), (nB, B), (nmass, mass)):
         assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
 
 
@@ -316,7 +346,7 @@ def test_grid_shape_is_cached_read_only_and_shared():
     for op in (op1, op2):
         assert op.gid is gid and op.interior is interior and op.boundary is boundary
         assert np.shares_memory(op.K.indices, indices)
-        assert np.shares_memory(op.S.indptr, indptr)
+        assert np.shares_memory(op.K.indptr, indptr)
     for arr in (gid, interior, boundary, indptr, indices, slot):
         assert arr.dtype.kind == "i" and not arr.flags.writeable
     assert slot.shape == (81 * 16,) and slot.max() == len(indices) - 1
@@ -389,14 +419,15 @@ def _default_order_gaps(op, rng):
     nodal values and in the energy seminorm."""
     g = rng.normal(size=len(op.boundary))
     f = rng.normal(size=(op.cells_per_axis,) * op.dim + (op.dim,))
-    u = solve_dirichlet(op, g, f_cells=f)
+    u = solve_dirichlet(op, g, load=-flux_rhs(op, f))
     u_ref = default_order_dirichlet(op, g, -flux_rhs(op, f))
     v = solve_neumann(op, f)
     v_ref = default_order_neumann(op, flux_rhs(op, f - f.reshape(-1, op.dim).mean(axis=0)))
     dv = v - v_ref
+    S = nodal_functionals(op)[0]
     return (np.linalg.norm(u - u_ref) / np.linalg.norm(u_ref),
             np.linalg.norm(dv) / np.linalg.norm(v_ref),
-            np.sqrt((dv @ (op.S @ dv)) / (v_ref @ (op.S @ v_ref))))
+            np.sqrt((dv @ (S @ dv)) / (v_ref @ (S @ v_ref))))
 
 
 @pytest.mark.parametrize("kind,params", [
