@@ -5,7 +5,7 @@ Dirichlet experiments."""
 
 from .triadic import TriadicCube, domain_cube
 from .fields import (CoefficientField, CascadeSpec, gen_named_field,
-                     gen_cascade_field, shift_field, save_field, load_field)
+                     gen_cascade_field, save_field, load_field)
 from .solver import (assemble, solve_dirichlet, solve_neumann,
                      SolverError, DegenerateCellError)
 from .coarsegrain import (CoarseGrainedMatrices, HierarchyCache,
@@ -15,8 +15,8 @@ from .coarsegrain import (CoarseGrainedMatrices, HierarchyCache,
 from .norms import (bnorm, ring_dual_norm, ellipticity_constants,
                     embedding_check, EllipticityReport)
 from .ergodic import (FieldSpec, ErgodicEstimate, estimate_Abar,
-                      estimate_Abar_spatial, check_monotone, gap_diagnostic,
-                      homogenized_matrix, HomogenizedMatrix)
+                      check_monotone, gap_diagnostic, homogenized_matrix,
+                      HomogenizedMatrix)
 from .homexp import (TargetFunction, HomExperiment, ErrorRecord,
                      run_dirichlet_experiment, compute_E_s, compute_GH,
                      energy_estimate_diagnostic, summarize_records)
@@ -26,7 +26,7 @@ __version__ = "0.1.0"
 __all__ = [
     "TriadicCube", "domain_cube",
     "CoefficientField", "CascadeSpec", "gen_named_field", "gen_cascade_field",
-    "shift_field", "save_field", "load_field",
+    "save_field", "load_field",
     "assemble", "solve_dirichlet", "solve_neumann",
     "SolverError", "DegenerateCellError",
     "CoarseGrainedMatrices", "HierarchyCache", "coarse_grain_cube",
@@ -34,7 +34,7 @@ __all__ = [
     "J_from_A", "Jstar_from_A", "center_skew",
     "bnorm", "ring_dual_norm", "ellipticity_constants", "embedding_check",
     "EllipticityReport",
-    "FieldSpec", "ErgodicEstimate", "estimate_Abar", "estimate_Abar_spatial",
+    "FieldSpec", "ErgodicEstimate", "estimate_Abar",
     "check_monotone", "gap_diagnostic", "homogenized_matrix",
     "HomogenizedMatrix",
     "TargetFunction", "HomExperiment", "ErrorRecord",

@@ -161,12 +161,32 @@ def validate_config(config: dict, command: str | None = None) -> None:
                           f"kind {fld['kind']!r}")
     if not isinstance(fld["level"], int) or fld["level"] < 0:
         raise ConfigError("field.level must be a nonnegative integer")
-    s, t = config["norms"]["s"], config["norms"]["t"]
+    nm = config["norms"]
+    s, t = nm["s"], nm["t"]
     if not (0.0 < s < 1.0 and 0.0 < t < 1.0):
         raise ConfigError("norms.s and norms.t must lie in (0, 1)")
     if s + t >= 1.0:
         raise ConfigError(f"norms exponents must satisfy s + t < 1, "
                           f"got s={s}, t={t}")
+    for name in ("p", "q"):     # type(True) is bool, so flags are refused
+        value = nm[name]
+        if value is not None and not (type(value) in (int, float)
+                                      and 0.0 < value < float("inf")):
+            raise ConfigError(f"norms.{name} must be null or a number > 0, "
+                              f"got {value!r}")
+    if nm["p"] is not None and nm["q"] is not None:
+        for name, other, sym in (("p", t, "t"), ("q", s, "s")):
+            bound = config["dim"] / (2 * other)
+            if not nm[name] > bound:
+                raise ConfigError(f"norms.{name} must exceed d/(2{sym}) = "
+                                  f"{bound:g} when norms.p and norms.q are "
+                                  f"both given, got {nm[name]!r}")
+    for key in ("norms.tail", "norms.normalized", "coarsegrain.check",
+                "ergodic.csv", "homexp.with_E", "homexp.with_GH"):
+        section, name = key.split(".")
+        if not isinstance(config[section][name], bool):
+            raise ConfigError(f"{key} must be true or false, "
+                              f"got {config[section][name]!r}")
     alpha = config["homexp"]["alpha"]
     if not (max(s, t) < alpha < 1.0):
         raise ConfigError(f"homexp.alpha must lie in (max(s,t), 1) = "

@@ -124,11 +124,6 @@ class CoarseGrainedMatrices:
     def dim(self) -> int:
         return self.cube.dim
 
-    @property
-    def symmetry_gap(self) -> np.ndarray:
-        """s - s_star, the defect that vanishes for exactly homogeneous data."""
-        return self.s - self.s_star
-
 
 def J_from_A(A: np.ndarray, p, q, dim: int) -> float:
     """Evaluate J(p, q) from a coarse matrix: J = xi.A xi / 2 - p.q."""
@@ -541,13 +536,13 @@ def hierarchy_sweep(field: CoefficientField, domain: TriadicCube | None = None,
     """Coarse-grain every partition subcube of the domain, scale by scale.
 
     One condensation of the domain's cells gives every scale's boundary
-    traces (``solver.condense``, which checks the cells first), and
-    ``condensed_A`` reads each scale's matrices off them; the cells (scale
-    0) take the closed form.  With ``check`` the sweep then reads the
-    cache's ``slacks`` (per-parent subadditivity and the two-sided pointwise
-    sandwich on every cube); each slack below -SLACK_TOL * max(1, |A|_2) is
-    listed in the cache's ``diagnostics`` by scale, cube (C order) and check
-    (the sweep never aborts on them).
+    traces (``solver.condense``; the cells were checked when the field was
+    built), and ``condensed_A`` reads each scale's matrices off them; the
+    cells (scale 0) take the closed form.  With ``check`` the sweep then
+    reads the cache's ``slacks`` (per-parent subadditivity and the two-sided
+    pointwise sandwich on every cube); each slack below
+    -SLACK_TOL * max(1, |A|_2) is listed in the cache's ``diagnostics`` by
+    scale, cube (C order) and check (the sweep never aborts on them).
     """
     domain = domain or field.domain
     if not field.domain.contains(domain):

@@ -8,10 +8,6 @@ and s̄ as the Schur complement — so the reconstructed mean matrix reproduces
 the sample mean identically.  The vanishing of the gap s̄ - s̄* across scales
 is the convergence diagnostic; the homogenized coefficient is s̄ + k̄ at the
 largest scale.
-
-A spatial-average mode (disjoint translates inside one larger window) mirrors
-the classical construction; its samples are correlated, and the reported
-standard errors remain the naive i.i.d. ones.
 """
 from __future__ import annotations
 
@@ -23,11 +19,10 @@ import numpy as np
 from scipy import stats
 
 from .coarsegrain import (A_from_blocks, J_from_A, Jstar_from_A,
-                          blocks_from_A, coarse_grain_cube, condensed_A,
-                          loewner_chain, pointwise_bounds)
+                          blocks_from_A, coarse_grain_cube, loewner_chain,
+                          pointwise_bounds)
 from .fields import gen_named_field
-from .solver import (NUMERICAL_ERRORS, SolverError, partition_traces,
-                     single_blas_thread)
+from .solver import NUMERICAL_ERRORS, SolverError, single_blas_thread
 
 
 @dataclass(frozen=True)
@@ -158,25 +153,6 @@ def estimate_Abar(spec: FieldSpec, n: int, samples: int, seed: int = 0,
     return ErgodicEstimate(n=n, samples=samples, seed=seed, method="independent",
                            A_bar=A_bar, A_se=A_se, sinv_bar=sinv_bar,
                            bpt_bar=bpt_bar,
-                           A_samples=As if keep_samples else None)
-
-
-def estimate_Abar_spatial(spec: FieldSpec, n: int, window_level: int,
-                          seed: int = 0, resolution: int = 1,
-                          keep_samples: bool = False) -> ErgodicEstimate:
-    """Average over the disjoint scale-n translates inside one larger field."""
-    if window_level <= n:
-        raise ValueError("window must be strictly larger than the target scale")
-    field = spec.realize(window_level, seed)
-    d = spec.dim
-    traces = partition_traces(field, n, resolution=resolution)
-    As = condensed_A(traces, field).reshape(-1, 2 * d, 2 * d)
-    samples = len(As)
-    sinv_bar, bpt_bar = pointwise_bounds(field)
-    return ErgodicEstimate(n=n, samples=samples, seed=seed, method="spatial",
-                           A_bar=As.mean(axis=0),
-                           A_se=As.std(axis=0, ddof=1) / np.sqrt(samples),
-                           sinv_bar=sinv_bar, bpt_bar=bpt_bar,
                            A_samples=As if keep_samples else None)
 
 

@@ -5,13 +5,18 @@ A field assigns to every unit cell of a window ``[0, 3^n)^d`` a matrix
 symmetric.  Generators cover deterministic checkerboards and laminates,
 i.i.d. lognormal conductances with optional skew part, and a multiplicative
 cascade with unbounded contrast.
+
+That rule, with the cap ``COND_CAP`` on each cell's condition number, is a
+field's whole contract.  ``CoefficientField`` checks it when it is built
+(generator, ``load_field``, ``replace`` or a direct call) and is immutable,
+so the solvers take its cells as checked.
 """
 from __future__ import annotations
 
 import hashlib
 import json
 import struct
-from dataclasses import dataclass, field as dc_field, replace
+from dataclasses import dataclass, field as dc_field
 from pathlib import Path
 
 import numpy as np
@@ -25,22 +30,6 @@ COND_CAP = 1e12
 
 class DegenerateCellError(ValueError):
     pass
-
-
-def check_cells(s_cells: np.ndarray) -> None:
-    """Raise DegenerateCellError unless every cell's symmetric part is
-    positive definite with condition number at most ``COND_CAP``."""
-    eigs = np.linalg.eigvalsh(s_cells)
-    lo, hi = eigs.min(axis=-1), eigs.max(axis=-1)
-    if lo.min() <= 0.0:
-        raise DegenerateCellError(
-            f"cell symmetric part not positive definite (min eig {lo.min():.3e})"
-        )
-    cond = (hi / lo).max()
-    if cond > COND_CAP:
-        raise DegenerateCellError(
-            f"cell condition number {cond:.3e} exceeds cap {COND_CAP:.1e}"
-        )
 
 
 class CascadeOverflowError(RuntimeError):
@@ -59,16 +48,20 @@ class CascadeOverflowError(RuntimeError):
                 f"cap {self.cap:.3e}; lower sigma or m_max, or raise the cap")
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)
 class CoefficientField:
-    """Per-unit-cell coefficient data on a triadic window.
+    """Per-unit-cell coefficient data on a triadic window, checked when built.
 
     s_cells : array, shape (3^level,)*dim + (dim, dim)
         Symmetric positive definite part, one matrix per cell.
     k_cells : array, same shape
         Skew-symmetric part.
-    extension : how the field continues outside the window ("periodic" only
-        mode with data; "none" forbids shifts).
+
+    The constructor raises ``ValueError`` for a wrong shape, a non-symmetric
+    ``s`` or a non-skew ``k``, and ``DegenerateCellError`` for a cell whose
+    ``s`` is not positive definite or has condition number above
+    ``COND_CAP``.  It keeps read-only copies of both arrays, so the caller's
+    arrays stay writable and the field's cannot change.
     """
 
     dim: int
@@ -78,30 +71,37 @@ class CoefficientField:
     kind: str = "custom"
     seed: int | None = None
     params: dict = dc_field(default_factory=dict)
-    extension: str = "periodic"
+
+    def __post_init__(self):
+        m = self.cells_per_axis
+        want = (m,) * self.dim + (self.dim, self.dim)
+        s, k = (np.array(a, dtype=float) for a in (self.s_cells, self.k_cells))
+        if s.shape != want or k.shape != want:
+            raise ValueError(f"cell arrays must have shape {want}")
+        sym_err = np.max(np.abs(s - np.swapaxes(s, -1, -2)))
+        skw_err = np.max(np.abs(k + np.swapaxes(k, -1, -2)))
+        if sym_err > 1e-12 or skw_err > 1e-12:
+            raise ValueError(f"s must be symmetric (err {sym_err:.2e}) and k skew (err {skw_err:.2e})")
+        eigs = np.linalg.eigvalsh(s)
+        lo, hi = eigs.min(axis=-1), eigs.max(axis=-1)
+        if lo.min() <= 0.0:
+            raise DegenerateCellError(f"cell symmetric part not positive "
+                                      f"definite (min eig {lo.min():.3e})")
+        cond = (hi / lo).max()
+        if cond > COND_CAP:
+            raise DegenerateCellError(f"cell condition number {cond:.3e} "
+                                      f"exceeds cap {COND_CAP:.1e}")
+        for name, cells in (("s_cells", s), ("k_cells", k)):
+            cells.flags.writeable = False
+            object.__setattr__(self, name, cells)
 
     @property
     def domain(self) -> TriadicCube:
         return domain_cube(self.level, self.dim)
 
     @property
-    def a_cells(self) -> np.ndarray:
-        return self.s_cells + self.k_cells
-
-    @property
     def cells_per_axis(self) -> int:
         return 3 ** self.level
-
-    def validate(self) -> None:
-        m = self.cells_per_axis
-        want = (m,) * self.dim + (self.dim, self.dim)
-        if self.s_cells.shape != want or self.k_cells.shape != want:
-            raise ValueError(f"cell arrays must have shape {want}")
-        sym_err = np.max(np.abs(self.s_cells - np.swapaxes(self.s_cells, -1, -2)))
-        skw_err = np.max(np.abs(self.k_cells + np.swapaxes(self.k_cells, -1, -2)))
-        if sym_err > 1e-12 or skw_err > 1e-12:
-            raise ValueError(f"s must be symmetric (err {sym_err:.2e}) and k skew (err {skw_err:.2e})")
-        check_cells(self.s_cells)
 
     def payload_bytes(self) -> bytes:
         head = _MAGIC + struct.pack(
@@ -321,12 +321,10 @@ def gen_named_field(kind: str, level: int, dim: int = 2, seed: int = 0,
     else:
         raise ValueError(f"unknown field kind {kind!r}")
 
-    fld = CoefficientField(
+    return CoefficientField(
         dim=dim, level=level, s_cells=s_cells, k_cells=k_cells,
         kind=kind, seed=seed, params=dict(params),
     )
-    fld.validate()
-    return fld
 
 
 _KIND_TAGS = {
@@ -344,22 +342,6 @@ _KIND_PARAMS = {
 }
 
 
-def shift_field(field: CoefficientField, z: tuple[int, ...]) -> CoefficientField:
-    """Translate: (tau_z a)(x) = a(x + z), in whole cells.
-
-    Requires a periodic extension mode; the shift then rolls the cell data.
-    """
-    if field.extension != "periodic":
-        raise ValueError("shift requires a field with periodic extension")
-    if len(z) != field.dim:
-        raise ValueError("shift vector length must match dimension")
-    sh = tuple(-int(v) for v in z)
-    axes = tuple(range(field.dim))
-    return replace(field, s_cells=np.roll(field.s_cells, sh, axis=axes),
-                   k_cells=np.roll(field.k_cells, sh, axis=axes),
-                   params=dict(field.params, shifted_by=list(z)))
-
-
 def save_field(field: CoefficientField, path: str | Path) -> Path:
     """Write the binary payload plus a JSON sidecar; returns the binary path."""
     path = Path(path)
@@ -373,7 +355,7 @@ def save_field(field: CoefficientField, path: str | Path) -> Path:
         "kind": field.kind,
         "seed": field.seed,
         "params": field.params,
-        "extension": field.extension,
+        "extension": "periodic",
         "sha256": hashlib.sha256(payload).hexdigest(),
     }
     path.with_suffix(path.suffix + ".json").write_text(
@@ -383,8 +365,8 @@ def save_field(field: CoefficientField, path: str | Path) -> Path:
 
 
 def load_field(path: str | Path) -> CoefficientField:
-    """Inverse of save_field; verifies magic, version, checksum and the cells
-    (``CoefficientField.validate``)."""
+    """Inverse of save_field; verifies magic, version and checksum, and the
+    field's constructor checks the cells."""
     path = Path(path)
     raw = path.read_bytes()
     if raw[:4] != _MAGIC:
@@ -397,11 +379,9 @@ def load_field(path: str | Path) -> CoefficientField:
     body = np.frombuffer(raw[16:], dtype="<f8")
     if body.size != 2 * count:
         raise ValueError("field payload has wrong size")
-    shape = (m,) * dim + (dim, dim)
-    s_cells = body[:count].reshape(shape).copy()
-    k_cells = body[count:].reshape(shape).copy()
+    s_cells, k_cells = body.reshape((2,) + (m,) * dim + (dim, dim))
     side = path.with_suffix(path.suffix + ".json")
-    kind, seed, params, extension = "custom", None, {}, "periodic"
+    kind, seed, params = "custom", None, {}
     if side.exists():
         meta = json.loads(side.read_text())
         if meta.get("sha256") != hashlib.sha256(raw).hexdigest():
@@ -409,10 +389,7 @@ def load_field(path: str | Path) -> CoefficientField:
         kind = meta.get("kind", kind)
         seed = meta.get("seed")
         params = meta.get("params", {})
-        extension = meta.get("extension", extension)
-    field = CoefficientField(
+    return CoefficientField(
         dim=dim, level=level, s_cells=s_cells, k_cells=k_cells,
-        kind=kind, seed=seed, params=params, extension=extension,
+        kind=kind, seed=seed, params=params,
     )
-    field.validate()
-    return field

@@ -42,8 +42,7 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .fields import (CascadeOverflowError, CoefficientField,
-                     DegenerateCellError, check_cells)
+from .fields import CascadeOverflowError, CoefficientField, DegenerateCellError
 from .triadic import TriadicCube, block_means
 
 
@@ -193,9 +192,7 @@ def assemble(field: CoefficientField, cube: TriadicCube | None = None,
     if not field.domain.contains(cube):
         raise ValueError("cube not contained in the field window")
 
-    s_block = field.s_cells[cube.slices]
-    check_cells(s_block)
-    a_block = s_block + field.k_cells[cube.slices]
+    a_block = field.s_cells[cube.slices] + field.k_cells[cube.slices]
     for ax in range(d):
         a_block = np.repeat(a_block, r, axis=ax)
     mE = r * cube.side                      # elements per axis
@@ -372,10 +369,9 @@ def cell_traces(field: CoefficientField, domain: TriadicCube | None = None,
         raise ValueError("resolution must be >= 1")
     if not field.domain.contains(domain):
         raise ValueError("cube not contained in the field window")
-    s = field.s_cells[domain.slices]
-    check_cells(s)
     Kref, nb = _cell_reference(d, r)
-    K = np.einsum("...ab,abij->...ij", s + field.k_cells[domain.slices], Kref)
+    a = field.s_cells[domain.slices] + field.k_cells[domain.slices]
+    K = np.einsum("...ab,abij->...ij", a, Kref)
     return BoundaryTraces(dim=d, level=0, resolution=r, origin=domain.offset,
                           step=1, Lam=_eliminate(K, nb))
 

@@ -13,9 +13,12 @@ also take the operator, and factor its K in SuperLU's own (COLAMD) column
 order instead of the package's nested-dissection order.  These oracles read
 only the operator's K, a_elems and node grid; ``nodal_functionals`` derives
 the energy form and the volume functionals from them, and is checked
-against ``loop_assembly``.
+against ``loop_assembly``.  ``forge_field_file`` writes the bad field files
+that the package can no longer build, for the tests of the load-time check.
 """
+import hashlib
 import itertools
+import json
 
 import numpy as np
 import scipy.linalg
@@ -286,3 +289,22 @@ def default_order_neumann(op, load):
     u = np.zeros(op.N)
     u[1:] = spla.splu(op.K[1:, 1:].tocsc()).solve(load[1:])
     return u - (nodal_functionals(op)[3] @ u) / op.vol
+
+
+def forge_field_file(path, part, index, shift):
+    """Add ``shift`` to entry ``index`` of the saved cells ``part`` ("s" or
+    "k") and re-sign the sidecar, so only the cell check can reject the file.
+
+    The payload is a 16-byte head, then every cell's s, then every cell's k,
+    as little-endian doubles in C order.
+    """
+    raw = path.read_bytes()
+    side = path.with_suffix(path.suffix + ".json")
+    meta = json.loads(side.read_text())
+    m, d = 3 ** meta["level"], meta["dim"]
+    cells = np.frombuffer(raw[16:], dtype="<f8").reshape((2,) + (m,) * d + (d, d)).copy()
+    cells[("s", "k").index(part)][index] += shift
+    raw = raw[:16] + cells.astype("<f8").tobytes()
+    path.write_bytes(raw)
+    meta["sha256"] = hashlib.sha256(raw).hexdigest()
+    side.write_text(json.dumps(meta, sort_keys=True, indent=1) + "\n")

@@ -6,6 +6,7 @@ import pytest
 
 from cghom import cli
 from cghom.fields import gen_named_field, save_field
+from reference_impl import forge_field_file
 
 
 def _run(argv, tmp_path=None):
@@ -68,12 +69,33 @@ def test_config_file_errors(tmp_path):
     "homexp.target.family=\"bump\"",
     "coarsegrain.resolution=0",
     "workers=0",
+    "norms.p=[1.0,0.0]",
+    "norms.p=0",
+    "norms.q=-1.5",
+    "norms.p=\"x\"",
+    "norms.q=true",
+    "norms.p=2 norms.q=3",            # p <= d/(2t) = 2.5
+    "norms.q=2.5 norms.p=3",          # q <= d/(2s) = 2.5
+    "norms.tail=False",               # not JSON, so kept as a string
+    "norms.normalized=0",
+    "coarsegrain.check=\"yes\"",
+    "ergodic.csv=1",
+    "homexp.with_E=null",
+    "homexp.with_GH=\"true\"",
 ])
 def test_invalid_overrides_exit_2(tmp_path, capsys, override):
-    assert _run(["selftest", "--set", override], tmp_path) == 2
+    argv = ["selftest"]
+    for item in override.split():
+        argv += ["--set", item]
+    assert _run(argv, tmp_path) == 2
+    err = capsys.readouterr().err
     key = override.partition("=")[0]
-    if key.startswith(("ergodic.", "homexp.n_", "homexp.seeds", "homexp.ring")):
-        assert f"config error: {key} must be an integer" in capsys.readouterr().err
+    if key.startswith(("norms.p", "norms.q", "norms.tail", "norms.normalized",
+                       "coarsegrain.check", "ergodic.csv", "homexp.with_")):
+        assert f"config error: {key} must" in err
+    elif key.startswith(("ergodic.", "homexp.n_", "homexp.seeds",
+                         "homexp.ring")):
+        assert f"config error: {key} must be an integer" in err
 
 
 def test_malformed_override_and_negative_seed(tmp_path):
@@ -193,8 +215,8 @@ def test_invalid_field_file_stops_before_any_solve(tmp_path, monkeypatch,
         raise AssertionError("a solve was started")
     monkeypatch.setattr(cli.coarsegrain, "hierarchy_sweep", no_solve)
     field = gen_named_field("checkerboard", level=2, seed=0)
-    field.s_cells[4, 4, 0, 1] += 0.5
     path = save_field(field, tmp_path / "asym.cghf")
+    forge_field_file(path, "s", (4, 4, 0, 1), 0.5)
     out = tmp_path / "out"
     for command in ("coarsegrain", "ellipticity"):
         assert _run([command, str(path)], out) == 3

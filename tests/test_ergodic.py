@@ -4,13 +4,12 @@ import json
 import numpy as np
 import pytest
 
-from cghom.coarsegrain import A_from_blocks, coarse_grain_cube
+from cghom.coarsegrain import A_from_blocks
 from cghom.ergodic import (ErgodicEstimate, FieldSpec,
                            check_monotone, derive_blocks, estimate_Abar,
-                           estimate_Abar_spatial, estimates_report,
-                           gap_diagnostic, homogenized_matrix, sample_seeds,
+                           estimates_report, gap_diagnostic,
+                           homogenized_matrix, sample_seeds,
                            write_samples_csv)
-from cghom.triadic import TriadicCube
 
 CHK = FieldSpec(kind="checkerboard", dim=2, params={"low": 0.75, "high": 4 / 3})
 SKW = FieldSpec(kind="skew_lognormal", dim=2,
@@ -69,18 +68,6 @@ def test_gap_identity_is_algebraic():
     report = est.gap_identity()
     assert report["residual"] < 1e-10
     assert len(report["J_sums"]) == 2
-
-
-def test_spatial_mode_averages_disjoint_translates():
-    est = estimate_Abar_spatial(CHK, 1, 2, seed=7)
-    assert est.samples == 9
-    assert est.method == "spatial"
-    field = CHK.realize(2, 7)
-    As = [coarse_grain_cube(field, TriadicCube(1, (3 * i, 3 * j), 2)).A
-          for i in range(3) for j in range(3)]
-    assert np.allclose(est.A_bar, np.mean(As, axis=0), atol=1e-14)
-    with pytest.raises(ValueError, match="window"):
-        estimate_Abar_spatial(CHK, 2, 2, seed=7)
 
 
 def test_check_monotone_detects_order_and_violation():

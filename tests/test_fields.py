@@ -1,4 +1,5 @@
 """Coefficient-field generators, validation and the binary file format."""
+import dataclasses
 import pickle
 
 import numpy as np
@@ -6,8 +7,10 @@ import pytest
 
 from cghom import fields
 from cghom.fields import (CascadeOverflowError, CascadeSpec, CoefficientField,
-                          gen_cascade_field, gen_cascade_layer, gen_named_field,
-                          load_field, save_field, shift_field)
+                          DegenerateCellError, gen_cascade_field,
+                          gen_cascade_layer, gen_named_field, load_field,
+                          save_field)
+from reference_impl import forge_field_file
 
 
 def test_seed_determinism():
@@ -25,7 +28,7 @@ def test_constant_field():
     a = np.asarray(mat)
     assert np.allclose(f.s_cells, 0.5 * (a + a.T))
     assert np.allclose(f.k_cells, 0.5 * (a - a.T))
-    assert np.allclose(f.a_cells, a)
+    assert np.allclose(f.s_cells + f.k_cells, a)
     assert f.cells_per_axis == 3
 
 
@@ -118,10 +121,40 @@ def test_cascade_iso_field_kind():
 
 
 def test_validate_flags_nonsymmetric_s():
-    f = gen_named_field("constant", level=1, matrix=[[1.0, 0.0], [0.0, 1.0]])
-    f.s_cells[0, 0, 0, 1] = 0.5   # break symmetry in one cell
-    with pytest.raises(ValueError):
-        f.validate()
+    # the cells are checked when the field is built, whichever way it is built
+    s = np.broadcast_to(np.eye(2), (3, 3, 2, 2)).copy()
+    k = np.zeros_like(s)
+
+    def build(s_cells=s, k_cells=k):
+        return CoefficientField(dim=2, level=1, s_cells=s_cells, k_cells=k_cells)
+
+    def bent(cells, entry, value):
+        out = cells.copy()
+        out[(1, 2) + entry] = value
+        return out
+
+    with pytest.raises(ValueError, match="must have shape"):
+        build(s_cells=s[:2])
+    with pytest.raises(ValueError, match="s must be symmetric"):
+        build(s_cells=bent(s, (0, 1), 0.5))
+    with pytest.raises(ValueError, match="k skew"):
+        build(k_cells=bent(k, (0, 1), 0.5))
+    with pytest.raises(DegenerateCellError, match="not positive definite"):
+        build(s_cells=bent(s, (0, 0), -1.0))
+    with pytest.raises(DegenerateCellError, match="exceeds cap"):
+        build(s_cells=bent(s, (1, 1), 1e13))
+    f = build()
+    # the field's arrays are read-only copies; the caller's stay writable
+    with pytest.raises(ValueError, match="read-only"):
+        f.s_cells[0, 0, 0, 1] = 0.5
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        f.k_cells = k
+    s[0, 0, 0, 0] = 2.0
+    assert f.s_cells[0, 0, 0, 0] == 1.0
+    # replace builds a new field, so it checks the cells again
+    with pytest.raises(ValueError, match="k skew"):
+        dataclasses.replace(f, k_cells=bent(k, (0, 1), 0.5))
+    assert dataclasses.replace(f, s_cells=s).s_cells[0, 0, 0, 0] == 2.0
 
 
 def test_save_load_roundtrip(tmp_path):
@@ -154,31 +187,14 @@ def test_load_rejects_corruption(tmp_path):
 
 def test_load_rejects_invalid_cells(tmp_path):
     # files whose cells break the field's contract, with a valid checksum
-    cases = (("s must be symmetric", "s_cells", (0, 1), 0.5),
-             ("k skew", "k_cells", (0, 0), 0.5),
-             ("positive definite", "s_cells", (0, 0), -10.0),
-             ("exceeds cap", "s_cells", (0, 0), 1e13))
-    for i, (message, cells, entry, shift) in enumerate(cases):
-        f = gen_named_field("skew_lognormal", level=2, seed=21, sigma=0.6,
-                            kappa=0.4)
-        getattr(f, cells)[(4, 4) + entry] += shift
+    cases = (("s must be symmetric", "s", (0, 1), 0.5),
+             ("k skew", "k", (0, 0), 0.5),
+             ("positive definite", "s", (0, 0), -10.0),
+             ("exceeds cap", "s", (0, 0), 1e13))
+    f = gen_named_field("skew_lognormal", level=2, seed=21, sigma=0.6,
+                        kappa=0.4)
+    for i, (message, part, entry, shift) in enumerate(cases):
         path = save_field(f, tmp_path / f"bad{i}.cghf")
+        forge_field_file(path, part, (4, 4) + entry, shift)
         with pytest.raises(ValueError, match=message):
             load_field(path)
-
-
-def test_shift_field_rolls_cells():
-    f = gen_named_field("lognormal_iso", level=1, seed=2)
-    g = shift_field(f, (1, 2))
-    assert np.array_equal(g.s_cells[0, 0], f.s_cells[1, 2])
-    h = shift_field(g, (-1, -2))
-    assert np.array_equal(h.s_cells, f.s_cells)
-
-
-def test_shift_requires_periodic_extension():
-    f = gen_named_field("lognormal_iso", level=1, seed=2)
-    clipped = CoefficientField(dim=2, level=1, s_cells=f.s_cells,
-                               k_cells=f.k_cells, kind=f.kind, seed=f.seed,
-                               params={}, extension="none")
-    with pytest.raises(ValueError):
-        shift_field(clipped, (1, 0))

@@ -1,4 +1,6 @@
 """Homogenization-error experiments: targets, errors, trend machinery."""
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from scipy import integrate
@@ -235,8 +237,9 @@ def test_half_lattice_matches_kkt_oracle():
             assert (np.abs(A - want).max()
                     <= 1e-10 * max(1.0, np.linalg.norm(want, 2))), cube
     # a constant block on the half lattice takes the closed form exactly
-    field.s_cells[2:5, 4:7] = field.s_cells[0, 0]
-    field.k_cells[2:5, 4:7] = field.k_cells[0, 0]
+    s, k = field.s_cells.copy(), field.k_cells.copy()
+    s[2:5, 4:7], k[2:5, 4:7] = s[0, 0], k[0, 0]
+    field = replace(field, s_cells=s, k_cells=k)
     exact = pointwise_A(field.s_cells[0, 0], field.k_cells[0, 0])
     assert np.array_equal(half_lattice_matrices(field, 1)[2 * 25 + 4], exact)
 

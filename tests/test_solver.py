@@ -1,5 +1,6 @@
 """Assembly and solve layer: element integrals, boundary problems, averages."""
 import itertools
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -111,14 +112,14 @@ def test_skew_part_contributes_antisymmetrically():
 
 
 def test_assembly_rejects_degenerate_cells():
+    # a field is checked when it is built, so assembly never sees a bad cell
     field = gen_named_field("constant", level=1, matrix=np.eye(2).tolist())
-    field.s_cells[...] = 0.0
-    with pytest.raises(DegenerateCellError):
-        assemble(field)
-    field.s_cells[...] = np.eye(2)
-    field.s_cells[0, 0] = np.diag([1.0, 1e15])
-    with pytest.raises(DegenerateCellError):
-        assemble(field)
+    with pytest.raises(DegenerateCellError, match="not positive definite"):
+        replace(field, s_cells=np.zeros_like(field.s_cells))
+    s = field.s_cells.copy()
+    s[0, 0] = np.diag([1.0, 1e15])
+    with pytest.raises(DegenerateCellError, match="exceeds cap"):
+        replace(field, s_cells=s)
 
 
 def test_dirichlet_solve_matches_dense_reference():
@@ -312,7 +313,7 @@ def test_subcube_assembly_uses_window_slice():
     field = gen_named_field("lognormal_iso", level=2, seed=15)
     cube = TriadicCube(level=1, offset=(3, 6), dim=2)
     op = assemble(field, cube)
-    sub = field.a_cells[3:6, 6:9]
+    sub = field.s_cells[3:6, 6:9] + field.k_cells[3:6, 6:9]
     assert np.allclose(op.a_elems.reshape(3, 3, 2, 2), sub)
     with pytest.raises(ValueError):
         assemble(field, TriadicCube(level=1, offset=(7, 0), dim=2))
