@@ -15,11 +15,11 @@ from __future__ import annotations
 
 import argparse
 import copy
+import functools
 import hashlib
 import json
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -115,7 +115,8 @@ def apply_overrides(config: dict, assignments: list[str]) -> dict:
 
 
 # Merging the 27 children of a 3D level-3 cube is a dense boundary problem on
-# 8,128 union nodes, about 0.5 GB per matrix, so such runs cannot finish.
+# 8,128 union nodes; one such cube condenses in 12.0 s at a 1,090 MB peak, too
+# much per sample or seed.  Raising the cap waits on ROADMAP item 4.
 MAX_LEVEL_3D = 2
 
 
@@ -361,12 +362,13 @@ def cmd_ellipticity(config: dict, out_dir: Path, fingerprint: str,
 def cmd_ergodic(config: dict, out_dir: Path, fingerprint: str) -> int:
     spec = fieldspec_from_config(config)
     er = config["ergodic"]
-    estimates = [
-        ergodic.estimate_Abar(spec, n, er["samples"], seed=config["seed"],
-                              resolution=config["coarsegrain"]["resolution"],
-                              workers=config["workers"], keep_samples=er["csv"])
-        for n in range(er["n_min"], er["n_max"] + 1)
-    ]
+    with solver.worker_map(config["workers"]) as pmap:
+        estimates = [
+            ergodic.estimate_Abar(spec, n, er["samples"], seed=config["seed"],
+                                  resolution=config["coarsegrain"]["resolution"],
+                                  pmap=pmap, keep_samples=er["csv"])
+            for n in range(er["n_min"], er["n_max"] + 1)
+        ]
     gap = ergodic.gap_diagnostic(estimates) if len(estimates) >= 3 else None
     report = ergodic.estimates_report(estimates, gap)
     report["monotone"] = ergodic.check_monotone(estimates)
@@ -392,40 +394,29 @@ def cmd_ergodic(config: dict, out_dir: Path, fingerprint: str) -> int:
     return EXIT_OK
 
 
-def _run_seed(args):
-    exp, seed, with_E, with_GH = args
-    return homexp.run_dirichlet_experiment(exp, seed=seed, with_E=with_E,
-                                           with_GH=with_GH)
-
-
 def cmd_homogenize(config: dict, out_dir: Path, fingerprint: str) -> int:
     spec = fieldspec_from_config(config)
     hx = config["homexp"]
+    resolution = config["coarsegrain"]["resolution"]
     A_bar = None
-    if hx["a_bar"] is not None:
-        a_bar = np.asarray(hx["a_bar"], float)
-    else:
-        est = ergodic.estimate_Abar(spec, hx["n_max"],
-                                    config["ergodic"]["samples"],
-                                    seed=config["seed"],
-                                    resolution=config["coarsegrain"]["resolution"],
-                                    workers=config["workers"])
-        a_bar = est.s_bar + est.k_bar
-        A_bar = est.A_bar
-    exp = homexp.HomExperiment(spec=spec, a_bar=a_bar,
-                               h=target_from_config(config),
-                               alpha=hx["alpha"], n_min=hx["n_min"],
-                               n_max=hx["n_max"],
-                               resolution=config["coarsegrain"]["resolution"],
-                               A_bar=A_bar, ring_levels=hx["ring_levels"])
-    seeds = list(range(config["seed"], config["seed"] + hx["seeds"]))
-    jobs = [(exp, s, hx["with_E"], hx["with_GH"]) for s in seeds]
-    if config["workers"] > 1:
-        with ProcessPoolExecutor(max_workers=config["workers"],
-                                 initializer=solver.single_blas_thread) as pool:
-            per_seed = list(pool.map(_run_seed, jobs))
-    else:
-        per_seed = [_run_seed(j) for j in jobs]
+    with solver.worker_map(config["workers"]) as pmap:
+        if hx["a_bar"] is not None:
+            a_bar = np.asarray(hx["a_bar"], float)
+        else:
+            est = ergodic.estimate_Abar(spec, hx["n_max"],
+                                        config["ergodic"]["samples"],
+                                        seed=config["seed"],
+                                        resolution=resolution, pmap=pmap)
+            a_bar = est.s_bar + est.k_bar
+            A_bar = est.A_bar
+        exp = homexp.HomExperiment(spec=spec, a_bar=a_bar,
+                                   h=target_from_config(config),
+                                   alpha=hx["alpha"], n_min=hx["n_min"],
+                                   n_max=hx["n_max"], resolution=resolution,
+                                   A_bar=A_bar, ring_levels=hx["ring_levels"])
+        per_seed = pmap(functools.partial(homexp.run_dirichlet_experiment, exp,
+                                          with_E=hx["with_E"], with_GH=hx["with_GH"]),
+                        range(config["seed"], config["seed"] + hx["seeds"]))
     family = f"{spec.kind}/{config['homexp']['target']['family']}"
     homexp.write_records_csv(per_seed,
                              str(out_dir / f"homog_{fingerprint[:10]}.csv"),
@@ -438,7 +429,9 @@ def cmd_homogenize(config: dict, out_dir: Path, fingerprint: str) -> int:
     residuals = [r.residual for recs in per_seed for r in recs if not r.failed]
     write_json_report(summary, out_dir / f"homog_summary_{fingerprint[:10]}.json",
                       fingerprint,
-                      meta={"max_interior_residual": max(residuals, default=None)})
+                      meta={"max_interior_residual": max(residuals, default=None),
+                            "failed_records": [{"seed": r.seed, "n": r.n, "error": r.error}
+                                               for recs in per_seed for r in recs if r.failed]})
     print(f"{family}: median grad errors {np.round(summary['median_grad_err'], 6).tolist()}"
           f" (trend {summary['mk_grad']}), {summary['failures']} failures")
     return EXIT_NUMERICAL if summary["failures"] else EXIT_OK

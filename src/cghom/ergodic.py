@@ -12,17 +12,15 @@ largest scale.
 from __future__ import annotations
 
 import csv
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field as dc_field
 
 import numpy as np
-from scipy import stats
 
 from .coarsegrain import (A_from_blocks, J_from_A, Jstar_from_A,
                           blocks_from_A, coarse_grain_cube, loewner_chain,
                           pointwise_bounds)
 from .fields import gen_named_field
-from .solver import NUMERICAL_ERRORS, SolverError, single_blas_thread
+from .solver import NUMERICAL_ERRORS, SolverError
 
 
 @dataclass(frozen=True)
@@ -131,20 +129,15 @@ def sample_seeds(seed: int, n: int, samples: int) -> np.ndarray:
 
 
 def estimate_Abar(spec: FieldSpec, n: int, samples: int, seed: int = 0,
-                  resolution: int = 1, workers: int = 1,
+                  resolution: int = 1, pmap=None,
                   keep_samples: bool = False) -> ErgodicEstimate:
-    """Average the top-cube coarse matrix over independent field draws."""
+    """Average the top-cube coarse matrix over independent field draws, run
+    through ``pmap`` (one of ``solver.worker_map``) or, by default, here in order."""
     if samples < 2:
         raise ValueError("need at least 2 samples")
     seeds = sample_seeds(seed, n, samples)
     jobs = [(i, spec, n, resolution, int(s)) for i, s in enumerate(seeds)]
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers,
-                                 initializer=single_blas_thread) as pool:
-            results = list(pool.map(_mc_sample, jobs,
-                                    chunksize=max(1, samples // (4 * workers))))
-    else:
-        results = list(map(_mc_sample, jobs))
+    results = list((pmap or map)(_mc_sample, jobs))
     As = np.stack([r[0] for r in results])
     A_bar = As.mean(axis=0)
     A_se = As.std(axis=0, ddof=1) / np.sqrt(samples)
@@ -176,6 +169,17 @@ def check_monotone(estimates: list, factor: float = 3.0) -> dict:
     return {"pairs": pairs, "ok": ok}
 
 
+def _spearman_rho(x, y) -> float:
+    """Spearman's rho as ``scipy.stats.spearmanr`` gives it: the correlation
+    of average ranks (ties share their mean rank); nan on constant input."""
+    ranks = []
+    for v in (x, y):
+        _, inv, counts = np.unique(v, return_inverse=True, return_counts=True)
+        ranks.append((np.cumsum(counts) - 0.5 * (counts - 1))[inv])
+    with np.errstate(invalid="ignore", divide="ignore"):
+        return float(np.corrcoef(*ranks)[1, 0])
+
+
 def gap_diagnostic(estimates: list) -> dict:
     """Decreasing-gap report across scales.
 
@@ -189,7 +193,7 @@ def gap_diagnostic(estimates: list) -> dict:
         raise ValueError("need at least 3 scales for a trend")
     ns = [e.n for e in est]
     traces = [float(np.trace(e.gap)) for e in est]
-    rho = float(stats.spearmanr(ns, traces).statistic)
+    rho = _spearman_rho(ns, traces)
     identities = [e.gap_identity() for e in est]
     sandwich = []
     for e in est:

@@ -137,6 +137,7 @@ class ErrorRecord:
     H_alpha: float = float("nan")
     failed: bool = False
     residual: float = float("nan")     # of the interior solve, see solve_dirichlet
+    error: str = ""                     # "<exception class>: <message>" if failed
 
 
 def _quad_order(h: TargetFunction) -> int:
@@ -218,8 +219,8 @@ def run_dirichlet_experiment(exp: HomExperiment, seed: int = 0,
                                       s_star_bar - k_bar, exp.alpha,
                                       min(exp.ring_levels, n), exp.resolution)
                     rec.G_alpha, rec.H_alpha = G, H
-        except solver.NUMERICAL_ERRORS:
-            rec.failed = True
+        except solver.NUMERICAL_ERRORS as exc:
+            rec.failed, rec.error = True, f"{type(exc).__name__}: {exc}"
         records.append(rec)
     return records
 

@@ -33,9 +33,11 @@ mean.
 """
 from __future__ import annotations
 
+import contextlib
 import ctypes
 import functools
 import itertools
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field as dc_field, replace
 
 import numpy as np
@@ -57,30 +59,57 @@ NUMERICAL_ERRORS = (SolverError, DegenerateCellError, CascadeOverflowError,
                     np.linalg.LinAlgError, ValueError, FloatingPointError)
 
 
-def single_blas_thread() -> None:
-    """Make OpenBLAS run single-threaded in this process.
-
-    Pool workers call it on start: the pool already keeps every core busy,
-    and BLAS threads on top of it spin against each other (four workers on
-    two cores ran the dense merges several times slower).  OpenBLAS is found
-    among the libraries mapped into the process; where there is none, or no
-    /proc/self/maps, nothing changes.
-    """
+def _blas_thread_controls() -> list:
+    """(getter or None, setter) of the thread count of each OpenBLAS mapped here."""
     try:
         with open("/proc/self/maps") as fh:
             paths = {line.split()[-1] for line in fh if "openblas" in line}
     except OSError:
-        return
+        return []
+    out = []
     for path in paths:
         try:
             lib = ctypes.CDLL(path)
         except OSError:         # a mapping whose file is gone
             continue
-        for name in ("openblas_set_num_threads", "openblas_set_num_threads64_",
-                     "scipy_openblas_set_num_threads",
-                     "scipy_openblas_set_num_threads64_"):
-            if hasattr(lib, name):
-                getattr(lib, name)(1)
+        for name in (f"{pre}openblas_%s_num_threads{post}"
+                     for pre in ("", "scipy_") for post in ("", "64_")):
+            if hasattr(lib, name % "set"):
+                put = getattr(lib, name % "set")
+                put.argtypes, put.restype = [ctypes.c_int], None    # void (int)
+                out.append((getattr(lib, name % "get", None), put))  # int (void)
+    return out
+
+
+def single_blas_thread() -> None:
+    """Make OpenBLAS single-threaded here.  Pool workers call it on start: BLAS
+    threads on top of a busy pool spin against each other (four workers on
+    two cores ran the dense merges several times slower)."""
+    for _, set_threads in _blas_thread_controls():
+        set_threads(1)
+
+
+@contextlib.contextmanager
+def worker_map(workers: int):
+    """Yield ``pmap(fn, jobs) -> list``: one process pool serves the block, its
+    workers started through ``single_blas_thread`` and sent jobs in chunks of
+    ``len(jobs) // (4 * workers)``, at least 1.  With one worker the builtin
+    map runs them here on one BLAS thread, as in a pool worker, so ``workers``
+    changes no number; each thread count it can read is restored on exit."""
+    if workers == 1:
+        saved = [(put, get()) for get, put in _blas_thread_controls() if get]
+        for put, _ in saved:
+            put(1)
+        try:
+            yield lambda fn, jobs: list(map(fn, jobs))
+        finally:
+            for put, count in saved:
+                put(count)
+        return
+    with ProcessPoolExecutor(max_workers=workers,
+                             initializer=single_blas_thread) as pool:
+        yield lambda fn, jobs: list(pool.map(
+            fn, jobs, chunksize=max(1, len(jobs) // (4 * workers))))
 
 
 def reference_tensors(dim: int):

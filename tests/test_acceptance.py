@@ -30,7 +30,8 @@ from cghom.homexp import (HomExperiment, TargetFunction, bnorm_trend_check,
                           compute_E_s, compute_GH, energy_estimate_diagnostic,
                           run_dirichlet_experiment, summarize_records)
 from cghom.norms import bnorm, ellipticity_constants, ring_dual_norm
-from cghom.solver import assemble, partition_traces, solve_dirichlet, trace_loads
+from cghom.solver import (assemble, partition_traces, solve_dirichlet,
+                          trace_loads, worker_map)
 from cghom.triadic import TriadicCube
 from reference_impl import (bnorm_loops, brute_force_J, ellipticity_loops,
                             nodal_functionals, ring_norm_loops)
@@ -82,19 +83,22 @@ def _basis_pairs(rng, d=2, extra=5):
 @pytest.fixture(scope="module")
 def duality_sweep():
     """Scale sweep n=1..4 of the self-dual checkerboard, 200 draws each."""
-    return [estimate_Abar(DUALITY, n, 200, seed=0, workers=WORKERS,
-                          keep_samples=True) for n in range(1, 5)]
+    with worker_map(WORKERS) as pmap:
+        return [estimate_Abar(DUALITY, n, 200, seed=0, pmap=pmap,
+                              keep_samples=True) for n in range(1, 5)]
 
 
 @pytest.fixture(scope="module")
 def laminate_estimate():
-    return estimate_Abar(LAMINATE, 4, 16, seed=0, workers=WORKERS)
+    with worker_map(WORKERS) as pmap:
+        return estimate_Abar(LAMINATE, 4, 16, seed=0, pmap=pmap)
 
 
 @pytest.fixture(scope="module")
 def skew_sweep():
-    return [estimate_Abar(SKEWED, n, 200, seed=0, workers=WORKERS)
-            for n in range(1, 4)]
+    with worker_map(WORKERS) as pmap:
+        return [estimate_Abar(SKEWED, n, 200, seed=0, pmap=pmap)
+                for n in range(1, 4)]
 
 
 @pytest.fixture(scope="module")

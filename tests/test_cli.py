@@ -1,4 +1,5 @@
 """Command-line driver: config handling, exit codes, output artifacts."""
+import concurrent.futures
 import json
 
 import numpy as np
@@ -141,6 +142,42 @@ def test_ergodic_outputs_are_deterministic(tmp_path):
     assert [e["n"] for e in report["per_scale"]] == [1, 2]
     assert report["monotone"]["ok"] in (True, False)
     assert "a_bar" in report or "a_bar_error" in report
+    # the worker count changes no number, down to the last bit
+    sets = ["--set", "ergodic.samples=8", "--set", "ergodic.n_max=3",
+            "--set", "ergodic.csv=true"]
+    reports, csvs = [], []
+    for workers in (1, 2):
+        out = tmp_path / f"workers{workers}"
+        assert _run(["ergodic", "--workers", str(workers)] + sets, out) == 0
+        report = _load_report(next(out.glob("ergodic_*.json")))
+        report.pop("config_sha256")
+        reports.append(report)
+        csvs.append(next(out.glob("ergodic_samples_*.csv")).read_bytes())
+    assert reports[0] == reports[1]
+    assert csvs[0] == csvs[1]
+
+
+@pytest.mark.parametrize("workers, pools", [(2, 1), (1, 0)])
+def test_each_command_starts_at_most_one_pool(tmp_path, monkeypatch, workers,
+                                              pools):
+    made = []
+    init = concurrent.futures.ProcessPoolExecutor.__init__
+
+    def counting_init(self, *args, **kwargs):
+        made.append(1)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(concurrent.futures.ProcessPoolExecutor, "__init__",
+                        counting_init)
+    assert _run(["ergodic", "--workers", str(workers),
+                 "--set", "ergodic.samples=4", "--set", "ergodic.n_max=3"],
+                tmp_path / "ergodic") == 0
+    assert len(made) == pools
+    made.clear()
+    assert _run(["homogenize", "--workers", str(workers),
+                 "--set", "ergodic.samples=4", "--set", "homexp.n_max=2",
+                 "--set", "homexp.seeds=2"], tmp_path / "homogenize") == 0
+    assert len(made) == pools
 
 
 def test_ergodic_csv_holds_every_sample(tmp_path):
@@ -168,6 +205,24 @@ def test_failed_sample_is_named_numerical_failure(tmp_path, capsys, workers):
     err = capsys.readouterr().err
     assert "sample 0 (seed" in err
     assert "CascadeOverflowError" in err
+
+
+def test_failed_records_name_their_cause(tmp_path, capsys):
+    code = _run(["homogenize", "--workers", "2",
+                 "--set", 'field.kind="cascade_iso"',
+                 "--set", 'field.params={"sigma": 0.3, "cap": 1.0}',
+                 "--set", "homexp.a_bar=[[1, 0], [0, 1]]",
+                 "--set", "homexp.seeds=2", "--set", "homexp.n_max=2"], tmp_path)
+    assert code == 3
+    assert "4 failures" in capsys.readouterr().out
+    summary, = tmp_path.glob("homog_summary_*.json")
+    failed = json.loads(summary.read_text())["meta"]["failed_records"]
+    assert [(r["seed"], r["n"]) for r in failed] == [(0, 1), (0, 2), (1, 1), (1, 2)]
+    assert all(r["error"].startswith("CascadeOverflowError: ") for r in failed)
+    # the CSV keeps its columns; the cause goes under meta only
+    header = next(tmp_path.glob("homog_*.csv")).read_text().splitlines()[0]
+    assert header == ("family,seed,n,grad_err,flux_err,energy,E_alpha,G_alpha,"
+                      "H_alpha,failed,config_sha256")
 
 
 def test_3d_levels_that_cannot_finish_are_config_errors(tmp_path, monkeypatch,

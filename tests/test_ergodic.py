@@ -1,15 +1,22 @@
 """Monte Carlo averaging of coarse matrices and the derived diagnostics."""
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy import stats
 
+from cghom import ergodic
 from cghom.coarsegrain import A_from_blocks
 from cghom.ergodic import (ErgodicEstimate, FieldSpec,
                            check_monotone, derive_blocks, estimate_Abar,
                            estimates_report, gap_diagnostic,
                            homogenized_matrix, sample_seeds,
                            write_samples_csv)
+from cghom.solver import worker_map
 
 CHK = FieldSpec(kind="checkerboard", dim=2, params={"low": 0.75, "high": 4 / 3})
 SKW = FieldSpec(kind="skew_lognormal", dim=2,
@@ -40,7 +47,8 @@ def test_estimate_determinism_and_worker_equivalence():
     e2 = estimate_Abar(CHK, 1, 8, seed=3)
     assert np.array_equal(e1.A_bar, e2.A_bar)
     assert np.array_equal(e1.A_se, e2.A_se)
-    e3 = estimate_Abar(CHK, 1, 8, seed=3, workers=2)
+    with worker_map(2) as pmap:
+        e3 = estimate_Abar(CHK, 1, 8, seed=3, pmap=pmap)
     assert np.array_equal(e1.A_bar, e3.A_bar)
     e4 = estimate_Abar(CHK, 1, 8, seed=4)
     assert not np.array_equal(e1.A_bar, e4.A_bar)
@@ -95,6 +103,32 @@ def test_gap_diagnostic_trend_and_validation():
         assert entry["upper_slack"] > 0 and entry["lower_slack"] > 0
     with pytest.raises(ValueError, match="3 scales"):
         gap_diagnostic(ests[:2])
+
+
+@pytest.mark.filterwarnings("ignore::scipy.stats.ConstantInputWarning")
+def test_spearman_rho_matches_scipy_bit_for_bit():
+    rng = np.random.default_rng(12)
+    for trial in range(400):
+        n = int(rng.integers(3, 9))
+        if trial % 2:       # ties: draw from a few values
+            x, y = rng.integers(0, 3, n), rng.integers(0, 3, n)
+        else:
+            x, y = rng.standard_normal(n), rng.standard_normal(n)
+        want = stats.spearmanr(x, y).statistic
+        got = ergodic._spearman_rho(x, y)
+        assert got == want or (np.isnan(got) and np.isnan(want)), (x, y)
+    # constant input: nan without a warning
+    with np.errstate(all="raise"):
+        assert np.isnan(ergodic._spearman_rho([1, 2, 3], [5.0, 5.0, 5.0]))
+
+
+def test_cli_import_leaves_scipy_stats_out():
+    code = "import sys, cghom.cli; print('scipy.stats' in sys.modules)"
+    src = str(Path(ergodic.__file__).parents[1])
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True,
+                         env={**os.environ, "PYTHONPATH": src}).stdout
+    assert out.strip() == "False"
 
 
 def test_homogenized_matrix_from_small_ensemble():

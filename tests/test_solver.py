@@ -459,3 +459,20 @@ def test_nodal_solves_match_the_default_order_lu_on_c8_3d_and_refined():
     rng = np.random.default_rng(9)
     for op in ops:
         assert max(_default_order_gaps(op, rng)) < 1e-12
+
+
+def test_one_worker_maps_here_on_one_blas_thread_and_restores_the_count():
+    controls = [(get, put) for get, put in solver._blas_thread_controls() if get]
+    if not controls:
+        pytest.skip("no OpenBLAS with a thread-count getter in this process")
+    before = [get() for get, _ in controls]
+    try:
+        for _, put in controls:
+            put(2)
+        with solver.worker_map(1) as pmap:
+            assert [get() for get, _ in controls] == [1] * len(controls)
+            assert pmap(abs, range(-2, 2)) == [2, 1, 0, 1]
+        assert [get() for get, _ in controls] == [2] * len(controls)
+    finally:
+        for (_, put), count in zip(controls, before):
+            put(count)
