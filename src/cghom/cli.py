@@ -114,9 +114,10 @@ def apply_overrides(config: dict, assignments: list[str]) -> dict:
     return out
 
 
-# Merging the 27 children of a 3D level-3 cube is a dense boundary problem on
-# 8,128 union nodes; one such cube condenses in 12.0 s at a 1,090 MB peak, too
-# much per sample or seed.  Raising the cap waits on ROADMAP item 4.
+# The last axis step of a 3D level-3 merge is a dense boundary problem on
+# 5,728 union nodes; one such cube condenses in 5.5 s at a 988 MB peak RSS
+# (one BLAS thread, 2-core Xeon VM), too much per sample or seed.  Raising
+# the cap waits on a lower peak (ROADMAP item 4).
 MAX_LEVEL_3D = 2
 
 
@@ -134,8 +135,8 @@ def _check_3d_level(dim: int, level: int, what: str) -> None:
     if dim == 3 and level > MAX_LEVEL_3D:
         raise ConfigError(
             f"{what} would coarse-grain a 3D cube of level {level}; 3D cubes "
-            f"above level {MAX_LEVEL_3D} are rejected because their merge is a "
-            f"dense boundary problem of about 0.5 GB per matrix")
+            f"above level {MAX_LEVEL_3D} are rejected because their last merge "
+            f"step is a dense boundary problem of about 0.26 GB per matrix")
 
 
 def _check_k_min(k_min: int, level: int, what: str) -> None:

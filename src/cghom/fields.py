@@ -95,6 +95,12 @@ class CoefficientField:
             cells.flags.writeable = False
             object.__setattr__(self, name, cells)
 
+    def __reduce__(self):
+        # unpickling runs the constructor, so a field from a pickle is
+        # checked and read-only as a built one is
+        return (type(self), (self.dim, self.level, self.s_cells, self.k_cells,
+                             self.kind, self.seed, self.params))
+
     @property
     def domain(self) -> TriadicCube:
         return domain_cube(self.level, self.dim)

@@ -300,7 +300,10 @@ def _half_lattice_A(field: CoefficientField, partition) -> np.ndarray:
     traces of the scale-k partition: each such cube is exactly a 3^d block
     of partition cubes, so it costs one merge.  The cubes overlap, so there
     are about 3^d times as many as in a partition; merging one row of them
-    at a time keeps the merge's memory at a row's worth."""
+    at a time keeps the merge's memory at a row's worth.  Within a row, the
+    merge's first step builds each first-axis slab (3 partition cubes along
+    the rows) once, and its next step shares it among the 3 cubes of the
+    row that contain it."""
     rows = [condensed_A(solver.merge_traces(partition.rows(i, i + 3), stride=1), field)
             for i in range(partition.Lam.shape[0] - 2)]
     return np.concatenate(rows).reshape(-1, 2 * field.dim, 2 * field.dim)
@@ -328,8 +331,10 @@ def compute_GH(field: CoefficientField, A_top: np.ndarray, A_bar: np.ndarray,
       H = c sum_{k = n-l+1..n} 3^{2s(k-n)} avg_z | A(z+cube_k) - A_bar |^2
     where z runs over the contained half-overlap lattice of the window,
     A_top is the window's own coarse matrix and A_bar the ensemble mean.
-    The window is condensed once; each scale-k lattice is merged from the
-    scale-(k-1) partition.
+    A_top must be that matrix: the window is the only scale-n cube of its
+    lattice, so the k = n terms are read off it (G's is 0) and the window is
+    condensed only up to the scale-(n-2) partition, from which each scale-k
+    lattice, k < n, is merged (with l = 1, not at all).
     """
     n = field.level
     if not 1 <= l <= n:
@@ -337,14 +342,15 @@ def compute_GH(field: CoefficientField, A_top: np.ndarray, A_bar: np.ndarray,
     c = float(spec_norms(np.asarray(prefactor_mat, float)) ** 2)
     A_top = np.asarray(A_top, float)
     A_bar = np.asarray(A_bar, float)
-    G, H = {}, {}
-    for partition in solver.condense(field, resolution=resolution):
+    G, H = {n: 0.0}, {n: float(spec_norms(A_top - A_bar)) ** 2}
+    partitions = solver.condense(field, resolution=resolution) if l > 1 else ()
+    for partition in partitions:
         k = partition.level + 1
         if k > n - l:
             mats = _half_lattice_A(field, partition)
             G[k] = float(spec_norms(mats.mean(axis=0) - A_top))
             H[k] = float(np.mean(spec_norms(mats - A_bar) ** 2))
-        if k == n:
+        if k == n - 1:
             break
     return (c * scale_weighted_sum(G, s, n, False),
             c * scale_weighted_sum(H, s, n, False))

@@ -7,8 +7,13 @@ unit cell on triadic cubes, and condenses it onto cube boundaries.
 carries only the Schur complement ``Lam`` of ``K`` onto its boundary nodes
 (the discrete Dirichlet-to-Neumann map).  A parent's interior rows of ``K``
 touch only its own children's elements, so merging its 3^d children's maps
-and eliminating the shared skeleton is exact (nested dissection).  All cubes
-of one scale share one node grid, so every step is batched over them.  The
+and eliminating the shared skeleton is exact (nested dissection).  The merge
+goes one axis at a time, as in the pairwise merges of HPS: d steps, each
+joining 3 boxes along one axis and eliminating only their two interface
+planes, so no step solves for the whole skeleton at once.  All cubes of one
+scale share one node grid, so every step is batched over them; merged with
+stride 1 (the half-overlap lattice), a box built by one step is shared by
+the 3 boxes of the next step that contain it.  The
 energy form and the loads of the a-harmonic extension E follow from ``Lam``:
 ``S = sym(K)`` (grad u . k grad u = 0 in every cell), so ``E^T S E = sym(Lam)``;
 ``B = X^T K`` for the node coordinates X (Q1 reproduces x) and ``K E``
@@ -342,7 +347,9 @@ class BoundaryTraces:
         return replace(self, origin=origin, Lam=self.Lam[start:stop])
 
 
-def _on_boundary(coords: np.ndarray, m: int) -> np.ndarray:
+def _on_boundary(coords: np.ndarray, m) -> np.ndarray:
+    """Which nodes of a grid with m elements per axis (a number, or one per
+    axis as a (dim, 1) array) lie on its boundary."""
     return np.any((coords == 0) | (coords == m), axis=0)
 
 
@@ -405,35 +412,66 @@ def cell_traces(field: CoefficientField, domain: TriadicCube | None = None,
                           step=1, Lam=_eliminate(K, nb))
 
 
-_MERGE_MAPS: dict = {}
+_MERGE_STEPS: dict = {}
 _GEOMETRY: dict = {}
 
 
-def _merge_maps(dim: int, level: int, r: int):
-    """Where a level-``level`` parent puts its children's boundary nodes.
+def _box_merge(shape: tuple, axes: tuple):
+    """Index maps of one merge step: 3^g boxes of ``shape`` elements per
+    axis, placed side by side along the g ``axes``, onto the merged box.
 
-    Returns (maps, nb, nu): ``maps[j]`` holds, for child j of the 3^dim in C
-    order, the positions of that child's boundary nodes among the nu union
-    nodes; the union lists the parent's nb boundary nodes first, then the
-    skeleton, each in C order.  Indices only, built once per
-    (dim, level, resolution).
+    Returns (maps, nb, nu): ``maps[j]`` holds, for box j of the 3^g in C
+    order, the positions of that box's boundary nodes among the nu union
+    nodes; the union lists the merged box's nb boundary nodes first, then
+    the nu - nb interface nodes off it, each in C order of its node grid.
+    """
+    d, axes = len(shape), list(axes)
+    box = np.array(shape)[:, None]
+    big = box.copy()
+    big[axes] *= 3
+    child = np.indices(tuple(box[:, 0] + 1)).reshape(d, -1)
+    child = child[:, _on_boundary(child, box)]
+    coords = np.indices(tuple(big[:, 0] + 1)).reshape(d, -1)
+    bnd = _on_boundary(coords, big)
+    inner = np.any(coords[axes] % box[axes] == 0, axis=0) & ~bnd
+    order = np.concatenate([np.nonzero(bnd)[0], np.nonzero(inner)[0]])
+    pos = np.full(coords.shape[1], -1)
+    pos[order] = np.arange(len(order))
+    shift = np.zeros((d, 1), dtype=int)
+    maps = []
+    for j in np.ndindex(*(3,) * len(axes)):
+        shift[axes, 0] = np.array(j) * box[axes, 0]
+        maps.append(pos[np.ravel_multi_index(child + shift, tuple(big[:, 0] + 1))])
+    return np.stack(maps), int(bnd.sum()), len(order)
+
+
+def _merge_steps(dim: int, level: int, r: int):
+    """The steps that merge a 3^dim block of children into a level-``level``
+    parent, one axis at a time (the pairwise merges of HPS: Gillman and
+    Martinsson, SISC 36, 2014).  Returns a list of (axes, maps, nb, nu),
+    with (maps, nb, nu) as in ``_box_merge``: step t merges 3 boxes along
+    axis t, which are rectangular after the first step, and eliminates the
+    nodes of its two interface planes off the merged box's boundary.  A
+    leading step whose interface planes hold no such node (at resolution 1,
+    every step of the cells' merge but the last) is fused into the next one.
+    Indices only, built once per (dim, level, resolution).
     """
     key = (dim, level, r)
-    if key not in _MERGE_MAPS:
-        mc = r * 3 ** (level - 1)                 # elements per child axis
-        child = np.indices((mc + 1,) * dim).reshape(dim, -1)
-        child = child[:, _on_boundary(child, mc)]
-        shape = (3 * mc + 1,) * dim
-        coords = np.indices(shape).reshape(dim, -1)
-        bnd = _on_boundary(coords, 3 * mc)
-        skeleton = np.any(coords % mc == 0, axis=0) & ~bnd
-        order = np.concatenate([np.nonzero(bnd)[0], np.nonzero(skeleton)[0]])
-        pos = np.full(coords.shape[1], -1)
-        pos[order] = np.arange(len(order))
-        maps = np.stack([pos[np.ravel_multi_index(child + mc * np.array(j)[:, None], shape)]
-                         for j in np.ndindex(*(3,) * dim)])
-        _MERGE_MAPS[key] = (maps, int(bnd.sum()), len(order))
-    return _MERGE_MAPS[key]
+    if key not in _MERGE_STEPS:
+        shape = [r * 3 ** (level - 1)] * dim      # elements per child axis
+        steps, axes = [], ()
+        for ax in range(dim):
+            axes += (ax,)
+            maps, nb, nu = _box_merge(tuple(shape), axes)
+            if nu == nb and ax < dim - 1:
+                continue
+            for a in axes:
+                shape[a] *= 3
+            maps.flags.writeable = False
+            steps.append((axes, maps, nb, nu))
+            axes = ()
+        _MERGE_STEPS[key] = steps
+    return _MERGE_STEPS[key]
 
 
 def _boundary_geometry(dim: int, level: int, r: int):
@@ -458,23 +496,35 @@ def merge_traces(children: BoundaryTraces, stride: int = 3) -> BoundaryTraces:
     children: stride 3 gives the partition, stride 1 every block on the
     children's lattice.
 
-    The children's maps are added onto the union of their boundary nodes
-    and the skeleton (the union nodes off the parent boundary) is
-    eliminated, batched over all parents.
+    The block is merged in the steps of ``_merge_steps``, one axis at a time
+    and batched over all parents.  A step adds 3 boxes' maps onto the union
+    of their boundary nodes, through flat indices into a (batch, nu * nu)
+    view, and eliminates only its two interface planes.  Its boxes are taken
+    with the stride along its axis, so with stride 1 each box that a step
+    builds is merged once and shared by the 3 boxes of the next step that
+    contain it.
     """
     d = children.dim
-    maps, nb, nu = _merge_maps(d, children.level + 1, children.resolution)
-    m = children.Lam.shape[:d]
-    M = tuple((mi - 3) // stride + 1 for mi in m)
-    Lam = np.zeros(M + (nu, nu))
-    for j, ix in zip(np.ndindex(*(3,) * d), maps):
-        block = tuple(slice(i, i + stride * (n - 1) + 1, stride)
-                      for i, n in zip(j, M))
-        Lam[..., ix[:, None], ix] += children.Lam[block]
+    Lam = children.Lam
+    for axes, maps, nb, nu in _merge_steps(d, children.level + 1,
+                                           children.resolution):
+        M = tuple((n - 3) // stride + 1 if a in axes else n
+                  for a, n in enumerate(Lam.shape[:d]))
+        union = np.zeros(M + (nu * nu,))
+        flats = (maps[:, :, None] * nu + maps[:, None, :]).reshape(len(maps), -1)
+        for j, flat in zip(np.ndindex(*(3,) * len(axes)), flats):
+            at = dict(zip(axes, j))
+            block = tuple(slice(at[a], at[a] + stride * (n - 1) + 1, stride)
+                          if a in at else slice(None) for a, n in enumerate(M))
+            if any(j):
+                union[..., flat] += Lam[block].reshape(M + (-1,))
+            else:           # nothing is there yet: write, don't add
+                union[..., flat] = Lam[block].reshape(M + (-1,))
+        Lam = _eliminate(union.reshape(M + (nu, nu)), nb)
     return BoundaryTraces(dim=d, level=children.level + 1,
                           resolution=children.resolution,
                           origin=children.origin, step=children.step * stride,
-                          Lam=_eliminate(Lam, nb))
+                          Lam=Lam)
 
 
 def condense(field: CoefficientField, domain: TriadicCube | None = None,

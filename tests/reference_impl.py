@@ -13,9 +13,13 @@ also take the operator, and factor its K in SuperLU's own (COLAMD) column
 order instead of the package's nested-dissection order.  These oracles read
 only the operator's K, a_elems and node grid; ``nodal_functionals`` derives
 the energy form and the volume functionals from them, and is checked
-against ``loop_assembly``.  ``forge_field_file`` writes the bad field files
+against ``loop_assembly``.  ``one_step_merge`` is the boundary-trace merge
+that adds all 3^d children onto one union and eliminates the whole
+skeleton in one dense solve; the package merges one axis at a time, and
+this checks it.  ``forge_field_file`` writes the bad field files
 that the package can no longer build, for the tests of the load-time check.
 """
+import dataclasses
 import hashlib
 import itertools
 import json
@@ -289,6 +293,53 @@ def default_order_neumann(op, load):
     u = np.zeros(op.N)
     u[1:] = spla.splu(op.K[1:, 1:].tocsc()).solve(load[1:])
     return u - (nodal_functionals(op)[3] @ u) / op.vol
+
+
+def one_step_merge_maps(dim, level, r):
+    """Where a level-``level`` parent puts its children's boundary nodes.
+
+    Returns (maps, nb, nu): ``maps[j]`` holds, for child j of the 3^dim in C
+    order, the positions of that child's boundary nodes among the nu union
+    nodes; the union lists the parent's nb boundary nodes first, then the
+    skeleton (every union node off the parent boundary), each in C order.
+    """
+    def on_boundary(coords, m):
+        return np.any((coords == 0) | (coords == m), axis=0)
+
+    mc = r * 3 ** (level - 1)                 # elements per child axis
+    child = np.indices((mc + 1,) * dim).reshape(dim, -1)
+    child = child[:, on_boundary(child, mc)]
+    shape = (3 * mc + 1,) * dim
+    coords = np.indices(shape).reshape(dim, -1)
+    bnd = on_boundary(coords, 3 * mc)
+    skeleton = np.any(coords % mc == 0, axis=0) & ~bnd
+    order = np.concatenate([np.nonzero(bnd)[0], np.nonzero(skeleton)[0]])
+    pos = np.full(coords.shape[1], -1)
+    pos[order] = np.arange(len(order))
+    maps = np.stack([pos[np.ravel_multi_index(child + mc * np.array(j)[:, None], shape)]
+                     for j in np.ndindex(*(3,) * dim)])
+    return maps, int(bnd.sum()), len(order)
+
+
+def one_step_merge(children, stride=3):
+    """Boundary traces one level up, each parent merged from a 3^d block of
+    ``children`` (a batch of boundary traces) in one step: the children's
+    maps are added onto the union of their boundary nodes and the whole
+    skeleton is eliminated in one dense solve.  Stride 3 gives the
+    partition, stride 1 every block on the children's lattice."""
+    d = children.dim
+    maps, nb, nu = one_step_merge_maps(d, children.level + 1, children.resolution)
+    m = children.Lam.shape[:d]
+    M = tuple((mi - 3) // stride + 1 for mi in m)
+    Lam = np.zeros(M + (nu, nu))
+    for j, ix in zip(np.ndindex(*(3,) * d), maps):
+        block = tuple(slice(i, i + stride * (n - 1) + 1, stride)
+                      for i, n in zip(j, M))
+        Lam[..., ix[:, None], ix] += children.Lam[block]
+    X = np.linalg.solve(Lam[..., nb:, nb:], Lam[..., nb:, :nb])
+    return dataclasses.replace(children, level=children.level + 1,
+                               step=children.step * stride,
+                               Lam=Lam[..., :nb, :nb] - Lam[..., :nb, nb:] @ X)
 
 
 def forge_field_file(path, part, index, shift):

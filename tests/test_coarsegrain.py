@@ -517,10 +517,14 @@ def test_sweep_matches_kkt_oracle_in_3d_refined_kmin_and_subdomain():
     sub2 = hierarchy_sweep(f2, domain=TriadicCube(level=1, offset=(6, 3), dim=2),
                            k_min=1, resolution=2)
     _assert_sweep_matches_kkt(f2, sub2)
-    # the merge maps are cached per (dim, level, resolution) and hold indices
-    maps, nb, nu = solver._MERGE_MAPS[(2, 2, 2)]
-    assert maps.dtype.kind == "i" and maps.shape == (9, 4 * 6)
-    assert maps.min() == 0 and maps.max() == nu - 1 and nb == 4 * 18
+    # the merge steps are cached per (dim, level, resolution) and hold
+    # indices: one step per axis, 3 boxes each, the last onto the parent
+    steps = solver._MERGE_STEPS[(2, 2, 2)]
+    assert [axes for axes, *_ in steps] == [(0,), (1,)]
+    for (_, maps, nb, nu), nc in zip(steps, (4 * 6, 2 * (18 + 6))):
+        assert maps.dtype.kind == "i" and maps.shape == (3, nc)
+        assert maps.min() == 0 and maps.max() == nu - 1
+    assert steps[-1][2] == 4 * 18
 
 
 def test_constant_block_gets_the_closed_form_exactly():

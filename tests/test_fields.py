@@ -168,6 +168,18 @@ def test_save_load_roundtrip(tmp_path):
     assert g.fingerprint == f.fingerprint
 
 
+def test_pickle_roundtrip_rebuilds_the_field():
+    f = gen_named_field("skew_lognormal", level=2, seed=21, sigma=0.6, kappa=0.4)
+    g = pickle.loads(pickle.dumps(f))
+    assert not g.s_cells.flags.writeable and not g.k_cells.flags.writeable
+    assert g.fingerprint == f.fingerprint
+    assert (g.kind, g.seed, g.params) == (f.kind, f.seed, f.params)
+    # the constructor runs on the way in: a bad payload is rejected
+    bad = pickle.dumps(f).replace(f.k_cells.tobytes(), (f.k_cells + 1.0).tobytes())
+    with pytest.raises(ValueError, match="skew"):
+        pickle.loads(bad)
+
+
 def test_load_rejects_corruption(tmp_path):
     f = gen_named_field("constant", level=1)
     path = save_field(f, tmp_path / "field.cghf")

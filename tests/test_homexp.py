@@ -213,9 +213,16 @@ def test_half_lattice_count_and_GH_properties():
     A0 = pointwise_A(np.eye(2), np.zeros((2, 2)))
     G, H = compute_GH(const, A0, A0, np.eye(2), 0.6, 2)
     assert G == 0.0 and H == 0.0
-    # the prefactor enters through its squared spectral norm
-    G1, H1 = compute_GH(field, mats[0], A0, np.eye(2), 0.6, 1)
-    G2, H2 = compute_GH(field, mats[0], A0, 2.0 * np.eye(2), 0.6, 1)
+    # the window is the one scale-n cube of its lattice: with l = 1, G is 0
+    # and H is |A_top - A_bar|^2, read off the window's own matrix
+    A_top = hierarchy_sweep(field, check=False).A_by_scale[2][0, 0]
+    G1, H1 = compute_GH(field, A_top, A0, np.eye(2), 0.6, 1)
+    assert G1 == 0.0 and H1 == float(spec_norms(A_top - A0)) ** 2
+    # the prefactor enters through its squared spectral norm; with l = 2 the
+    # scale-1 lattice makes G positive
+    G1, H1 = compute_GH(field, A_top, A0, np.eye(2), 0.6, 2)
+    G2, H2 = compute_GH(field, A_top, A0, 2.0 * np.eye(2), 0.6, 2)
+    assert G1 > 0.0 and H1 > 0.0
     assert np.isclose(G2, 4.0 * G1) and np.isclose(H2, 4.0 * H1)
     with pytest.raises(ValueError, match="l must"):
         compute_GH(field, A0, A0, np.eye(2), 0.6, 0)

@@ -7,6 +7,7 @@ import pytest
 import scipy.sparse as sp
 
 from cghom import solver
+from cghom.coarsegrain import condensed_A
 from cghom.fields import gen_named_field
 from cghom.solver import (DegenerateCellError, assemble, cell_flux_averages,
                           cell_gradient_averages, energy_seminorm_sq, flux_rhs,
@@ -15,7 +16,7 @@ from cghom.solver import (DegenerateCellError, assemble, cell_flux_averages,
                           solve_dirichlet, solve_neumann, trace_loads)
 from cghom.triadic import TriadicCube
 from reference_impl import (default_order_dirichlet, default_order_neumann,
-                            loop_assembly, nodal_functionals)
+                            loop_assembly, nodal_functionals, one_step_merge)
 
 
 def _sympy_reference(dim):
@@ -476,3 +477,57 @@ def test_one_worker_maps_here_on_one_blas_thread_and_restores_the_count():
     finally:
         for (_, put), count in zip(controls, before):
             put(count)
+
+
+def _merge_gap(field, resolution=1):
+    """Worst relative gap of ``merge_traces`` to the one-step merge, in the
+    merged maps and in their ``condensed_A``, over every level of the field
+    and strides 3 (the partition) and 1 (the half-overlap lattice)."""
+    worst = 0.0
+    children = solver.cell_traces(field, resolution=resolution)
+    while children.level < field.level:
+        for stride in (3, 1):
+            got = solver.merge_traces(children, stride)
+            want = one_step_merge(children, stride)
+            assert got.Lam.shape == want.Lam.shape
+            assert (got.level, got.step, got.origin) == (want.level, want.step, want.origin)
+            for a, b in ((got.Lam, want.Lam),
+                         (condensed_A(got, field), condensed_A(want, field))):
+                worst = max(worst, float(np.abs(a - b).max() / np.abs(b).max()))
+        children = solver.merge_traces(children)
+    return worst
+
+
+@pytest.mark.parametrize("kind", ["checkerboard", "lognormal_iso",
+                                  "skew_lognormal", "cascade_iso"])
+def test_axis_merge_matches_the_one_step_merge_on_the_c2_kinds(kind):
+    # the c2 suite's kinds and seeds, at level 3 so that every merge past
+    # the cells' takes one step per axis
+    for seed in (1000, 1001):
+        assert _merge_gap(gen_named_field(kind, level=3, seed=seed)) <= 1e-10
+
+
+def test_axis_merge_matches_the_one_step_merge_in_3d_and_refined():
+    f3 = gen_named_field("skew_lognormal", level=2, dim=3, seed=41, sigma=0.5,
+                         kappa=0.6)
+    assert _merge_gap(f3) <= 1e-10
+    f2 = gen_named_field("skew_lognormal", level=2, seed=42, sigma=0.8, kappa=0.9)
+    assert _merge_gap(f2, resolution=2) <= 1e-10
+    f31 = gen_named_field("lognormal_iso", level=1, dim=3, seed=43, sigma=0.6)
+    assert _merge_gap(f31, resolution=2) <= 1e-10
+
+
+def test_merge_steps_follow_the_geometry():
+    # at resolution 1 the cells' merge has no interface node before its last
+    # axis, so it is one step over all 3^d cells, as the one-step merge
+    for dim in (2, 3):
+        [(axes, maps, nb, nu)] = solver._merge_steps(dim, 1, 1)
+        assert axes == tuple(range(dim)) and maps.shape == (3 ** dim, 2 ** dim)
+        assert (nb, nu) == (4 ** dim - 2 ** dim, 4 ** dim)
+    # above it, one step per axis, each eliminating two interface planes:
+    # the 3D level-3 merge eliminates 128, 416 and 1,352 nodes
+    steps = solver._merge_steps(3, 3, 1)
+    assert [axes for axes, *_ in steps] == [(0,), (1,), (2,)]
+    assert [nu - nb for *_, nb, nu in steps] == [128, 416, 1352]
+    assert steps[-1][2] == 28 ** 3 - 26 ** 3
+
