@@ -181,9 +181,9 @@ def condensed_A(traces: BoundaryTraces,
     With xi = (-p, q) the load of J is L^T xi for L = [B; G], so J is
     quadratic in xi.  The maximizers V of the 2d unit loads give
     A = sym(L V) / |U| - jswap(d).  Every load column is checked for J >= 0
-    and the energy identity, and every A for positive semidefiniteness up
-    to 1e-8 times its norm.  Given the ``field``, cubes whose cells are all
-    equal take the exact closed form instead.
+    and the energy identity, and every (symmetric) A for positive
+    semidefiniteness up to 1e-8 * max(1, max |eig A|).  Given the ``field``,
+    cubes whose cells are all equal take the exact closed form instead.
     """
     _, LV, J, energy = trace_loads(traces)
     A = 0.5 * (LV + np.swapaxes(LV, -1, -2)) / traces.vol - jswap(traces.dim)
@@ -193,8 +193,8 @@ def condensed_A(traces: BoundaryTraces,
         if exact.any():
             A[exact] = pointwise_A(s0[exact], k0[exact])
     check_objective(J[~exact], energy[~exact])
-    lo = np.linalg.eigvalsh(A[~exact])[:, 0]
-    scale = np.maximum(1.0, np.linalg.norm(A[~exact], 2, axis=(-2, -1)))
+    eigs = np.linalg.eigvalsh(A[~exact])
+    lo, scale = eigs[:, 0], np.maximum(1.0, np.abs(eigs).max(axis=-1))
     if np.any(lo < -1e-8 * scale):
         raise ValueError("coarse matrix not PSD: min eig "
                          f"{lo[lo < -1e-8 * scale][0]:.3e}")
@@ -561,7 +561,7 @@ def hierarchy_sweep(field: CoefficientField, domain: TriadicCube | None = None,
         for k, checks in cache.slacks().items():
             names = list(checks)
             slack = np.stack([checks[c] for c in names], axis=-1)
-            scale = np.maximum(1.0, np.linalg.norm(A_by_scale[k], 2, axis=(-2, -1)))
+            scale = np.maximum(1.0, np.abs(np.linalg.eigvalsh(A_by_scale[k])).max(axis=-1))
             for *idx, c in np.argwhere(slack < -SLACK_TOL * scale[..., None]):
                 offset = [int(b + 3 ** k * i) for b, i in zip(base, idx)]
                 cache.diagnostics.append({"cube": [k, offset], "check": names[c],

@@ -25,8 +25,8 @@ from . import solver
 from .coarsegrain import blocks_from_A, condensed_A, hierarchy_sweep, HierarchyCache
 from .ergodic import FieldSpec
 from .fields import CascadeSpec, CoefficientField, gen_cascade_field
-from .norms import (bnorm, ellipticity_constants, ring_dual_norm,
-                    scale_weighted_sum, spec_norms)
+from .norms import (bnorm, ellipticity_constants, max_spec_norm,
+                    ring_dual_norm, scale_weighted_sum, spec_norms)
 
 
 class TargetFunction:
@@ -290,8 +290,7 @@ def compute_E_s(cache: HierarchyCache, A_bar: np.ndarray, s: float,
     if missing:
         raise ValueError(f"cache is missing scales {missing}")
     A_bar = np.asarray(A_bar, float)
-    devs = {k: float(spec_norms(cache.A_by_scale[k] - A_bar).max())
-            for k in range(n + 1)}
+    devs = {k: max_spec_norm(cache.A_by_scale[k] - A_bar) for k in range(n + 1)}
     return scale_weighted_sum(devs, s, n, tail)
 
 

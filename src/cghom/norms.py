@@ -23,11 +23,14 @@ exact; the ring norm defaults to the truncated sum.
 The coarse-grained ellipticity constants weight the spectral norms of
 per-cube coarse-grained blocks (dual lower block inverse, upper block) the
 same way the bnorm weights averages; they consume a hierarchy cache and
-never solve anything themselves.  The bnorm, these constants and the
-deviation functionals of ``homexp`` share one weighted sum with its exact
-tail, ``scale_weighted_sum``; the ring norm takes the square root of that sum
-over its mean squares, rescaled to its weight origin.  Partition-cube
-averages come from ``triadic.block_means``.
+never solve anything themselves.  Each max over cubes of spectral norms
+(matrix bnorm, these constants, ``homexp.compute_E_s``) is
+``max_spec_norm``, which solves only the few matrices that can hold it.
+The bnorm, these constants and the deviation functionals of ``homexp``
+share one weighted sum with its exact tail, ``scale_weighted_sum``; the
+ring norm takes the square root of that sum over its mean squares,
+rescaled to its weight origin.  Partition-cube averages come from
+``triadic.block_means``.
 """
 from __future__ import annotations
 
@@ -40,26 +43,42 @@ from .coarsegrain import HierarchyCache
 from .triadic import block_means
 
 
+def _norm_of_batch(mats: np.ndarray):
+    """The per-matrix norm ``spec_norms`` uses on this batch, and its max |entry|."""
+    if mats.ndim < 2 or mats.shape[-1] != mats.shape[-2]:
+        raise ValueError("expected square matrices in the trailing axes")
+    top = np.abs(mats).max()
+    if np.abs(mats - np.swapaxes(mats, -1, -2)).max() <= 1e-13 * max(1.0, top):
+        return (lambda x: np.abs(np.linalg.eigvalsh(x)).max(axis=-1)), top
+    return (lambda x: np.linalg.svd(x, compute_uv=False)[..., 0]), top
+
+
 def spec_norms(mats: np.ndarray) -> np.ndarray:
     """Spectral norms of a batch of square matrices, shape (..., m, m).
 
-    Symmetric batches use eigenvalues, general ones singular values.
+    Symmetric batches use eigenvalues, general ones singular values, one
+    matrix at a time; the max over a batch is ``max_spec_norm``.
     """
     mats = np.asarray(mats, float)
-    if mats.ndim < 2 or mats.shape[-1] != mats.shape[-2]:
-        raise ValueError("expected square matrices in the trailing axes")
-    if np.abs(mats - np.swapaxes(mats, -1, -2)).max() <= 1e-13 * max(1.0, np.abs(mats).max()):
-        return np.abs(np.linalg.eigvalsh(mats)).max(axis=-1)
-    return np.linalg.svd(mats, compute_uv=False)[..., 0]
+    return _norm_of_batch(mats)[0](mats)
 
 
-def _cell_magnitudes(values: np.ndarray, dim: int) -> np.ndarray:
-    """|value| per cell: abs for scalars, spectral norm for matrices."""
-    if values.ndim == dim:
-        return np.abs(values)
-    if values.ndim == dim + 2:
-        return spec_norms(values)
-    raise ValueError("expected per-cell scalars or matrices")
+def max_spec_norm(mats: np.ndarray) -> float:
+    """``float(spec_norms(mats).max())``, bit for bit, solving only the
+    matrices with |M|_F >= (1 - 1e-12) max_c |M_c|_F / sqrt(m): as
+    |M|_2 <= |M|_F <= sqrt(m) |M|_2, no other can hold the max, the slack
+    covers rounding, and the kept ones get the solve ``spec_norms`` would
+    give them.  Frobenius norms are of the batch over its max |entry|, so
+    they cannot overflow; if that is 0 or not finite, all are solved.
+    """
+    mats = np.asarray(mats, float)
+    norm, top = _norm_of_batch(mats)
+    if 0.0 < top < np.inf:
+        x = mats / top
+        fro = np.sqrt(np.einsum("...ij,...ij->...", x, x))
+        keep = fro >= (1.0 - 1e-12) * fro.max() / np.sqrt(mats.shape[-1])
+        mats = mats if keep.all() else mats[keep]
+    return float(norm(mats).max())
 
 
 def _level_of(values: np.ndarray, dim: int) -> int:
@@ -99,8 +118,10 @@ def bnorm(values: np.ndarray, t: float, dim: int = 2, tail: bool = True) -> floa
     if values.size == 0:
         raise ValueError("empty domain")
     n = _level_of(values, dim)
-    maxima = {k: float(_cell_magnitudes(block_means(values, dim, 3 ** k), dim).max())
-              for k in range(n + 1)}
+    if values.ndim not in (dim, dim + 2):
+        raise ValueError("expected per-cell scalars or matrices")
+    magnitude = max_spec_norm if values.ndim > dim else lambda x: float(np.abs(x).max())
+    maxima = {k: magnitude(block_means(values, dim, 3 ** k)) for k in range(n + 1)}
     return scale_weighted_sum(maxima, t, n, tail)
 
 
@@ -166,8 +187,8 @@ def _scale_maxima(cache: HierarchyCache) -> tuple[dict, dict]:
     sinv_max, b_max = {}, {}
     for k in cache.scales:
         A = cache.A_by_scale[k]
-        sinv_max[k] = float(spec_norms(A[..., d:, d:]).max())
-        b_max[k] = float(spec_norms(A[..., :d, :d]).max())
+        sinv_max[k] = max_spec_norm(A[..., d:, d:])
+        b_max[k] = max_spec_norm(A[..., :d, :d])
     return sinv_max, b_max
 
 

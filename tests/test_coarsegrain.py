@@ -577,6 +577,42 @@ def test_energy_identity_failure_raises_solver_error(monkeypatch):
                           pointwise_A(const.s_cells[0, 0], const.k_cells[0, 0]))
 
 
+@pytest.mark.parametrize("kind, params, ratio, raises", [
+    ("skew_lognormal", {"sigma": 0.5, "kappa": 0.6}, 1e-6, True),
+    ("skew_lognormal", {"sigma": 0.5, "kappa": 0.6}, 1e-10, False),
+    # |A|_2 = 100: -1e-9 |A|_2 is below -1e-8 but within -1e-8 |A|_2
+    ("constant", {"matrix": [[100.0, 0.0], [0.0, 100.0]]}, 1e-9, False),
+    ("constant", {"matrix": [[100.0, 0.0], [0.0, 100.0]]}, 2e-8, True),
+])
+def test_psd_guard_is_relative_to_the_spectral_norm(monkeypatch, kind, params,
+                                                    ratio, raises):
+    # one cube's A gets the smallest eigenvalue -ratio * max(1, |A|_2), and
+    # J == energy >= 0, so only the PSD guard can object
+    traces = partition_traces(gen_named_field(kind, level=2, seed=46, **params), 1)
+    A = condensed_A(traces)
+    cube = (1, 2)
+    eigs, vecs = np.linalg.eigh(A[cube])
+    target = -ratio * max(1.0, np.abs(eigs).max())
+    shift = (target - eigs[0]) * np.outer(vecs[:, 0], vecs[:, 0])
+    real = coarsegrain.trace_loads
+
+    def indefinite(tr):
+        V, LV, _, energy = real(tr)
+        LV = LV.copy()
+        LV[cube] += tr.vol * shift
+        return V, LV, energy, energy
+
+    monkeypatch.setattr(coarsegrain, "trace_loads", indefinite)
+    if raises:
+        with pytest.raises(ValueError, match="coarse matrix not PSD"):
+            condensed_A(traces)
+    else:
+        got = condensed_A(traces)
+        assert np.linalg.eigvalsh(got[cube])[0] == pytest.approx(target, rel=1e-3)
+        assert np.array_equal(np.delete(got.reshape(9, 4, 4), 5, axis=0),
+                              np.delete(A.reshape(9, 4, 4), 5, axis=0))
+
+
 # ---------------------------------------------------------------------------
 # exact symmetry: the grid is invariant under the square's symmetry group, so
 # a field mapped by R, a'(x) = R a(R^T x) R^T, has A' = diag(R,R) A diag(R,R)^T

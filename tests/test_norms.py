@@ -3,12 +3,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cghom import norms
+from cghom import homexp, norms
 from cghom.coarsegrain import hierarchy_sweep
 from cghom.fields import gen_named_field
 from cghom.norms import (bnorm, block_means, ellipticity_constants,
-                         embedding_check, ring_dual_norm, spec_norms,
-                         write_ellipticity_csv)
+                         embedding_check, max_spec_norm, ring_dual_norm,
+                         spec_norms, write_ellipticity_csv)
 
 from reference_impl import bnorm_loops, ellipticity_loops, ring_norm_loops
 
@@ -24,6 +24,119 @@ def test_spec_norms_symmetric_and_general():
     assert np.allclose(spec_norms(gen), want, atol=1e-12)
     with pytest.raises(ValueError):
         spec_norms(rng.normal(size=(3, 2)))
+
+
+def _full_max(mats) -> float:
+    return float(spec_norms(mats).max())
+
+
+@st.composite
+def _batches(draw):
+    """Batches of order 2, 3, 4 or 6 with per-matrix scales 1e-8..1e8,
+    symmetric or not, with exact ties, all zeros, one matrix, or matrices
+    whose spectral norms sit just around the pruning bound."""
+    m = draw(st.sampled_from([2, 3, 4, 6]))
+    count = draw(st.integers(1, 30))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    mats = rng.normal(size=(count, m, m)) * 10.0 ** rng.uniform(-8, 8, (count, 1, 1))
+    symmetric = draw(st.booleans())
+    if symmetric:
+        mats = mats + np.swapaxes(mats, -1, -2)
+    kind = draw(st.sampled_from(["plain", "ties", "zero", "bound"]))
+    if kind == "ties":
+        mats = np.concatenate([mats, -mats[::-1], mats])
+    elif kind == "zero":
+        mats = np.zeros_like(mats)
+    elif kind == "bound":
+        # c I has |M|_F = sqrt(m) c, the pruning bound is c, and rank-one
+        # matrices have |M|_F = |M|_2, here c (1 + eps) around that bound
+        c = 10.0 ** rng.uniform(-8, 8)
+        u = rng.normal(size=(count, m))
+        u /= np.linalg.norm(u, axis=-1, keepdims=True)
+        v = u if symmetric else rng.normal(size=(count, m))
+        v /= np.linalg.norm(v, axis=-1, keepdims=True)
+        eps = rng.choice([-1e-9, -1e-12, -1e-13, 0.0, 1e-13], size=(count, 1, 1))
+        mats = c * (1 + eps) * u[:, :, None] * v[:, None, :]
+        mats[0] = c * np.eye(m)
+    return mats
+
+
+@settings(max_examples=300, deadline=None)
+@given(mats=_batches())
+def test_max_spec_norm_equals_the_full_max(mats):
+    assert max_spec_norm(mats) == _full_max(mats)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("symmetric", [True, False])
+def test_max_spec_norm_non_finite_as_the_full_max(bad, symmetric):
+    rng = np.random.default_rng(5)
+    mats = rng.normal(size=(6, 3, 3))
+    if symmetric:
+        mats = mats + np.swapaxes(mats, -1, -2)
+    mats[2, 0, 1] = bad
+    if symmetric:
+        mats[2, 1, 0] = bad
+    try:
+        want = _full_max(mats)
+    except Exception as exc:  # max_spec_norm must raise the same class
+        with pytest.raises(type(exc)):
+            max_spec_norm(mats)
+        return
+    got = max_spec_norm(mats)
+    assert got == want or (np.isnan(got) and np.isnan(want))
+
+
+def test_max_spec_norm_rejects_what_spec_norms_rejects():
+    for bad in (np.ones((3, 2)), np.ones(4), np.zeros((0, 2, 2))):
+        with pytest.raises(ValueError):
+            spec_norms(bad)
+        with pytest.raises(ValueError):
+            max_spec_norm(bad)
+
+
+def _pruned_reductions(field):
+    d = field.dim
+    cache = hierarchy_sweep(field, check=False)
+    cells = cache.A_by_scale[0]
+    A_mean = cells.reshape(-1, 2 * d, 2 * d).mean(axis=0)
+    return (
+        [homexp.compute_E_s(cache, A_bar, 0.6, tail=tail)
+         for A_bar in (np.eye(2 * d), A_mean) for tail in (True, False)],
+        [vars(ellipticity_constants(cache, 0.4, 0.3, p=4.0, q=5.0, tail=tail,
+                                    normalized=normalized))
+         for tail in (True, False) for normalized in (True, False)],
+        [bnorm(block, t, dim=d) for t in (0.3, 0.7)
+         for block in (cells[..., :d, :d], cells[..., d:, d:], cells[..., :d, d:])],
+    )
+
+
+_PRUNED_FIELDS = [(kind, dim, level, params)
+                  for kind, params in (("skew_lognormal", {"sigma": 0.5, "kappa": 0.5}),
+                                       ("checkerboard", {}), ("laminate", {}),
+                                       ("constant", {}))
+                  for dim, level in ((2, 3), (3, 2))]
+
+
+@pytest.mark.parametrize("kind, dim, level, params", _PRUNED_FIELDS)
+def test_pruned_reductions_equal_the_full_spectral_norms(monkeypatch, kind, dim,
+                                                         level, params):
+    field = gen_named_field(kind, level=level, dim=dim, seed=7, **params)
+    got = _pruned_reductions(field)
+    monkeypatch.setattr(norms, "max_spec_norm", _full_max)
+    monkeypatch.setattr(homexp, "max_spec_norm", _full_max)
+    assert got == _pruned_reductions(field)
+
+
+def test_pruned_reductions_of_the_c2_fields(monkeypatch):
+    kinds = ("checkerboard", "lognormal_iso", "skew_lognormal", "cascade_iso")
+    suite = [gen_named_field(kinds[i % 4], level=level, seed=1000 + i)
+             for level, count in ((1, 24), (2, 4)) for i in range(count)]
+    got = [_pruned_reductions(f) for f in suite]
+    monkeypatch.setattr(norms, "max_spec_norm", _full_max)
+    monkeypatch.setattr(homexp, "max_spec_norm", _full_max)
+    assert got == [_pruned_reductions(f) for f in suite]
 
 
 def test_block_means_matches_loops():
