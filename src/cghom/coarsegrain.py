@@ -13,7 +13,8 @@ block), and a skew-ish coupling ``k``.  ``J`` is quadratic in
 xi = (-p, q), so ``A`` is read off the maximizers of the 2d unit loads.
 These are solved on each cube's boundary traces, which ``solver.condense``
 builds for every cube of every scale by merging children into parents
-(``condensed_A``).  For a single constant cell ``A`` reduces to a closed
+(``condensed_A``); ``coarse_grain_windows`` condenses several windows of one
+level as one batch.  For a single constant cell ``A`` reduces to a closed
 form in (s, k), which every cube whose cells are all equal takes exactly.
 The ``verify_*`` identities and inequalities read the same top trace: the
 maximizer of (p, q) is the unit-load maximizers combined by xi, and a random
@@ -30,13 +31,14 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field as dc_field, replace
+from types import SimpleNamespace
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .fields import CoefficientField
-from .solver import (BoundaryTraces, SolverError, condense, partition_traces,
-                     trace_loads)
+from .solver import (BoundaryTraces, SolverError, condense, merge_traces,
+                     partition_traces, trace_loads, traces_of_cells)
 from .triadic import TriadicCube, block_means
 
 
@@ -183,7 +185,9 @@ def condensed_A(traces: BoundaryTraces,
     A = sym(L V) / |U| - jswap(d).  Every load column is checked for J >= 0
     and the energy identity, and every (symmetric) A for positive
     semidefiniteness up to 1e-8 * max(1, max |eig A|).  Given the ``field``,
-    cubes whose cells are all equal take the exact closed form instead.
+    cubes whose cells are all equal take the exact closed form instead; only
+    its ``s_cells`` and ``k_cells`` are read, so the cell strip of
+    ``coarse_grain_windows`` serves as well.
     """
     _, LV, J, energy = trace_loads(traces)
     A = 0.5 * (LV + np.swapaxes(LV, -1, -2)) / traces.vol - jswap(traces.dim)
@@ -210,6 +214,32 @@ def coarse_grain_cube(field: CoefficientField, cube: TriadicCube | None = None,
     top = partition_traces(field, cube.level, cube, resolution)
     A = condensed_A(top, field)[(0,) * field.dim]
     return CoarseGrainedMatrices.from_A(A, cube)
+
+
+def coarse_grain_windows(fields: list, resolution: int = 1):
+    """``coarse_grain_cube(f, resolution=resolution).A`` and
+    ``pointwise_bounds(f)`` of every field's window, bit for bit, for fields
+    of one dim and level, as one condensation.
+
+    The windows' cells lie side by side along axis 0, a (B 3^n) x (3^n)^(d-1)
+    strip, whose cell traces are merged n times.  A stride-3 merge never
+    crosses from one window into the next, as 3^n is a multiple of every
+    3^k, so the scale-n batch holds one trace per window.  ``condensed_A``'s
+    checks and closed form, the degenerate-block check of ``from_A`` and the
+    bounds run on the whole batch.  Returns (A, avg s^{-1}, avg (s + k^T
+    s^{-1} k)), each with a leading axis over the fields.
+    """
+    d, B = fields[0].dim, len(fields)
+    strip = SimpleNamespace(**{name: np.concatenate([getattr(f, name) for f in fields])
+                               for name in ("s_cells", "k_cells")})
+    traces = traces_of_cells(strip.s_cells + strip.k_cells, resolution)
+    for _ in range(fields[0].level):
+        traces = merge_traces(traces)
+    A = condensed_A(traces, strip).reshape(B, 2 * d, 2 * d)
+    blocks_from_A(A, d)         # raises on a degenerate lower block
+    cells = pointwise_A(strip.s_cells, strip.k_cells)
+    avg = cells.reshape(B, -1, 2 * d, 2 * d).mean(axis=1)
+    return A, avg[:, d:, d:], avg[:, :d, :d]
 
 
 def coarse_grain_adjoint(field: CoefficientField, cube: TriadicCube | None = None,
@@ -561,9 +591,15 @@ def hierarchy_sweep(field: CoefficientField, domain: TriadicCube | None = None,
         for k, checks in cache.slacks().items():
             names = list(checks)
             slack = np.stack([checks[c] for c in names], axis=-1)
-            scale = np.maximum(1.0, np.abs(np.linalg.eigvalsh(A_by_scale[k])).max(axis=-1))
-            for *idx, c in np.argwhere(slack < -SLACK_TOL * scale[..., None]):
-                offset = [int(b + 3 ** k * i) for b, i in zip(base, idx)]
+            # the scale is at least 1 and SLACK_TOL >= 0, so only a cube with
+            # some slack below -SLACK_TOL can be listed: only its eigenvalues
+            # are needed
+            near = np.nonzero((slack < -SLACK_TOL).any(axis=-1))
+            slack = slack[near]
+            eigs = np.linalg.eigvalsh(A_by_scale[k][near])
+            scale = np.maximum(1.0, np.abs(eigs).max(axis=-1))
+            for j, c in np.argwhere(slack < -SLACK_TOL * scale[:, None]):
+                offset = [int(b + 3 ** k * i[j]) for b, i in zip(base, near)]
                 cache.diagnostics.append({"cube": [k, offset], "check": names[c],
-                                          "min_eig": float(slack[tuple(idx) + (c,)])})
+                                          "min_eig": float(slack[j, c])})
     return cache

@@ -1,13 +1,13 @@
 """Monte Carlo realization of the subadditive large-scale limit.
 
 Independent coefficient fields are drawn, each one coarse-grained on its top
-cube, and the 2d x 2d coarse matrices are averaged.  The homogenized blocks
-derive from the block means — dual block s̄* as the inverse of the mean
-lower-right block, coupling k̄ from the mixed block, upper block b̄ directly,
-and s̄ as the Schur complement — so the reconstructed mean matrix reproduces
-the sample mean identically.  The vanishing of the gap s̄ - s̄* across scales
-is the convergence diagnostic; the homogenized coefficient is s̄ + k̄ at the
-largest scale.
+cube (in batched jobs of up to 8 samples), and the 2d x 2d coarse matrices
+are averaged.  The homogenized blocks derive from the block means — dual
+block s̄* as the inverse of the mean lower-right block, coupling k̄ from the
+mixed block, upper block b̄ directly, and s̄ as the Schur complement — so
+the reconstructed mean matrix reproduces the sample mean identically.  The
+vanishing of the gap s̄ - s̄* across scales is the convergence diagnostic;
+the homogenized coefficient is s̄ + k̄ at the largest scale.
 """
 from __future__ import annotations
 
@@ -17,8 +17,8 @@ from dataclasses import dataclass, field as dc_field
 import numpy as np
 
 from .coarsegrain import (A_from_blocks, J_from_A, Jstar_from_A,
-                          blocks_from_A, coarse_grain_cube, loewner_chain,
-                          pointwise_bounds)
+                          blocks_from_A, coarse_grain_cube, coarse_grain_windows,
+                          loewner_chain, pointwise_bounds)
 from .fields import gen_named_field
 from .solver import NUMERICAL_ERRORS, SolverError
 
@@ -111,8 +111,14 @@ class SampleError(SolverError):
     """A Monte Carlo sample failed; the message names its index, seed and cause."""
 
 
-def _mc_sample(args) -> tuple:
-    index, spec, n, resolution, seed = args
+# A job holds at most JOB_SAMPLES samples and JOB_CELLS cells (8 level-3 2D
+# samples), or one sample that is bigger: with 32 level-3 samples per job
+# the ensemble benchmark's peak RSS rose from 67 to 95 MB.
+JOB_SAMPLES = 8
+JOB_CELLS = 8 * 3 ** 6
+
+
+def _mc_sample(spec, n, resolution, index, seed) -> tuple:
     try:
         field = spec.realize(n, seed)
         return (coarse_grain_cube(field, resolution=resolution).A,
@@ -120,6 +126,19 @@ def _mc_sample(args) -> tuple:
     except NUMERICAL_ERRORS as exc:
         raise SampleError(f"sample {index} (seed {seed}) failed: "
                           f"{type(exc).__name__}: {exc}") from exc
+
+
+def _mc_job(args) -> tuple:
+    """(A, avg s^{-1}, avg (s + k^T s^{-1} k)) of one job's samples, batched
+    (``coarse_grain_windows``).  If the batch fails, its samples run one at
+    a time, so that the first to fail raises its ``SampleError``."""
+    spec, n, resolution, members = args
+    try:
+        return coarse_grain_windows([spec.realize(n, seed) for _, seed in members],
+                                    resolution)
+    except NUMERICAL_ERRORS:
+        rows = [_mc_sample(spec, n, resolution, *m) for m in members]
+        return tuple(np.stack(x) for x in zip(*rows))
 
 
 def sample_seeds(seed: int, n: int, samples: int) -> np.ndarray:
@@ -131,21 +150,30 @@ def sample_seeds(seed: int, n: int, samples: int) -> np.ndarray:
 def estimate_Abar(spec: FieldSpec, n: int, samples: int, seed: int = 0,
                   resolution: int = 1, pmap=None,
                   keep_samples: bool = False) -> ErgodicEstimate:
-    """Average the top-cube coarse matrix over independent field draws, run
-    through ``pmap`` (one of ``solver.worker_map``) or, by default, here in order."""
+    """Average the top-cube coarse matrix over independent field draws.
+
+    The samples are cut, in order, into jobs of at most ``JOB_SAMPLES``
+    samples and ``JOB_CELLS`` cells (a bigger sample is a job of its own),
+    and each job's windows are coarse-grained together as one batch
+    (``coarse_grain_windows``), which gives each sample's
+    ``coarse_grain_cube(...).A`` and ``pointwise_bounds`` bit for bit.  The
+    jobs run through ``pmap`` (one of ``solver.worker_map``) or, by default,
+    here in order; a job whose batch fails reruns its samples one at a time,
+    and the first that fails raises ``SampleError`` with its index and seed.
+    """
     if samples < 2:
         raise ValueError("need at least 2 samples")
-    seeds = sample_seeds(seed, n, samples)
-    jobs = [(i, spec, n, resolution, int(s)) for i, s in enumerate(seeds)]
-    results = list((pmap or map)(_mc_sample, jobs))
-    As = np.stack([r[0] for r in results])
+    members = [(i, int(s)) for i, s in enumerate(sample_seeds(seed, n, samples))]
+    per_job = max(1, min(JOB_SAMPLES, JOB_CELLS // 3 ** (n * spec.dim)))
+    jobs = [(spec, n, resolution, members[i:i + per_job])
+            for i in range(0, samples, per_job)]
+    results = list((pmap or map)(_mc_job, jobs))
+    As, sinv, bpt = (np.concatenate(x) for x in zip(*results))
     A_bar = As.mean(axis=0)
     A_se = As.std(axis=0, ddof=1) / np.sqrt(samples)
-    sinv_bar = np.mean([r[1] for r in results], axis=0)
-    bpt_bar = np.mean([r[2] for r in results], axis=0)
     return ErgodicEstimate(n=n, samples=samples, seed=seed, method="independent",
-                           A_bar=A_bar, A_se=A_se, sinv_bar=sinv_bar,
-                           bpt_bar=bpt_bar,
+                           A_bar=A_bar, A_se=A_se, sinv_bar=sinv.mean(axis=0),
+                           bpt_bar=bpt.mean(axis=0),
                            A_samples=As if keep_samples else None)
 
 

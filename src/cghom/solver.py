@@ -400,16 +400,26 @@ def cell_traces(field: CoefficientField, domain: TriadicCube | None = None,
     nodes; at resolution r the cell's interior element nodes are eliminated.
     """
     domain = domain or field.domain
-    d, r = field.dim, int(resolution)
-    if r < 1:
-        raise ValueError("resolution must be >= 1")
     if not field.domain.contains(domain):
         raise ValueError("cube not contained in the field window")
-    Kref, nb = _cell_reference(d, r)
     a = field.s_cells[domain.slices] + field.k_cells[domain.slices]
+    return traces_of_cells(a, resolution, domain.offset)
+
+
+def traces_of_cells(a: np.ndarray, resolution: int = 1,
+                    origin: tuple | None = None) -> BoundaryTraces:
+    """Boundary traces of the unit cells of an array of cell coefficients
+    ``a = s + k``, shaped (cells per axis) + (dim, dim), whose first cell is
+    at ``origin`` (the zero cell by default).  The array need not be a cube:
+    ``coarsegrain.coarse_grain_windows`` lays windows side by side."""
+    d, r = a.shape[-1], int(resolution)
+    if r < 1:
+        raise ValueError("resolution must be >= 1")
+    Kref, nb = _cell_reference(d, r)
     K = np.einsum("...ab,abij->...ij", a, Kref)
-    return BoundaryTraces(dim=d, level=0, resolution=r, origin=domain.offset,
-                          step=1, Lam=_eliminate(K, nb))
+    return BoundaryTraces(dim=d, level=0, resolution=r,
+                          origin=tuple(origin or (0,) * d), step=1,
+                          Lam=_eliminate(K, nb))
 
 
 _MERGE_STEPS: dict = {}

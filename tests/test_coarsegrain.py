@@ -10,9 +10,10 @@ from cghom.coarsegrain import (A_from_blocks, CoarseGrainedMatrices,
                                HierarchyCache, J_from_A, Jstar_from_A,
                                blocks_from_A, center_skew, center_skew_transform,
                                coarse_grain_adjoint, coarse_grain_cube,
-                               condensed_A, hierarchy_sweep, jswap, order_slacks,
+                               coarse_grain_windows, condensed_A,
+                               hierarchy_sweep, jswap, order_slacks,
                                pointwise_A, pointwise_A_cells,
-                               verify_centering,
+                               pointwise_bounds, verify_centering,
                                verify_cg_inequalities, verify_loewner_chain,
                                verify_maximizer_averages,
                                verify_quadratic_response)
@@ -350,6 +351,27 @@ def test_sweep_diagnostics_name_the_raised_cube(monkeypatch):
     assert cache.sandwich_defect()["lower"] > 0
 
 
+def test_sweep_lists_a_slack_only_below_its_scaled_tolerance(monkeypatch):
+    # every scale-1 cube of this field has |A|_2 = 3, so a slack of -2 tol
+    # lies between -tol |A|_2 and -tol and is not listed; -4 tol is
+    field = gen_named_field("constant", level=2, matrix=[[3.0, 0.0], [0.0, 3.0]])
+    tol = coarsegrain.SLACK_TOL
+    real = coarsegrain.order_slacks
+
+    def lowered(A_by_scale):
+        out = real(A_by_scale)
+        out[1]["subadditivity"][0, 0] = -2 * tol
+        out[1]["sandwich_lower"][0, 1] = -4 * tol
+        out[1]["sandwich_upper"][2, 2] = -0.5 * tol
+        return out
+
+    monkeypatch.setattr(coarsegrain, "order_slacks", lowered)
+    cache = hierarchy_sweep(field)
+    assert np.linalg.norm(cache.A_by_scale[1][0, 0], 2) == pytest.approx(3.0)
+    assert cache.diagnostics == [{"cube": [1, [0, 3]], "check": "sandwich_lower",
+                                  "min_eig": -4 * tol}]
+
+
 # ---------------------------------------------------------------------------
 # the maximizers of J against independent oracles
 
@@ -540,6 +562,27 @@ def test_constant_block_gets_the_closed_form_exactly():
     assert np.array_equal(coarse_grain_cube(field, cube).A, exact)
     # every other cube is coarse-grained, and agrees with the oracle
     _assert_sweep_matches_kkt(field, hierarchy_sweep(field, check=False))
+
+
+def test_windows_coarse_grained_together_match_each_one_alone():
+    # a batch mixing coarse-grained windows with constant ones, which take the
+    # closed form, in 2D, 3D and at resolution 2
+    skew = {"sigma": 0.5, "kappa": 0.7}
+    for dim, level, resolution in ((2, 2, 1), (2, 1, 2), (3, 1, 1)):
+        fields = [gen_named_field("skew_lognormal", level=level, dim=dim,
+                                  seed=seed, **skew) for seed in (47, 48)]
+        cell = fields[0].s_cells[(0,) * dim] + fields[0].k_cells[(0,) * dim]
+        fields.insert(1, gen_named_field("constant", level=level, dim=dim,
+                                         matrix=cell))
+        A, sinv, bpt = coarse_grain_windows(fields, resolution)
+        for i, field in enumerate(fields):
+            want = coarse_grain_cube(field, resolution=resolution).A
+            assert np.array_equal(A[i], want)
+            want_sinv, want_bpt = pointwise_bounds(field)
+            assert np.array_equal(sinv[i], want_sinv)
+            assert np.array_equal(bpt[i], want_bpt)
+        assert np.array_equal(A[1], pointwise_A(fields[1].s_cells[(0,) * dim],
+                                                fields[1].k_cells[(0,) * dim]))
 
 
 def test_degenerate_cell_raises_from_the_condensation():

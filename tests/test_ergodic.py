@@ -9,18 +9,23 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from cghom import ergodic
-from cghom.coarsegrain import A_from_blocks
-from cghom.ergodic import (ErgodicEstimate, FieldSpec,
+from cghom import coarsegrain, ergodic
+from cghom.coarsegrain import A_from_blocks, coarse_grain_cube, pointwise_bounds
+from cghom.ergodic import (ErgodicEstimate, FieldSpec, SampleError,
                            check_monotone, derive_blocks, estimate_Abar,
                            estimates_report, gap_diagnostic,
                            homogenized_matrix, sample_seeds,
                            write_samples_csv)
-from cghom.solver import worker_map
+from cghom.fields import CascadeSpec, gen_cascade_field
+from cghom.solver import SolverError, worker_map
 
 CHK = FieldSpec(kind="checkerboard", dim=2, params={"low": 0.75, "high": 4 / 3})
 SKW = FieldSpec(kind="skew_lognormal", dim=2,
                 params={"sigma": 0.4, "kappa": 0.6})
+SKW3 = FieldSpec(kind="skew_lognormal", dim=3,
+                 params={"sigma": 0.4, "kappa": 0.6})
+CONST = FieldSpec(kind="constant", dim=2,
+                  params={"matrix": [[2.0, 0.5], [-0.5, 1.5]]})
 
 
 def _synthetic(n, s_bar, s_star, k, sinv_bar=None, bpt_bar=None, se=0.0):
@@ -52,6 +57,111 @@ def test_estimate_determinism_and_worker_equivalence():
     assert np.array_equal(e1.A_bar, e3.A_bar)
     e4 = estimate_Abar(CHK, 1, 8, seed=4)
     assert not np.array_equal(e1.A_bar, e4.A_bar)
+
+
+def _per_sample(spec, n, samples, seed, resolution=1):
+    """Each sample coarse-grained on its own: (A per sample, mean avg s^-1,
+    mean avg (s + k^T s^-1 k))."""
+    rows = []
+    for s in sample_seeds(seed, n, samples):
+        field = spec.realize(n, int(s))
+        rows.append((coarse_grain_cube(field, resolution=resolution).A,
+                     *pointwise_bounds(field)))
+    As, sinv, bpt = (np.stack(x) for x in zip(*rows))
+    return As, sinv.mean(axis=0), bpt.mean(axis=0)
+
+
+# 13 and 9 samples leave a short last job (8 + 5, 8 + 1); checkerboard cells
+# at n=0 and the constant kind take the closed form
+BATCH_CASES = [(SKW, 1, 13, 1), (SKW, 2, 13, 1), (SKW, 3, 9, 1), (CHK, 0, 13, 1),
+               (CONST, 2, 5, 1), (SKW, 2, 13, 2), (SKW3, 1, 13, 1)]
+
+
+def test_batched_jobs_match_per_sample_coarse_graining_bit_for_bit():
+    # one BLAS thread throughout, as in a pool worker: the reference too
+    with worker_map(1) as one, worker_map(2) as two:
+        for spec, n, samples, resolution in BATCH_CASES:
+            want_As, want_sinv, want_bpt = _per_sample(spec, n, samples, 21,
+                                                       resolution)
+            for run in (one, two):
+                est = estimate_Abar(spec, n, samples, seed=21,
+                                    resolution=resolution, pmap=run,
+                                    keep_samples=True)
+                assert np.array_equal(est.A_samples, want_As)
+                assert np.array_equal(est.A_bar, want_As.mean(axis=0))
+                assert np.array_equal(est.sinv_bar, want_sinv)
+                assert np.array_equal(est.bpt_bar, want_bpt)
+
+
+def test_jobs_are_bounded_and_their_split_changes_no_number(monkeypatch):
+    sizes = []
+
+    def pmap(fn, jobs):
+        sizes.append([len(members) for *_, members in jobs])
+        return one(fn, jobs)
+
+    cases = [(SKW, 1, 13, [8, 5]), (SKW, 3, 9, [8, 1]), (SKW3, 1, 10, [8, 2]),
+             (SKW, 4, 2, [1, 1])]
+    with worker_map(1) as one:
+        for spec, n, samples, want in cases:
+            est = estimate_Abar(spec, n, samples, seed=22, pmap=pmap,
+                                keep_samples=True)
+            assert sizes[-1] == want
+            cells = 3 ** (n * spec.dim)
+            assert all(size <= ergodic.JOB_SAMPLES
+                       and (size == 1 or size * cells <= ergodic.JOB_CELLS)
+                       for size in sizes[-1])
+            with monkeypatch.context() as patch:
+                patch.setattr(ergodic, "JOB_SAMPLES", 3)
+                small = estimate_Abar(spec, n, samples, seed=22, pmap=pmap,
+                                      keep_samples=True)
+            assert max(sizes[-1]) <= 3
+            assert np.array_equal(small.A_samples, est.A_samples)
+            assert np.array_equal(small.sinv_bar, est.sinv_bar)
+            assert np.array_equal(small.bpt_bar, est.bpt_bar)
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_a_failing_sample_inside_a_job_is_named(monkeypatch, workers):
+    # generation: a cascade cap between the largest layer product of the
+    # samples before the worst one and the worst one's
+    seeds = sample_seeds(4, 1, 8)
+    worst = [max(gen_cascade_field(CascadeSpec(sigma=0.3, level=1,
+                                               seed=int(s)))[1]["layer_max"])
+             for s in seeds]
+    bad = int(np.argmax(worst))
+    assert 0 < bad < 7
+    cap = 0.5 * (max(worst[:bad]) + worst[bad])
+    spec = FieldSpec("cascade_iso", 2, {"sigma": 0.3, "cap": cap})
+    with worker_map(workers) as pmap, pytest.raises(SampleError) as info:
+        estimate_Abar(spec, 1, 8, seed=4, pmap=pmap)
+    assert str(info.value).startswith(
+        f"sample {bad} (seed {seeds[bad]}) failed: CascadeOverflowError: ")
+    # numerics: condensed_A fails, or zeroes the lower block of, the window
+    # whose first cell holds sample 5's, so the job of samples 0-7 fails, and
+    # so does sample 5 alone
+    seeds = sample_seeds(0, 1, 8)
+    marker = SKW.realize(1, int(seeds[5])).s_cells[0, 0, 0, 0]
+    real = coarsegrain.condensed_A
+
+    def failing(traces, field=None):
+        if np.any(field.s_cells == marker):
+            raise SolverError("injected")
+        return real(traces, field)
+
+    def degenerate(traces, field=None):
+        A = real(traces, field)
+        window = np.nonzero(field.s_cells[:, 0, 0, 0] == marker)[0] // 3
+        A[window, 0, 2:, 2:] = 0.0
+        return A
+
+    for fault, cause in ((failing, "SolverError: injected"),
+                         (degenerate, "ValueError: degenerate lower block")):
+        monkeypatch.setattr(coarsegrain, "condensed_A", fault)
+        with worker_map(workers) as pmap, pytest.raises(SampleError) as info:
+            estimate_Abar(SKW, 1, 8, seed=0, pmap=pmap)
+        assert str(info.value).startswith(
+            f"sample 5 (seed {seeds[5]}) failed: {cause}")
 
 
 def test_estimate_rejects_tiny_ensembles():
