@@ -20,6 +20,7 @@ import hashlib
 import json
 import os
 import sys
+from dataclasses import replace
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -145,14 +146,43 @@ def _check_k_min(k_min: int, level: int, what: str) -> None:
                           f"the sweep would keep no scale")
 
 
+def _check_homexp_inputs(config: dict, command: str | None) -> None:
+    """The target builds and ``a_bar``, if given, is a finite square matrix;
+    for ``homogenize``, the one command that reads them, both fit ``dim``."""
+    hx, dim = config["homexp"], config["dim"]
+    try:
+        h = target_from_config(config)
+    except KeyError as exc:
+        raise ConfigError(f"homexp.target must give {exc} for its family") from exc
+    except (TypeError, ValueError, IndexError) as exc:
+        raise ConfigError(f"homexp.target must hold numbers: {exc}") from exc
+    shapes = {f"homexp.target.{name}": (getattr(h, name), (dim,) * ndim)
+              for name, ndim in (("p", 1), ("H", 2), ("m", 1)) if hasattr(h, name)}
+    if hx["a_bar"] is not None:
+        a_bar = np.asarray(hx["a_bar"], dtype=object)
+        if a_bar.ndim != 2 or a_bar.shape[0] != a_bar.shape[1] or not all(
+                type(v) in (int, float) and abs(v) < float("inf") for v in a_bar.flat):
+            raise ConfigError(f"homexp.a_bar must be a finite square matrix, "
+                              f"got {hx['a_bar']!r}")
+        shapes["homexp.a_bar"] = (a_bar, (dim, dim))
+    for key, (value, shape) in shapes.items() if command == "homogenize" else ():
+        if value.shape != shape:
+            raise ConfigError(f"{key} must have shape {shape} in {dim}D, got {value.shape}")
+
+
 def validate_config(config: dict, command: str | None = None) -> None:
     """Reject inconsistent settings; with ``command``, also runs it cannot finish."""
     if config["dim"] not in (2, 3):
         raise ConfigError(f"dim must be 2 or 3, got {config['dim']}")
-    if not isinstance(config["seed"], int) or config["seed"] < 0:
-        raise ConfigError("seed must be a nonnegative integer")
-    if not isinstance(config["workers"], int) or config["workers"] < 1:
-        raise ConfigError("workers must be a positive integer")
+    for key, low in (("seed", 0), ("workers", 1), ("field.level", 0),
+                     ("coarsegrain.resolution", 1), ("coarsegrain.k_min", 0),
+                     ("ergodic.n_min", 0), ("ergodic.n_max", 0),
+                     ("ergodic.samples", 2), ("homexp.n_min", 0),
+                     ("homexp.n_max", 0), ("homexp.seeds", 1),
+                     ("homexp.ring_levels", 1)):
+        value = functools.reduce(dict.__getitem__, key.split("."), config)
+        if type(value) is not int or value < low:   # true and false are refused
+            raise ConfigError(f"{key} must be an integer >= {low}, got {value!r}")
     fld = config["field"]
     if fld["kind"] not in _KIND_PARAMS:
         raise ConfigError(f"unknown field kind {fld['kind']!r}; "
@@ -161,16 +191,18 @@ def validate_config(config: dict, command: str | None = None) -> None:
     if bad:
         raise ConfigError(f"unknown field parameter(s) {sorted(bad)} for "
                           f"kind {fld['kind']!r}")
-    if not isinstance(fld["level"], int) or fld["level"] < 0:
-        raise ConfigError("field.level must be a nonnegative integer")
     nm = config["norms"]
     s, t = nm["s"], nm["t"]
+    for key, value in (("norms.s", s), ("norms.t", t),
+                       ("homexp.alpha", config["homexp"]["alpha"])):
+        if type(value) not in (int, float):     # true and false are refused
+            raise ConfigError(f"{key} must be a number, got {value!r}")
     if not (0.0 < s < 1.0 and 0.0 < t < 1.0):
         raise ConfigError("norms.s and norms.t must lie in (0, 1)")
     if s + t >= 1.0:
         raise ConfigError(f"norms exponents must satisfy s + t < 1, "
                           f"got s={s}, t={t}")
-    for name in ("p", "q"):     # type(True) is bool, so flags are refused
+    for name in ("p", "q"):
         value = nm[name]
         if value is not None and not (type(value) in (int, float)
                                       and 0.0 < value < float("inf")):
@@ -193,14 +225,6 @@ def validate_config(config: dict, command: str | None = None) -> None:
     if not (max(s, t) < alpha < 1.0):
         raise ConfigError(f"homexp.alpha must lie in (max(s,t), 1) = "
                           f"({max(s, t)}, 1), got {alpha}")
-    for key, low in (("ergodic.n_min", 0), ("ergodic.n_max", 0),
-                     ("ergodic.samples", 2), ("homexp.n_min", 0),
-                     ("homexp.n_max", 0), ("homexp.seeds", 1),
-                     ("homexp.ring_levels", 1)):
-        section, name = key.split(".")
-        value = config[section][name]
-        if not isinstance(value, int) or value < low:
-            raise ConfigError(f"{key} must be an integer >= {low}, got {value!r}")
     hx = config["homexp"]
     if not hx["n_min"] <= hx["n_max"]:
         raise ConfigError("homexp scale range must satisfy 0 <= n_min <= n_max")
@@ -208,10 +232,8 @@ def validate_config(config: dict, command: str | None = None) -> None:
     if not er["n_min"] <= er["n_max"]:
         raise ConfigError("ergodic scale range must satisfy 0 <= n_min <= n_max")
     cg = config["coarsegrain"]
-    if not isinstance(cg["resolution"], int) or cg["resolution"] < 1:
-        raise ConfigError("coarsegrain.resolution must be a positive integer")
     tgt = hx["target"]
-    if tgt.get("family") not in ("affine", "quadratic", "trig"):
+    if not isinstance(tgt, dict) or tgt.get("family") not in ("affine", "quadratic", "trig"):
         raise ConfigError("homexp.target.family must be affine, quadratic or trig")
     wanted = [f"homexp.{key}" for key in ("with_E", "with_GH") if hx[key]]
     if command == "homogenize" and hx["a_bar"] is not None and wanted:
@@ -222,6 +244,7 @@ def validate_config(config: dict, command: str | None = None) -> None:
     if command is not None:
         _check_3d_level(config["dim"], _coarse_grained_level(config, command),
                         f"'{command}'")
+    _check_homexp_inputs(config, command)
 
 
 def config_fingerprint(config: dict) -> str:
@@ -473,8 +496,9 @@ def _selftest_checks():
 
     def constant_matrix():
         field = gen_named_field("constant", level=1, dim=d, matrix=(2.0 * eye).tolist())
-        # without the field the condensed traces skip the closed form
-        A = coarsegrain.condensed_A(solver.partition_traces(field, 1))[0, 0]
+        # with no cube flagged constant the traces skip the closed form
+        traces = replace(solver.partition_traces(field, 1), const=None)
+        A = coarsegrain.condensed_A(traces)[0, 0]
         want = np.zeros((2 * d, 2 * d))
         want[:d, :d] = 2.0 * eye
         want[d:, d:] = 0.5 * eye

@@ -14,8 +14,10 @@ xi = (-p, q), so ``A`` is read off the maximizers of the 2d unit loads.
 These are solved on each cube's boundary traces, which ``solver.condense``
 builds for every cube of every scale by merging children into parents
 (``condensed_A``); ``coarse_grain_windows`` condenses several windows of one
-level as one batch.  For a single constant cell ``A`` reduces to a closed
-form in (s, k), which every cube whose cells are all equal takes exactly.
+level as one batch, and so does a single sample.  For a single constant cell
+``A`` reduces to a closed form in (s, k), which every cube whose cells are
+all equal takes exactly: the traces flag those cubes and carry their corner
+cell, so nothing past the condensation reads the field.
 The ``verify_*`` identities and inequalities read the same top trace: the
 maximizer of (p, q) is the unit-load maximizers combined by xi, and a random
 a-harmonic function is a Gaussian vector of boundary values.
@@ -31,14 +33,12 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field as dc_field, replace
-from types import SimpleNamespace
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .fields import CoefficientField
-from .solver import (BoundaryTraces, SolverError, condense, merge_traces,
-                     partition_traces, trace_loads, traces_of_cells)
+from .solver import (BoundaryTraces, SolverError, condense, partition_traces,
+                     trace_loads)
 from .triadic import TriadicCube, block_means
 
 
@@ -146,21 +146,6 @@ def Jstar_from_A(A: np.ndarray, p, q, dim: int) -> float:
     return J_from_A(D @ A @ D, p, q, dim)
 
 
-def _constant_cubes(field: CoefficientField, traces: BoundaryTraces):
-    """Which cubes of a trace batch hold one coefficient in all their cells,
-    and each cube's corner cell (s, k)."""
-    d, side = traces.dim, 3 ** traces.level
-    count = traces.Lam.shape[:d]
-    sl = tuple(slice(o, o + traces.step * (n - 1) + side)
-               for o, n in zip(traces.origin, count))
-    corners = tuple(slice(0, traces.step * (n - 1) + 1, traces.step) for n in count)
-    a = field.s_cells[sl] + field.k_cells[sl]
-    cubes = sliding_window_view(a, (side,) * d, axis=tuple(range(d)))[corners]
-    axes = tuple(range(-d, 0))
-    const = np.all(cubes.max(axis=axes) == cubes.min(axis=axes), axis=(-2, -1))
-    return const, field.s_cells[sl][corners], field.k_cells[sl][corners]
-
-
 def check_objective(J: np.ndarray, energy: np.ndarray) -> None:
     """Raise SolverError at the first load column, in C order, whose optimum
     is below -1e-8 or misses the energy identity J = v^T S v / (2|U|) by
@@ -176,26 +161,26 @@ def check_objective(J: np.ndarray, energy: np.ndarray) -> None:
                           f"vs {energy[first]:.6e}")
 
 
-def condensed_A(traces: BoundaryTraces,
-                field: CoefficientField | None = None) -> np.ndarray:
+def condensed_A(traces: BoundaryTraces) -> np.ndarray:
     """A(U) of every cube of a trace batch, shaped batch + (2d, 2d).
 
     With xi = (-p, q) the load of J is L^T xi for L = [B; G], so J is
     quadratic in xi.  The maximizers V of the 2d unit loads give
     A = sym(L V) / |U| - jswap(d).  Every load column is checked for J >= 0
     and the energy identity, and every (symmetric) A for positive
-    semidefiniteness up to 1e-8 * max(1, max |eig A|).  Given the ``field``,
-    cubes whose cells are all equal take the exact closed form instead; only
-    its ``s_cells`` and ``k_cells`` are read, so the cell strip of
-    ``coarse_grain_windows`` serves as well.
+    semidefiniteness up to 1e-8 * max(1, max |eig A|).  The cubes that the
+    traces flag ``const`` (all cells equal) take the exact closed form of
+    their corner cell instead, unchecked; a batch of such cubes alone (the
+    cells, for one) is solved for nothing.
     """
+    exact = (np.zeros(traces.Lam.shape[:-2], dtype=bool) if traces.const is None
+             else traces.const)
+    if exact.all():
+        return pointwise_A(traces.s0, traces.k0)
     _, LV, J, energy = trace_loads(traces)
     A = 0.5 * (LV + np.swapaxes(LV, -1, -2)) / traces.vol - jswap(traces.dim)
-    exact = np.zeros(A.shape[:-2], dtype=bool)
-    if field is not None:
-        exact, s0, k0 = _constant_cubes(field, traces)
-        if exact.any():
-            A[exact] = pointwise_A(s0[exact], k0[exact])
+    if exact.any():
+        A[exact] = pointwise_A(traces.s0[exact], traces.k0[exact])
     check_objective(J[~exact], energy[~exact])
     eigs = np.linalg.eigvalsh(A[~exact])
     lo, scale = eigs[:, 0], np.maximum(1.0, np.abs(eigs).max(axis=-1))
@@ -212,7 +197,7 @@ def coarse_grain_cube(field: CoefficientField, cube: TriadicCube | None = None,
     all equal gets the exact closed form."""
     cube = cube or field.domain
     top = partition_traces(field, cube.level, cube, resolution)
-    A = condensed_A(top, field)[(0,) * field.dim]
+    A = condensed_A(top)[(0,) * field.dim]
     return CoarseGrainedMatrices.from_A(A, cube)
 
 
@@ -222,7 +207,7 @@ def coarse_grain_windows(fields: list, resolution: int = 1):
     of one dim and level, as one condensation.
 
     The windows' cells lie side by side along axis 0, a (B 3^n) x (3^n)^(d-1)
-    strip, whose cell traces are merged n times.  A stride-3 merge never
+    strip, which ``condense`` merges n times.  A stride-3 merge never
     crosses from one window into the next, as 3^n is a multiple of every
     3^k, so the scale-n batch holds one trace per window.  ``condensed_A``'s
     checks and closed form, the degenerate-block check of ``from_A`` and the
@@ -230,15 +215,13 @@ def coarse_grain_windows(fields: list, resolution: int = 1):
     s^{-1} k)), each with a leading axis over the fields.
     """
     d, B = fields[0].dim, len(fields)
-    strip = SimpleNamespace(**{name: np.concatenate([getattr(f, name) for f in fields])
-                               for name in ("s_cells", "k_cells")})
-    traces = traces_of_cells(strip.s_cells + strip.k_cells, resolution)
-    for _ in range(fields[0].level):
-        traces = merge_traces(traces)
-    A = condensed_A(traces, strip).reshape(B, 2 * d, 2 * d)
+    s, k = (np.concatenate([getattr(f, name) for f in fields])
+            for name in ("s_cells", "k_cells"))
+    for top in condense(s, k, resolution):
+        pass
+    A = condensed_A(top).reshape(B, 2 * d, 2 * d)
     blocks_from_A(A, d)         # raises on a degenerate lower block
-    cells = pointwise_A(strip.s_cells, strip.k_cells)
-    avg = cells.reshape(B, -1, 2 * d, 2 * d).mean(axis=1)
+    avg = pointwise_A(s, k).reshape(B, -1, 2 * d, 2 * d).mean(axis=1)
     return A, avg[:, d:, d:], avg[:, :d, :d]
 
 
@@ -310,7 +293,7 @@ def _top_maximizers(field: CoefficientField, cube: TriadicCube, resolution: int)
     a-harmonic functions."""
     top = partition_traces(field, cube.level, cube, resolution)
     at = (0,) * field.dim
-    cg = CoarseGrainedMatrices.from_A(condensed_A(top, field)[at], cube)
+    cg = CoarseGrainedMatrices.from_A(condensed_A(top)[at], cube)
     V = np.zeros((top.L.shape[-1], 2 * field.dim))
     V[1:] = trace_loads(top)[0][at]
     return cg, top.L[at], top.Q[at], V
@@ -568,11 +551,11 @@ def hierarchy_sweep(field: CoefficientField, domain: TriadicCube | None = None,
     One condensation of the domain's cells gives every scale's boundary
     traces (``solver.condense``; the cells were checked when the field was
     built), and ``condensed_A`` reads each scale's matrices off them; the
-    cells (scale 0) take the closed form.  With ``check`` the sweep then
-    reads the cache's ``slacks`` (per-parent subadditivity and the two-sided
-    pointwise sandwich on every cube); each slack below
-    -SLACK_TOL * max(1, |A|_2) is listed in the cache's ``diagnostics`` by
-    scale, cube (C order) and check (the sweep never aborts on them).
+    cells (scale 0), like every constant cube, take the closed form.  With
+    ``check`` the sweep then reads the cache's ``slacks`` (per-parent
+    subadditivity and the two-sided pointwise sandwich on every cube); each
+    slack below -SLACK_TOL * max(1, |A|_2) is listed in the cache's
+    ``diagnostics`` by scale, cube (C order) and check (never aborting).
     """
     domain = domain or field.domain
     if not field.domain.contains(domain):
@@ -580,10 +563,10 @@ def hierarchy_sweep(field: CoefficientField, domain: TriadicCube | None = None,
     n, d = domain.level, field.dim
     base = domain.offset
     A_by_scale = {}
-    for traces in condense(field, domain, resolution):
+    sl = domain.slices
+    for traces in condense(field.s_cells[sl], field.k_cells[sl], resolution):
         if traces.level >= k_min:
-            A_by_scale[traces.level] = (condensed_A(traces, field) if traces.level > 0
-                                        else pointwise_A_cells(field, domain))
+            A_by_scale[traces.level] = condensed_A(traces)
     cache = HierarchyCache(dim=d, top_level=n, resolution=resolution,
                            fingerprint=field.fingerprint, A_by_scale=A_by_scale,
                            base_offset=base)

@@ -17,8 +17,7 @@ from dataclasses import dataclass, field as dc_field
 import numpy as np
 
 from .coarsegrain import (A_from_blocks, J_from_A, Jstar_from_A,
-                          blocks_from_A, coarse_grain_cube, coarse_grain_windows,
-                          loewner_chain, pointwise_bounds)
+                          blocks_from_A, coarse_grain_windows, loewner_chain)
 from .fields import gen_named_field
 from .solver import NUMERICAL_ERRORS, SolverError
 
@@ -120,9 +119,7 @@ JOB_CELLS = 8 * 3 ** 6
 
 def _mc_sample(spec, n, resolution, index, seed) -> tuple:
     try:
-        field = spec.realize(n, seed)
-        return (coarse_grain_cube(field, resolution=resolution).A,
-                *pointwise_bounds(field))
+        return coarse_grain_windows([spec.realize(n, seed)], resolution)
     except NUMERICAL_ERRORS as exc:
         raise SampleError(f"sample {index} (seed {seed}) failed: "
                           f"{type(exc).__name__}: {exc}") from exc
@@ -138,7 +135,7 @@ def _mc_job(args) -> tuple:
                                     resolution)
     except NUMERICAL_ERRORS:
         rows = [_mc_sample(spec, n, resolution, *m) for m in members]
-        return tuple(np.stack(x) for x in zip(*rows))
+        return tuple(np.concatenate(x) for x in zip(*rows))
 
 
 def sample_seeds(seed: int, n: int, samples: int) -> np.ndarray:
@@ -159,7 +156,7 @@ def estimate_Abar(spec: FieldSpec, n: int, samples: int, seed: int = 0,
     ``coarse_grain_cube(...).A`` and ``pointwise_bounds`` bit for bit.  The
     jobs run through ``pmap`` (one of ``solver.worker_map``) or, by default,
     here in order; a job whose batch fails reruns its samples one at a time,
-    and the first that fails raises ``SampleError`` with its index and seed.
+    each as a batch of one, and the first that fails raises ``SampleError``.
     """
     if samples < 2:
         raise ValueError("need at least 2 samples")

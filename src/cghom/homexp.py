@@ -10,9 +10,9 @@ scale weights (the window norm times 3^{-alpha n} — the two conventions
 agree identically).
 
 Also here: the scale-weighted deviation functional of the hierarchy from its
-mean, the half-lattice subadditivity-defect and fluctuation functionals, and
-the energy-versus-data diagnostic whose constant is unknown (ensemble
-boundedness is the only claim made for it).
+mean, the half-lattice subadditivity-defect and fluctuation functionals (each
+cube merged from the traces of ``solver.condense``), and the energy-versus-data
+diagnostic whose constant is unknown (ensemble boundedness is the only claim).
 """
 from __future__ import annotations
 
@@ -294,7 +294,7 @@ def compute_E_s(cache: HierarchyCache, A_bar: np.ndarray, s: float,
     return scale_weighted_sum(devs, s, n, tail)
 
 
-def _half_lattice_A(field: CoefficientField, partition) -> np.ndarray:
+def _half_lattice_A(partition: solver.BoundaryTraces) -> np.ndarray:
     """Coarse matrices of the scale-(k+1) cubes on the 3^k lattice, from the
     traces of the scale-k partition: each such cube is exactly a 3^d block
     of partition cubes, so it costs one merge.  The cubes overlap, so there
@@ -303,9 +303,9 @@ def _half_lattice_A(field: CoefficientField, partition) -> np.ndarray:
     merge's first step builds each first-axis slab (3 partition cubes along
     the rows) once, and its next step shares it among the 3 cubes of the
     row that contain it."""
-    rows = [condensed_A(solver.merge_traces(partition.rows(i, i + 3), stride=1), field)
+    rows = [condensed_A(solver.merge_traces(partition.rows(i, i + 3), stride=1))
             for i in range(partition.Lam.shape[0] - 2)]
-    return np.concatenate(rows).reshape(-1, 2 * field.dim, 2 * field.dim)
+    return np.concatenate(rows).reshape(-1, 2 * partition.dim, 2 * partition.dim)
 
 
 def half_lattice_matrices(field: CoefficientField, k: int,
@@ -316,8 +316,8 @@ def half_lattice_matrices(field: CoefficientField, k: int,
         raise ValueError(f"scale k={k} outside [0, {field.level}]")
     partition = solver.partition_traces(field, max(k - 1, 0), resolution=resolution)
     if k == 0:
-        return condensed_A(partition, field).reshape(-1, 2 * field.dim, 2 * field.dim)
-    return _half_lattice_A(field, partition)
+        return condensed_A(partition).reshape(-1, 2 * field.dim, 2 * field.dim)
+    return _half_lattice_A(partition)
 
 
 def compute_GH(field: CoefficientField, A_top: np.ndarray, A_bar: np.ndarray,
@@ -342,11 +342,11 @@ def compute_GH(field: CoefficientField, A_top: np.ndarray, A_bar: np.ndarray,
     A_top = np.asarray(A_top, float)
     A_bar = np.asarray(A_bar, float)
     G, H = {n: 0.0}, {n: float(spec_norms(A_top - A_bar)) ** 2}
-    partitions = solver.condense(field, resolution=resolution) if l > 1 else ()
+    partitions = solver.condense(field.s_cells, field.k_cells, resolution) if l > 1 else ()
     for partition in partitions:
         k = partition.level + 1
         if k > n - l:
-            mats = _half_lattice_A(field, partition)
+            mats = _half_lattice_A(partition)
             G[k] = float(spec_norms(mats.mean(axis=0) - A_top))
             H[k] = float(np.mean(spec_norms(mats - A_bar) ** 2))
         if k == n - 1:

@@ -13,8 +13,11 @@ joining 3 boxes along one axis and eliminating only their two interface
 planes, so no step solves for the whole skeleton at once.  All cubes of one
 scale share one node grid, so every step is batched over them; merged with
 stride 1 (the half-overlap lattice), a box built by one step is shared by
-the 3 boxes of the next step that contain it.  The
-energy form and the loads of the a-harmonic extension E follow from ``Lam``:
+the 3 boxes of the next step that contain it.  ``condense`` builds every
+trace from cell arrays; a trace also flags the cubes whose cells are all
+equal, and carries their corner cell, so the closed form of a constant cube
+reads only traces.  The energy form and the loads of the a-harmonic
+extension E follow from ``Lam``:
 ``S = sym(K)`` (grad u . k grad u = 0 in every cell), so ``E^T S E = sym(Lam)``;
 ``B = X^T K`` for the node coordinates X (Q1 reproduces x) and ``K E``
 vanishes off the boundary, so ``B E = X_b^T Lam``; and ``G`` vanishes on
@@ -314,16 +317,19 @@ class BoundaryTraces:
     order of its node grid).  The energy form ``Q = E^T S E`` and the loads
     ``L = [B; G] E`` of the a-harmonic extension E are derived from it:
     ``Q = sym(Lam)`` as S = sym(K), and ``L = [X_b^T Lam; G_b]`` as B = X^T K
-    and G vanishes on interior nodes.  The batch axes come first; cube
-    ``idx`` has its corner at cell ``origin + step * idx``.
+    and G vanishes on interior nodes.  The batch axes come first.  ``const``
+    flags the cubes whose cells all have the s + k of their corner cell, of
+    s ``s0`` and k ``k0``.  ``const=None`` flags no cube, for ``condensed_A``
+    to solve every one; such traces are not merged.
     """
 
     dim: int
     level: int
     resolution: int
-    origin: tuple
-    step: int
     Lam: np.ndarray        # batch + (nb, nb)
+    const: np.ndarray | None   # batch, bool
+    s0: np.ndarray         # batch + (dim, dim)
+    k0: np.ndarray         # batch + (dim, dim)
 
     @property
     def vol(self) -> float:
@@ -343,8 +349,9 @@ class BoundaryTraces:
 
     def rows(self, start: int, stop: int) -> "BoundaryTraces":
         """The cubes whose first batch index lies in [start, stop)."""
-        origin = (self.origin[0] + self.step * start,) + tuple(self.origin[1:])
-        return replace(self, origin=origin, Lam=self.Lam[start:stop])
+        cut = slice(start, stop)
+        return replace(self, Lam=self.Lam[cut], const=self.const[cut],
+                       s0=self.s0[cut], k0=self.k0[cut])
 
 
 def _on_boundary(coords: np.ndarray, m) -> np.ndarray:
@@ -390,36 +397,6 @@ def _cell_reference(dim: int, r: int):
             Kref[:, :, g[:, None], g] += EK * h ** (dim - 2)
         _CELL_REFS[key] = (Kref, int(bnd.sum()))
     return _CELL_REFS[key]
-
-
-def cell_traces(field: CoefficientField, domain: TriadicCube | None = None,
-                resolution: int = 1) -> BoundaryTraces:
-    """Boundary traces of every unit cell of a cube, batched.
-
-    At resolution 1 a cell is one element and all its nodes are boundary
-    nodes; at resolution r the cell's interior element nodes are eliminated.
-    """
-    domain = domain or field.domain
-    if not field.domain.contains(domain):
-        raise ValueError("cube not contained in the field window")
-    a = field.s_cells[domain.slices] + field.k_cells[domain.slices]
-    return traces_of_cells(a, resolution, domain.offset)
-
-
-def traces_of_cells(a: np.ndarray, resolution: int = 1,
-                    origin: tuple | None = None) -> BoundaryTraces:
-    """Boundary traces of the unit cells of an array of cell coefficients
-    ``a = s + k``, shaped (cells per axis) + (dim, dim), whose first cell is
-    at ``origin`` (the zero cell by default).  The array need not be a cube:
-    ``coarsegrain.coarse_grain_windows`` lays windows side by side."""
-    d, r = a.shape[-1], int(resolution)
-    if r < 1:
-        raise ValueError("resolution must be >= 1")
-    Kref, nb = _cell_reference(d, r)
-    K = np.einsum("...ab,abij->...ij", a, Kref)
-    return BoundaryTraces(dim=d, level=0, resolution=r,
-                          origin=tuple(origin or (0,) * d), step=1,
-                          Lam=_eliminate(K, nb))
 
 
 _MERGE_STEPS: dict = {}
@@ -512,39 +489,53 @@ def merge_traces(children: BoundaryTraces, stride: int = 3) -> BoundaryTraces:
     view, and eliminates only its two interface planes.  Its boxes are taken
     with the stride along its axis, so with stride 1 each box that a step
     builds is merged once and shared by the 3 boxes of the next step that
-    contain it.
+    contain it.  A merged box is constant when its boxes are and their
+    corner cells have the ``s + k`` of its own corner cell, the first box's.
     """
     d = children.dim
-    Lam = children.Lam
+    Lam, const, s0, k0 = children.Lam, children.const, children.s0, children.k0
     for axes, maps, nb, nu in _merge_steps(d, children.level + 1,
                                            children.resolution):
         M = tuple((n - 3) // stride + 1 if a in axes else n
                   for a, n in enumerate(Lam.shape[:d]))
+        blocks = [tuple(slice(at[a], at[a] + stride * (n - 1) + 1, stride)
+                        if a in at else slice(None) for a, n in enumerate(M))
+                  for at in (dict(zip(axes, j)) for j in np.ndindex(*(3,) * len(axes)))]
         union = np.zeros(M + (nu * nu,))
         flats = (maps[:, :, None] * nu + maps[:, None, :]).reshape(len(maps), -1)
-        for j, flat in zip(np.ndindex(*(3,) * len(axes)), flats):
-            at = dict(zip(axes, j))
-            block = tuple(slice(at[a], at[a] + stride * (n - 1) + 1, stride)
-                          if a in at else slice(None) for a, n in enumerate(M))
-            if any(j):
-                union[..., flat] += Lam[block].reshape(M + (-1,))
-            else:           # nothing is there yet: write, don't add
-                union[..., flat] = Lam[block].reshape(M + (-1,))
+        union[..., flats[0]] = Lam[blocks[0]].reshape(M + (-1,))
+        for block, flat in zip(blocks[1:], flats[1:]):
+            union[..., flat] += Lam[block].reshape(M + (-1,))
         Lam = _eliminate(union.reshape(M + (nu, nu)), nb)
+        a0, first = s0 + k0, blocks[0]
+        const = np.logical_and.reduce(
+            [const[b] & np.all(a0[b] == a0[first], axis=(-2, -1)) for b in blocks])
+        s0, k0 = s0[first], k0[first]
     return BoundaryTraces(dim=d, level=children.level + 1,
-                          resolution=children.resolution,
-                          origin=children.origin, step=children.step * stride,
-                          Lam=Lam)
+                          resolution=children.resolution, Lam=Lam,
+                          const=const, s0=s0, k0=k0)
 
 
-def condense(field: CoefficientField, domain: TriadicCube | None = None,
-             resolution: int = 1):
-    """Yield the boundary traces of every partition cube of the domain,
-    scale by scale from the cells (level 0) up to the domain itself."""
-    domain = domain or field.domain
-    traces = cell_traces(field, domain, resolution)
+def condense(s_cells: np.ndarray, k_cells: np.ndarray, resolution: int = 1):
+    """Yield the boundary traces of every partition cube of an array of
+    cells, scale by scale from the cells (level 0) up, while every batch
+    axis holds 3 cubes or more.  ``s_cells`` and ``k_cells`` are shaped
+    (cells per axis) + (dim, dim); the array need not be a cube:
+    ``coarsegrain.coarse_grain_windows`` lays windows side by side.
+
+    At resolution 1 a cell is one element and all its nodes are boundary
+    nodes; at resolution r the cell's interior element nodes are eliminated.
+    """
+    d, r = s_cells.shape[-1], int(resolution)
+    if r < 1:
+        raise ValueError("resolution must be >= 1")
+    Kref, nb = _cell_reference(d, r)
+    K = np.einsum("...ab,abij->...ij", s_cells + k_cells, Kref)
+    traces = BoundaryTraces(dim=d, level=0, resolution=r, Lam=_eliminate(K, nb),
+                            const=np.ones(s_cells.shape[:d], dtype=bool),
+                            s0=s_cells, k0=k_cells)
     yield traces
-    while traces.level < domain.level:
+    while min(traces.Lam.shape[:d]) >= 3:
         traces = merge_traces(traces)
         yield traces
 
@@ -552,12 +543,15 @@ def condense(field: CoefficientField, domain: TriadicCube | None = None,
 def partition_traces(field: CoefficientField, k: int,
                      domain: TriadicCube | None = None,
                      resolution: int = 1) -> BoundaryTraces:
-    """The traces of the scale-k partition of the domain (``condense``
-    stopped at scale k)."""
+    """The traces of the scale-k partition of the domain (``condense`` of
+    its cells, stopped at scale k)."""
     domain = domain or field.domain
     if not 0 <= k <= domain.level:
         raise ValueError(f"scale k={k} outside [0, {domain.level}]")
-    for traces in condense(field, domain, resolution):
+    if not field.domain.contains(domain):
+        raise ValueError("cube not contained in the field window")
+    sl = domain.slices
+    for traces in condense(field.s_cells[sl], field.k_cells[sl], resolution):
         if traces.level == k:
             return traces
 

@@ -326,7 +326,8 @@ def one_step_merge(children, stride=3):
     ``children`` (a batch of boundary traces) in one step: the children's
     maps are added onto the union of their boundary nodes and the whole
     skeleton is eliminated in one dense solve.  Stride 3 gives the
-    partition, stride 1 every block on the children's lattice."""
+    partition, stride 1 every block on the children's lattice.  No parent
+    is flagged constant."""
     d = children.dim
     maps, nb, nu = one_step_merge_maps(d, children.level + 1, children.resolution)
     m = children.Lam.shape[:d]
@@ -337,8 +338,7 @@ def one_step_merge(children, stride=3):
                       for i, n in zip(j, M))
         Lam[..., ix[:, None], ix] += children.Lam[block]
     X = np.linalg.solve(Lam[..., nb:, nb:], Lam[..., nb:, :nb])
-    return dataclasses.replace(children, level=children.level + 1,
-                               step=children.step * stride,
+    return dataclasses.replace(children, level=children.level + 1, const=None,
                                Lam=Lam[..., :nb, :nb] - Lam[..., :nb, nb:] @ X)
 
 

@@ -83,6 +83,19 @@ def test_config_file_errors(tmp_path):
     "ergodic.csv=1",
     "homexp.with_E=null",
     "homexp.with_GH=\"true\"",
+    "seed=true",                      # JSON true is not an integer
+    "workers=true",
+    "field.level=true",
+    "coarsegrain.resolution=true",
+    "coarsegrain.k_min=-1",
+    "coarsegrain.k_min=\"a\"",
+    "norms.s=\"x\"",
+    "norms.t=\"x\"",
+    "homexp.alpha=\"x\"",
+    "homexp.target={\"family\":\"quadratic\"}",     # no H
+    "homexp.target={\"family\":\"trig\"}",          # no m
+    "homexp.a_bar=[[1,0]]",
+    "homexp.a_bar=\"x\"",
 ])
 def test_invalid_overrides_exit_2(tmp_path, capsys, override):
     argv = ["selftest"]
@@ -90,13 +103,34 @@ def test_invalid_overrides_exit_2(tmp_path, capsys, override):
         argv += ["--set", item]
     assert _run(argv, tmp_path) == 2
     err = capsys.readouterr().err
-    key = override.partition("=")[0]
+    key, _, value = override.partition("=")
     if key.startswith(("norms.p", "norms.q", "norms.tail", "norms.normalized",
-                       "coarsegrain.check", "ergodic.csv", "homexp.with_")):
+                       "coarsegrain.check", "ergodic.csv", "homexp.with_",
+                       "homexp.target", "homexp.a_bar")) or value == '"x"':
         assert f"config error: {key} must" in err
-    elif key.startswith(("ergodic.", "homexp.n_", "homexp.seeds",
-                         "homexp.ring")):
+    elif key.startswith(("seed", "workers", "field.level", "coarsegrain.",
+                         "ergodic.", "homexp.n_", "homexp.seeds", "homexp.ring")):
         assert f"config error: {key} must be an integer" in err
+
+
+def test_homogenize_inputs_that_do_not_fit_dim_exit_2(tmp_path, monkeypatch,
+                                                       capsys):
+    def no_solve(*args, **kwargs):
+        raise AssertionError("a solve was started")
+    monkeypatch.setattr(cli.ergodic, "estimate_Abar", no_solve)
+    monkeypatch.setattr(cli.homexp, "run_dirichlet_experiment", no_solve)
+    out = tmp_path / "out"
+    for override, key in (
+            ('homexp.target={"family":"affine","p":[1,0,0]}', "homexp.target.p"),
+            ('homexp.target={"family":"quadratic","H":[1,2]}', "homexp.target.H"),
+            ('homexp.target={"family":"trig","m":[1]}', "homexp.target.m"),
+            ("homexp.a_bar=[[1,0,0],[0,1,0],[0,0,1]]", "homexp.a_bar")):
+        assert _run(["homogenize", "--set", override], out) == 2
+        assert f"config error: {key} must have shape" in capsys.readouterr().err
+        # commands that do not read the target leave its shape alone
+        cli.validate_config(cli.apply_overrides(cli.load_config(None), [override]),
+                            "selftest")
+    assert not out.exists()
 
 
 def test_malformed_override_and_negative_seed(tmp_path):

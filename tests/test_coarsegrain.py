@@ -17,6 +17,7 @@ from cghom.coarsegrain import (A_from_blocks, CoarseGrainedMatrices,
                                verify_cg_inequalities, verify_loewner_chain,
                                verify_maximizer_averages,
                                verify_quadratic_response)
+from cghom.ergodic import FieldSpec, _mc_sample
 from cghom.fields import CoefficientField, gen_named_field
 from cghom.homexp import half_lattice_matrices
 from cghom.solver import (assemble, partition_traces, solve_dirichlet,
@@ -97,8 +98,8 @@ def test_fem_path_reproduces_constant_closed_form():
     mat = [[2.0, 0.7], [-0.7, 1.5]]
     field = gen_named_field("constant", level=1, matrix=mat)
     exact = coarse_grain_cube(field)          # closed-form shortcut
-    # forced variational path: the condensed traces without the field
-    fem_A = condensed_A(partition_traces(field, 1))[0, 0]
+    # forced variational path: no cube of the traces flagged constant
+    fem_A = condensed_A(replace(partition_traces(field, 1), const=None))[0, 0]
     assert np.abs(fem_A - exact.A).max() < 1e-9
     e1 = np.array([1.0, 0.0])
     assert np.isclose(J_from_A(fem_A, e1, e1, 2),
@@ -566,21 +567,25 @@ def test_constant_block_gets_the_closed_form_exactly():
 
 def test_windows_coarse_grained_together_match_each_one_alone():
     # a batch mixing coarse-grained windows with constant ones, which take the
-    # closed form, in 2D, 3D and at resolution 2
-    skew = {"sigma": 0.5, "kappa": 0.7}
+    # closed form, in 2D, 3D and at resolution 2; a failed job's rerun of one
+    # sample (``_mc_sample``) gives that sample's row of the batch
     for dim, level, resolution in ((2, 2, 1), (2, 1, 2), (3, 1, 1)):
-        fields = [gen_named_field("skew_lognormal", level=level, dim=dim,
-                                  seed=seed, **skew) for seed in (47, 48)]
-        cell = fields[0].s_cells[(0,) * dim] + fields[0].k_cells[(0,) * dim]
-        fields.insert(1, gen_named_field("constant", level=level, dim=dim,
-                                         matrix=cell))
+        skew = FieldSpec("skew_lognormal", dim, {"sigma": 0.5, "kappa": 0.7})
+        first = skew.realize(level, 47)
+        cell = first.s_cells[(0,) * dim] + first.k_cells[(0,) * dim]
+        members = [(skew, 47), (FieldSpec("constant", dim, {"matrix": cell}), 0),
+                   (skew, 48)]
+        fields = [spec.realize(level, seed) for spec, seed in members]
         A, sinv, bpt = coarse_grain_windows(fields, resolution)
-        for i, field in enumerate(fields):
+        for i, (field, (spec, seed)) in enumerate(zip(fields, members)):
             want = coarse_grain_cube(field, resolution=resolution).A
             assert np.array_equal(A[i], want)
             want_sinv, want_bpt = pointwise_bounds(field)
             assert np.array_equal(sinv[i], want_sinv)
             assert np.array_equal(bpt[i], want_bpt)
+            row = _mc_sample(spec, level, resolution, i, seed)
+            for batch, alone in zip((A, sinv, bpt), row):
+                assert alone.shape[0] == 1 and np.array_equal(alone[0], batch[i])
         assert np.array_equal(A[1], pointwise_A(fields[1].s_cells[(0,) * dim],
                                                 fields[1].k_cells[(0,) * dim]))
 
@@ -630,8 +635,10 @@ def test_energy_identity_failure_raises_solver_error(monkeypatch):
 def test_psd_guard_is_relative_to_the_spectral_norm(monkeypatch, kind, params,
                                                     ratio, raises):
     # one cube's A gets the smallest eigenvalue -ratio * max(1, |A|_2), and
-    # J == energy >= 0, so only the PSD guard can object
+    # J == energy >= 0, so only the PSD guard can object; with no cube
+    # flagged constant, the constant field's cubes are solved and checked too
     traces = partition_traces(gen_named_field(kind, level=2, seed=46, **params), 1)
+    traces = replace(traces, const=None)
     A = condensed_A(traces)
     cube = (1, 2)
     eigs, vecs = np.linalg.eigh(A[cube])

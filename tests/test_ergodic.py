@@ -138,20 +138,20 @@ def test_a_failing_sample_inside_a_job_is_named(monkeypatch, workers):
     assert str(info.value).startswith(
         f"sample {bad} (seed {seeds[bad]}) failed: CascadeOverflowError: ")
     # numerics: condensed_A fails, or zeroes the lower block of, the window
-    # whose first cell holds sample 5's, so the job of samples 0-7 fails, and
-    # so does sample 5 alone
+    # whose corner cell (the traces' s0) holds sample 5's, so the job of
+    # samples 0-7 fails, and so does sample 5 alone
     seeds = sample_seeds(0, 1, 8)
     marker = SKW.realize(1, int(seeds[5])).s_cells[0, 0, 0, 0]
     real = coarsegrain.condensed_A
 
-    def failing(traces, field=None):
-        if np.any(field.s_cells == marker):
+    def failing(traces):
+        if np.any(traces.s0 == marker):
             raise SolverError("injected")
-        return real(traces, field)
+        return real(traces)
 
-    def degenerate(traces, field=None):
-        A = real(traces, field)
-        window = np.nonzero(field.s_cells[:, 0, 0, 0] == marker)[0] // 3
+    def degenerate(traces):
+        A = real(traces)
+        window = np.nonzero(traces.s0[:, 0, 0, 0] == marker)[0]
         A[window, 0, 2:, 2:] = 0.0
         return A
 

@@ -482,19 +482,19 @@ def test_one_worker_maps_here_on_one_blas_thread_and_restores_the_count():
 def _merge_gap(field, resolution=1):
     """Worst relative gap of ``merge_traces`` to the one-step merge, in the
     merged maps and in their ``condensed_A``, over every level of the field
-    and strides 3 (the partition) and 1 (the half-overlap lattice)."""
+    and strides 3 (the partition) and 1 (the half-overlap lattice).  No cube
+    is flagged constant on either side, so every cube's A is solved."""
     worst = 0.0
-    children = solver.cell_traces(field, resolution=resolution)
-    while children.level < field.level:
+    for children in solver.condense(field.s_cells, field.k_cells, resolution):
+        if children.level == field.level:
+            break
         for stride in (3, 1):
             got = solver.merge_traces(children, stride)
             want = one_step_merge(children, stride)
-            assert got.Lam.shape == want.Lam.shape
-            assert (got.level, got.step, got.origin) == (want.level, want.step, want.origin)
+            assert got.Lam.shape == want.Lam.shape and got.level == want.level
             for a, b in ((got.Lam, want.Lam),
-                         (condensed_A(got, field), condensed_A(want, field))):
+                         (condensed_A(replace(got, const=None)), condensed_A(want))):
                 worst = max(worst, float(np.abs(a - b).max() / np.abs(b).max()))
-        children = solver.merge_traces(children)
     return worst
 
 
@@ -530,4 +530,79 @@ def test_merge_steps_follow_the_geometry():
     assert [axes for axes, *_ in steps] == [(0,), (1,), (2,)]
     assert [nu - nb for *_, nb, nu in steps] == [128, 416, 1352]
     assert steps[-1][2] == 28 ** 3 - 26 ** 3
+
+
+def _constant_by_loops(a, side, step, count, start=0):
+    """Whether each cube of a batch has, in every cell, the s + k of its
+    corner cell, by a loop over the cubes: cube idx has side ``side`` and its
+    corner at cell ``step * idx``, moved ``start`` cells along axis 0."""
+    out = np.empty(count, dtype=bool)
+    for idx in np.ndindex(*count):
+        corner = (start + step * idx[0],) + tuple(step * i for i in idx[1:])
+        out[idx] = np.all(a[tuple(slice(c, c + side) for c in corner)] == a[corner])
+    return out
+
+
+def _assert_flags_match_loops(s, k, resolution=1):
+    """After every merge of ``condense``'s partitions, at stride 3 and 1 and
+    on each row triple of ``rows``, the constant flags are the loops' and
+    ``s0``, ``k0`` the corner cells.  Returns the flags set above the cells."""
+    a, d, flagged = s + k, s.shape[-1], 0
+    for children in solver.condense(s, k, resolution):
+        if min(children.Lam.shape[:d]) < 3:
+            break
+        grid = 3 ** children.level
+        merged = [(solver.merge_traces(children, stride), stride * grid, 0)
+                  for stride in (3, 1)]
+        merged += [(solver.merge_traces(children.rows(i, i + 3), stride=1), grid, i * grid)
+                   for i in range(children.Lam.shape[0] - 2)]
+        for got, step, start in merged:
+            count = got.const.shape
+            assert np.array_equal(got.const, _constant_by_loops(
+                a, 3 ** got.level, step, count, start))
+            corners = (slice(start, start + step * (count[0] - 1) + 1, step),)
+            corners += tuple(slice(0, step * (n - 1) + 1, step) for n in count[1:])
+            assert np.array_equal(got.s0, s[corners])
+            assert np.array_equal(got.k0, k[corners])
+            flagged += int(got.const.sum())
+    return flagged
+
+
+def _with_constant_blocks(field, blocks):
+    """The field with each block (a tuple of slices) given its corner cell."""
+    s, k = field.s_cells.copy(), field.k_cells.copy()
+    for block in blocks:
+        corner = tuple(b.start for b in block)
+        s[block], k[block] = s[corner], k[corner]
+    return replace(field, s_cells=s, k_cells=k)
+
+
+def test_constant_flags_match_a_loop_over_the_cells():
+    # constant blocks of 9x9 and 3x3 cells on and off the partition lattices,
+    # and one whose copy of its corner cell misses in one cell
+    skew = {"sigma": 0.5, "kappa": 0.7}
+    f2 = _with_constant_blocks(
+        gen_named_field("skew_lognormal", level=3, seed=44, **skew),
+        [np.s_[9:18, 0:9], np.s_[3:12, 12:21], np.s_[3:6, 21:24],
+         np.s_[13:16, 22:25], np.s_[18:21, 18:21], np.s_[18:21, 3:6]])
+    s = f2.s_cells.copy()
+    s[20, 5] = 2.0 * s[20, 5]
+    f2 = replace(f2, s_cells=s)
+    assert _assert_flags_match_loops(f2.s_cells, f2.k_cells) > 0
+    f3 = _with_constant_blocks(
+        gen_named_field("skew_lognormal", level=2, dim=3, seed=45, **skew),
+        [np.s_[3:6, 0:3, 6:9], np.s_[4:7, 4:7, 4:7]])
+    assert _assert_flags_match_loops(f3.s_cells, f3.k_cells) > 0
+    r2 = _with_constant_blocks(
+        gen_named_field("skew_lognormal", level=2, seed=46, **skew),
+        [np.s_[3:6, 3:6], np.s_[1:4, 5:8]])
+    assert _assert_flags_match_loops(r2.s_cells, r2.k_cells, resolution=2) > 0
+    # two windows side by side, a random one and a constant one: the merges
+    # at stride 1 straddle them
+    const = gen_named_field("constant", level=2, matrix=[[2.0, 0.5], [-0.5, 1.0]])
+    s, k = (np.concatenate([getattr(r2, n), getattr(const, n)])
+            for n in ("s_cells", "k_cells"))
+    assert _assert_flags_match_loops(s, k) > 0
+    *_, top = solver.condense(s, k)
+    assert top.const.tolist() == [[False], [True]]
 
