@@ -73,7 +73,8 @@ def _deep_merge(base: dict, override: dict) -> dict:
 
 
 def load_config(path: str | None) -> dict:
-    """Defaults deep-merged with the JSON config file (if any)."""
+    """Defaults deep-merged with the JSON config file (if any); a target in
+    the file replaces the default target whole."""
     if path is None:
         return copy.deepcopy(DEFAULT_CONFIG)
     try:
@@ -89,7 +90,11 @@ def load_config(path: str | None) -> dict:
     unknown = set(user) - set(DEFAULT_CONFIG)
     if unknown:
         raise ConfigError(f"unknown config section(s): {sorted(unknown)}")
-    return _deep_merge(DEFAULT_CONFIG, user)
+    config = _deep_merge(DEFAULT_CONFIG, user)
+    hx = user.get("homexp")
+    if isinstance(hx, dict) and "target" in hx:   # one value: not merged with ours
+        config["homexp"]["target"] = copy.deepcopy(hx["target"])
+    return config
 
 
 def apply_overrides(config: dict, assignments: list[str]) -> dict:
@@ -155,7 +160,8 @@ def _check_homexp_inputs(config: dict, command: str | None) -> None:
     except KeyError as exc:
         raise ConfigError(f"homexp.target must give {exc} for its family") from exc
     except (TypeError, ValueError, IndexError) as exc:
-        raise ConfigError(f"homexp.target must hold numbers: {exc}") from exc
+        raise ConfigError(f"homexp.target must hold only numbers its family "
+                          f"uses: {exc}") from exc
     shapes = {f"homexp.target.{name}": (getattr(h, name), (dim,) * ndim)
               for name, ndim in (("p", 1), ("H", 2), ("m", 1)) if hasattr(h, name)}
     if hx["a_bar"] is not None:
@@ -423,6 +429,9 @@ def cmd_homogenize(config: dict, out_dir: Path, fingerprint: str) -> int:
     hx = config["homexp"]
     resolution = config["coarsegrain"]["resolution"]
     A_bar = None
+    # The nodal solves factor with SuperLU.  Loaded here, before the pool
+    # forks, SciPy is imported once instead of once in every worker.
+    import scipy.sparse.linalg  # noqa: F401
     with solver.worker_map(config["workers"]) as pmap:
         if hx["a_bar"] is not None:
             a_bar = np.asarray(hx["a_bar"], float)

@@ -170,24 +170,32 @@ def condensed_A(traces: BoundaryTraces) -> np.ndarray:
     and the energy identity, and every (symmetric) A for positive
     semidefiniteness up to 1e-8 * max(1, max |eig A|).  The cubes that the
     traces flag ``const`` (all cells equal) take the exact closed form of
-    their corner cell instead, unchecked; a batch of such cubes alone (the
-    cells, for one) is solved for nothing.
+    their corner cell instead, unchecked, and only the others are solved;
+    a batch of flagged cubes alone (the cells, for one) is solved for
+    nothing.
     """
     exact = (np.zeros(traces.Lam.shape[:-2], dtype=bool) if traces.const is None
              else traces.const)
     if exact.all():
         return pointwise_A(traces.s0, traces.k0)
-    _, LV, J, energy = trace_loads(traces)
+    solved = ~exact
+    batch = traces if solved.all() else replace(
+        traces, Lam=traces.Lam[solved], const=None, s0=traces.s0[solved],
+        k0=traces.k0[solved])
+    _, LV, J, energy = trace_loads(batch)
+    check_objective(J, energy)
     A = 0.5 * (LV + np.swapaxes(LV, -1, -2)) / traces.vol - jswap(traces.dim)
-    if exact.any():
-        A[exact] = pointwise_A(traces.s0[exact], traces.k0[exact])
-    check_objective(J[~exact], energy[~exact])
-    eigs = np.linalg.eigvalsh(A[~exact])
+    eigs = np.linalg.eigvalsh(A).reshape(-1, A.shape[-1])
     lo, scale = eigs[:, 0], np.maximum(1.0, np.abs(eigs).max(axis=-1))
     if np.any(lo < -1e-8 * scale):
         raise ValueError("coarse matrix not PSD: min eig "
                          f"{lo[lo < -1e-8 * scale][0]:.3e}")
-    return A
+    if batch is traces:
+        return A
+    out = np.empty(exact.shape + A.shape[-2:])
+    out[solved] = A
+    out[exact] = pointwise_A(traces.s0[exact], traces.k0[exact])
+    return out
 
 
 def coarse_grain_cube(field: CoefficientField, cube: TriadicCube | None = None,

@@ -33,13 +33,22 @@ class TargetFunction:
     """Scalar target h with exact gradient and exact cell-averaged gradient.
 
     Families: affine  h = p.x + c;  quadratic  h = x.Hx/2 + p.x;
-    trigonometric  h = amp sin(2 pi m.x + phase).  Coordinates are points of
-    the unit domain (the experiment feeds x = 3^{-n} y).
+    trigonometric  h = amp sin(2 pi m.x + phase), each taking the keys in
+    ``KEYS`` and refusing any other.  Coordinates are points of the unit
+    domain (the experiment feeds x = 3^{-n} y).
     """
+
+    KEYS = {"affine": {"p", "c"}, "quadratic": {"H", "p"},
+            "trig": {"m", "amp", "phase"}}
 
     def __init__(self, family: str, **params):
         self.family = family
         self.params = params
+        if family not in self.KEYS:
+            raise ValueError(f"unknown target family '{family}'")
+        unused = sorted(set(params) - self.KEYS[family])
+        if unused:
+            raise ValueError(f"target family '{family}' does not use {unused}")
         if family == "affine":
             self.p = np.asarray(params["p"], float)
             self.c = float(params.get("c", 0.0))
@@ -48,12 +57,10 @@ class TargetFunction:
             self.p = np.asarray(params.get("p", np.zeros(self.H.shape[0])), float)
             if not np.allclose(self.H, self.H.T):
                 raise ValueError("quadratic coefficient must be symmetric")
-        elif family == "trig":
+        else:
             self.m = np.asarray(params["m"], float)
             self.amp = float(params.get("amp", 1.0))
             self.phase = float(params.get("phase", 0.0))
-        else:
-            raise ValueError(f"unknown target family '{family}'")
 
     def value(self, x: np.ndarray) -> np.ndarray:
         x = np.asarray(x, float)

@@ -32,12 +32,16 @@ The assembled operator serves the nodal solves: Dirichlet and Neumann
 problems.  It holds K alone, and the nodal readers use the same identities:
 the energy of u is u^T K u, the cube mean of a Q1 function is the mean of its
 element corner values, and the average flux is the mean of the cell fluxes.
-The nodal LUs are factored in a nested-dissection order of the node grid,
-and the index arrays of assembly and of that order are built once per grid
-shape.  Every functional here sees only gradients, so the additive constant
-is fixed by pinning node 0 (a corner, hence a boundary node) to zero and
-removing it from the system; a Neumann solution is then shifted to zero
-mean.
+The nodal LUs are SuperLU's, factored in a nested-dissection order of the
+node grid.  SciPy is imported only inside ``assemble`` (K is a
+``scipy.sparse`` matrix) and the two factorizations, so the trace path, and
+every command that solves no nodal system, never loads it.  The index arrays
+of assembly and of that order are built once per grid shape without sorting:
+K's CSR pattern in closed form from each node's 3^d stencil neighbours, and
+the order by a recursion memoized per box shape.  Every functional here sees
+only gradients, so the additive constant is fixed by pinning node 0 (a
+corner, hence a boundary node) to zero and removing it from the system; a
+Neumann solution is then shifted to zero mean.
 """
 from __future__ import annotations
 
@@ -45,12 +49,9 @@ import contextlib
 import ctypes
 import functools
 import itertools
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field as dc_field, replace
 
 import numpy as np
-import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
 from .fields import CascadeOverflowError, CoefficientField, DegenerateCellError
 from .triadic import TriadicCube, block_means
@@ -114,6 +115,7 @@ def worker_map(workers: int):
             for put, count in saved:
                 put(count)
         return
+    from concurrent.futures import ProcessPoolExecutor
     with ProcessPoolExecutor(max_workers=workers,
                              initializer=single_blas_thread) as pool:
         yield lambda fn, jobs: list(pool.map(
@@ -159,7 +161,7 @@ class AssembledOperator:
     vol: float
     nodes_per_axis: int
     N: int
-    K: sp.csr_matrix
+    K: object              # scipy.sparse.csr_matrix, (N, N)
     interior: np.ndarray
     boundary: np.ndarray
     gid: np.ndarray        # (n_elements, 2^dim) global node ids per element
@@ -189,7 +191,11 @@ def _grid_shape(dim: int, npa: int):
     ids of each element's corners, the interior and boundary node ids (C
     order), and the CSR pattern of the stiffness together with ``slot``, the
     position in its data of each (element, i, j) triplet, element-major.
-    Read-only indices, built once per (dim, nodes_per_axis).
+    The pattern is closed-form: row p holds p + o for every offset o in
+    {-1, 0, 1}^dim that stays on the grid (each such pair shares an
+    element), and offsets in C order are columns in ascending order, so a
+    triplet's slot is its row's start plus the rank of its offset among the
+    row's.  Read-only indices, built once per (dim, nodes_per_axis).
     """
     key = (dim, npa)
     if key not in _GRID_SHAPES:
@@ -198,14 +204,19 @@ def _grid_shape(dim: int, npa: int):
         corners = np.indices((mE,) * dim).reshape(dim, -1)
         gid = np.stack([np.ravel_multi_index(corners + li[:, None], (npa,) * dim)
                         for li in locs], axis=1)
-        rows = np.repeat(gid, len(locs), axis=1).ravel()
-        cols = np.tile(gid, len(locs)).ravel()
-        keys, slot = np.unique(rows * N + cols, return_inverse=True)
-        indptr = np.searchsorted(keys, np.arange(N + 1) * N)
         coords = np.indices((npa,) * dim).reshape(dim, N)
+        offsets = np.indices((3,) * dim).reshape(dim, -1) - 1
+        nbr = coords[:, :, None] + offsets[:, None, :]     # (dim, N, 3^dim)
+        on_grid = np.all((nbr >= 0) & (nbr <= mE), axis=0)
+        place = np.cumsum(on_grid.ravel()).reshape(N, -1) - 1
+        # the offset locs[j] - locs[i] of each (i, j), as an index into 3^dim
+        rel = (locs[None, :, :] - locs[:, None, :] + 1) @ 3 ** np.arange(dim)[::-1]
+        slot = place[gid[:, :, None], rel].ravel()
+        indptr = np.concatenate([[0], np.cumsum(on_grid.sum(axis=1))])
+        cols = np.arange(N)[:, None] + npa ** np.arange(dim)[::-1] @ offsets
         inner = np.all((coords > 0) & (coords < mE), axis=0)
         arrays = (gid, np.nonzero(inner)[0], np.nonzero(~inner)[0],
-                  indptr.astype(np.int32), (keys % N).astype(np.int32), slot)
+                  indptr.astype(np.int32), cols[on_grid].astype(np.int32), slot)
         for arr in arrays:
             arr.flags.writeable = False
         _GRID_SHAPES[key] = arrays
@@ -221,6 +232,7 @@ def assemble(field: CoefficientField, cube: TriadicCube | None = None,
     (dim, nodes_per_axis); K is then one ``bincount`` of the element
     triplets into that pattern.
     """
+    import scipy.sparse as sp
     cube = cube or field.domain
     d = field.dim
     r = int(resolution)
@@ -253,40 +265,30 @@ def assemble(field: CoefficientField, cube: TriadicCube | None = None,
     )
 
 
-_ND_ORDERS: dict = {}
+@functools.cache
+def _nd_order(shape: tuple) -> np.ndarray:
+    """Nested-dissection elimination order of a box of nodes of ``shape``.
 
-
-def _nd_order(dim: int, m: int) -> np.ndarray:
-    """Nested-dissection elimination order of an m^dim node grid.
-
-    Returns the grid's C-order node ids in elimination order.  A box of
+    Returns the box's C-order node ids in elimination order.  A box of
     nodes is split by the middle node plane of its longest axis: the two
     halves come first, each ordered the same way, then the plane.  A Q1
     element spans one grid step, so the plane separates the halves and the
     LU fills only within the separators (George, SIAM J. Numer. Anal. 10,
     1973).  Boxes of at most 16 nodes keep C order.  Read-only indices,
-    built once per (dim, m).
+    built once per shape, the halves' orders too.
     """
-    key = (dim, m)
-    if key not in _ND_ORDERS:
-        parts = []
-
-        def split(box):
-            if box.size <= 16:
-                parts.append(box.ravel())
-                return
-            ax = int(np.argmax(box.shape))
-            mid = box.shape[ax] // 2
-            cut = (slice(None),) * ax
-            split(box[cut + (slice(None, mid),)])
-            split(box[cut + (slice(mid + 1, None),)])
-            parts.append(box[cut + (mid,)].ravel())
-
-        split(np.arange(m ** dim).reshape((m,) * dim))
-        order = np.concatenate(parts)
-        order.flags.writeable = False
-        _ND_ORDERS[key] = order
-    return _ND_ORDERS[key]
+    ids = np.arange(int(np.prod(shape))).reshape(shape)
+    if ids.size <= 16:
+        order = ids.ravel()
+    else:
+        ax = int(np.argmax(shape))
+        mid = shape[ax] // 2
+        cut = (slice(None),) * ax
+        halves = [ids[cut + (part,)] for part in (slice(None, mid), slice(mid + 1, None))]
+        order = np.concatenate([half.ravel()[_nd_order(half.shape)] for half in halves]
+                               + [ids[cut + (mid,)].ravel()])
+    order.flags.writeable = False
+    return order
 
 
 def _interior_solver(op: AssembledOperator):
@@ -299,9 +301,10 @@ def _interior_solver(op: AssembledOperator):
     operator.
     """
     if op._int is None:
-        order = op.interior[_nd_order(op.dim, op.nodes_per_axis - 2)]
+        from scipy.sparse.linalg import splu
+        order = op.interior[_nd_order((op.nodes_per_axis - 2,) * op.dim)]
         K_II = op.K[order][:, order]
-        op._int = (order, K_II, spla.splu(K_II.tocsc(), permc_spec="NATURAL"))
+        op._int = (order, K_II, splu(K_II.tocsc(), permc_spec="NATURAL"))
     return op._int
 
 
@@ -629,10 +632,10 @@ def solve_neumann(op: AssembledOperator, f_cells: np.ndarray) -> np.ndarray:
     f = f - f.mean(axis=0)
     F = flux_rhs(op, f.reshape((op.cells_per_axis,) * d + (d,)))
     if op._neu is None:
-        order = _nd_order(d, op.nodes_per_axis)
+        from scipy.sparse.linalg import splu
+        order = _nd_order((op.nodes_per_axis,) * d)
         order = order[order != 0]
-        op._neu = (order, spla.splu(op.K[order][:, order].tocsc(),
-                                    permc_spec="NATURAL"))
+        op._neu = (order, splu(op.K[order][:, order].tocsc(), permc_spec="NATURAL"))
     order, lu = op._neu
     u = np.zeros(op.N)
     u[order] = lu.solve(F[order])

@@ -16,8 +16,11 @@ the energy form and the volume functionals from them, and is checked
 against ``loop_assembly``.  ``one_step_merge`` is the boundary-trace merge
 that adds all 3^d children onto one union and eliminates the whole
 skeleton in one dense solve; the package merges one axis at a time, and
-this checks it.  ``forge_field_file`` writes the bad field files
-that the package can no longer build, for the tests of the load-time check.
+this checks it.  ``sorted_grid_shape`` and ``recursive_nd_order`` build
+the package's cached grid indices the direct way, by sorting the assembly
+triplets and by recursing over the boxes.  ``forge_field_file`` writes the
+bad field files that the package can no longer build, for the tests of the
+load-time check.
 """
 import dataclasses
 import hashlib
@@ -293,6 +296,47 @@ def default_order_neumann(op, load):
     u = np.zeros(op.N)
     u[1:] = spla.splu(op.K[1:, 1:].tocsc()).solve(load[1:])
     return u - (nodal_functionals(op)[3] @ u) / op.vol
+
+
+def sorted_grid_shape(dim, npa):
+    """Assembly indices of an npa^dim node grid, the CSR pattern found by
+    sorting: (gid, interior, boundary, indptr, indices, slot) as the package's
+    ``solver._grid_shape`` returns them, from ``np.unique`` over every
+    (element, i, j) triplet's key row * N + col."""
+    locs = np.array(list(itertools.product((0, 1), repeat=dim)))
+    mE, N = npa - 1, npa ** dim
+    corners = np.indices((mE,) * dim).reshape(dim, -1)
+    gid = np.stack([np.ravel_multi_index(corners + li[:, None], (npa,) * dim)
+                    for li in locs], axis=1)
+    rows = np.repeat(gid, len(locs), axis=1).ravel()
+    cols = np.tile(gid, len(locs)).ravel()
+    keys, slot = np.unique(rows * N + cols, return_inverse=True)
+    indptr = np.searchsorted(keys, np.arange(N + 1) * N)
+    coords = np.indices((npa,) * dim).reshape(dim, N)
+    inner = np.all((coords > 0) & (coords < mE), axis=0)
+    return (gid, np.nonzero(inner)[0], np.nonzero(~inner)[0],
+            indptr.astype(np.int32), (keys % N).astype(np.int32), slot.ravel())
+
+
+def recursive_nd_order(dim, m):
+    """Nested-dissection order of an m^dim node grid by direct recursion:
+    halves of the longest axis first, then its middle node plane; boxes of
+    at most 16 nodes in C order."""
+    parts = []
+
+    def split(box):
+        if box.size <= 16:
+            parts.append(box.ravel())
+            return
+        ax = int(np.argmax(box.shape))
+        mid = box.shape[ax] // 2
+        cut = (slice(None),) * ax
+        split(box[cut + (slice(None, mid),)])
+        split(box[cut + (slice(mid + 1, None),)])
+        parts.append(box[cut + (mid,)].ravel())
+
+    split(np.arange(m ** dim).reshape((m,) * dim))
+    return np.concatenate(parts)
 
 
 def one_step_merge_maps(dim, level, r):

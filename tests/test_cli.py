@@ -1,6 +1,10 @@
 """Command-line driver: config handling, exit codes, output artifacts."""
 import concurrent.futures
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -53,6 +57,18 @@ def test_config_file_errors(tmp_path):
                 tmp_path) == 2
 
 
+def test_config_file_target_replaces_the_default_target(tmp_path):
+    # merged key by key, a trig target would keep the default's p, which a
+    # trig target does not use
+    trig = {"family": "trig", "m": [1.0, 2.0]}
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"homexp": {"target": trig, "seeds": 2}}))
+    config = cli.load_config(str(cfg))
+    assert config["homexp"]["target"] == trig and config["homexp"]["seeds"] == 2
+    assert config["homexp"]["alpha"] == cli.DEFAULT_CONFIG["homexp"]["alpha"]
+    assert _run(["selftest", "--config", str(cfg)], tmp_path) == 0
+
+
 @pytest.mark.parametrize("override", [
     "norms.zeta=0.5",                 # unknown key
     "dim=5",                          # unsupported dimension
@@ -94,6 +110,7 @@ def test_config_file_errors(tmp_path):
     "homexp.alpha=\"x\"",
     "homexp.target={\"family\":\"quadratic\"}",     # no H
     "homexp.target={\"family\":\"trig\"}",          # no m
+    "homexp.target={\"family\":\"affine\",\"p\":[1,0],\"H\":\"junk\"}",  # H unused
     "homexp.a_bar=[[1,0]]",
     "homexp.a_bar=\"x\"",
 ])
@@ -442,3 +459,50 @@ def test_override_value_parsing():
     # bare words (not valid JSON) fall back to strings
     cfg2 = cli.apply_overrides(cli.load_config(None), ["field.kind=laminate"])
     assert cfg2["field"]["kind"] == "laminate"
+
+
+def _fresh_python(code, cwd):
+    """Stdout of ``code`` run by a new interpreter that imports this cghom."""
+    src = str(Path(cli.__file__).parents[1])
+    return subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, check=True, cwd=cwd,
+                          env={**os.environ, "PYTHONPATH": src}).stdout
+
+
+@pytest.mark.parametrize("argv", [
+    ["coarsegrain"], ["ellipticity"],
+    ["ergodic", "--workers", "1", "--set", "ergodic.samples=4",
+     "--set", "ergodic.n_max=2"]])
+def test_commands_without_nodal_solves_load_no_scipy(tmp_path, argv):
+    code = ("import sys, cghom.cli\n"
+            f"rc = cghom.cli.main({argv!r} + ['--output-dir', '.'])\n"
+            "print(rc, sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    assert _fresh_python(code, tmp_path).splitlines()[-1] == "0 []"
+
+
+def test_homogenize_pool_workers_start_with_scipy_loaded(tmp_path):
+    # each worker notes, when a Dirichlet job starts, whether SuperLU's module
+    # is loaded; the command imports it before the pool forks
+    code = f"""
+import os, sys
+import cghom.cli
+from cghom import homexp
+solve = homexp.run_dirichlet_experiment
+def probe(*args, **kwargs):
+    with open(os.path.join({str(tmp_path)!r}, f"jobs-{{os.getpid()}}"), "a") as fh:
+        fh.write(f"{{'scipy.sparse.linalg' in sys.modules}}\\n")
+    return solve(*args, **kwargs)
+homexp.run_dirichlet_experiment = probe
+print("scipy" in sys.modules)
+rc = cghom.cli.main(["homogenize", "--workers", "2", "--output-dir", "out",
+                     "--set", "homexp.a_bar=[[1,0],[0,1]]", "--set", "homexp.n_max=2",
+                     "--set", "homexp.seeds=4"])
+print(rc, os.getpid())
+"""
+    lines = _fresh_python(code, tmp_path).splitlines()
+    rc, main_pid = lines[-1].split()
+    assert lines[0] == "False" and rc == "0"
+    jobs = {path.name: path.read_text().split() for path in tmp_path.glob("jobs-*")}
+    assert jobs and f"jobs-{main_pid}" not in jobs
+    assert sum(map(len, jobs.values())) == 4
+    assert all(first == "True" for first, *_ in jobs.values())

@@ -590,6 +590,45 @@ def test_windows_coarse_grained_together_match_each_one_alone():
                                                 fields[1].k_cells[(0,) * dim]))
 
 
+def test_only_unflagged_cubes_reach_the_load_solve(monkeypatch):
+    # a blocky field: blocks of 9x9 and 3x3 equal cells, so batches mix
+    # flagged and unflagged cubes at levels 1 and 2 (partition and half
+    # lattice); the load solve sees only the unflagged ones, which keep the
+    # A they get with no cube flagged, bit for bit
+    field = gen_named_field("skew_lognormal", level=3, seed=44, sigma=0.5,
+                            kappa=0.7)
+    s, k = field.s_cells.copy(), field.k_cells.copy()
+    for block in (np.s_[9:18, 0:9], np.s_[3:6, 21:24], np.s_[18:21, 18:21],
+                  np.s_[12:15, 3:6]):
+        corner = tuple(b.start for b in block)
+        s[block], k[block] = s[corner], k[corner]
+    solved = []
+
+    def recording(traces):
+        solved.append(traces.Lam.shape[:-2])
+        return trace_loads(traces)
+
+    monkeypatch.setattr(coarsegrain, "trace_loads", recording)
+    mixed = 0
+    for traces in solver.condense(s, k):
+        batches = [traces]
+        if traces.level < 2:
+            batches.append(solver.merge_traces(traces, stride=1))
+        for batch in batches:
+            flagged = batch.const
+            solved.clear()
+            A = condensed_A(batch)
+            free = int((~flagged).sum())
+            assert solved == ([] if free == 0 else [flagged.shape]
+                              if free == flagged.size else [(free,)])
+            mixed += 0 < free < flagged.size
+            want = condensed_A(replace(batch, const=None))
+            assert np.array_equal(A[~flagged], want[~flagged])
+            assert np.array_equal(A[flagged], pointwise_A(batch.s0[flagged],
+                                                          batch.k0[flagged]))
+    assert mixed == 4
+
+
 def test_degenerate_cell_raises_from_the_condensation():
     # a degenerate cell is refused when its field is built, so no condensation
     # ever reads one

@@ -47,6 +47,11 @@ def test_quadratic_target():
         TargetFunction("quadratic", H=[[0.0, 1.0], [0.0, 0.0]])
     with pytest.raises(ValueError, match="unknown target"):
         TargetFunction("bump", width=1.0)
+    # a key the family does not read is refused, and named
+    with pytest.raises(ValueError, match=r"'affine' does not use \['H', 'm'\]"):
+        TargetFunction("affine", p=[1.0, 0.0], H=[[1.0]], m=[1.0])
+    with pytest.raises(ValueError, match=r"'trig' does not use \['p'\]"):
+        TargetFunction("trig", m=[1.0, 0.0], p=[1.0, 0.0])
 
 
 def test_trig_target_cell_averages_vs_quadrature():

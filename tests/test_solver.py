@@ -16,7 +16,8 @@ from cghom.solver import (DegenerateCellError, assemble, cell_flux_averages,
                           solve_dirichlet, solve_neumann, trace_loads)
 from cghom.triadic import TriadicCube
 from reference_impl import (default_order_dirichlet, default_order_neumann,
-                            loop_assembly, nodal_functionals, one_step_merge)
+                            loop_assembly, nodal_functionals, one_step_merge,
+                            recursive_nd_order, sorted_grid_shape)
 
 
 def _sympy_reference(dim):
@@ -360,8 +361,8 @@ def test_grid_shape_is_cached_read_only_and_shared():
 
 @pytest.mark.parametrize("dim,m", [(2, 0), (2, 1), (2, 7), (2, 26), (3, 7), (3, 8)])
 def test_nested_dissection_order_is_a_cached_permutation(dim, m):
-    order = solver._nd_order(dim, m)
-    assert solver._nd_order(dim, m) is order            # built once
+    order = solver._nd_order((m,) * dim)
+    assert solver._nd_order((m,) * dim) is order            # built once
     assert order.dtype.kind == "i" and not order.flags.writeable
     assert np.array_equal(np.sort(order), np.arange(m ** dim))
     if m ** dim > 16:
@@ -371,12 +372,25 @@ def test_nested_dissection_order_is_a_cached_permutation(dim, m):
         assert np.array_equal(order[-len(plane):], plane)
 
 
+@pytest.mark.parametrize("dim,npa", [(2, npa) for npa in (2, 3, 4, 10, 28, 82, 244)]
+                         + [(3, npa) for npa in (2, 3, 4, 10, 28)])
+def test_grid_indices_match_sorting_and_recursion(dim, npa):
+    # the closed-form CSR pattern against np.unique over the triplets, and the
+    # memoized orders of the node grid (Neumann) and of its interior
+    # (Dirichlet) against the direct recursion; values and dtypes
+    for got, want in zip(solver._grid_shape(dim, npa), sorted_grid_shape(dim, npa)):
+        assert got.dtype == want.dtype and np.array_equal(got, want)
+    for m in (npa, npa - 2):
+        got, want = solver._nd_order((m,) * dim), recursive_nd_order(dim, m)
+        assert got.dtype == want.dtype and np.array_equal(got, want)
+
+
 def test_interior_order_is_a_permutation_of_the_interior():
     field = gen_named_field("checkerboard", level=2, seed=19)
     op = assemble(field)
     u = solve_dirichlet(op, np.ones(len(op.boundary)))
     order, K_II, _ = op._int
-    assert np.array_equal(order, op.interior[solver._nd_order(2, 8)])
+    assert np.array_equal(order, op.interior[solver._nd_order((8, 8))])
     assert np.array_equal(np.sort(order), op.interior)
     assert (K_II != op.K[order][:, order]).nnz == 0
     assert np.allclose(u, 1.0, atol=1e-12)
