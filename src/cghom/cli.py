@@ -15,19 +15,20 @@ from __future__ import annotations
 
 import argparse
 import copy
+import csv
 import functools
 import hashlib
 import json
 import os
 import sys
-from dataclasses import replace
 from datetime import datetime, timezone
 from pathlib import Path
 
 import numpy as np
 
 from . import coarsegrain, ergodic, fields, homexp, norms, solver
-from .fields import _KIND_PARAMS, gen_named_field, load_field, save_field
+from .fields import (CascadeOverflowError, DegenerateCellError, gen_named_field,
+                     load_field, save_field)
 from .solver import NUMERICAL_ERRORS
 
 EXIT_OK = 0
@@ -72,6 +73,23 @@ def _deep_merge(base: dict, override: dict) -> dict:
     return out
 
 
+# settings whose value is a free-form object: a kind's parameters, a target
+_FREE_FORM = ("field.params", "homexp.target")
+
+
+def _unknown_keys(user: dict, schema: dict, prefix: str = "") -> list:
+    """Dotted paths of the keys of ``user``, at any depth, that ``schema`` lacks."""
+    out = []
+    for key, value in user.items():
+        path = prefix + key
+        if key not in schema:
+            out.append(path)
+        elif isinstance(value, dict) and isinstance(schema[key], dict) \
+                and path not in _FREE_FORM:
+            out += _unknown_keys(value, schema[key], path + ".")
+    return out
+
+
 def load_config(path: str | None) -> dict:
     """Defaults deep-merged with the JSON config file (if any); a target in
     the file replaces the default target whole."""
@@ -87,9 +105,9 @@ def load_config(path: str | None) -> dict:
         raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
     if not isinstance(user, dict):
         raise ConfigError("config root must be a JSON object")
-    unknown = set(user) - set(DEFAULT_CONFIG)
+    unknown = _unknown_keys(user, DEFAULT_CONFIG)
     if unknown:
-        raise ConfigError(f"unknown config section(s): {sorted(unknown)}")
+        raise ConfigError(f"unknown config key(s): {unknown}")
     config = _deep_merge(DEFAULT_CONFIG, user)
     hx = user.get("homexp")
     if isinstance(hx, dict) and "target" in hx:   # one value: not merged with ours
@@ -176,8 +194,25 @@ def _check_homexp_inputs(config: dict, command: str | None) -> None:
             raise ConfigError(f"{key} must have shape {shape} in {dim}D, got {value.shape}")
 
 
+_LIST_SETTINGS = ("cascade.sigmas", "cascade.powers", "cascade.trend_levels")
+
+
+def _entries(config: dict, key: str) -> list:
+    """The values to check of a setting: its value, or a list setting's
+    entries (it must have one at least)."""
+    value = functools.reduce(dict.__getitem__, key.split("."), config)
+    if key not in _LIST_SETTINGS:
+        return [value]
+    if not isinstance(value, list) or not value:
+        raise ConfigError(f"{key} must be a non-empty list, got {value!r}")
+    return value
+
+
 def validate_config(config: dict, command: str | None = None) -> None:
     """Reject inconsistent settings; with ``command``, also runs it cannot finish."""
+    for key, default in DEFAULT_CONFIG.items():
+        if isinstance(default, dict) and not isinstance(config[key], dict):
+            raise ConfigError(f"{key} must be a JSON object, got {config[key]!r}")
     if config["dim"] not in (2, 3):
         raise ConfigError(f"dim must be 2 or 3, got {config['dim']}")
     for key, low in (("seed", 0), ("workers", 1), ("field.level", 0),
@@ -185,24 +220,33 @@ def validate_config(config: dict, command: str | None = None) -> None:
                      ("ergodic.n_min", 0), ("ergodic.n_max", 0),
                      ("ergodic.samples", 2), ("homexp.n_min", 0),
                      ("homexp.n_max", 0), ("homexp.seeds", 1),
-                     ("homexp.ring_levels", 1)):
-        value = functools.reduce(dict.__getitem__, key.split("."), config)
-        if type(value) is not int or value < low:   # true and false are refused
-            raise ConfigError(f"{key} must be an integer >= {low}, got {value!r}")
+                     ("homexp.ring_levels", 1), ("cascade.draws", 2),
+                     ("cascade.slope_level", 0), ("cascade.slope_seeds", 1),
+                     ("cascade.trend_levels", 0), ("cascade.trend_seeds", 1)):
+        for value in _entries(config, key):
+            if type(value) is not int or value < low:   # true and false are refused
+                raise ConfigError(f"{key} must be an integer >= {low}, got {value!r}")
     fld = config["field"]
-    if fld["kind"] not in _KIND_PARAMS:
-        raise ConfigError(f"unknown field kind {fld['kind']!r}; "
-                          f"known: {sorted(_KIND_PARAMS)}")
-    bad = set(fld.get("params", {})) - _KIND_PARAMS[fld["kind"]]
-    if bad:
-        raise ConfigError(f"unknown field parameter(s) {sorted(bad)} for "
-                          f"kind {fld['kind']!r}")
-    nm = config["norms"]
+    try:        # the kind and its parameters, on one cell
+        gen_named_field(fld["kind"], level=0, dim=config["dim"],
+                        seed=config["seed"], **fld["params"])
+    except (DegenerateCellError, CascadeOverflowError):
+        pass    # cell values the kind draws: a numerical failure of the run
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"field kind {fld['kind']!r} with params "
+                          f"{fld['params']!r} does not build: {exc}") from exc
+    nm, ca = config["norms"], config["cascade"]
     s, t = nm["s"], nm["t"]
-    for key, value in (("norms.s", s), ("norms.t", t),
-                       ("homexp.alpha", config["homexp"]["alpha"])):
-        if type(value) not in (int, float):     # true and false are refused
-            raise ConfigError(f"{key} must be a number, got {value!r}")
+    for key in ("norms.s", "norms.t", "homexp.alpha", "cascade.sigmas",
+                "cascade.powers", "cascade.slope_sigma", "cascade.slope_power",
+                "cascade.trend_sigma", "cascade.trend_t"):
+        for value in _entries(config, key):
+            if type(value) not in (int, float):     # true and false are refused
+                raise ConfigError(f"{key} must be a number, got {value!r}")
+    if min(ca["sigmas"] + [ca["slope_sigma"], ca["trend_sigma"]]) < 0:
+        raise ConfigError("cascade.sigmas, slope_sigma and trend_sigma must be >= 0")
+    if not 0.0 < ca["trend_t"] < 1.0:
+        raise ConfigError(f"cascade.trend_t must lie in (0, 1), got {ca['trend_t']}")
     if not (0.0 < s < 1.0 and 0.0 < t < 1.0):
         raise ConfigError("norms.s and norms.t must lie in (0, 1)")
     if s + t >= 1.0:
@@ -247,6 +291,10 @@ def validate_config(config: dict, command: str | None = None) -> None:
                           f"mean A_bar, estimated only when homexp.a_bar is null")
     if command in ("coarsegrain", "ellipticity"):
         _check_k_min(cg["k_min"], fld["level"], f"field.level={fld['level']}")
+    if command == "ellipticity" and cg["k_min"] > 0 and nm["tail"]:
+        raise ConfigError(f"coarsegrain.k_min={cg['k_min']} with norms.tail=true: "
+                          f"the tail continues the scale sum from the cells, "
+                          f"scale 0, which the sweep would not keep")
     if command is not None:
         _check_3d_level(config["dim"], _coarse_grained_level(config, command),
                         f"'{command}'")
@@ -289,6 +337,15 @@ def write_json_report(obj: dict, path: Path, fingerprint: str,
                     **(meta or {})}
     path.write_text(json.dumps(body, sort_keys=True, indent=1,
                                default=_jsonable) + "\n")
+
+
+def write_csv(path: Path, header: list, rows) -> None:
+    """One CSV table; the csv module writes each float as its repr, so it
+    reads back exactly."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(rows)
 
 
 def field_from_config(config: dict, seed: int | None = None):
@@ -372,10 +429,11 @@ def cmd_ellipticity(config: dict, out_dir: Path, fingerprint: str,
     rep = norms.ellipticity_constants(cache, nm["s"], nm["t"], p=nm["p"],
                                       q=nm["q"], tail=nm["tail"],
                                       normalized=nm["normalized"])
-    csv_path = out_dir / f"ellipticity_{fingerprint[:10]}.csv"
-    norms.write_ellipticity_csv([rep], str(csv_path),
-                                sample_ids=[field.fingerprint[:16]],
-                                extra_cols={"config_sha256": fingerprint})
+    write_csv(out_dir / f"ellipticity_{fingerprint[:10]}.csv",
+              ["sample", "n", "lambda_s", "Lambda_t", "besov_b", "besov_sinv",
+               "lp_b", "lq_sinv", "config_sha256"],
+              [[field.fingerprint[:16], rep.level, rep.lambda_s, rep.Lambda_t,
+                rep.besov_b, rep.besov_sinv, rep.lp_b, rep.lq_sinv, fingerprint]])
     report = {"lambda_s": rep.lambda_s, "Lambda_t": rep.Lambda_t,
               "contrast": rep.contrast, "per_scale_sinv": rep.per_scale_sinv,
               "per_scale_b": rep.per_scale_b, "field_sha256": field.fingerprint}
@@ -411,9 +469,12 @@ def cmd_ergodic(config: dict, out_dir: Path, fingerprint: str) -> int:
         report["a_bar_error"] = str(exc)
     write_json_report(report, out_dir / f"ergodic_{fingerprint[:10]}.json",
                       fingerprint)
-    if er["csv"]:
-        ergodic.write_samples_csv(estimates,
-                                  str(out_dir / f"ergodic_samples_{fingerprint[:10]}.csv"))
+    if er["csv"]:       # long format: one row per entry of each sample's A
+        write_csv(out_dir / f"ergodic_samples_{fingerprint[:10]}.csv",
+                  ["n", "sample", "i", "j", "value"],
+                  ([e.n, index, i, j, value] for e in estimates
+                   for index, A in enumerate(e.A_samples.tolist())
+                   for i, row in enumerate(A) for j, value in enumerate(row)))
     last = estimates[-1]
     print(f"n={last.n}: s_bar diag {np.diag(last.s_bar).round(5).tolist()}, "
           f"gap trace {float(np.trace(last.gap)):.5f}")
@@ -451,10 +512,12 @@ def cmd_homogenize(config: dict, out_dir: Path, fingerprint: str) -> int:
                                           with_E=hx["with_E"], with_GH=hx["with_GH"]),
                         range(config["seed"], config["seed"] + hx["seeds"]))
     family = f"{spec.kind}/{config['homexp']['target']['family']}"
-    homexp.write_records_csv(per_seed,
-                             str(out_dir / f"homog_{fingerprint[:10]}.csv"),
-                             family=family,
-                             extra_cols={"config_sha256": fingerprint})
+    write_csv(out_dir / f"homog_{fingerprint[:10]}.csv",
+              ["family", "seed", "n", "grad_err", "flux_err", "energy",
+               "E_alpha", "G_alpha", "H_alpha", "failed", "config_sha256"],
+              ([family, r.seed, r.n, r.grad_err, r.flux_err, r.energy, r.E_alpha,
+                r.G_alpha, r.H_alpha, int(r.failed), fingerprint]
+               for recs in per_seed for r in recs))
     summary = homexp.summarize_records(per_seed)
     summary["family"] = family
     summary["a_bar"] = a_bar
@@ -500,76 +563,42 @@ def cmd_cascade_verify(config: dict, out_dir: Path, fingerprint: str) -> int:
 
 
 def _selftest_checks():
-    d = 2
-    eye = np.eye(d)
+    """(name, check) pairs; a check returns (passed, detail).  Each identity
+    is one ``coarsegrain.verify_*`` call, the one the c1 tests make too."""
+    d, eye = 2, np.eye(2)
+
+    def field(kind, **params):
+        return gen_named_field(kind, level=1, dim=d, **params)
+
+    def below(tol, detail, value):
+        return value < tol, detail.format(value)
 
     def constant_matrix():
-        field = gen_named_field("constant", level=1, dim=d, matrix=(2.0 * eye).tolist())
-        # with no cube flagged constant the traces skip the closed form
-        traces = replace(solver.partition_traces(field, 1), const=None)
-        A = coarsegrain.condensed_A(traces)[0, 0]
-        want = np.zeros((2 * d, 2 * d))
-        want[:d, :d] = 2.0 * eye
-        want[d:, d:] = 0.5 * eye
-        dev = np.abs(A - want).max()
-        J = coarsegrain.J_from_A(A, eye[0], eye[0], d)
-        return dev < 1e-10 and abs(J - 0.25) < 1e-10, \
-            f"|A - diag(2I, I/2)| = {dev:.2e}, J(e1,e1) = {J:.6f}"
-
-    def adjoint_relation():
-        field = gen_named_field("skew_lognormal", level=1, dim=d, seed=3,
-                                sigma=0.4, kappa=0.6)
-        A = coarsegrain.coarse_grain_cube(field).A
-        A_adj = coarsegrain.coarse_grain_adjoint(field).A
-        D = np.eye(2 * d)
-        D[d:, d:] *= -1.0
-        dev = np.abs(A_adj - D @ A @ D).max()
-        return dev < 1e-8, f"|A* - D A D| = {dev:.2e}"
-
-    def maximizer_averages():
-        field = gen_named_field("lognormal_iso", level=1, dim=d, seed=5, sigma=0.5)
-        res = coarsegrain.verify_maximizer_averages(field)
-        worst = max(res.values())
-        return worst < 1e-8, f"worst identity error {worst:.2e}"
-
-    def quadratic_response():
-        field = gen_named_field("checkerboard", level=1, dim=d, seed=7,
-                                low=0.5, high=2.0)
-        worst = coarsegrain.verify_quadratic_response(field, n_trials=10)
-        return worst < 1e-9, f"worst relative residual {worst:.2e}"
-
-    def centering():
-        field = gen_named_field("skew_lognormal", level=1, dim=d, seed=11,
-                                sigma=0.3, kappa=0.5)
-        h = np.array([[0.0, 0.25], [-0.25, 0.0]])
-        res = coarsegrain.verify_centering(field, h)
-        worst = max(res.values())
-        return worst < 1e-8, f"worst block deviation {worst:.2e}"
+        res = coarsegrain.verify_constant_field(2.0, d, [(eye[0], eye[0])])
+        dJ = res["J_from_A"][0]          # J(e1, e1) = 1 + 1/4 - 1 at c = 2
+        return (res["A"] < 1e-10 and abs(dJ) < 1e-10,
+                f"|A - diag(2I, I/2)| = {res['A']:.2e}, J(e1,e1) = {0.25 + dJ:.6f}")
 
     def ring_two_paths():
-        rng = np.random.default_rng(13)
-        vals = rng.standard_normal((9, 9, d))
-        a1 = 3.0 ** (-0.6 * 2) * norms.ring_dual_norm(vals, 0.6, dim=d)
-        a2 = norms.ring_dual_norm(vals, 0.6, dim=d, scale_origin=2)
-        dev = abs(a1 - a2)
-        return dev < 1e-12, f"path difference {dev:.2e}"
+        vals = np.random.default_rng(13).standard_normal((9, 9, d))
+        return below(1e-12, "path difference {:.2e}", abs(
+            3.0 ** (-0.6 * 2) * norms.ring_dual_norm(vals, 0.6, dim=d)
+            - norms.ring_dual_norm(vals, 0.6, dim=d, scale_origin=2)))
 
     def constant_ellipticity():
-        field = gen_named_field("constant", level=1, dim=d,
-                                matrix=(3.0 * eye).tolist())
-        cache = coarsegrain.hierarchy_sweep(field, check=False)
+        cache = coarsegrain.hierarchy_sweep(field("constant", matrix=(3.0 * eye).tolist()),
+                                            check=False)
         rep = norms.ellipticity_constants(cache, 0.4, 0.4)
-        dev = max(abs(rep.lambda_s - 3.0), abs(rep.Lambda_t - 3.0))
-        return dev < 1e-10, f"constants off by {dev:.2e}"
+        return below(1e-10, "constants off by {:.2e}",
+                     max(abs(rep.lambda_s - 3.0), abs(rep.Lambda_t - 3.0)))
 
     def zero_oscillation():
-        spec = ergodic.FieldSpec(kind="constant", dim=d, params={})
-        h = homexp.TargetFunction("affine", p=[1.0, -0.5])
-        exp = homexp.HomExperiment(spec=spec, a_bar=eye, h=h, alpha=0.6,
-                                   n_min=2, n_max=2)
+        exp = homexp.HomExperiment(spec=ergodic.FieldSpec(kind="constant", dim=d, params={}),
+                                   a_bar=eye, h=homexp.TargetFunction("affine", p=[1.0, -0.5]),
+                                   alpha=0.6, n_min=2, n_max=2)
         rec = homexp.run_dirichlet_experiment(exp, seed=0)[0]
-        worst = max(rec.grad_err, rec.flux_err)
-        return (not rec.failed) and worst < 1e-10, f"control errors {worst:.2e}"
+        ok, detail = below(1e-10, "control errors {:.2e}", max(rec.grad_err, rec.flux_err))
+        return ok and not rec.failed, detail
 
     def determinism():
         f1 = gen_named_field("cascade_iso", level=2, dim=d, seed=21, sigma=0.3)
@@ -579,10 +608,19 @@ def _selftest_checks():
 
     return [
         ("constant-field matrix and J", constant_matrix),
-        ("adjoint k negation", adjoint_relation),
-        ("maximizer average identities", maximizer_averages),
-        ("quadratic response identity", quadratic_response),
-        ("centering equivariance", centering),
+        ("adjoint k negation", lambda: below(
+            1e-8, "|A* - D A D| = {:.2e}", coarsegrain.verify_adjoint(
+                field("skew_lognormal", seed=3, sigma=0.4, kappa=0.6))["A"])),
+        ("maximizer average identities", lambda: below(
+            1e-8, "worst identity error {:.2e}", max(coarsegrain.verify_maximizer_averages(
+                field("lognormal_iso", seed=5, sigma=0.5)).values()))),
+        ("quadratic response identity", lambda: below(
+            1e-9, "worst relative residual {:.2e}", coarsegrain.verify_quadratic_response(
+                field("checkerboard", seed=7, low=0.5, high=2.0), n_trials=10))),
+        ("centering equivariance", lambda: below(
+            1e-8, "worst block deviation {:.2e}", max(coarsegrain.verify_centering(
+                field("skew_lognormal", seed=11, sigma=0.3, kappa=0.5),
+                np.array([[0.0, 0.25], [-0.25, 0.0]])).values()))),
         ("ring norm two-path identity", ring_two_paths),
         ("constant-field ellipticity constants", constant_ellipticity),
         ("zero-oscillation control", zero_oscillation),

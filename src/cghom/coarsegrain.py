@@ -18,9 +18,11 @@ level as one batch, and so does a single sample.  For a single constant cell
 ``A`` reduces to a closed form in (s, k), which every cube whose cells are
 all equal takes exactly: the traces flag those cubes and carry their corner
 cell, so nothing past the condensation reads the field.
-The ``verify_*`` identities and inequalities read the same top trace: the
-maximizer of (p, q) is the unit-load maximizers combined by xi, and a random
-a-harmonic function is a Gaussian vector of boundary values.
+The ``verify_*`` identities are the one implementation that both the
+tests and ``cghom selftest`` run; each returns its deviations.  Those on
+maximizers read the same top trace: the maximizer of (p, q) is the
+unit-load maximizers combined by xi, and a random a-harmonic function is a
+Gaussian vector of boundary values.
 
 ``A_from_blocks`` and ``blocks_from_A`` are the one codec between ``A`` and
 its blocks; the closed form (``pointwise_A``) and the pointwise bounds are
@@ -36,7 +38,7 @@ from dataclasses import dataclass, field as dc_field, replace
 
 import numpy as np
 
-from .fields import CoefficientField
+from .fields import CoefficientField, gen_named_field
 from .solver import (BoundaryTraces, SolverError, condense, partition_traces,
                      trace_loads)
 from .triadic import TriadicCube, block_means
@@ -254,24 +256,6 @@ def center_skew(field: CoefficientField, h: np.ndarray) -> CoefficientField:
                    params={**field.params, "centered_by": h.tolist()})
 
 
-def center_skew_transform(A: np.ndarray, dim: int, h: np.ndarray | None = None):
-    """Exact effect of subtracting a constant skew h on the coarse matrix.
-
-    A spatially constant skew shift maps J(p, q) to J(p, q - h p); on the
-    coarse matrix this is the congruence A -> T^T A T with T = [[I, 0],
-    [h, I]].  With h omitted, the skew part of the cube's own coupling block
-    is used, making the centered coupling symmetric.  Returns (A_centered, h).
-    """
-    d = dim
-    if h is None:
-        _, kmat, _, _ = blocks_from_A(A, d)
-        h = 0.5 * (kmat - kmat.T)
-    h = _require_skew(h)
-    T = np.eye(2 * d)
-    T[d:, :d] = h
-    return T.T @ A @ T, h
-
-
 def verify_centering(field: CoefficientField, h: np.ndarray,
                      cube: TriadicCube | None = None, resolution: int = 1) -> dict:
     """Coarse-grain before and after a constant skew shift and compare.
@@ -292,14 +276,65 @@ def verify_centering(field: CoefficientField, h: np.ndarray,
     }
 
 
-def _top_maximizers(field: CoefficientField, cube: TriadicCube, resolution: int):
+def verify_adjoint(field: CoefficientField, pairs=()) -> dict:
+    """Coarse-grain the field and its transpose a^T = s - k and compare.
+
+    The adjoint's matrix must be A* = D A D with D = diag(I, -I): the same
+    s and s_star and the coupling k negated; and for each (p, q) in
+    ``pairs`` the field's J*, read off A by ``Jstar_from_A``, must equal the
+    adjoint's J.  Returns the worst absolute deviations.
+    """
+    d = field.dim
+    cg, adj = coarse_grain_cube(field), coarse_grain_adjoint(field)
+    D = np.eye(2 * d)
+    D[d:, d:] *= -1.0
+    return {
+        "A": float(np.abs(adj.A - D @ cg.A @ D).max()),
+        "k": float(np.abs(adj.k + cg.k).max()),
+        "s": float(np.abs(adj.s - cg.s).max()),
+        "s_star": float(np.abs(adj.s_star - cg.s_star).max()),
+        "J": max((abs(Jstar_from_A(cg.A, p, q, d) - J_from_A(adj.A, p, q, d))
+                  for p, q in pairs), default=0.0),
+    }
+
+
+def verify_constant_field(c: float, dim: int, pairs) -> dict:
+    """Coarse-grain the constant field c I on a level-1 cube by the
+    variational path and compare with the closed form.
+
+    No cube is flagged constant, so ``condensed_A`` solves the loads.  Its A
+    must be diag(c I, I/c), and for each (p, q) in ``pairs``
+    J = c |p|^2 / 2 + |q|^2 / (2c) - p.q, both as the objective at the
+    maximizer V xi and as ``J_from_A``.  Returns the worst absolute
+    deviation of A and, per pair, the signed errors of both J values.
+    """
+    field = gen_named_field("constant", level=1, dim=dim, matrix=c * np.eye(dim))
+    cg, L, Q, V = _top_maximizers(field, field.domain, 1, variational=True)
+    want = np.diag(np.r_[np.full(dim, c), np.full(dim, 1.0 / c)])
+    J, J_A = [], []
+    for p, q in pairs:
+        p, q = np.asarray(p, float), np.asarray(q, float)
+        xi = np.concatenate([-p, q])
+        v = V @ xi
+        closed = 0.5 * c * p @ p + 0.5 / c * q @ q - p @ q
+        J.append((xi @ (L @ v) - 0.5 * v @ Q @ v) / field.domain.volume - closed)
+        J_A.append(J_from_A(cg.A, p, q, dim) - closed)
+    return {"A": float(np.abs(cg.A - want).max()), "J": np.array(J),
+            "J_from_A": np.array(J_A)}
+
+
+def _top_maximizers(field: CoefficientField, cube: TriadicCube, resolution: int,
+                    variational: bool = False):
     """The cube's coarse matrices and what the verifiers read of it, all
     from its top trace: (cg, L, Q, V).  An a-harmonic function with boundary
     values b has [B; G] values L b and S-energy b^T Q b.  V, (nb, 2d), holds
     the boundary values of the unit-load maximizers (node 0 pinned to zero):
     the maximizer of (p, q) is V xi, xi = (-p, q).  Gaussian b give random
-    a-harmonic functions."""
+    a-harmonic functions.  With ``variational`` no cube is flagged constant,
+    so A is solved even where the closed form applies."""
     top = partition_traces(field, cube.level, cube, resolution)
+    if variational:
+        top = replace(top, const=None)
     at = (0,) * field.dim
     cg = CoarseGrainedMatrices.from_A(condensed_A(top)[at], cube)
     V = np.zeros((top.L.shape[-1], 2 * field.dim))
@@ -369,62 +404,6 @@ def verify_quadratic_response(field: CoefficientField, cube: TriadicCube | None 
         rhs = 0.5 * dvw @ Q @ dvw / cube.volume
         worst = max(worst, abs((J - F(w)) - rhs) / max(1.0, abs(J)))
     return worst
-
-
-def verify_cg_inequalities(field: CoefficientField, cube: TriadicCube | None = None,
-                           p=None, q=None, n_trials: int = 20,
-                           rng: np.random.Generator | None = None,
-                           resolution: int = 1) -> dict:
-    """Test the coarse-graining inequalities on random a-harmonic functions.
-
-    For each random admissible w, with g = avg grad w, F = avg a grad w and
-    e = avg grad w . s grad w:
-        g . s_star(U) g  <=  e,
-        F . b(U)^{-1} F  <=  e,
-        |p.F - q.g|      <=  sqrt(2 J(U,p,q)) sqrt(e),
-    and the third holds with equality at the maximizer itself.  Returns the
-    worst signed slacks (negative = violation) and the equality residual.
-    """
-    cube = cube or field.domain
-    d = field.dim
-    rng = rng or np.random.default_rng(0)
-    p = np.ones(d) if p is None else np.asarray(p, float)
-    q = np.zeros(d) if q is None else np.asarray(q, float)
-    cg, L, Q, V = _top_maximizers(field, cube, resolution)
-    xi = np.concatenate([-p, q])
-    v = V @ xi
-    J = (-0.5 * v @ Q @ v + xi @ (L @ v)) / cube.volume
-    binv = np.linalg.inv(cg.b)
-
-    def averages(w):
-        F, g = np.split(L @ w / cube.volume, 2)
-        return g, F, w @ Q @ w / cube.volume
-
-    slack1 = slack2 = slack3 = np.inf
-    for w in [v] + [rng.standard_normal(len(v)) for _ in range(n_trials)]:
-        g, F, e = averages(w)
-        slack1 = min(slack1, e - g @ cg.s_star @ g)
-        slack2 = min(slack2, e - F @ binv @ F)
-        slack3 = min(slack3, np.sqrt(max(2.0 * J, 0.0) * e) - abs(p @ F - q @ g))
-    gv, Fv, ev = averages(v)
-    eq_res = abs(np.sqrt(max(2.0 * J, 0.0) * ev) - abs(p @ Fv - q @ gv))
-    return {"dual_lower": float(slack1), "flux_upper": float(slack2),
-            "cauchy_schwarz": float(slack3), "maximizer_equality": float(eq_res)}
-
-
-def verify_loewner_chain(field: CoefficientField, cube: TriadicCube | None = None,
-                         resolution: int = 1,
-                         cg: CoarseGrainedMatrices | None = None) -> dict:
-    """Min eigenvalues of the ordering chain
-
-        (avg s^{-1})^{-1}  <=  s_star(U)  <=  s(U)  <=  b(U)  <=  avg (s + k^T s^{-1} k)
-
-    in the Loewner sense; every entry should be >= 0 up to roundoff.
-    """
-    cube = cube or field.domain
-    if cg is None:
-        cg = coarse_grain_cube(field, cube, resolution)
-    return loewner_chain(cg.s_star, cg.s, cg.b, *pointwise_bounds(field, cube))
 
 
 def loewner_chain(s_star, s, b, sinv_avg, b_pt_avg) -> dict:

@@ -11,7 +11,6 @@ the homogenized coefficient is s̄ + k̄ at the largest scale.
 """
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass, field as dc_field
 
 import numpy as np
@@ -288,21 +287,3 @@ def estimates_report(estimates: list, gap: dict | None = None) -> dict:
     if gap is not None:
         out["gap_diagnostic"] = gap
     return out
-
-
-def write_samples_csv(estimates: list, path: str) -> None:
-    """Long-format per-sample entries: (n, sample, i, j, value).
-
-    Only estimates built with ``keep_samples`` contribute rows.
-    """
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["n", "sample", "i", "j", "value"])
-        for e in sorted(estimates, key=lambda x: x.n):
-            if e.A_samples is None:
-                continue
-            for sidx in range(e.A_samples.shape[0]):
-                A = e.A_samples[sidx]
-                for i in range(A.shape[0]):
-                    for j in range(A.shape[1]):
-                        w.writerow([e.n, sidx, i, j, repr(float(A[i, j]))])

@@ -16,7 +16,6 @@ diagnostic whose constant is unknown (ensemble boundedness is the only claim).
 """
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 
 import numpy as np
@@ -214,6 +213,7 @@ def run_dirichlet_experiment(exp: HomExperiment, seed: int = 0,
             rec.grad_err = unit_ring_error(g_err, exp.alpha, d)
             rec.flux_err = unit_ring_error(f_err, exp.alpha, d)
             rec.energy = float(np.sqrt(solver.energy_seminorm_sq(op, u)))
+            del op, u       # K and its LU go before the next scale factors its own
             if with_E or with_GH:
                 cache = hierarchy_sweep(field, resolution=exp.resolution,
                                         check=False)
@@ -404,19 +404,3 @@ def energy_estimate_diagnostic(field: CoefficientField, s: float = 0.4,
         rhs = (sinv_norm ** 0.5 + rep.lambda_s ** (-0.5)) * f_l2
         out["neumann_ratio"] = lhs / rhs
     return out
-
-
-def write_records_csv(per_seed: list[list[ErrorRecord]], path: str,
-                      family: str = "", extra_cols: dict | None = None) -> None:
-    extra_cols = extra_cols or {}
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["family", "seed", "n", "grad_err", "flux_err", "energy",
-                    "E_alpha", "G_alpha", "H_alpha", "failed"]
-                   + list(extra_cols))
-        for recs in per_seed:
-            for r in recs:
-                w.writerow([family, r.seed, r.n, repr(r.grad_err),
-                            repr(r.flux_err), repr(r.energy), repr(r.E_alpha),
-                            repr(r.G_alpha), repr(r.H_alpha), int(r.failed)]
-                           + list(extra_cols.values()))

@@ -34,7 +34,6 @@ rescaled to its weight origin.  Partition-cube averages come from
 """
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 
 import numpy as np
@@ -263,23 +262,3 @@ def embedding_check(cache: HierarchyCache, p: float, q: float, s: float,
         "margin_sinv": rhs_sinv - inv_lam,
         "ok": bool(rhs_b >= rep.Lambda_t - 1e-12 and rhs_sinv >= inv_lam - 1e-12),
     }
-
-
-def write_ellipticity_csv(reports: list, path: str, sample_ids=None,
-                          extra_cols: dict | None = None) -> None:
-    """One CSV row per report: sample, n, constants, besov and L^p norms.
-
-    ``extra_cols`` appends constant-valued columns (e.g. a config digest).
-    """
-    extra_cols = extra_cols or {}
-    cols = ["sample", "n", "lambda_s", "Lambda_t", "besov_b", "besov_sinv",
-            "lp_b", "lq_sinv"] + list(extra_cols)
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(cols)
-        for i, rep in enumerate(reports):
-            sid = sample_ids[i] if sample_ids is not None else i
-            w.writerow([sid, rep.level, repr(rep.lambda_s), repr(rep.Lambda_t),
-                        repr(rep.besov_b), repr(rep.besov_sinv),
-                        repr(rep.lp_b), repr(rep.lq_sinv)]
-                       + list(extra_cols.values()))

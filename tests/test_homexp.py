@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from scipy import integrate
 
-from cghom import solver
+from cghom import cli, solver
 from cghom.coarsegrain import hierarchy_sweep, pointwise_A
 from cghom.ergodic import FieldSpec, estimate_Abar
 from cghom.fields import gen_named_field
@@ -13,8 +13,7 @@ from cghom.homexp import (ErrorRecord, HomExperiment, TargetFunction,
                           compute_E_s, compute_GH, energy_estimate_diagnostic,
                           error_fields, half_lattice_matrices, mann_kendall,
                           run_dirichlet_experiment, solve_oscillating,
-                          summarize_records, unit_ring_error,
-                          write_records_csv)
+                          summarize_records, unit_ring_error)
 from cghom.norms import ring_dual_norm, spec_norms
 from cghom.triadic import TriadicCube
 from reference_impl import half_overlap_offsets, kkt_A
@@ -278,14 +277,22 @@ def test_energy_diagnostic_keys_and_cache_reuse():
 
 
 def test_write_records_csv(tmp_path):
-    recs = [[ErrorRecord(n=1, seed=0, grad_err=0.5, flux_err=0.25, energy=2.0)]]
-    path = tmp_path / "records.csv"
-    write_records_csv(recs, str(path), family="laminate",
-                      extra_cols={"alpha": 0.6})
-    lines = path.read_text().strip().splitlines()
-    assert lines[0].split(",")[:4] == ["family", "seed", "n", "grad_err"]
-    assert lines[0].split(",")[-1] == "alpha"
-    row = lines[1].split(",")
-    assert row[0] == "laminate"
-    assert float(row[3]) == 0.5
-    assert row[-1] == "0.6"
+    # cghom homogenize writes one CSV row per (seed, scale) record, floats by repr
+    assert cli.main(["homogenize", "--output-dir", str(tmp_path),
+                     "--set", "field.kind=laminate", "--set", "homexp.n_max=1",
+                     "--set", "homexp.seeds=1",
+                     "--set", "homexp.a_bar=[[1.6, 0.0], [0.0, 2.5]]"]) == 0
+    exp = HomExperiment(spec=FieldSpec("laminate", 2, {}), a_bar=np.diag([1.6, 2.5]),
+                        h=TargetFunction("affine", p=[1.0, 0.0]), alpha=0.6,
+                        n_min=1, n_max=1)
+    rec, = run_dirichlet_experiment(exp, seed=0)
+    path, = tmp_path.glob("homog_*.csv")
+    header, row = path.read_text().strip().splitlines()
+    assert header == ("family,seed,n,grad_err,flux_err,energy,E_alpha,G_alpha,"
+                      "H_alpha,failed,config_sha256")
+    row = row.split(",")
+    assert row[:3] == ["laminate/affine", "0", "1"] and row[9] == "0"
+    np.testing.assert_array_equal(
+        [float(v) for v in row[3:9]],
+        [rec.grad_err, rec.flux_err, rec.energy, rec.E_alpha, rec.G_alpha, rec.H_alpha])
+    assert path.name == f"homog_{row[-1][:10]}.csv"

@@ -3,12 +3,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cghom import homexp, norms
+from cghom import cli, homexp, norms
 from cghom.coarsegrain import hierarchy_sweep
 from cghom.fields import gen_named_field
 from cghom.norms import (bnorm, block_means, ellipticity_constants,
                          embedding_check, max_spec_norm, ring_dual_norm,
-                         spec_norms, write_ellipticity_csv)
+                         spec_norms)
 
 from reference_impl import bnorm_loops, ellipticity_loops, ring_norm_loops
 
@@ -328,15 +328,19 @@ def test_embedding_check_bounds_hold():
 
 
 def test_ellipticity_csv(tmp_path):
+    # cghom ellipticity writes the report as one CSV row, floats by repr
+    assert cli.main(["ellipticity", "--seed", "1", "--output-dir", str(tmp_path),
+                     "--set", "field.kind=lognormal_iso", "--set", "field.level=1"]) == 0
     field = gen_named_field("lognormal_iso", level=1, seed=1)
-    cache = hierarchy_sweep(field, check=False)
-    rep = ellipticity_constants(cache, s=0.4, t=0.4)
-    path = tmp_path / "ell.csv"
-    write_ellipticity_csv([rep, rep], str(path), sample_ids=[10, 11],
-                          extra_cols={"config_sha256": "abc"})
-    lines = path.read_text().strip().splitlines()
-    assert lines[0].split(",")[:2] == ["sample", "n"]
-    assert lines[0].split(",")[-1] == "config_sha256"
-    assert len(lines) == 3
-    assert lines[1].split(",")[0] == "10"
-    assert lines[1].split(",")[-1] == "abc"
+    rep = ellipticity_constants(hierarchy_sweep(field, check=False), s=0.4, t=0.4)
+    path, = tmp_path.glob("ellipticity_*.csv")
+    header, row = path.read_text().strip().splitlines()
+    assert header == ("sample,n,lambda_s,Lambda_t,besov_b,besov_sinv,lp_b,lq_sinv,"
+                      "config_sha256")
+    row = row.split(",")
+    assert row[:2] == [field.fingerprint[:16], "1"]
+    # the L^p norms are nan without norms.p and norms.q
+    np.testing.assert_array_equal([float(v) for v in row[2:8]],
+                                  [rep.lambda_s, rep.Lambda_t, rep.besov_b,
+                                   rep.besov_sinv, rep.lp_b, rep.lq_sinv])
+    assert path.name == f"ellipticity_{row[-1][:10]}.csv"
