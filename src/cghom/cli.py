@@ -43,99 +43,143 @@ class ConfigError(Exception):
     """Invalid or inconsistent configuration."""
 
 
-DEFAULT_CONFIG = {
-    "dim": 2,
-    "seed": 0,
-    "workers": 1,
-    "output_dir": ".",
-    "field": {"kind": "checkerboard", "level": 2, "params": {}},
-    "norms": {"s": 0.4, "t": 0.4, "p": None, "q": None,
-              "tail": True, "normalized": True},
-    "coarsegrain": {"resolution": 1, "k_min": 0, "check": True},
-    "ergodic": {"n_min": 1, "n_max": 3, "samples": 32, "csv": False},
-    "homexp": {"alpha": 0.6, "n_min": 1, "n_max": 3, "seeds": 8,
-               "a_bar": None, "target": {"family": "affine", "p": [1.0, 0.0]},
-               "with_E": False, "with_GH": False, "ring_levels": 2},
-    "cascade": {"sigmas": [0.25, 0.5], "powers": [1, 2, 3], "draws": 200000,
-                "slope_sigma": 0.25, "slope_power": 3, "slope_level": 2,
-                "slope_seeds": 200, "trend_sigma": 0.3, "trend_t": 0.9,
-                "trend_levels": [2, 3, 4, 5], "trend_seeds": 12},
+# Every setting, by dotted key: (default, kind, range).  A kind is "int",
+# "number", "bool", "str", "object" (free-form: a field kind's parameters, a
+# target) or [kind], a non-empty list of that kind.  A range is an interval
+# that a number, or each number of a list, must lie in; "(-inf, inf)" asks
+# only that it be finite.  Null is allowed where the default is null.
+SETTINGS = {
+    "dim": (2, "int", "[2, 3]"),
+    "seed": (0, "int", "[0, inf)"),
+    "workers": (1, "int", "[1, inf)"),
+    "output_dir": (".", "str", None),
+    "field.kind": ("checkerboard", "str", None),
+    "field.level": (2, "int", "[0, inf)"),
+    "field.params": ({}, "object", None),
+    "norms.s": (0.4, "number", "(0, 1)"),
+    "norms.t": (0.4, "number", "(0, 1)"),
+    "norms.p": (None, "number", "(0, inf)"),
+    "norms.q": (None, "number", "(0, inf)"),
+    "norms.tail": (True, "bool", None),
+    "norms.normalized": (True, "bool", None),
+    "coarsegrain.resolution": (1, "int", "[1, inf)"),
+    "coarsegrain.k_min": (0, "int", "[0, inf)"),
+    "coarsegrain.check": (True, "bool", None),
+    "ergodic.n_min": (1, "int", "[0, inf)"),
+    "ergodic.n_max": (3, "int", "[0, inf)"),
+    "ergodic.samples": (32, "int", "[2, inf)"),
+    "ergodic.csv": (False, "bool", None),
+    "homexp.alpha": (0.6, "number", "(0, 1)"),
+    "homexp.n_min": (1, "int", "[0, inf)"),
+    "homexp.n_max": (3, "int", "[0, inf)"),
+    "homexp.seeds": (8, "int", "[1, inf)"),
+    "homexp.a_bar": (None, [["number"]], "(-inf, inf)"),
+    "homexp.target": ({"family": "affine", "p": [1.0, 0.0]}, "object", None),
+    "homexp.with_E": (False, "bool", None),
+    "homexp.with_GH": (False, "bool", None),
+    "homexp.ring_levels": (2, "int", "[1, inf)"),
+    "cascade.sigmas": ([0.25, 0.5], ["number"], "[0, inf)"),
+    "cascade.powers": ([1, 2, 3], ["number"], "(-inf, inf)"),
+    "cascade.draws": (200000, "int", "[2, inf)"),
+    "cascade.slope_sigma": (0.25, "number", "[0, inf)"),
+    "cascade.slope_power": (3, "number", "(-inf, inf)"),
+    "cascade.slope_level": (2, "int", "[0, inf)"),
+    "cascade.slope_seeds": (200, "int", "[1, inf)"),
+    "cascade.trend_sigma": (0.3, "number", "[0, inf)"),
+    "cascade.trend_t": (0.9, "number", "(0, 1)"),
+    "cascade.trend_levels": ([2, 3, 4, 5], ["int"], "[0, inf)"),
+    "cascade.trend_seeds": (12, "int", "[1, inf)"),
 }
+_SECTIONS = {key.rpartition(".")[0] for key in SETTINGS}     # "" is the root
+# kind: (noun, the types of its values; true and false are not numbers)
+_KINDS = {"int": ("integer", (int,)), "number": ("number", (int, float)),
+          "bool": ("boolean", (bool,)), "str": ("string", (str,)),
+          "object": ("object", (dict,))}
 
 
-def _deep_merge(base: dict, override: dict) -> dict:
-    out = copy.deepcopy(base)
-    for key, val in override.items():
-        if isinstance(val, dict) and isinstance(out.get(key), dict):
-            out[key] = _deep_merge(out[key], val)
-        else:
-            out[key] = copy.deepcopy(val)
+def _get(config: dict, key: str):
+    return functools.reduce(dict.__getitem__, key.split("."), config)
+
+
+def _fits(value, kind, rng: str | None) -> bool:
+    if isinstance(kind, list):
+        return type(value) is list and len(value) > 0 and all(
+            _fits(item, kind[0], rng) for item in value)
+    if type(value) not in _KINDS[kind][1]:
+        return False
+    if rng is None:
+        return True
+    low, high = map(float, rng[1:-1].split(","))
+    return (low < value < high or value == low and rng[0] == "["
+            or value == high and rng[-1] == "]")
+
+
+def _noun(kind, plural: bool = False) -> str:
+    """'an integer', 'a non-empty list of numbers'; plural: 'integers'."""
+    name = (f"non-empty list{'s' * plural} of {_noun(kind[0], True)}"
+            if isinstance(kind, list) else _KINDS[kind][0] + "s" * plural)
+    return name if plural else ("an " if name[0] in "aeiou" else "a ") + name
+
+
+def _flatten(key: str, value) -> list:
+    """The (dotted key, value) pairs of one assignment: an object given to a
+    section is split into its settings, a free-form object stays whole."""
+    if key in _SECTIONS and type(value) is dict:
+        return [pair for name, item in value.items()
+                for pair in _flatten(f"{key}.{name}" if key else name, item)]
+    return [(key, value)]
+
+
+def _assign(config: dict, pairs: list) -> dict:
+    """A copy of ``config`` with each (dotted key, value) of ``pairs`` set.  A
+    key names a setting, or one key in a free-form object setting."""
+    for key, value in pairs:
+        if key in _SECTIONS:
+            raise ConfigError(f"{f'section {key}' if key else 'the config root'} "
+                              f"must be an object of settings, got {value!r}")
+    unknown = [key for key, _ in pairs if key not in SETTINGS and
+               SETTINGS.get(key.rpartition(".")[0], (None, None))[1] != "object"]
+    if unknown:
+        raise ConfigError(f"unknown config key(s): {unknown}")
+    out = copy.deepcopy(config)
+    for key, value in pairs:
+        if key not in SETTINGS:
+            key, name = key.rsplit(".", 1)
+            old = _get(out, key)
+            value = {**(old if type(old) is dict else {}), name: value}
+        section, _, name = key.rpartition(".")
+        (out.setdefault(section, {}) if section else out)[name] = copy.deepcopy(value)
     return out
 
 
-# settings whose value is a free-form object: a kind's parameters, a target
-_FREE_FORM = ("field.params", "homexp.target")
-
-
-def _unknown_keys(user: dict, schema: dict, prefix: str = "") -> list:
-    """Dotted paths of the keys of ``user``, at any depth, that ``schema`` lacks."""
-    out = []
-    for key, value in user.items():
-        path = prefix + key
-        if key not in schema:
-            out.append(path)
-        elif isinstance(value, dict) and isinstance(schema[key], dict) \
-                and path not in _FREE_FORM:
-            out += _unknown_keys(value, schema[key], path + ".")
-    return out
+DEFAULT_CONFIG = _assign({}, [(key, default) for key, (default, _, _) in SETTINGS.items()])
 
 
 def load_config(path: str | None) -> dict:
-    """Defaults deep-merged with the JSON config file (if any); a target in
-    the file replaces the default target whole."""
-    if path is None:
-        return copy.deepcopy(DEFAULT_CONFIG)
+    """The defaults with the settings of the JSON config file, if any, set."""
     try:
-        text = Path(path).read_text()
+        user = {} if path is None else json.loads(Path(path).read_text())
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
-    try:
-        user = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:
         raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
-    if not isinstance(user, dict):
-        raise ConfigError("config root must be a JSON object")
-    unknown = _unknown_keys(user, DEFAULT_CONFIG)
-    if unknown:
-        raise ConfigError(f"unknown config key(s): {unknown}")
-    config = _deep_merge(DEFAULT_CONFIG, user)
-    hx = user.get("homexp")
-    if isinstance(hx, dict) and "target" in hx:   # one value: not merged with ours
-        config["homexp"]["target"] = copy.deepcopy(hx["target"])
-    return config
+    return _assign(DEFAULT_CONFIG, _flatten("", user))
 
 
 def apply_overrides(config: dict, assignments: list[str]) -> dict:
-    """Apply ``section.key=value`` overrides (values parsed as JSON)."""
-    out = copy.deepcopy(config)
+    """Set each ``key=value`` of ``assignments`` as a config file's settings
+    are set; a value is parsed as JSON, or else kept as a string."""
+    pairs = []
     for item in assignments or []:
-        if "=" not in item:
+        key, eq, raw = item.partition("=")
+        if not eq:
             raise ConfigError(f"override {item!r} must look like key=value")
-        path, _, raw = item.partition("=")
         try:
             value = json.loads(raw)
         except json.JSONDecodeError:
             value = raw
-        node = out
-        parts = path.strip().split(".")
-        for part in parts[:-1]:
-            if not isinstance(node.get(part), dict):
-                raise ConfigError(f"override path {path!r} not in schema")
-            node = node[part]
-        if parts[-1] not in node:
-            raise ConfigError(f"override path {path!r} not in schema")
-        node[parts[-1]] = value
-    return out
+        pairs += _flatten(key.strip(), value)
+    return _assign(config, pairs)
 
 
 # The last axis step of a 3D level-3 merge is a dense boundary problem on
@@ -143,36 +187,32 @@ def apply_overrides(config: dict, assignments: list[str]) -> dict:
 # (one BLAS thread, 2-core Xeon VM), too much per sample or seed.  Raising
 # the cap waits on a lower peak (ROADMAP item 4).
 MAX_LEVEL_3D = 2
+# the setting that gives the level of the largest cube a command coarse-grains
+_LEVEL_KEYS = {"coarsegrain": "field.level", "ellipticity": "field.level",
+               "ergodic": "ergodic.n_max", "homogenize": "homexp.n_max"}
 
 
-def _coarse_grained_level(config: dict, command: str) -> int:
-    """Level of the largest cube ``command`` coarse-grains (-1 for none)."""
-    hx = config["homexp"]
-    return {"coarsegrain": config["field"]["level"],
-            "ellipticity": config["field"]["level"],
-            "ergodic": config["ergodic"]["n_max"],
-            "homogenize": hx["n_max"] if hx["a_bar"] is None else -1,
-            }.get(command, -1)
-
-
-def _check_3d_level(dim: int, level: int, what: str) -> None:
+def _check_level(config: dict, command: str, dim: int, level: int, source: str) -> None:
+    """Refuse a run whose largest cube, of ``level`` (``source`` says where
+    that comes from), cannot finish, or is below a sweep's ``k_min``."""
     if dim == 3 and level > MAX_LEVEL_3D:
         raise ConfigError(
-            f"{what} would coarse-grain a 3D cube of level {level}; 3D cubes "
-            f"above level {MAX_LEVEL_3D} are rejected because their last merge "
-            f"step is a dense boundary problem of about 0.26 GB per matrix")
-
-
-def _check_k_min(k_min: int, level: int, what: str) -> None:
-    if k_min > level:
-        raise ConfigError(f"coarsegrain.k_min={k_min} exceeds {what}: "
+            f"'{command}' would coarse-grain a 3D cube of level {level} ({source}); "
+            f"3D cubes above level {MAX_LEVEL_3D} are rejected because their last "
+            f"merge step is a dense boundary problem of about 0.26 GB per matrix")
+    k_min = config["coarsegrain"]["k_min"]
+    if command in ("coarsegrain", "ellipticity") and k_min > level:
+        raise ConfigError(f"coarsegrain.k_min={k_min} exceeds {source}: "
                           f"the sweep would keep no scale")
 
 
 def _check_homexp_inputs(config: dict, command: str | None) -> None:
-    """The target builds and ``a_bar``, if given, is a finite square matrix;
-    for ``homogenize``, the one command that reads them, both fit ``dim``."""
+    """The target has a known family and builds, and ``a_bar``, if given, is
+    square; for ``homogenize``, the one command that reads them, both fit
+    ``dim``."""
     hx, dim = config["homexp"], config["dim"]
+    if hx["target"].get("family") not in ("affine", "quadratic", "trig"):
+        raise ConfigError("homexp.target.family must be affine, quadratic or trig")
     try:
         h = target_from_config(config)
     except KeyError as exc:
@@ -182,51 +222,27 @@ def _check_homexp_inputs(config: dict, command: str | None) -> None:
                           f"uses: {exc}") from exc
     shapes = {f"homexp.target.{name}": (getattr(h, name), (dim,) * ndim)
               for name, ndim in (("p", 1), ("H", 2), ("m", 1)) if hasattr(h, name)}
-    if hx["a_bar"] is not None:
-        a_bar = np.asarray(hx["a_bar"], dtype=object)
-        if a_bar.ndim != 2 or a_bar.shape[0] != a_bar.shape[1] or not all(
-                type(v) in (int, float) and abs(v) < float("inf") for v in a_bar.flat):
-            raise ConfigError(f"homexp.a_bar must be a finite square matrix, "
-                              f"got {hx['a_bar']!r}")
-        shapes["homexp.a_bar"] = (a_bar, (dim, dim))
+    a_bar = hx["a_bar"]
+    if a_bar is not None:
+        if any(len(row) != len(a_bar) for row in a_bar):
+            raise ConfigError(f"homexp.a_bar must be a square matrix, got {a_bar!r}")
+        shapes["homexp.a_bar"] = (np.asarray(a_bar), (dim, dim))
     for key, (value, shape) in shapes.items() if command == "homogenize" else ():
         if value.shape != shape:
             raise ConfigError(f"{key} must have shape {shape} in {dim}D, got {value.shape}")
 
 
-_LIST_SETTINGS = ("cascade.sigmas", "cascade.powers", "cascade.trend_levels")
-
-
-def _entries(config: dict, key: str) -> list:
-    """The values to check of a setting: its value, or a list setting's
-    entries (it must have one at least)."""
-    value = functools.reduce(dict.__getitem__, key.split("."), config)
-    if key not in _LIST_SETTINGS:
-        return [value]
-    if not isinstance(value, list) or not value:
-        raise ConfigError(f"{key} must be a non-empty list, got {value!r}")
-    return value
-
-
-def validate_config(config: dict, command: str | None = None) -> None:
-    """Reject inconsistent settings; with ``command``, also runs it cannot finish."""
-    for key, default in DEFAULT_CONFIG.items():
-        if isinstance(default, dict) and not isinstance(config[key], dict):
-            raise ConfigError(f"{key} must be a JSON object, got {config[key]!r}")
-    if config["dim"] not in (2, 3):
-        raise ConfigError(f"dim must be 2 or 3, got {config['dim']}")
-    for key, low in (("seed", 0), ("workers", 1), ("field.level", 0),
-                     ("coarsegrain.resolution", 1), ("coarsegrain.k_min", 0),
-                     ("ergodic.n_min", 0), ("ergodic.n_max", 0),
-                     ("ergodic.samples", 2), ("homexp.n_min", 0),
-                     ("homexp.n_max", 0), ("homexp.seeds", 1),
-                     ("homexp.ring_levels", 1), ("cascade.draws", 2),
-                     ("cascade.slope_level", 0), ("cascade.slope_seeds", 1),
-                     ("cascade.trend_levels", 0), ("cascade.trend_seeds", 1)):
-        for value in _entries(config, key):
-            if type(value) is not int or value < low:   # true and false are refused
-                raise ConfigError(f"{key} must be an integer >= {low}, got {value!r}")
-    fld = config["field"]
+def validate_config(config: dict, command: str | None = None,
+                    field_file: str | None = None) -> None:
+    """Refuse a setting outside its kind and range in ``SETTINGS``, then
+    settings that do not fit together; with ``command``, also runs it cannot
+    finish.  The level of a ``field_file`` is checked when it is read."""
+    for key, (default, kind, rng) in SETTINGS.items():
+        value = _get(config, key)
+        if not (value is None and default is None or _fits(value, kind, rng)):
+            raise ConfigError(f"{key} must be {'null or ' * (default is None)}"
+                              f"{_noun(kind)}{f' in {rng}' if rng else ''}, got {value!r}")
+    fld, nm, hx = config["field"], config["norms"], config["homexp"]
     try:        # the kind and its parameters, on one cell
         gen_named_field(fld["kind"], level=0, dim=config["dim"],
                         seed=config["seed"], **fld["params"])
@@ -235,29 +251,10 @@ def validate_config(config: dict, command: str | None = None) -> None:
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"field kind {fld['kind']!r} with params "
                           f"{fld['params']!r} does not build: {exc}") from exc
-    nm, ca = config["norms"], config["cascade"]
     s, t = nm["s"], nm["t"]
-    for key in ("norms.s", "norms.t", "homexp.alpha", "cascade.sigmas",
-                "cascade.powers", "cascade.slope_sigma", "cascade.slope_power",
-                "cascade.trend_sigma", "cascade.trend_t"):
-        for value in _entries(config, key):
-            if type(value) not in (int, float):     # true and false are refused
-                raise ConfigError(f"{key} must be a number, got {value!r}")
-    if min(ca["sigmas"] + [ca["slope_sigma"], ca["trend_sigma"]]) < 0:
-        raise ConfigError("cascade.sigmas, slope_sigma and trend_sigma must be >= 0")
-    if not 0.0 < ca["trend_t"] < 1.0:
-        raise ConfigError(f"cascade.trend_t must lie in (0, 1), got {ca['trend_t']}")
-    if not (0.0 < s < 1.0 and 0.0 < t < 1.0):
-        raise ConfigError("norms.s and norms.t must lie in (0, 1)")
     if s + t >= 1.0:
         raise ConfigError(f"norms exponents must satisfy s + t < 1, "
                           f"got s={s}, t={t}")
-    for name in ("p", "q"):
-        value = nm[name]
-        if value is not None and not (type(value) in (int, float)
-                                      and 0.0 < value < float("inf")):
-            raise ConfigError(f"norms.{name} must be null or a number > 0, "
-                              f"got {value!r}")
     if nm["p"] is not None and nm["q"] is not None:
         for name, other, sym in (("p", t, "t"), ("q", s, "s")):
             bound = config["dim"] / (2 * other)
@@ -265,39 +262,25 @@ def validate_config(config: dict, command: str | None = None) -> None:
                 raise ConfigError(f"norms.{name} must exceed d/(2{sym}) = "
                                   f"{bound:g} when norms.p and norms.q are "
                                   f"both given, got {nm[name]!r}")
-    for key in ("norms.tail", "norms.normalized", "coarsegrain.check",
-                "ergodic.csv", "homexp.with_E", "homexp.with_GH"):
-        section, name = key.split(".")
-        if not isinstance(config[section][name], bool):
-            raise ConfigError(f"{key} must be true or false, "
-                              f"got {config[section][name]!r}")
-    alpha = config["homexp"]["alpha"]
-    if not (max(s, t) < alpha < 1.0):
-        raise ConfigError(f"homexp.alpha must lie in (max(s,t), 1) = "
-                          f"({max(s, t)}, 1), got {alpha}")
-    hx = config["homexp"]
-    if not hx["n_min"] <= hx["n_max"]:
-        raise ConfigError("homexp scale range must satisfy 0 <= n_min <= n_max")
-    er = config["ergodic"]
-    if not er["n_min"] <= er["n_max"]:
-        raise ConfigError("ergodic scale range must satisfy 0 <= n_min <= n_max")
-    cg = config["coarsegrain"]
-    tgt = hx["target"]
-    if not isinstance(tgt, dict) or tgt.get("family") not in ("affine", "quadratic", "trig"):
-        raise ConfigError("homexp.target.family must be affine, quadratic or trig")
+    if not hx["alpha"] > max(s, t):
+        raise ConfigError(f"homexp.alpha must exceed max(norms.s, norms.t) = "
+                          f"{max(s, t)}, got {hx['alpha']}")
+    for section in ("homexp", "ergodic"):
+        if not config[section]["n_min"] <= config[section]["n_max"]:
+            raise ConfigError(f"{section} scale range must satisfy n_min <= n_max")
     wanted = [f"homexp.{key}" for key in ("with_E", "with_GH") if hx[key]]
     if command == "homogenize" and hx["a_bar"] is not None and wanted:
         raise ConfigError(f"{' and '.join(wanted)}: E, G and H need the ensemble "
                           f"mean A_bar, estimated only when homexp.a_bar is null")
-    if command in ("coarsegrain", "ellipticity"):
-        _check_k_min(cg["k_min"], fld["level"], f"field.level={fld['level']}")
-    if command == "ellipticity" and cg["k_min"] > 0 and nm["tail"]:
-        raise ConfigError(f"coarsegrain.k_min={cg['k_min']} with norms.tail=true: "
+    key = None if field_file else _LEVEL_KEYS.get(command)
+    if key and not (command == "homogenize" and hx["a_bar"] is not None):
+        _check_level(config, command, config["dim"], _get(config, key),
+                     f"{key}={_get(config, key)}")
+    k_min = config["coarsegrain"]["k_min"]
+    if command == "ellipticity" and k_min > 0 and nm["tail"]:
+        raise ConfigError(f"coarsegrain.k_min={k_min} with norms.tail=true: "
                           f"the tail continues the scale sum from the cells, "
                           f"scale 0, which the sweep would not keep")
-    if command is not None:
-        _check_3d_level(config["dim"], _coarse_grained_level(config, command),
-                        f"'{command}'")
     _check_homexp_inputs(config, command)
 
 
@@ -380,11 +363,10 @@ def cmd_gen_field(config: dict, out_dir: Path, fingerprint: str) -> int:
     return EXIT_OK
 
 
-def _load_or_generate(config: dict, field_file: str | None):
+def _load_or_generate(config: dict, field_file: str | None, command: str):
     if field_file:
         field = load_field(field_file)
-        _check_3d_level(field.dim, field.level, f"field file {field_file}")
-        _check_k_min(config["coarsegrain"]["k_min"], field.level,
+        _check_level(config, command, field.dim, field.level,
                      f"the level {field.level} of field file {field_file}")
         return field
     return field_from_config(config)
@@ -392,7 +374,7 @@ def _load_or_generate(config: dict, field_file: str | None):
 
 def cmd_coarsegrain(config: dict, out_dir: Path, fingerprint: str,
                     field_file: str | None) -> int:
-    field = _load_or_generate(config, field_file)
+    field = _load_or_generate(config, field_file, "coarsegrain")
     cg = config["coarsegrain"]
     cache = coarsegrain.hierarchy_sweep(field, k_min=cg["k_min"],
                                         resolution=cg["resolution"],
@@ -421,7 +403,7 @@ def cmd_coarsegrain(config: dict, out_dir: Path, fingerprint: str,
 
 def cmd_ellipticity(config: dict, out_dir: Path, fingerprint: str,
                     field_file: str | None) -> int:
-    field = _load_or_generate(config, field_file)
+    field = _load_or_generate(config, field_file, "ellipticity")
     cg = config["coarsegrain"]
     nm = config["norms"]
     cache = coarsegrain.hierarchy_sweep(field, k_min=cg["k_min"],
@@ -682,13 +664,10 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        config = load_config(args.config)
-        config = apply_overrides(config, args.overrides)
-        if args.seed is not None:
-            config["seed"] = args.seed
-        if args.workers is not None:
-            config["workers"] = args.workers
-        validate_config(config, args.command)
+        config = apply_overrides(load_config(args.config), args.overrides)
+        config = _assign(config, [(key, value) for key, value in (
+            ("seed", args.seed), ("workers", args.workers)) if value is not None])
+        validate_config(config, args.command, getattr(args, "field_file", None))
         out_dir = resolve_output_dir(config, args.output_dir)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

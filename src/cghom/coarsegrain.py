@@ -159,8 +159,9 @@ def check_objective(J: np.ndarray, energy: np.ndarray) -> None:
         if neg[first]:
             raise SolverError(f"negative objective J={J[first]:.3e} "
                               f"for pair {first[-1]}")
-        raise SolverError(f"energy identity violated: J={J[first]:.6e} "
-                          f"vs {energy[first]:.6e}")
+        gap = abs(J[first] - energy[first]) / max(1.0, abs(J[first]))
+        raise SolverError(f"energy identity violated: |J - E| / max(1, |J|) = "
+                          f"{gap:.3e} > 1e-8 at J={J[first]:.6e}")
 
 
 def condensed_A(traces: BoundaryTraces) -> np.ndarray:

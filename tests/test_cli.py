@@ -81,6 +81,41 @@ def test_config_file_target_replaces_the_default_target(tmp_path):
     assert _run(["selftest", "--config", str(cfg)], tmp_path) == 0
 
 
+def test_default_config_fingerprint_is_pinned():
+    # output file names carry this digest, so the defaults must not drift
+    assert cli.config_fingerprint(cli.DEFAULT_CONFIG) == (
+        "a2722d9b5642d862042626483432129f65cd3792d66bba1607c0946f0bc75676")
+
+
+def test_config_file_and_set_assign_every_setting_alike(tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(cli.DEFAULT_CONFIG))
+    from_file = cli.load_config(str(cfg))
+    from_set = cli.apply_overrides(cli.load_config(None), [
+        f"{key}={json.dumps(default)}" for key, (default, _, _) in cli.SETTINGS.items()])
+    assert from_file == from_set == cli.DEFAULT_CONFIG
+    cli.validate_config(from_set)
+    # a section given as one object is split into its settings either way
+    cfg.write_text(json.dumps({"coarsegrain": {"k_min": 1}, "homexp": {"target": {
+        "family": "trig", "m": [1, 2]}}}))
+    assert cli.load_config(str(cfg)) == cli.apply_overrides(cli.load_config(None), [
+        'coarsegrain={"k_min": 1}', 'homexp={"target": {"family": "trig", "m": [1, 2]}}'])
+
+
+@pytest.mark.parametrize("override, message", [
+    ("cascade.sigmas=[NaN]", "cascade.sigmas must be a non-empty list of numbers "
+                             "in [0, inf), got [nan]"),
+    ("norms.q=Infinity", "norms.q must be null or a number in (0, inf), got inf"),
+    ("output_dir=5", "output_dir must be a string, got 5"),
+    ("dim=2.0", "dim must be an integer in [2, 3], got 2.0"),
+    ("coarsegrain=5", "section coarsegrain must be an object"),
+    ("homexp.a_bar=[[1,0],[1]]", "homexp.a_bar must be a square matrix"),
+])
+def test_setting_errors_name_kind_and_range(tmp_path, capsys, override, message):
+    assert _run(["selftest", "--set", override], tmp_path) == 2
+    assert f"config error: {message}" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("override", [
     "norms.zeta=0.5",                 # unknown key
     "dim=5",                          # unsupported dimension
@@ -142,6 +177,14 @@ def test_config_file_target_replaces_the_default_target(tmp_path):
     "field.params=[1]",
     "coarsegrain=5",                  # a section must stay an object
     "field.kind=\"lognormal_iso\" field.params={\"sigma\":\"abc\"}",
+    "cascade.sigmas=[NaN]",           # non-finite numbers are refused
+    "cascade.slope_sigma=Infinity",
+    "cascade.trend_sigma=NaN",
+    "norms.p=Infinity",
+    "homexp.a_bar=[[1,0],[0,NaN]]",
+    "output_dir=5",
+    "output_dir=null",
+    "dim=2.0",
 ])
 def test_invalid_overrides_exit_2(tmp_path, capsys, override):
     argv = ["selftest"]
@@ -382,6 +425,18 @@ def test_k_min_above_the_field_level_is_a_config_error(tmp_path, monkeypatch,
     assert _run(["coarsegrain", field_file, "--set", "coarsegrain.k_min=2"],
                 tmp_path) == 2
     assert "coarsegrain.k_min=2 exceeds the level 1 of field file" in capsys.readouterr().err
+
+
+def test_a_field_file_gives_the_level_that_is_checked(tmp_path):
+    # k_min and the 3D cap are checked against the file's level, not field.level
+    assert _run(["gen-field", "--set", "field.level=3"], tmp_path) == 0
+    field_file = str(tmp_path / "field_checkerboard_n3_seed0.cghf")
+    assert _run(["coarsegrain", field_file, "--set", "coarsegrain.k_min=3"],
+                tmp_path / "k_min") == 0
+    report = _load_report(next((tmp_path / "k_min").glob("coarsegrain_*.json")))
+    assert report["level"] == 3
+    assert _run(["ellipticity", field_file, "--set", "dim=3", "--set", "field.level=4"],
+                tmp_path / "cap") == 0
 
 
 def test_invalid_field_file_stops_before_any_solve(tmp_path, monkeypatch,

@@ -654,6 +654,10 @@ def test_energy_identity_failure_raises_solver_error(monkeypatch):
         hierarchy_sweep(field)
     with pytest.raises(solver.SolverError, match="energy identity violated"):
         coarse_grain_cube(field)
+    # the message gives the relative gap that the 1e-8 guard compares
+    with pytest.raises(solver.SolverError, match=r"violated: \|J - E\| / max\(1, \|J\|\) "
+                                                 r"= 1\.000e-07 > 1e-8 at J=1\.0+e\+01"):
+        coarsegrain.check_objective(np.array([10.0]), np.array([10.000001]))
     # the closed form of a constant cube needs no solve and is not checked
     const = gen_named_field("constant", level=1, matrix=[[2.0, 0.5], [-0.5, 1.0]])
     assert np.array_equal(coarse_grain_cube(const).A,
