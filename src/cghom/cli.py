@@ -244,8 +244,7 @@ def validate_config(config: dict, command: str | None = None,
                               f"{_noun(kind)}{f' in {rng}' if rng else ''}, got {value!r}")
     fld, nm, hx = config["field"], config["norms"], config["homexp"]
     try:        # the kind and its parameters, on one cell
-        gen_named_field(fld["kind"], level=0, dim=config["dim"],
-                        seed=config["seed"], **fld["params"])
+        fieldspec_from_config(config).realize(0, config["seed"])
     except (DegenerateCellError, CascadeOverflowError):
         pass    # cell values the kind draws: a numerical failure of the run
     except (TypeError, ValueError) as exc:
@@ -331,11 +330,8 @@ def write_csv(path: Path, header: list, rows) -> None:
         writer.writerows(rows)
 
 
-def field_from_config(config: dict, seed: int | None = None):
-    fld = config["field"]
-    return gen_named_field(fld["kind"], level=fld["level"], dim=config["dim"],
-                           seed=config["seed"] if seed is None else seed,
-                           **fld.get("params", {}))
+def field_from_config(config: dict):
+    return fieldspec_from_config(config).realize(config["field"]["level"], config["seed"])
 
 
 def fieldspec_from_config(config: dict) -> ergodic.FieldSpec:

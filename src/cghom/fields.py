@@ -58,10 +58,11 @@ class CoefficientField:
         Skew-symmetric part.
 
     The constructor raises ``ValueError`` for a wrong shape, a non-symmetric
-    ``s`` or a non-skew ``k``, and ``DegenerateCellError`` for a cell whose
-    ``s`` is not positive definite or has condition number above
-    ``COND_CAP``.  It keeps read-only copies of both arrays, so the caller's
-    arrays stay writable and the field's cannot change.
+    ``s`` or a non-skew ``k``, and ``DegenerateCellError`` for a NaN or
+    infinite entry, or a cell whose ``s`` is not positive definite or has
+    condition number above ``COND_CAP``.  It keeps read-only copies of both
+    arrays, so the caller's arrays stay writable and the field's cannot
+    change.
     """
 
     dim: int
@@ -78,6 +79,8 @@ class CoefficientField:
         s, k = (np.array(a, dtype=float) for a in (self.s_cells, self.k_cells))
         if s.shape != want or k.shape != want:
             raise ValueError(f"cell arrays must have shape {want}")
+        if not (np.isfinite(s).all() and np.isfinite(k).all()):
+            raise DegenerateCellError("cell data must be finite, got NaN or infinity")
         sym_err = np.max(np.abs(s - np.swapaxes(s, -1, -2)))
         skw_err = np.max(np.abs(k + np.swapaxes(k, -1, -2)))
         if sym_err > 1e-12 or skw_err > 1e-12:
@@ -247,6 +250,13 @@ def gen_cascade_field(spec: CascadeSpec, dim: int = 2) -> tuple[np.ndarray, dict
     return f, info
 
 
+def _finite(value) -> bool:
+    """Whether every number in a parameter value, nested lists too, is finite."""
+    if isinstance(value, (list, tuple, np.ndarray)):
+        return all(map(_finite, value))
+    return not isinstance(value, float) or np.isfinite(value)
+
+
 def gen_named_field(kind: str, level: int, dim: int = 2, seed: int = 0,
                     **params) -> CoefficientField:
     """Build one of the stock coefficient fields.
@@ -261,6 +271,8 @@ def gen_named_field(kind: str, level: int, dim: int = 2, seed: int = 0,
         raise ValueError(
             f"unknown parameter(s) {sorted(unknown)} for field kind {kind!r}; "
             f"allowed: {sorted(_KIND_PARAMS[kind])}")
+    if not _finite(list(params.values())):
+        raise ValueError(f"field kind {kind!r} parameters must be finite, got {params}")
     m = 3 ** level
     shape = (m,) * dim
     rng = np.random.default_rng((seed, _KIND_TAGS.get(kind, 0)))

@@ -48,53 +48,50 @@ class TargetFunction:
         unused = sorted(set(params) - self.KEYS[family])
         if unused:
             raise ValueError(f"target family '{family}' does not use {unused}")
-        if family == "affine":
-            self.p = np.asarray(params["p"], float)
-            self.c = float(params.get("c", 0.0))
-        elif family == "quadratic":
-            self.H = np.asarray(params["H"], float)
-            self.p = np.asarray(params.get("p", np.zeros(self.H.shape[0])), float)
-            if not np.allclose(self.H, self.H.T):
-                raise ValueError("quadratic coefficient must be symmetric")
-        else:
+        if family == "trig":
             self.m = np.asarray(params["m"], float)
             self.amp = float(params.get("amp", 1.0))
             self.phase = float(params.get("phase", 0.0))
+            numbers = (self.m, self.amp, self.phase)
+        else:           # affine is the quadratic with H = 0, plus c
+            if family == "affine":
+                self.p = np.asarray(params["p"], float)
+                self.H = np.zeros(self.p.shape * 2)
+            else:
+                self.H = np.asarray(params["H"], float)
+                self.p = np.asarray(params.get("p", np.zeros(self.H.shape[0])), float)
+            self.c = float(params.get("c", 0.0))
+            numbers = (self.H, self.p, self.c)
+        if not all(np.isfinite(x).all() for x in numbers):
+            raise ValueError(f"target numbers must be finite, got {params}")
+        if family != "trig" and not np.allclose(self.H, self.H.T):
+            raise ValueError("quadratic coefficient must be symmetric")
 
     def value(self, x: np.ndarray) -> np.ndarray:
         x = np.asarray(x, float)
-        if self.family == "affine":
-            return x @ self.p + self.c
-        if self.family == "quadratic":
-            return 0.5 * np.einsum("...i,ij,...j->...", x, self.H, x) + x @ self.p
-        th = 2.0 * np.pi * (x @ self.m) + self.phase
-        return self.amp * np.sin(th)
+        if self.family == "trig":
+            return self.amp * np.sin(2.0 * np.pi * (x @ self.m) + self.phase)
+        return 0.5 * np.einsum("...i,ij,...j->...", x, self.H, x) + x @ self.p + self.c
 
     def grad(self, x: np.ndarray) -> np.ndarray:
         x = np.asarray(x, float)
-        if self.family == "affine":
-            return np.broadcast_to(self.p, x.shape).copy()
-        if self.family == "quadratic":
-            return x @ self.H.T + self.p
-        th = 2.0 * np.pi * (x @ self.m) + self.phase
-        return (2.0 * np.pi * self.amp) * np.cos(th)[..., None] * self.m
+        if self.family == "trig":
+            th = 2.0 * np.pi * (x @ self.m) + self.phase
+            return (2.0 * np.pi * self.amp) * np.cos(th)[..., None] * self.m
+        return x @ self.H.T + self.p
 
     def cell_avg_grad(self, level: int, dim: int) -> np.ndarray:
         """Exact average of (grad h)(3^{-level} y) over each unit cell.
 
-        Returns shape (3^level,)*dim + (dim,).  Affine: constant; quadratic:
+        Returns shape (3^level,)*dim + (dim,).  Affine and quadratic: the
         gradient at cell centers (exact, the gradient is affine); trig:
         closed form via the complex box average of exp(i theta . z).
         """
         m = 3 ** level
         eps = 3.0 ** (-level)
-        if self.family == "affine":
-            out = np.empty((m,) * dim + (dim,))
-            out[...] = self.p
-            return out
-        centers = np.stack(np.meshgrid(*[np.arange(m) + 0.5] * dim,
-                                       indexing="ij"), axis=-1) * eps
-        if self.family == "quadratic":
+        if self.family != "trig":
+            centers = np.stack(np.meshgrid(*[np.arange(m) + 0.5] * dim,
+                                           indexing="ij"), axis=-1) * eps
             return centers @ self.H.T + self.p
         theta = 2.0 * np.pi * self.m * eps            # phase advance per cell
         corners = np.stack(np.meshgrid(*[np.arange(m)] * dim,
@@ -178,9 +175,8 @@ def error_fields(op, u, a_bar: np.ndarray, h: TargetFunction):
     """Per-unit-cell averages of (grad u - g) and (a grad u - a_bar g)."""
     level = round(np.log(op.cells_per_axis) / np.log(3.0))
     g_ref = h.cell_avg_grad(level, op.dim)
-    g_err = solver.cell_gradient_averages(op, u) - g_ref
-    f_err = solver.cell_flux_averages(op, u) - g_ref @ np.asarray(a_bar, float).T
-    return g_err, f_err
+    grad, flux = solver.cell_averages(op, u)
+    return grad - g_ref, flux - g_ref @ np.asarray(a_bar, float).T
 
 
 def unit_ring_error(err_cells: np.ndarray, alpha: float, dim: int) -> float:

@@ -32,16 +32,17 @@ The assembled operator serves the nodal solves: Dirichlet and Neumann
 problems.  It holds K alone, and the nodal readers use the same identities:
 the energy of u is u^T K u, the cube mean of a Q1 function is the mean of its
 element corner values, and the average flux is the mean of the cell fluxes.
-The nodal LUs are SuperLU's, factored in a nested-dissection order of the
-node grid.  SciPy is imported only inside ``assemble`` (K is a
-``scipy.sparse`` matrix) and the two factorizations, so the trace path, and
-every command that solves no nodal system, never loads it.  The index arrays
-of assembly and of that order are built once per grid shape without sorting:
-K's CSR pattern in closed form from each node's 3^d stencil neighbours, and
-the order by a recursion memoized per box shape.  Every functional here sees
-only gradients, so the additive constant is fixed by pinning node 0 (a
-corner, hence a boundary node) to zero and removing it from the system; a
-Neumann solution is then shifted to zero mean.
+Both solves take their loads from ``quadrature_flux_rhs`` and go through one
+factor-and-solve, ``_solve``: one SuperLU per operator of K on the free nodes
+in a nested-dissection order, and one 1e-9 residual check.  SciPy is imported
+only there and in ``assemble``, so the trace path, and every command that
+solves no nodal system, never loads it.  The index arrays of assembly and of
+that order are built once per grid shape without sorting: K's CSR pattern in
+closed form from each node's 3^d stencil neighbours, and the order by a
+recursion memoized per box shape.  Every functional here sees only
+gradients, so the additive constant is fixed by pinning node 0 (a corner,
+hence a boundary node) to zero and removing it from the system; a Neumann
+solution is then shifted to zero mean.
 """
 from __future__ import annotations
 
@@ -166,11 +167,11 @@ class AssembledOperator:
     boundary: np.ndarray
     gid: np.ndarray        # (n_elements, 2^dim) global node ids per element
     a_elems: np.ndarray    # (n_elements, dim, dim)
-    # |K_II u_I - r| / (|r| + 1) of the last interior solve, the quantity
-    # ``solve_dirichlet`` checks against its tolerance
+    # |K_ff u_f - r| / (|r| + 1) of the last nodal solve, the quantity
+    # ``_solve`` checks against its tolerance
     residual: float = float("nan")
-    _int: object = dc_field(default=None, repr=False)
-    _neu: object = dc_field(default=None, repr=False)
+    # free nodes' bytes -> (K on them, its LU), filled by ``_solve``
+    _lu: dict = dc_field(default_factory=dict, init=False, repr=False)
 
     @property
     def elements_per_axis(self) -> int:
@@ -289,23 +290,6 @@ def _nd_order(shape: tuple) -> np.ndarray:
                                + [ids[cut + (mid,)].ravel()])
     order.flags.writeable = False
     return order
-
-
-def _interior_solver(op: AssembledOperator):
-    """The interior block of K and its LU, in nested-dissection order.
-
-    Returns (order, K_II, lu): the interior node ids in the nested-dissection
-    order of the interior grid, K restricted to them in that order, and its
-    SuperLU factorization with no further column permutation, so that
-    ``lu.solve(r[order])`` solves the interior equations.  Built once per
-    operator.
-    """
-    if op._int is None:
-        from scipy.sparse.linalg import splu
-        order = op.interior[_nd_order((op.nodes_per_axis - 2,) * op.dim)]
-        K_II = op.K[order][:, order]
-        op._int = (order, K_II, splu(K_II.tocsc(), permc_spec="NATURAL"))
-    return op._int
 
 
 # ---------------------------------------------------------------------------
@@ -576,20 +560,29 @@ def trace_loads(traces: BoundaryTraces):
     return V, LV, J, 0.5 * vQv / traces.vol
 
 
-def flux_rhs(op: AssembledOperator, f_cells: np.ndarray) -> np.ndarray:
-    """Nodal functional F_i = int f . grad phi_i for per-cell-constant f."""
-    d = op.dim
-    f = np.asarray(f_cells, float)
-    for ax in range(d):
-        f = np.repeat(f, op.resolution, axis=ax)
-    fE = f.reshape(-1, d)
-    EG = reference_tensors(d)[2]
-    out = np.zeros(op.N)
-    hG = op.h ** (d - 1)
-    for i in range(EG.shape[1]):
-        out += np.bincount(op.gid[:, i], weights=(fE @ EG[:, i]) * hG,
-                           minlength=op.N)
-    return out
+def _solve(op: AssembledOperator, free: np.ndarray, u: np.ndarray,
+           load: np.ndarray | None) -> np.ndarray:
+    """Fill in u at the ``free`` nodes so that (K u)_i = load_i (zero if not
+    given) there, and return it.  K on the free nodes, in the order given, is
+    factored once per operator and order (``op._lu``) by SuperLU with no
+    further column permutation.  The residual relative to |r| + 1 is kept as
+    ``op.residual`` and must not exceed 1e-9."""
+    key = free.tobytes()
+    if key not in op._lu:
+        from scipy.sparse.linalg import splu
+        K_ff = op.K[free][:, free]
+        op._lu[key] = (K_ff, splu(K_ff.tocsc(), permc_spec="NATURAL"))
+    K_ff, lu = op._lu[key]
+    r = -(op.K @ u)[free]
+    if load is not None:
+        r += load[free]
+    uf = lu.solve(r)
+    res = np.linalg.norm(K_ff @ uf - r)
+    op.residual = res / (np.linalg.norm(r) + 1.0)
+    if op.residual > 1e-9:
+        raise SolverError(f"interior solve residual {res:.3e}")
+    u[free] = uf
+    return u
 
 
 def solve_dirichlet(op: AssembledOperator, boundary_values: np.ndarray,
@@ -597,50 +590,33 @@ def solve_dirichlet(op: AssembledOperator, boundary_values: np.ndarray,
     """Solve (K u)_i = load_i at the interior nodes with u = g on the boundary.
 
     ``boundary_values`` is aligned with ``op.boundary``; ``load`` is a nodal
-    functional, zero if not given (``-flux_rhs(op, f)`` for the equation
-    -div(a grad u) = div f, or an exact right-hand side assembled by
-    ``quadrature_flux_rhs``).  The interior equations are solved with the
-    operator's nested-dissection LU (``_interior_solver``); the residual
-    relative to |r| + 1 is kept as ``op.residual`` and must not exceed 1e-9.
+    functional, zero if not given, assembled by ``quadrature_flux_rhs``
+    (minus the functional of f for the equation -div(a grad u) = div f).
+    The interior nodes are solved for in the nested-dissection order of the
+    interior grid (``_nd_order``).
     """
     u = np.zeros(op.N)
     u[op.boundary] = boundary_values
-    order, K_II, lu = _interior_solver(op)
-    r = -(op.K @ u)[order]
-    if load is not None:
-        r += load[order]
-    uI = lu.solve(r)
-    res = np.linalg.norm(K_II @ uI - r)
-    op.residual = res / (np.linalg.norm(r) + 1.0)
-    if op.residual > 1e-9:
-        raise SolverError(f"interior solve residual {res:.3e}")
-    u[order] = uI
-    return u
+    return _solve(op, op.interior[_nd_order((op.nodes_per_axis - 2,) * op.dim)], u, load)
 
 
 def solve_neumann(op: AssembledOperator, f_cells: np.ndarray) -> np.ndarray:
     """Solve div(a grad u) = div f with no-flux boundary n.(a grad u - f) = 0.
 
     The constant in f is fixed first (cell mean removed), so the solution has
-    zero average flux, which is checked to 1e-9 relative to |f| + 1; node 0
-    is pinned and the result shifted to zero mean.  The LU of K without node
-    0 is factored once per operator, in the nested-dissection order of the
-    node grid (``_nd_order``) with no further column permutation.
+    zero average flux, which is checked to 1e-9 relative to |f| + 1.  The
+    load is the order-1 rule of ``quadrature_flux_rhs``, exact for cellwise
+    f.  Node 0 is pinned, the others are solved for in the nested-dissection
+    order of the node grid, and the result is shifted to zero mean.
     """
     d = op.dim
     f = np.asarray(f_cells, float).reshape(-1, d)
-    f = f - f.mean(axis=0)
-    F = flux_rhs(op, f.reshape((op.cells_per_axis,) * d + (d,)))
-    if op._neu is None:
-        from scipy.sparse.linalg import splu
-        order = _nd_order((op.nodes_per_axis,) * d)
-        order = order[order != 0]
-        op._neu = (order, splu(op.K[order][:, order].tocsc(), permc_spec="NATURAL"))
-    order, lu = op._neu
-    u = np.zeros(op.N)
-    u[order] = lu.solve(F[order])
+    f = (f - f.mean(axis=0)).reshape((op.cells_per_axis,) * d + (d,))
+    F = quadrature_flux_rhs(op, lambda x: f[tuple(x.astype(int).T)], order=1)
+    order = _nd_order((op.nodes_per_axis,) * d)
+    u = _solve(op, order[order != 0], np.zeros(op.N), F)
     u = u - u[op.gid].mean()     # a Q1 element's mean is its corners' mean
-    flux_avg = cell_flux_averages(op, u).reshape(-1, d).mean(axis=0)
+    flux_avg = cell_averages(op, u)[1].reshape(-1, d).mean(axis=0)
     if np.linalg.norm(flux_avg) > 1e-9 * (np.linalg.norm(f) + 1.0):
         raise SolverError(f"Neumann flux average {flux_avg} not zero")
     return u
@@ -652,25 +628,14 @@ def energy_seminorm_sq(op: AssembledOperator, u: np.ndarray) -> float:
     return float(u @ (op.K @ u)) / op.vol
 
 
-def element_gradient_averages(op: AssembledOperator, u: np.ndarray) -> np.ndarray:
-    """Average of grad u over each element, shape (n_elements, dim)."""
-    EG = reference_tensors(op.dim)[2]
-    return (u[op.gid] @ EG.T) / op.h
-
-
-def cell_gradient_averages(op: AssembledOperator, u: np.ndarray) -> np.ndarray:
-    """Average of grad u over each unit cell, shape (cells,)*dim + (dim,)."""
-    ge = element_gradient_averages(op, u)
-    ge = ge.reshape((op.elements_per_axis,) * op.dim + (op.dim,))
-    return block_means(ge, op.dim, op.resolution)
-
-
-def cell_flux_averages(op: AssembledOperator, u: np.ndarray) -> np.ndarray:
-    """Average of a grad u over each unit cell (a is constant per cell)."""
-    ge = element_gradient_averages(op, u)
-    fe = np.einsum("eab,eb->ea", op.a_elems, ge)
-    fe = fe.reshape((op.elements_per_axis,) * op.dim + (op.dim,))
-    return block_means(fe, op.dim, op.resolution)
+def cell_averages(op: AssembledOperator, u: np.ndarray):
+    """Averages of grad u and of a grad u over each unit cell, each shaped
+    (cells,)*dim + (dim,); a is constant per element."""
+    grad = (u[op.gid] @ reference_tensors(op.dim)[2].T) / op.h
+    flux = np.einsum("eab,eb->ea", op.a_elems, grad)
+    shape = (op.elements_per_axis,) * op.dim + (op.dim,)
+    return tuple(block_means(x.reshape(shape), op.dim, op.resolution)
+                 for x in (grad, flux))
 
 
 def node_coordinates(op: AssembledOperator) -> np.ndarray:

@@ -18,7 +18,9 @@ that adds all 3^d children onto one union and eliminates the whole
 skeleton in one dense solve; the package merges one axis at a time, and
 this checks it.  ``sorted_grid_shape`` and ``recursive_nd_order`` build
 the package's cached grid indices the direct way, by sorting the assembly
-triplets and by recursing over the boxes.  ``forge_field_file`` writes the
+triplets and by recursing over the boxes.  ``cellwise_flux_load`` builds
+the load of cellwise data one element at a time, from the slopes of the
+hat functions.  ``forge_field_file`` writes the
 bad field files that the package can no longer build, for the tests of the
 load-time check.
 """
@@ -278,6 +280,22 @@ def loop_assembly(a_elems, s_elems, tensors, elements_per_axis, h):
     K = sp.coo_matrix((kvals, (rows, cols)), shape=(N, N)).tocsr()
     S = sp.coo_matrix((svals, (rows, cols)), shape=(N, N)).tocsr()
     return K, S, G, B, mass
+
+
+def cellwise_flux_load(op, f_cells):
+    """Nodal functional F_i = int f . grad phi_i of per-cell-constant f,
+    element by element.  On an element of side h, int d_a phi_i is
+    h^(d-1) / 2^(d-1), signed + where corner i lies at the element's far
+    end along axis a and - where it lies at the near end."""
+    d, r, h, m = op.dim, op.resolution, op.h, op.nodes_per_axis - 1
+    F = np.zeros(op.N)
+    for corner in itertools.product(range(m), repeat=d):
+        f = f_cells[tuple(c // r for c in corner)]
+        for loc in itertools.product((0, 1), repeat=d):
+            node = np.ravel_multi_index(tuple(c + l for c, l in zip(corner, loc)),
+                                        (m + 1,) * d)
+            F[node] += sum(f[a] * (2 * loc[a] - 1) for a in range(d)) * (h / 2) ** (d - 1)
+    return F
 
 
 def default_order_dirichlet(op, boundary_values, load):

@@ -182,6 +182,10 @@ def test_setting_errors_name_kind_and_range(tmp_path, capsys, override, message)
     "cascade.trend_sigma=NaN",
     "norms.p=Infinity",
     "homexp.a_bar=[[1,0],[0,NaN]]",
+    "homexp.target={\"family\":\"affine\",\"p\":[NaN,0]}",
+    "homexp.target={\"family\":\"trig\",\"m\":[1,0],\"amp\":Infinity}",
+    "field.params={\"low\":NaN}",
+    "field.kind=\"constant\" field.params={\"matrix\":[[1,0],[0,Infinity]]}",
     "output_dir=5",
     "output_dir=null",
     "dim=2.0",
@@ -209,12 +213,21 @@ def test_invalid_overrides_exit_2(tmp_path, capsys, override):
     ["ellipticity", "--set", "coarsegrain.k_min=1"],
     ["cascade-verify", "--set", 'cascade.draws="x"'],
     ["cascade-verify", "--set", "cascade.slope_seeds=0"],
+    ["gen-field", "--set", 'field.params={"low":NaN}'],
+    ["coarsegrain", "--set", 'field.params={"low":NaN}'],
+    ["homogenize", "--set", 'homexp.target={"family":"affine","p":[NaN,0]}',
+     "--set", "homexp.a_bar=[[1,0],[0,1]]"],
 ])
 def test_malformed_settings_stop_before_any_field_or_solve(tmp_path, monkeypatch,
                                                            capsys, argv):
     def no_solve(*args, **kwargs):
         raise AssertionError("a field was drawn or a solve was started")
-    for owner, name in ((cli, "field_from_config"), (cli, "fieldspec_from_config"),
+    realize = cli.ergodic.FieldSpec.realize
+
+    def probe_only(spec, level, seed):     # the config check draws one cell
+        return realize(spec, level, seed) if level == 0 else no_solve()
+    monkeypatch.setattr(cli.ergodic.FieldSpec, "realize", probe_only)
+    for owner, name in ((cli, "field_from_config"),
                         (cli.coarsegrain, "hierarchy_sweep"),
                         (cli.ergodic, "estimate_Abar"),
                         (cli.homexp, "run_dirichlet_experiment"),

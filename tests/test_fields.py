@@ -80,6 +80,14 @@ def test_unknown_kind_and_params_rejected():
         gen_named_field("checkerboard", level=1, values=[1, 4])
     with pytest.raises(ValueError, match="unknown parameter"):
         gen_named_field("constant", level=1, value=1.0)
+    # a non-finite number is refused before any cell is drawn
+    for kind, params in (("checkerboard", {"low": np.nan}),
+                         ("lognormal_iso", {"sigma": np.inf}),
+                         ("cascade_iso", {"cap": float("inf")}),
+                         ("constant", {"matrix": [[1.0, 0.0], [0.0, np.nan]]}),
+                         ("constant", {"matrix": np.diag([1.0, -np.inf])})):
+        with pytest.raises(ValueError, match="parameters must be finite"):
+            gen_named_field(kind, level=1, **params)
 
 
 def test_cascade_layer_shapes_and_moments():
@@ -139,6 +147,10 @@ def test_validate_flags_nonsymmetric_s():
         build(s_cells=bent(s, (0, 1), 0.5))
     with pytest.raises(ValueError, match="k skew"):
         build(k_cells=bent(k, (0, 1), 0.5))
+    for cells in ({"s_cells": bent(s, (0, 0), np.nan)},
+                  {"k_cells": bent(k, (0, 1), np.inf)}):
+        with pytest.raises(DegenerateCellError, match="must be finite"):
+            build(**cells)
     with pytest.raises(DegenerateCellError, match="not positive definite"):
         build(s_cells=bent(s, (0, 0), -1.0))
     with pytest.raises(DegenerateCellError, match="exceeds cap"):
@@ -202,7 +214,9 @@ def test_load_rejects_invalid_cells(tmp_path):
     cases = (("s must be symmetric", "s", (0, 1), 0.5),
              ("k skew", "k", (0, 0), 0.5),
              ("positive definite", "s", (0, 0), -10.0),
-             ("exceeds cap", "s", (0, 0), 1e13))
+             ("exceeds cap", "s", (0, 0), 1e13),
+             ("must be finite", "s", (0, 0), np.nan),
+             ("must be finite", "k", (0, 1), -np.inf))
     f = gen_named_field("skew_lognormal", level=2, seed=21, sigma=0.6,
                         kappa=0.4)
     for i, (message, part, entry, shift) in enumerate(cases):

@@ -29,6 +29,27 @@ def test_affine_target():
     assert np.allclose(avg, [2.0, -1.0])
 
 
+def test_affine_target_is_exact_and_target_numbers_finite():
+    # affine runs as the quadratic with H = 0: its value, gradient and cell
+    # averages are still exactly p.x + c, p and p
+    p, c = np.array([0.3, -1.7]), 0.25
+    h = TargetFunction("affine", p=p.tolist(), c=c)
+    x = np.random.default_rng(5).normal(size=(1000, 2))
+    assert np.array_equal(h.value(x), x @ p + c)
+    assert np.array_equal(h.grad(x), np.broadcast_to(p, x.shape))
+    for level in range(4):
+        assert np.array_equal(h.cell_avg_grad(level, 2),
+                              np.broadcast_to(p, (3 ** level,) * 2 + (2,)))
+    for family, params in (("affine", {"p": [np.nan, 0.0]}),
+                           ("affine", {"p": [1.0, 0.0], "c": np.inf}),
+                           ("quadratic", {"H": [[1.0, 0.0], [0.0, np.nan]]}),
+                           ("quadratic", {"H": np.eye(2), "p": [-np.inf, 0.0]}),
+                           ("trig", {"m": [1.0, 0.0], "amp": np.inf}),
+                           ("trig", {"m": [np.nan, 0.0]})):
+        with pytest.raises(ValueError, match="must be finite"):
+            TargetFunction(family, **params)
+
+
 def test_quadratic_target():
     H = np.array([[1.0, 0.5], [0.5, -2.0]])
     p = np.array([0.3, 0.0])

@@ -9,14 +9,14 @@ import scipy.sparse as sp
 from cghom import solver
 from cghom.coarsegrain import condensed_A
 from cghom.fields import gen_named_field
-from cghom.solver import (DegenerateCellError, assemble, cell_flux_averages,
-                          cell_gradient_averages, energy_seminorm_sq, flux_rhs,
-                          node_coordinates, partition_traces,
+from cghom.solver import (DegenerateCellError, assemble, cell_averages,
+                          energy_seminorm_sq, node_coordinates, partition_traces,
                           quadrature_flux_rhs, reference_tensors,
                           solve_dirichlet, solve_neumann, trace_loads)
 from cghom.triadic import TriadicCube
-from reference_impl import (default_order_dirichlet, default_order_neumann,
-                            loop_assembly, nodal_functionals, one_step_merge,
+from reference_impl import (cellwise_flux_load, default_order_dirichlet,
+                            default_order_neumann, loop_assembly,
+                            nodal_functionals, one_step_merge,
                             recursive_nd_order, sorted_grid_shape)
 
 
@@ -149,9 +149,8 @@ def test_affine_data_is_reproduced_exactly():
     exact = x @ np.array([0.7, -0.3]) + 2.0
     u = solve_dirichlet(op, exact[op.boundary])
     assert np.abs(u - exact).max() < 1e-12
-    g = cell_gradient_averages(op, u)
+    g, f = cell_averages(op, u)
     assert np.allclose(g, [0.7, -0.3], atol=1e-12)
-    f = cell_flux_averages(op, u)
     want = np.array([[2.0, 0.5], [-0.5, 1.0]]) @ [0.7, -0.3]
     assert np.allclose(f, want, atol=1e-12)
 
@@ -165,8 +164,7 @@ def test_laminate_reduces_to_series_resistors():
     knots = np.concatenate([[0.0], np.cumsum(1.0 / cols)])
     x = node_coordinates(op)
     u = solve_dirichlet(op, np.interp(x[op.boundary, 0], [0, 1, 2, 3], knots))
-    flux = cell_flux_averages(op, u)
-    grads = cell_gradient_averages(op, u)
+    grads, flux = cell_averages(op, u)
     assert np.allclose(flux[..., 0], 1.0, atol=1e-10)
     assert np.abs(flux[..., 1]).max() < 1e-10
     assert np.allclose(grads[..., 0], (1.0 / cols)[:, None], atol=1e-10)
@@ -192,7 +190,7 @@ def test_neumann_solve_properties():
         assert np.abs(B @ u / op.vol).max() < 1e-10   # zero average flux
         # weak equation: K u = flux functional of the centered data
         fc = f - f.reshape(-1, d).mean(axis=0)
-        assert np.abs(op.K @ u - flux_rhs(op, fc)).max() < 1e-9
+        assert np.abs(op.K @ u - cellwise_flux_load(op, fc)).max() < 1e-9
 
 
 def test_harmonic_extension_and_random_aharmonic():
@@ -257,21 +255,18 @@ def test_maximizer_backend_energy_identity():
         assert np.abs((op.K @ v)[op.interior]).max() < 1e-8
 
 
-def test_flux_rhs_agrees_with_quadrature():
-    field = gen_named_field("lognormal_iso", level=1, seed=13)
-    op = assemble(field)
+def test_order_one_rule_on_cellwise_data_matches_the_element_loop():
+    # each d_a phi_i has per-axis degree <= 1, so the one-point rule is exact
+    # on cellwise data
     rng = np.random.default_rng(7)
-    f_cells = rng.normal(size=(3, 3, 2))
-    direct = flux_rhs(op, f_cells)
-
-    def cellwise(x):
-        idx = np.clip(x.astype(int), 0, 2)
-        return f_cells[idx[:, 0], idx[:, 1]]
-
-    via_quad = quadrature_flux_rhs(op, cellwise, order=2)
-    assert np.abs(direct - via_quad).max() < 1e-12
-    # the functional annihilates constants: total sum is zero
-    assert abs(direct.sum()) < 1e-12
+    for fld, r in _nodal_cases(gen_named_field("lognormal_iso", level=1, seed=13)):
+        op = assemble(fld, resolution=r)
+        f_cells = rng.normal(size=(op.cells_per_axis,) * op.dim + (op.dim,))
+        load = quadrature_flux_rhs(op, lambda x: f_cells[tuple(x.astype(int).T)],
+                                   order=1)
+        assert np.abs(load - cellwise_flux_load(op, f_cells)).max() < 1e-12
+        # the functional annihilates constants: total sum is zero
+        assert abs(load.sum()) < 1e-12
 
 
 def test_quadrature_exactness_in_order():
@@ -306,7 +301,7 @@ def test_resolution_refines_the_grid():
     assert op2.cells_per_axis == 3
     x = node_coordinates(op2)
     u = solve_dirichlet(op2, (x @ [1.0, 0.0])[op2.boundary])
-    assert cell_gradient_averages(op2, u).shape == (3, 3, 2)
+    assert cell_averages(op2, u)[0].shape == (3, 3, 2)
     with pytest.raises(ValueError):
         assemble(field, resolution=0)
 
@@ -389,30 +384,40 @@ def test_interior_order_is_a_permutation_of_the_interior():
     field = gen_named_field("checkerboard", level=2, seed=19)
     op = assemble(field)
     u = solve_dirichlet(op, np.ones(len(op.boundary)))
-    order, K_II, _ = op._int
+    [(key, (K_II, _))] = op._lu.items()
+    order = np.frombuffer(key, dtype=op.interior.dtype)
     assert np.array_equal(order, op.interior[solver._nd_order((8, 8))])
     assert np.array_equal(np.sort(order), op.interior)
     assert (K_II != op.K[order][:, order]).nnz == 0
     assert np.allclose(u, 1.0, atol=1e-12)
+    solve_dirichlet(op, np.zeros(len(op.boundary)))
+    assert len(op._lu) == 1                 # factored once per operator
 
 
-def test_residual_check_reads_the_interior_solve():
-    field = gen_named_field("skew_lognormal", level=2, seed=20, sigma=0.5,
-                            kappa=0.6)
-    op = assemble(field)
-    order, K_II, lu = solver._interior_solver(op)
-    rng = np.random.default_rng(8)
-    g = rng.normal(size=len(op.boundary))
-    noise = rng.normal(size=len(order))
+def _off_by(op, noise):
+    """Make the one cached LU of ``op`` return solutions off by eps * noise,
+    for the eps that the returned setter takes."""
+    [(key, (K_ff, lu))] = op._lu.items()
 
-    class Off:          # an LU whose solutions are off by eps * noise
+    class Off:
         def __init__(self, eps):
             self.eps = eps
 
         def solve(self, r):
             return lu.solve(r) + self.eps * noise
 
-    op._int = (order, K_II, Off(1e-12))
+    return lambda eps: op._lu.__setitem__(key, (K_ff, Off(eps)))
+
+
+def test_residual_check_reads_the_interior_solve():
+    field = gen_named_field("skew_lognormal", level=2, seed=20, sigma=0.5,
+                            kappa=0.6)
+    op = assemble(field)
+    rng = np.random.default_rng(8)
+    g = rng.normal(size=len(op.boundary))
+    solve_dirichlet(op, g)
+    set_eps = _off_by(op, rng.normal(size=len(op.interior)))
+    set_eps(1e-12)
     u = solve_dirichlet(op, g)
     ii, bb = op.interior, op.boundary
     r = -(op.K[ii][:, bb] @ g)
@@ -420,9 +425,29 @@ def test_residual_check_reads_the_interior_solve():
             / (np.linalg.norm(r) + 1.0))
     assert 1e-13 < want < 1e-9
     assert op.residual == pytest.approx(want, rel=1e-3)
-    op._int = (order, K_II, Off(1e-6))
+    set_eps(1e-6)
     with pytest.raises(solver.SolverError, match="interior solve residual"):
         solve_dirichlet(op, g)
+
+
+def test_residual_check_reads_the_neumann_solve():
+    field = gen_named_field("skew_lognormal", level=2, seed=20, sigma=0.5,
+                            kappa=0.6)
+    op = assemble(field)
+    rng = np.random.default_rng(8)
+    f = rng.normal(size=(9, 9, 2))
+    solve_neumann(op, f)
+    set_eps = _off_by(op, rng.normal(size=op.N - 1))
+    set_eps(1e-12)
+    u = solve_neumann(op, f)
+    # K u = F on every node but the pinned one, and u's shift is in K's kernel
+    F = cellwise_flux_load(op, f - f.reshape(-1, 2).mean(axis=0))[1:]
+    want = np.linalg.norm((op.K @ u)[1:] - F) / (np.linalg.norm(F) + 1.0)
+    assert 1e-13 < want < 1e-9
+    assert op.residual == pytest.approx(want, rel=1e-3)
+    set_eps(1e-6)
+    with pytest.raises(solver.SolverError, match="interior solve residual"):
+        solve_neumann(op, f)
 
 
 # ---------------------------------------------------------------------------
@@ -435,10 +460,14 @@ def _default_order_gaps(op, rng):
     nodal values and in the energy seminorm."""
     g = rng.normal(size=len(op.boundary))
     f = rng.normal(size=(op.cells_per_axis,) * op.dim + (op.dim,))
-    u = solve_dirichlet(op, g, load=-flux_rhs(op, f))
-    u_ref = default_order_dirichlet(op, g, -flux_rhs(op, f))
+
+    def load(f):        # the functional of cellwise f, as solve_neumann builds it
+        return quadrature_flux_rhs(op, lambda x: f[tuple(x.astype(int).T)], order=1)
+
+    u = solve_dirichlet(op, g, load=-load(f))
+    u_ref = default_order_dirichlet(op, g, -load(f))
     v = solve_neumann(op, f)
-    v_ref = default_order_neumann(op, flux_rhs(op, f - f.reshape(-1, op.dim).mean(axis=0)))
+    v_ref = default_order_neumann(op, load(f - f.reshape(-1, op.dim).mean(axis=0)))
     dv = v - v_ref
     S = nodal_functionals(op)[0]
     return (np.linalg.norm(u - u_ref) / np.linalg.norm(u_ref),
