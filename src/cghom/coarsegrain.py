@@ -38,7 +38,7 @@ from dataclasses import dataclass, field as dc_field, replace
 
 import numpy as np
 
-from .fields import CoefficientField, gen_named_field
+from .fields import CoefficientField, adjugate, gen_named_field
 from .solver import (BoundaryTraces, SolverError, condense, partition_traces,
                      trace_loads)
 from .triadic import TriadicCube, block_means
@@ -52,6 +52,16 @@ def jswap(dim: int) -> np.ndarray:
     return J
 
 
+def _inverse(m: np.ndarray) -> np.ndarray:
+    """m^{-1}, batched: by the adjugate (``fields.adjugate``) if 2 x 2, else by
+    LAPACK, as a 3 x 3 adjugate loses digits as cond^2."""
+    if m.shape[-1] == 3:
+        return np.linalg.inv(m)
+    inv, det = adjugate(m)
+    inv /= det[..., None, None]
+    return inv
+
+
 def A_from_blocks(s: np.ndarray, s_star: np.ndarray, k: np.ndarray) -> np.ndarray:
     """Inverse of ``blocks_from_A``, batched over leading axes:
 
@@ -60,12 +70,13 @@ def A_from_blocks(s: np.ndarray, s_star: np.ndarray, k: np.ndarray) -> np.ndarra
     """
     s, s_star, k = (np.asarray(x, float) for x in (s, s_star, k))
     d = s.shape[-1]
-    sinv_k = np.linalg.solve(s_star, k)
-    A = np.zeros(s.shape[:-2] + (2 * d, 2 * d))
-    A[..., :d, :d] = s + np.swapaxes(k, -1, -2) @ sinv_k
-    A[..., :d, d:] = -np.swapaxes(sinv_k, -1, -2)
-    A[..., d:, :d] = -sinv_k
-    A[..., d:, d:] = np.linalg.inv(s_star)
+    A = np.empty(s.shape[:-2] + (2 * d, 2 * d))
+    A[..., d:, d:] = _inverse(s_star)
+    sinv_k = np.matmul(A[..., d:, d:], k, out=A[..., d:, :d])   # in place: fewer per-cell arrays
+    np.matmul(np.swapaxes(k, -1, -2), sinv_k, out=A[..., :d, :d])
+    A[..., :d, :d] += s
+    np.negative(np.swapaxes(sinv_k, -1, -2), out=A[..., :d, d:])
+    sinv_k *= -1.0
     return A
 
 
@@ -92,20 +103,18 @@ def pointwise_A(s: np.ndarray, k: np.ndarray) -> np.ndarray:
     return A_from_blocks(s, s, k)
 
 
-def pointwise_A_cells(field: CoefficientField,
-                      cube: TriadicCube | None = None) -> np.ndarray:
-    """Per-cell closed-form coarse matrices on a cube, (side,)*dim + (2d, 2d)."""
-    cube = cube or field.domain
-    sl = cube.slices
-    return pointwise_A(field.s_cells[sl], field.k_cells[sl])
+def _cell_means(s: np.ndarray, k: np.ndarray, batch: int):
+    """Means over ``batch`` equal runs of cells of s^{-1} and s + k^T s^{-1} k."""
+    sinv = _inverse(s)
+    bpt = s + np.swapaxes(k, -1, -2) @ (sinv @ k)
+    return tuple(x.reshape(batch, -1, *s.shape[-2:]).mean(axis=1) for x in (sinv, bpt))
 
 
 def pointwise_bounds(field: CoefficientField, cube: TriadicCube | None = None):
     """Cube averages (avg s^{-1}, avg (s + k^T s^{-1} k)) of the cell data:
-    the diagonal blocks of the mean of ``pointwise_A_cells``."""
-    d = field.dim
-    avg = pointwise_A_cells(field, cube).reshape(-1, 2 * d, 2 * d).mean(axis=0)
-    return avg[d:, d:], avg[:d, :d]
+    the diagonal blocks of the cells' mean ``pointwise_A``, without forming it."""
+    sl = (cube or field.domain).slices
+    return tuple(x[0] for x in _cell_means(field.s_cells[sl], field.k_cells[sl], 1))
 
 
 @dataclass(frozen=True)
@@ -232,8 +241,7 @@ def coarse_grain_windows(fields: list, resolution: int = 1):
         pass
     A = condensed_A(top).reshape(B, 2 * d, 2 * d)
     blocks_from_A(A, d)         # raises on a degenerate lower block
-    avg = pointwise_A(s, k).reshape(B, -1, 2 * d, 2 * d).mean(axis=1)
-    return A, avg[:, d:, d:], avg[:, :d, :d]
+    return (A, *_cell_means(s, k, B))
 
 
 def coarse_grain_adjoint(field: CoefficientField, cube: TriadicCube | None = None,

@@ -8,8 +8,8 @@ cascade with unbounded contrast.
 
 That rule, with the cap ``COND_CAP`` on each cell's condition number, is a
 field's whole contract.  ``CoefficientField`` checks it when it is built
-(generator, ``load_field``, ``replace`` or a direct call) and is immutable,
-so the solvers take its cells as checked.
+(generator, ``load_field``, ``replace`` or a direct call), in closed form
+where it can, and is immutable, so the solvers take its cells as checked.
 """
 from __future__ import annotations
 
@@ -30,6 +30,34 @@ COND_CAP = 1e12
 
 class DegenerateCellError(ValueError):
     pass
+
+
+def adjugate(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(adj m, det m) of batched 2 x 2 or 3 x 3 matrices: m @ adj m = det m I."""
+    if m.shape[-1] == 2:
+        adj = np.stack([m[..., 1, 1], -m[..., 0, 1], -m[..., 1, 0], m[..., 0, 0]], -1)
+        adj = adj.reshape(m.shape)
+    else:
+        i, j = np.indices((3, 3))   # 3 x 3 cofactors are cyclic
+        a, b, c, e = (j + 1) % 3, (j + 2) % 3, (i + 1) % 3, (i + 2) % 3
+        adj = m[..., a, c] * m[..., b, e] - m[..., a, e] * m[..., b, c]
+    return adj, sum(m[..., 0, n] * adj[..., n, 0] for n in range(m.shape[-1]))
+
+
+def _certified(s: np.ndarray) -> np.ndarray:
+    """Cells certainly positive definite with condition number <= COND_CAP:
+    u = s / tr s, from the lower triangle that ``eigvalsh`` reads, is positive
+    definite iff tr u, tr adj u and det u are, and then cond u <= 1 / det u;
+    det u >= 1e3 / COND_CAP is a margin far beyond round-off."""
+    d = s.shape[-1]
+    tr = sum(s[..., i, i] for i in range(d))
+    with np.errstate(all="ignore"):     # a non-finite minor leaves the cell to eigvalsh
+        u = s / tr[..., None, None]
+        for i in range(1, d):
+            u[..., :i, i] = u[..., i, :i]
+        adj, det = adjugate(u)
+        return ((tr > 0) & (sum(adj[..., i, i] for i in range(d)) > 0)
+                & (det >= 1e3 / COND_CAP) & (det <= 1.0))
 
 
 class CascadeOverflowError(RuntimeError):
@@ -58,11 +86,11 @@ class CoefficientField:
         Skew-symmetric part.
 
     The constructor raises ``ValueError`` for a wrong shape, a non-symmetric
-    ``s`` or a non-skew ``k``, and ``DegenerateCellError`` for a NaN or
-    infinite entry, or a cell whose ``s`` is not positive definite or has
-    condition number above ``COND_CAP``.  It keeps read-only copies of both
-    arrays, so the caller's arrays stay writable and the field's cannot
-    change.
+    ``s`` or a non-skew ``k``, and ``DegenerateCellError``, naming the first
+    such cell, for a NaN or infinite entry or an ``s`` that is not positive
+    definite or has condition number above ``COND_CAP``.  It keeps read-only
+    copies of both arrays, so the caller's arrays stay writable and the
+    field's cannot change.
     """
 
     dim: int
@@ -79,21 +107,25 @@ class CoefficientField:
         s, k = (np.array(a, dtype=float) for a in (self.s_cells, self.k_cells))
         if s.shape != want or k.shape != want:
             raise ValueError(f"cell arrays must have shape {want}")
-        if not (np.isfinite(s).all() and np.isfinite(k).all()):
-            raise DegenerateCellError("cell data must be finite, got NaN or infinity")
+        grid, flat = want[:-2], s.reshape(-1, self.dim, self.dim)
+        finite = (np.isfinite(s) & np.isfinite(k)).all(axis=(-2, -1))
+        if not finite.all():
+            raise DegenerateCellError(f"cell {list(np.ndindex(grid))[np.argmax(~finite)]}"
+                                      " data must be finite, got NaN or infinity")
         sym_err = np.max(np.abs(s - np.swapaxes(s, -1, -2)))
         skw_err = np.max(np.abs(k + np.swapaxes(k, -1, -2)))
         if sym_err > 1e-12 or skw_err > 1e-12:
             raise ValueError(f"s must be symmetric (err {sym_err:.2e}) and k skew (err {skw_err:.2e})")
-        eigs = np.linalg.eigvalsh(s)
-        lo, hi = eigs.min(axis=-1), eigs.max(axis=-1)
-        if lo.min() <= 0.0:
-            raise DegenerateCellError(f"cell symmetric part not positive "
-                                      f"definite (min eig {lo.min():.3e})")
-        cond = (hi / lo).max()
-        if cond > COND_CAP:
-            raise DegenerateCellError(f"cell condition number {cond:.3e} "
-                                      f"exceeds cap {COND_CAP:.1e}")
+        rest = np.flatnonzero(~_certified(flat))   # eigvalsh decides these
+        lo, hi = np.linalg.eigvalsh(flat[rest])[:, [0, -1]].T
+        if (lo <= 0.0).any():
+            j = np.argmax(lo <= 0.0)
+            raise DegenerateCellError(f"cell {list(np.ndindex(grid))[rest[j]]} symmetric part"
+                                      f" not positive definite (min eig {lo[j]:.3e})")
+        if (hi / lo > COND_CAP).any():
+            j = np.argmax(hi / lo > COND_CAP)
+            raise DegenerateCellError(f"cell {list(np.ndindex(grid))[rest[j]]} condition"
+                                      f" number {hi[j] / lo[j]:.3e} exceeds cap {COND_CAP:.1e}")
         for name, cells in (("s_cells", s), ("k_cells", k)):
             cells.flags.writeable = False
             object.__setattr__(self, name, cells)

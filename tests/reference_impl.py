@@ -22,7 +22,10 @@ triplets and by recursing over the boxes.  ``cellwise_flux_load`` builds
 the load of cellwise data one element at a time, from the slopes of the
 hat functions.  ``forge_field_file`` writes the
 bad field files that the package can no longer build, for the tests of the
-load-time check.
+load-time check.  ``eigvalsh_cell_check`` and ``solve_inv_A_from_blocks``
+are the field check and the codec as LAPACK does them, one call per cell:
+the package certifies cells and inverts ``s_star`` in closed form, and
+these check it.
 """
 import dataclasses
 import hashlib
@@ -480,3 +483,30 @@ def verify_cg_inequalities(field, cube=None, p=None, q=None, n_trials=20,
     eq_res = abs(np.sqrt(max(2.0 * J, 0.0) * ev) - abs(p @ Fv - q @ gv))
     return {"dual_lower": float(slack1), "flux_upper": float(slack2),
             "cauchy_schwarz": float(slack3), "maximizer_equality": float(eq_res)}
+
+
+def eigvalsh_cell_check(s_cells, cap):
+    """The message of the field check's first failing cell, or None, from
+    each cell's eigenvalues alone: the first cell in C order whose least
+    eigenvalue is <= 0, else the first whose condition number exceeds cap."""
+    eigs = {idx: np.linalg.eigvalsh(s_cells[idx]) for idx in np.ndindex(s_cells.shape[:-2])}
+    for idx, e in eigs.items():
+        if e[0] <= 0.0:
+            return f"cell {idx} symmetric part not positive definite (min eig {e[0]:.3e})"
+    for idx, e in eigs.items():
+        if e[-1] / e[0] > cap:
+            return f"cell {idx} condition number {e[-1] / e[0]:.3e} exceeds cap {cap:.1e}"
+    return None
+
+
+def solve_inv_A_from_blocks(s, s_star, k):
+    """``coarsegrain.A_from_blocks`` by one LAPACK solve and one inverse per
+    matrix."""
+    d = s.shape[-1]
+    sinv_k = np.linalg.solve(s_star, k)
+    A = np.zeros(s.shape[:-2] + (2 * d, 2 * d))
+    A[..., :d, :d] = s + np.swapaxes(k, -1, -2) @ sinv_k
+    A[..., :d, d:] = -np.swapaxes(sinv_k, -1, -2)
+    A[..., d:, :d] = -sinv_k
+    A[..., d:, d:] = np.linalg.inv(s_star)
+    return A

@@ -11,7 +11,7 @@ from cghom.coarsegrain import (A_from_blocks, CoarseGrainedMatrices,
                                center_skew, coarse_grain_cube,
                                coarse_grain_windows, condensed_A,
                                hierarchy_sweep, jswap, loewner_chain,
-                               order_slacks, pointwise_A, pointwise_A_cells,
+                               order_slacks, pointwise_A,
                                pointwise_bounds, verify_adjoint,
                                verify_centering, verify_maximizer_averages,
                                verify_quadratic_response)
@@ -24,7 +24,7 @@ from cghom.triadic import TriadicCube
 from reference_impl import (brute_force_J, center_skew_transform, kkt_A,
                             kkt_maximizers, nodal_functionals,
                             order_slacks_loops, partition_offsets,
-                            verify_cg_inequalities)
+                            solve_inv_A_from_blocks, verify_cg_inequalities)
 
 
 def _random_spd_skew(rng, n=6, dim=2):
@@ -73,6 +73,54 @@ def test_pointwise_A_jswap_involution():
     Jsw = jswap(2)
     for i in range(6):
         assert np.allclose(Jsw @ np.linalg.inv(A[i]) @ Jsw, A[i], atol=1e-10)
+
+
+def _rel(got, want):
+    """Worst entry gap per matrix, relative to the matrix's largest entry."""
+    gap = np.abs(got - want).reshape(-1, want.shape[-1] ** 2).max(axis=-1)
+    return float((gap / np.abs(want).reshape(gap.shape[0], -1).max(axis=-1)).max())
+
+
+@pytest.mark.parametrize("dim, level", [(2, 3), (3, 2)])
+def test_closed_forms_match_the_lapack_oracle(dim, level):
+    # pointwise_A, the pointwise bounds and the codec against one solve and
+    # one inverse per cell: stock kinds, strong skew, axis-aligned anisotropic
+    # cells up to cond 1e10, and turned cells of cond 10
+    rng = np.random.default_rng(dim)
+    fields = [gen_named_field(kind, level=level, dim=dim, seed=3, **params)
+              for kind, params in (("checkerboard", {"low": 1e-3, "high": 1e3}),
+                                   ("laminate", {}), ("lognormal_iso", {"sigma": 2.0}),
+                                   ("skew_lognormal", {"sigma": 1.5, "kappa": 2.0}),
+                                   ("cascade_iso", {"sigma": 0.8}))]
+    cells = fields[0].s_cells.shape
+    eigs = 10.0 ** rng.uniform(-10, 0, size=cells[:-1])
+    eigs[..., -1] = 1.0
+    eigs *= 10.0 ** rng.uniform(-5, 5, size=cells[:-2] + (1,))
+    s = np.zeros(cells)
+    for i in range(dim):
+        s[..., i, i] = eigs[..., i]
+    k = fields[3].k_cells * np.sqrt(eigs.min(axis=-1) * eigs.max(axis=-1))[..., None, None]
+    q, _ = np.linalg.qr(rng.normal(size=cells))
+    turned = q @ np.diag(np.geomspace(1.0, 0.1, dim)) @ np.swapaxes(q, -1, -2)
+    fields.append(CoefficientField(dim, level, s, k))
+    fields.append(CoefficientField(dim, level, 0.5 * (turned + np.swapaxes(turned, -1, -2)), k))
+    for f in fields:
+        want = solve_inv_A_from_blocks(f.s_cells, f.s_cells, f.k_cells)
+        assert _rel(pointwise_A(f.s_cells, f.k_cells), want) <= 1e-14
+        mean = want.reshape(-1, 2 * dim, 2 * dim).mean(axis=0)
+        for got, block in zip(pointwise_bounds(f), (mean[dim:, dim:], mean[:dim, :dim])):
+            assert _rel(got, block) <= 1e-14
+    # turned cells of cond 1e6 lose digits as cond eps in any inverse; a 3 x 3
+    # adjugate would lose them as cond^2 eps (about 1e-5 here)
+    turned = q @ np.diag(np.geomspace(1.0, 1e-6, dim)) @ np.swapaxes(q, -1, -2)
+    turned = 0.5 * (turned + np.swapaxes(turned, -1, -2))
+    assert _rel(pointwise_A(turned, k), solve_inv_A_from_blocks(turned, turned, k)) <= 1e-8
+    # the codec on general blocks: s >= s_star, k not skew
+    s_star, _ = _random_spd_skew(rng, n=50, dim=dim)
+    gap, _ = _random_spd_skew(rng, n=50, dim=dim)
+    k_gen = rng.normal(size=(50, dim, dim))
+    assert _rel(A_from_blocks(s_star + gap, s_star, k_gen),
+                solve_inv_A_from_blocks(s_star + gap, s_star, k_gen)) <= 1e-14
 
 
 def test_constant_isotropic_J_formula():
@@ -219,7 +267,7 @@ def test_hierarchy_sweep_shapes_and_defects():
     assert mats.cube == cube
     assert np.allclose(mats.s_star, direct.s_star, atol=1e-12)
     # cell scale equals the closed form
-    assert np.allclose(cache.A_by_scale[0], pointwise_A_cells(field))
+    assert np.allclose(cache.A_by_scale[0], pointwise_A(field.s_cells, field.k_cells))
 
 
 def test_order_slacks_are_computed_once_per_cache(monkeypatch):

@@ -4,13 +4,14 @@ import pickle
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cghom import fields
 from cghom.fields import (CascadeOverflowError, CascadeSpec, CoefficientField,
                           DegenerateCellError, gen_cascade_field,
                           gen_cascade_layer, gen_named_field, load_field,
                           save_field)
-from reference_impl import forge_field_file
+from reference_impl import eigvalsh_cell_check, forge_field_file
 
 
 def test_seed_determinism():
@@ -149,11 +150,11 @@ def test_validate_flags_nonsymmetric_s():
         build(k_cells=bent(k, (0, 1), 0.5))
     for cells in ({"s_cells": bent(s, (0, 0), np.nan)},
                   {"k_cells": bent(k, (0, 1), np.inf)}):
-        with pytest.raises(DegenerateCellError, match="must be finite"):
+        with pytest.raises(DegenerateCellError, match=r"cell \(1, 2\) data must be finite"):
             build(**cells)
-    with pytest.raises(DegenerateCellError, match="not positive definite"):
+    with pytest.raises(DegenerateCellError, match=r"cell \(1, 2\) symmetric part not positive definite"):
         build(s_cells=bent(s, (0, 0), -1.0))
-    with pytest.raises(DegenerateCellError, match="exceeds cap"):
+    with pytest.raises(DegenerateCellError, match=r"cell \(1, 2\) condition number .* exceeds cap"):
         build(s_cells=bent(s, (1, 1), 1e13))
     f = build()
     # the field's arrays are read-only copies; the caller's stay writable
@@ -222,5 +223,98 @@ def test_load_rejects_invalid_cells(tmp_path):
     for i, (message, part, entry, shift) in enumerate(cases):
         path = save_field(f, tmp_path / f"bad{i}.cghf")
         forge_field_file(path, part, (4, 4) + entry, shift)
-        with pytest.raises(ValueError, match=message):
+        with pytest.raises(ValueError, match=message) as err:
             load_field(path)
+        # each cell error names the forged cell, the first that fails
+        if err.type is DegenerateCellError:
+            assert str(err.value).startswith("cell (4, 4) ")
+    # of two failing cells, the first in C order is named
+    path = save_field(f, tmp_path / "two.cghf")
+    forge_field_file(path, "s", (5, 1, 0, 0), -10.0)
+    forge_field_file(path, "s", (2, 7, 1, 1), -10.0)
+    with pytest.raises(DegenerateCellError, match=r"^cell \(2, 7\) symmetric part"):
+        load_field(path)
+
+
+def _field_message(s_cells):
+    """The field check's message on these cells (k = 0), or None."""
+    dim = s_cells.shape[-1]
+    level = round(np.log(s_cells.shape[0]) / np.log(3))
+    try:
+        CoefficientField(dim=dim, level=level, s_cells=s_cells,
+                         k_cells=np.zeros_like(s_cells))
+    except DegenerateCellError as err:
+        return str(err)
+    return None
+
+
+def _rotated(eigs, seed):
+    """A symmetric matrix with these eigenvalues, turned by a random rotation."""
+    q, _ = np.linalg.qr(np.random.default_rng(seed).normal(size=(len(eigs),) * 2))
+    s = q @ np.diag(eigs) @ q.T
+    return 0.5 * (s + s.T)
+
+
+@pytest.mark.parametrize("dim, level", [(2, 3), (3, 2)])
+def test_cell_check_certifies_the_stock_kinds(dim, level):
+    # every stock cell is settled in closed form, so eigvalsh never runs on
+    # them, and the eigenvalue oracle accepts each field the check builds
+    kinds = [("constant", {}), ("checkerboard", {"low": 1e-3, "high": 1e3}),
+             ("laminate", {}), ("lognormal_iso", {"sigma": 2.0}),
+             ("skew_lognormal", {"sigma": 1.5, "kappa": 2.0}),
+             ("cascade_iso", {"sigma": 0.8})]
+    for kind, params in kinds:
+        f = gen_named_field(kind, level=level, dim=dim, seed=5, **params)
+        assert fields._certified(f.s_cells).all(), kind
+        assert eigvalsh_cell_check(f.s_cells, fields.COND_CAP) is None
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_anisotropic_cells_get_the_eigvalsh_decision(dim):
+    # axis-aligned and turned anisotropic cells from cond 1 to 1e14: the
+    # certificate settles only cells far inside the cap, and the decision and
+    # message on every field are the eigenvalue oracle's
+    rng = np.random.default_rng(dim)
+    for cond in (1.0, 1e3, 1e6, 1e8, 1e9, 1e10, 1e11, 1e12, 1e13, 1e14):
+        eigs = np.geomspace(1.0, 1.0 / cond, dim) * 10.0 ** rng.uniform(-5, 5)
+        for cell in (np.diag(eigs), _rotated(eigs, int(cond) % 997)):
+            s = np.broadcast_to(np.eye(dim), (3,) * dim + (dim, dim)).copy()
+            s[(1,) * dim] = cell
+            assert _field_message(s) == eigvalsh_cell_check(s, fields.COND_CAP)
+            if fields._certified(cell):
+                assert cond <= 1e9
+
+
+def test_uncertified_cells_are_decided_by_eigvalsh():
+    # cond 1e11 is inside the cap but outside the certificate's margin, so
+    # only the eigenvalue fallback can accept it; cond 1e13 it must reject,
+    # with the first failing cell named
+    for cond, message in ((1e11, None),
+                          (1e13, "cell (0, 2) condition number 1.000e+13 exceeds cap 1.0e+12")):
+        s = np.broadcast_to(np.eye(2), (3, 3, 2, 2)).copy()
+        s[0, 2] = s[2, 0] = np.diag([1.0, 1.0 / cond])
+        assert not fields._certified(s[0, 2])
+        assert _field_message(s) == message
+
+
+@settings(max_examples=150, deadline=None)
+@given(dim=st.sampled_from([2, 3]),
+       edge=st.sampled_from(["zero", "cap", "margin"]),
+       ulps=st.integers(-64, 64), turned=st.booleans(),
+       scale=st.floats(-30, 30), seed=st.integers(0, 2 ** 32 - 1))
+def test_cells_at_the_thresholds_get_the_eigvalsh_decision(dim, edge, ulps, turned,
+                                                           scale, seed):
+    # cells within round-off of least eigenvalue 0, of cond = COND_CAP, and
+    # of the certificate's own margin (cond near 1e9), placed in a field of
+    # well-conditioned cells: same decision and message as the oracle
+    rng = np.random.default_rng(seed)
+    eps = np.finfo(float).eps
+    least = {"zero": ulps * eps,
+             "cap": (1.0 + ulps * eps) / fields.COND_CAP,
+             "margin": 10.0 ** rng.uniform(-9.5, -8.5) * (1.0 + ulps * eps)}[edge]
+    eigs = np.concatenate([[1.0], rng.uniform(least, 1.0, dim - 2), [least]])
+    eigs *= 10.0 ** scale
+    cell = _rotated(eigs, seed) if turned else np.diag(eigs)
+    s = np.broadcast_to(np.eye(dim) * 10.0 ** scale, (3,) * dim + (dim, dim)).copy()
+    s[tuple(rng.integers(0, 3, dim))] = cell
+    assert _field_message(s) == eigvalsh_cell_check(s, fields.COND_CAP)
