@@ -13,7 +13,9 @@ where it can, and is immutable, so the solvers take its cells as checked.
 """
 from __future__ import annotations
 
+import functools
 import hashlib
+import itertools
 import json
 import struct
 from dataclasses import dataclass, field as dc_field
@@ -42,6 +44,22 @@ def adjugate(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         a, b, c, e = (j + 1) % 3, (j + 2) % 3, (i + 1) % 3, (i + 2) % 3
         adj = m[..., a, c] * m[..., b, e] - m[..., a, e] * m[..., b, c]
     return adj, sum(m[..., 0, n] * adj[..., n, 0] for n in range(m.shape[-1]))
+
+
+def _asymmetric(s: np.ndarray, k: np.ndarray) -> np.ndarray:
+    """Cells whose s is not symmetric, or k not skew, to 1e-12 of the cell's
+    own scale: its largest |s| entry for s, its largest entry of s or k for
+    k.  Maxima over a cell's entries are taken one entry at a time, as a
+    reduction over each cell's few entries is slow."""
+    entries = list(itertools.product(range(s.shape[-1]), repeat=2))
+
+    def cell_max(entry):
+        return functools.reduce(np.maximum, (np.abs(entry(i, j)) for i, j in entries))
+
+    s_max = cell_max(lambda i, j: s[..., i, j])
+    bad = cell_max(lambda i, j: s[..., i, j] - s[..., j, i]) > 1e-12 * s_max
+    scale = np.maximum(s_max, cell_max(lambda i, j: k[..., i, j]))
+    return bad | (cell_max(lambda i, j: k[..., i, j] + k[..., j, i]) > 1e-12 * scale)
 
 
 def _certified(s: np.ndarray) -> np.ndarray:
@@ -85,12 +103,13 @@ class CoefficientField:
     k_cells : array, same shape
         Skew-symmetric part.
 
-    The constructor raises ``ValueError`` for a wrong shape, a non-symmetric
-    ``s`` or a non-skew ``k``, and ``DegenerateCellError``, naming the first
-    such cell, for a NaN or infinite entry or an ``s`` that is not positive
-    definite or has condition number above ``COND_CAP``.  It keeps read-only
-    copies of both arrays, so the caller's arrays stay writable and the
-    field's cannot change.
+    The constructor raises ``ValueError`` for a wrong shape, and, naming the
+    first such cell, ``ValueError`` for an ``s`` that is not symmetric or a
+    ``k`` that is not skew (to 1e-12 of that cell's largest entry) and
+    ``DegenerateCellError`` for a NaN or infinite entry or an ``s`` that is
+    not positive definite or has condition number above ``COND_CAP``.  It
+    keeps read-only copies of both arrays, so the caller's arrays stay
+    writable and the field's cannot change.
     """
 
     dim: int
@@ -112,10 +131,15 @@ class CoefficientField:
         if not finite.all():
             raise DegenerateCellError(f"cell {list(np.ndindex(grid))[np.argmax(~finite)]}"
                                       " data must be finite, got NaN or infinity")
-        sym_err = np.max(np.abs(s - np.swapaxes(s, -1, -2)))
-        skw_err = np.max(np.abs(k + np.swapaxes(k, -1, -2)))
-        if sym_err > 1e-12 or skw_err > 1e-12:
-            raise ValueError(f"s must be symmetric (err {sym_err:.2e}) and k skew (err {skw_err:.2e})")
+        k_flat = k.reshape(flat.shape)
+        bad = _asymmetric(flat, k_flat)
+        if bad.any():
+            j = np.argmax(bad)
+            sj, kj = flat[j], k_flat[j]
+            raise ValueError(f"cell {list(np.ndindex(grid))[j]} s must be symmetric and k skew"
+                             f" to 1e-12 of the cell's scale: |s - s^T| {np.abs(sj - sj.T).max():.2e},"
+                             f" |k + k^T| {np.abs(kj + kj.T).max():.2e}, max |s| {np.abs(sj).max():.2e},"
+                             f" max |k| {np.abs(kj).max():.2e}")
         rest = np.flatnonzero(~_certified(flat))   # eigvalsh decides these
         lo, hi = np.linalg.eigvalsh(flat[rest])[:, [0, -1]].T
         if (lo <= 0.0).any():

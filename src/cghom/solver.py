@@ -34,15 +34,18 @@ the energy of u is u^T K u, the cube mean of a Q1 function is the mean of its
 element corner values, and the average flux is the mean of the cell fluxes.
 Both solves take their loads from ``quadrature_flux_rhs`` and go through one
 factor-and-solve, ``_solve``: one SuperLU per operator of K on the free nodes
-in a nested-dissection order, and one 1e-9 residual check.  SciPy is imported
-only there and in ``assemble``, so the trace path, and every command that
+in a nested-dissection order, and one 1e-9 residual check.  That block is
+gathered from K's data straight into CSC, through a map and pattern cached
+per grid shape and order (``_free_block``), and it is the one matrix the
+operator keeps beside its LU.  SciPy is imported only in ``assemble``,
+``_free_block`` and ``_solve``, so the trace path, and every command that
 solves no nodal system, never loads it.  The index arrays of assembly and of
-that order are built once per grid shape without sorting: K's CSR pattern in
-closed form from each node's 3^d stencil neighbours, and the order by a
-recursion memoized per box shape.  Every functional here sees only
-gradients, so the additive constant is fixed by pinning node 0 (a corner,
-hence a boundary node) to zero and removing it from the system; a Neumann
-solution is then shifted to zero mean.
+that order are int32, built once per grid shape without sorting: K's CSR
+pattern in closed form from each node's 3^d stencil neighbours, one axis at
+a time, and the order by a recursion memoized per box shape.  Every
+functional here sees only gradients, so the additive constant is fixed by
+pinning node 0 (a corner, hence a boundary node) to zero and removing it
+from the system; a Neumann solution is then shifted to zero mean.
 """
 from __future__ import annotations
 
@@ -170,7 +173,7 @@ class AssembledOperator:
     # |K_ff u_f - r| / (|r| + 1) of the last nodal solve, the quantity
     # ``_solve`` checks against its tolerance
     residual: float = float("nan")
-    # free nodes' bytes -> (K on them, its LU), filled by ``_solve``
+    # free nodes' bytes -> (K on them in CSC, its LU), filled by ``_solve``
     _lu: dict = dc_field(default_factory=dict, init=False, repr=False)
 
     @property
@@ -183,6 +186,7 @@ class AssembledOperator:
 
 
 _GRID_SHAPES: dict = {}
+_FREE_BLOCKS: dict = {}
 
 
 def _grid_shape(dim: int, npa: int):
@@ -196,28 +200,62 @@ def _grid_shape(dim: int, npa: int):
     {-1, 0, 1}^dim that stays on the grid (each such pair shares an
     element), and offsets in C order are columns in ascending order, so a
     triplet's slot is its row's start plus the rank of its offset among the
-    row's.  Read-only indices, built once per (dim, nodes_per_axis).
+    row's.  Per axis, an offset's rank among the 2 or 3 that stay on the grid
+    and their count are a table over the coordinate, and the row's rank is
+    the mixed-radix number of those digits, so every array is built one axis
+    at a time from 1D tables.  Read-only int32 indices, built once per
+    (dim, nodes_per_axis); a grid whose pattern would reach 2^31 entries is
+    refused before anything is allocated.
     """
     key = (dim, npa)
     if key not in _GRID_SHAPES:
+        mE, nnz = npa - 1, (3 * npa - 2) ** dim
+        if nnz >= 2 ** 31:
+            raise ValueError(f"the stiffness of a {npa}^{dim} node grid has "
+                             f"{3 * npa - 2}^{dim} = {nnz} entries; int32 indices "
+                             "address fewer than 2^31")
         locs = reference_tensors(dim)[0]
-        mE, N = npa - 1, npa ** dim
-        corners = np.indices((mE,) * dim).reshape(dim, -1)
-        gid = np.stack([np.ravel_multi_index(corners + li[:, None], (npa,) * dim)
-                        for li in locs], axis=1)
-        coords = np.indices((npa,) * dim).reshape(dim, N)
-        offsets = np.indices((3,) * dim).reshape(dim, -1) - 1
-        nbr = coords[:, :, None] + offsets[:, None, :]     # (dim, N, 3^dim)
-        on_grid = np.all((nbr >= 0) & (nbr <= mE), axis=0)
-        place = np.cumsum(on_grid.ravel()).reshape(N, -1) - 1
-        # the offset locs[j] - locs[i] of each (i, j), as an index into 3^dim
-        rel = (locs[None, :, :] - locs[:, None, :] + 1) @ 3 ** np.arange(dim)[::-1]
-        slot = place[gid[:, :, None], rel].ravel()
-        indptr = np.concatenate([[0], np.cumsum(on_grid.sum(axis=1))])
-        cols = np.arange(N)[:, None] + npa ** np.arange(dim)[::-1] @ offsets
-        inner = np.all((coords > 0) & (coords < mE), axis=0)
-        arrays = (gid, np.nonzero(inner)[0], np.nonzero(~inner)[0],
-                  indptr.astype(np.int32), cols[on_grid].astype(np.int32), slot)
+
+        def along(vec, ax):     # axis 0 of vec laid along axis ax of the grid
+            return vec.reshape(vec.shape[:1] + (1,) * (dim - 1 - ax) + vec.shape[1:])
+
+        # per axis and coordinate: which offsets -1, 0, 1 stay on the grid,
+        # the rank of each among those, and their count
+        valid = np.add.outer(np.arange(npa), np.arange(-1, 2))
+        valid = (valid >= 0) & (valid <= mE)
+        rank = np.cumsum(valid, axis=1, dtype=np.int32) - 1
+        count = valid.sum(axis=1, dtype=np.int32)
+        indptr = np.zeros(npa ** dim + 1, np.int32)
+        np.cumsum(functools.reduce(np.multiply, [along(count, a) for a in range(dim)]),
+                  out=indptr[1:])
+        start = indptr[:-1].reshape((npa,) * dim)
+
+        def position(box, offsets):
+            """Where in the data each row of a box of the grid holds each
+            column offsets[:, t]: box shape + (t,)."""
+            digits = 0
+            for a, at in enumerate(box):
+                digits = (digits * along(count[at, None], a)
+                          + along(rank[at][:, offsets[a] + 1], a))
+            return start[box][..., None] + digits
+
+        ids = np.arange(npa ** dim, dtype=np.int32).reshape((npa,) * dim)
+        indices = np.empty(nnz, np.int32)
+        for o in itertools.product((-1, 0, 1), repeat=dim):
+            rows = tuple(slice(max(0, -c), npa - max(0, c)) for c in o)
+            cols = tuple(slice(max(0, c), npa + min(0, c)) for c in o)
+            indices[position(rows, np.array(o)[:, None])[..., 0]] = ids[cols]
+        corner = [tuple(slice(c, c + mE) for c in li) for li in locs]
+        gid = np.stack([ids[at] for at in corner], axis=-1)
+        slot = np.empty((mE,) * dim + (len(locs),) * 2, np.int32)
+        for i, li in enumerate(locs):
+            slot[..., i, :] = position(corner[i], (locs - li).T)
+        # interior nodes: all three offsets stay on the grid along every axis
+        inner = functools.reduce(np.logical_and, [along(count == 3, a) for a in range(dim)])
+        inner = np.broadcast_to(inner, (npa,) * dim).ravel()
+        arrays = (gid.reshape(-1, len(locs)), np.flatnonzero(inner).astype(np.int32),
+                  np.flatnonzero(~inner).astype(np.int32), indptr, indices,
+                  slot.reshape(-1))
         for arr in arrays:
             arr.flags.writeable = False
         _GRID_SHAPES[key] = arrays
@@ -275,10 +313,10 @@ def _nd_order(shape: tuple) -> np.ndarray:
     halves come first, each ordered the same way, then the plane.  A Q1
     element spans one grid step, so the plane separates the halves and the
     LU fills only within the separators (George, SIAM J. Numer. Anal. 10,
-    1973).  Boxes of at most 16 nodes keep C order.  Read-only indices,
-    built once per shape, the halves' orders too.
+    1973).  Boxes of at most 16 nodes keep C order.  Read-only int32
+    indices, built once per shape, the halves' orders too.
     """
-    ids = np.arange(int(np.prod(shape))).reshape(shape)
+    ids = np.arange(int(np.prod(shape)), dtype=np.int32).reshape(shape)
     if ids.size <= 16:
         order = ids.ravel()
     else:
@@ -560,18 +598,46 @@ def trace_loads(traces: BoundaryTraces):
     return V, LV, J, 0.5 * vQv / traces.vol
 
 
+def _free_block(dim: int, npa: int, free: np.ndarray):
+    """The CSC pattern of K on the ``free`` nodes of an npa^dim node grid, in
+    that order, and where each of its entries lies in K's CSR data.
+
+    Returns (take, indptr, indices), so that ``K.data[take]`` with
+    ``indptr`` and ``indices`` is ``K[free][:, free].tocsc()``: columns in
+    the order given, rows ascending within each.  Every operator on the grid
+    has the same pattern, so this is that indexing done once, on a matrix
+    whose entries are their own positions in the data.  Read-only int32
+    indices, built once per grid shape and order.
+    """
+    key = (dim, npa, free.tobytes())
+    if key not in _FREE_BLOCKS:
+        import scipy.sparse as sp
+        K_indptr, K_indices = _grid_shape(dim, npa)[3:5]
+        positions = sp.csr_matrix((np.arange(len(K_indices), dtype=np.int32),
+                                   K_indices, K_indptr), shape=(npa ** dim,) * 2)
+        block = positions[free][:, free].tocsc()
+        arrays = (block.data, block.indptr, block.indices)
+        for arr in arrays:
+            arr.flags.writeable = False
+        _FREE_BLOCKS[key] = arrays
+    return _FREE_BLOCKS[key]
+
+
 def _solve(op: AssembledOperator, free: np.ndarray, u: np.ndarray,
            load: np.ndarray | None) -> np.ndarray:
     """Fill in u at the ``free`` nodes so that (K u)_i = load_i (zero if not
     given) there, and return it.  K on the free nodes, in the order given, is
-    factored once per operator and order (``op._lu``) by SuperLU with no
-    further column permutation.  The residual relative to |r| + 1 is kept as
-    ``op.residual`` and must not exceed 1e-9."""
+    gathered from K's data into CSC (``_free_block``) and factored once per
+    operator and order (``op._lu``) by SuperLU with no further column
+    permutation; that one matrix also serves the residual, which, relative to
+    |r| + 1, is kept as ``op.residual`` and must not exceed 1e-9."""
     key = free.tobytes()
     if key not in op._lu:
+        import scipy.sparse as sp
         from scipy.sparse.linalg import splu
-        K_ff = op.K[free][:, free]
-        op._lu[key] = (K_ff, splu(K_ff.tocsc(), permc_spec="NATURAL"))
+        take, indptr, indices = _free_block(op.dim, op.nodes_per_axis, free)
+        K_ff = sp.csc_matrix((op.K.data[take], indices, indptr), shape=(len(free),) * 2)
+        op._lu[key] = (K_ff, splu(K_ff, permc_spec="NATURAL"))
     K_ff, lu = op._lu[key]
     r = -(op.K @ u)[free]
     if load is not None:

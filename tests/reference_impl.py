@@ -324,7 +324,7 @@ def default_order_neumann(op, load):
 def sorted_grid_shape(dim, npa):
     """Assembly indices of an npa^dim node grid, the CSR pattern found by
     sorting: (gid, interior, boundary, indptr, indices, slot) as the package's
-    ``solver._grid_shape`` returns them, from ``np.unique`` over every
+    ``solver._grid_shape`` returns them (int32), from ``np.unique`` over every
     (element, i, j) triplet's key row * N + col."""
     locs = np.array(list(itertools.product((0, 1), repeat=dim)))
     mE, N = npa - 1, npa ** dim
@@ -337,14 +337,15 @@ def sorted_grid_shape(dim, npa):
     indptr = np.searchsorted(keys, np.arange(N + 1) * N)
     coords = np.indices((npa,) * dim).reshape(dim, N)
     inner = np.all((coords > 0) & (coords < mE), axis=0)
-    return (gid, np.nonzero(inner)[0], np.nonzero(~inner)[0],
-            indptr.astype(np.int32), (keys % N).astype(np.int32), slot.ravel())
+    return tuple(arr.astype(np.int32) for arr in (
+        gid, np.nonzero(inner)[0], np.nonzero(~inner)[0], indptr, keys % N,
+        slot.ravel()))
 
 
 def recursive_nd_order(dim, m):
     """Nested-dissection order of an m^dim node grid by direct recursion:
     halves of the longest axis first, then its middle node plane; boxes of
-    at most 16 nodes in C order."""
+    at most 16 nodes in C order; int32 node ids, as ``solver._nd_order``."""
     parts = []
 
     def split(box):
@@ -358,7 +359,7 @@ def recursive_nd_order(dim, m):
         split(box[cut + (slice(mid + 1, None),)])
         parts.append(box[cut + (mid,)].ravel())
 
-    split(np.arange(m ** dim).reshape((m,) * dim))
+    split(np.arange(m ** dim, dtype=np.int32).reshape((m,) * dim))
     return np.concatenate(parts)
 
 

@@ -144,10 +144,22 @@ def test_validate_flags_nonsymmetric_s():
 
     with pytest.raises(ValueError, match="must have shape"):
         build(s_cells=s[:2])
-    with pytest.raises(ValueError, match="s must be symmetric"):
+    with pytest.raises(ValueError, match=r"cell \(1, 2\) s must be symmetric"):
         build(s_cells=bent(s, (0, 1), 0.5))
-    with pytest.raises(ValueError, match="k skew"):
+    with pytest.raises(ValueError, match=r"cell \(1, 2\) .* k skew .* \|k \+ k\^T\| 5\.00e-01"):
         build(k_cells=bent(k, (0, 1), 0.5))
+    # each cell to 1e-12 of its own scale: s = 1e-10 I with s[0, 1] = 9e-13
+    # is 1 % asymmetric, though within an absolute 1e-12
+    with pytest.raises(ValueError, match=r"cell \(1, 2\) s must be symmetric .* \|s - s\^T\| 9\.00e-13"):
+        build(s_cells=bent(1e-10 * s, (0, 1), 9e-13))
+    with pytest.raises(ValueError, match=r"cell \(1, 2\) .* k skew"):
+        build(s_cells=1e-10 * s, k_cells=bent(1e-10 * k, (0, 1), 1e-20))
+    # and a stock field at any scale keeps its cells
+    stock = gen_named_field("skew_lognormal", level=2, seed=9, sigma=0.5, kappa=0.8)
+    for scale in (1e-10, 1e10):
+        f = CoefficientField(dim=2, level=2, s_cells=scale * stock.s_cells,
+                             k_cells=scale * stock.k_cells)
+        assert np.array_equal(f.s_cells, scale * stock.s_cells)
     for cells in ({"s_cells": bent(s, (0, 0), np.nan)},
                   {"k_cells": bent(k, (0, 1), np.inf)}):
         with pytest.raises(DegenerateCellError, match=r"cell \(1, 2\) data must be finite"):

@@ -1,5 +1,6 @@
 """Assembly and solve layer: element integrals, boundary problems, averages."""
 import itertools
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -380,15 +381,60 @@ def test_grid_indices_match_sorting_and_recursion(dim, npa):
         assert got.dtype == want.dtype and np.array_equal(got, want)
 
 
+def test_grid_shape_of_244_squared_nodes_stays_small_while_built():
+    # the n = 5 Dirichlet window's node grid, its indices built one axis at
+    # a time
+    cached = solver._GRID_SHAPES.pop((2, 244), None)
+    tracemalloc.start()
+    try:
+        arrays = solver._grid_shape(2, 244)
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+        if cached is not None:
+            solver._GRID_SHAPES[(2, 244)] = cached
+    assert sum(arr.nbytes for arr in arrays) <= held <= 8 * 2 ** 20
+    assert peak <= 12 * 2 ** 20
+
+
+def test_grid_shape_refuses_a_pattern_beyond_int32_before_allocating():
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match=r"59998\^2 = .* int32"):
+            solver._grid_shape(2, 20_000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 ** 20 and (2, 20_000) not in solver._GRID_SHAPES
+
+
+def _gathered_block(op, order):
+    """The one cached matrix of ``op``'s solve in ``order``: CSC, equal in
+    pattern and values to K[order][:, order], its pattern the one cached per
+    grid shape and order, so the operator holds only its values."""
+    [(key, (K_ff, lu))] = op._lu.items()
+    assert np.array_equal(np.frombuffer(key, dtype=np.int32), order)
+    want = op.K[order][:, order].tocsc()
+    assert K_ff.format == "csc"
+    for name in ("indptr", "indices", "data"):
+        got = getattr(K_ff, name)
+        assert got.dtype == getattr(want, name).dtype
+        assert np.array_equal(got, getattr(want, name))
+    take, indptr, indices = solver._free_block(op.dim, op.nodes_per_axis, order)
+    assert np.shares_memory(K_ff.indptr, indptr)
+    assert np.shares_memory(K_ff.indices, indices)
+    assert np.array_equal(K_ff.data, op.K.data[take])
+    assert not sp.issparse(lu)
+
+
 def test_interior_order_is_a_permutation_of_the_interior():
     field = gen_named_field("checkerboard", level=2, seed=19)
     op = assemble(field)
     u = solve_dirichlet(op, np.ones(len(op.boundary)))
-    [(key, (K_II, _))] = op._lu.items()
-    order = np.frombuffer(key, dtype=op.interior.dtype)
-    assert np.array_equal(order, op.interior[solver._nd_order((8, 8))])
+    order = op.interior[solver._nd_order((8, 8))]
+    assert order.dtype == np.int32
     assert np.array_equal(np.sort(order), op.interior)
-    assert (K_II != op.K[order][:, order]).nnz == 0
+    _gathered_block(op, order)
     assert np.allclose(u, 1.0, atol=1e-12)
     solve_dirichlet(op, np.zeros(len(op.boundary)))
     assert len(op._lu) == 1                 # factored once per operator
@@ -437,6 +483,8 @@ def test_residual_check_reads_the_neumann_solve():
     rng = np.random.default_rng(8)
     f = rng.normal(size=(9, 9, 2))
     solve_neumann(op, f)
+    order = solver._nd_order((10, 10))
+    _gathered_block(op, order[order != 0])
     set_eps = _off_by(op, rng.normal(size=op.N - 1))
     set_eps(1e-12)
     u = solve_neumann(op, f)
