@@ -185,7 +185,7 @@ def apply_overrides(config: dict, assignments: list[str]) -> dict:
 # The last axis step of a 3D level-3 merge is a dense boundary problem on
 # 5,728 union nodes; one such cube condenses in 5.5 s at a 988 MB peak RSS
 # (one BLAS thread, 2-core Xeon VM), too much per sample or seed.  Raising
-# the cap waits on a lower peak (ROADMAP item 4).
+# the cap waits on a lower peak (ROADMAP item 7).
 MAX_LEVEL_3D = 2
 # the setting that gives the level of the largest cube a command coarse-grains
 _LEVEL_KEYS = {"coarsegrain": "field.level", "ellipticity": "field.level",

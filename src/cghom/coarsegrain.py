@@ -481,8 +481,14 @@ class HierarchyCache:
         return sorted(self.A_by_scale)
 
     def A_at(self, k: int, z: tuple) -> np.ndarray:
-        idx = tuple((int(o) - b) // 3 ** k for o, b in zip(z, self.base_offset))
-        return self.A_by_scale[k][idx]
+        """The matrix of the scale-k cube at offset z, in the field's cells;
+        z must be one of the swept domain's scale-k partition cubes."""
+        A = self.A_by_scale[k]
+        idx, rem = zip(*(divmod(int(o) - b, 3 ** k) for o, b in zip(z, self.base_offset)))
+        if len(z) != self.dim or any(rem) or not all(0 <= i < n for i, n in zip(idx, A.shape)):
+            raise ValueError(f"offset {tuple(z)} is not a scale-{k} cube of the swept "
+                             f"domain, the level-{self.top_level} cube at {self.base_offset}")
+        return A[idx]
 
     def matrices_at(self, k: int, z: tuple) -> CoarseGrainedMatrices:
         cube = TriadicCube(level=k, offset=tuple(int(o) for o in z), dim=self.dim)

@@ -33,19 +33,21 @@ problems.  It holds K alone, and the nodal readers use the same identities:
 the energy of u is u^T K u, the cube mean of a Q1 function is the mean of its
 element corner values, and the average flux is the mean of the cell fluxes.
 Both solves take their loads from ``quadrature_flux_rhs`` and go through one
-factor-and-solve, ``_solve``: one SuperLU per operator of K on the free nodes
-in a nested-dissection order, and one 1e-9 residual check.  That block is
-gathered from K's data straight into CSC, through a map and pattern cached
-per grid shape and order (``_free_block``), and it is the one matrix the
-operator keeps beside its LU.  SciPy is imported only in ``assemble``,
-``_free_block`` and ``_solve``, so the trace path, and every command that
-solves no nodal system, never loads it.  The index arrays of assembly and of
-that order are int32, built once per grid shape without sorting: K's CSR
-pattern in closed form from each node's 3^d stencil neighbours, one axis at
-a time, and the order by a recursion memoized per box shape.  Every
-functional here sees only gradients, so the additive constant is fixed by
-pinning node 0 (a corner, hence a boundary node) to zero and removing it
-from the system; a Neumann solution is then shifted to zero mean.
+factor-and-solve, ``_solve``: one SuperLU per operator and problem of K on
+the problem's free nodes in a nested-dissection order, and one 1e-9
+residual check.  That block is gathered from K's data straight into CSC,
+through the free nodes, map and pattern cached per grid shape and problem
+(``_free_system``), and it is the one matrix the operator keeps beside its
+LU.  SciPy is imported only in ``assemble``, ``_free_system`` and
+``_solve``, so the trace path, and every command that solves no nodal
+system, never loads it.  Every per-shape table here is a ``functools.cache``
+function of its shape.  The index arrays of assembly and of that order are
+int32, built once per grid shape without sorting: K's CSR pattern in closed
+form from each node's 3^d stencil neighbours, one axis at a time, and the
+order by a recursion memoized per box shape.  Every functional here sees
+only gradients, so the additive constant is fixed by pinning node 0 (a
+corner, hence a boundary node) to zero and removing it from the system; a
+Neumann solution is then shifted to zero mean.
 """
 from __future__ import annotations
 
@@ -126,6 +128,7 @@ def worker_map(workers: int):
             fn, jobs, chunksize=max(1, len(jobs) // (4 * workers))))
 
 
+@functools.cache
 def reference_tensors(dim: int):
     """Exact unit-element integrals of Q1 shape-function products.
 
@@ -133,26 +136,21 @@ def reference_tensors(dim: int):
     tensor of  int d_a phi_i  d_b phi_j  and the (dim,2^d) tensor of
     int d_a phi_i.
     """
-    if dim not in _REF_CACHE:
-        mass = np.array([[1 / 3, 1 / 6], [1 / 6, 1 / 3]])
-        stif = np.array([[1.0, -1.0], [-1.0, 1.0]])
-        grad = np.array([[-0.5, -0.5], [0.5, 0.5]])  # int l_i' l_j
-        dint = np.array([-1.0, 1.0])
-        oint = np.array([0.5, 0.5])
-        locs = np.array(list(itertools.product((0, 1), repeat=dim)), dtype=int)
+    mass = np.array([[1 / 3, 1 / 6], [1 / 6, 1 / 3]])
+    stif = np.array([[1.0, -1.0], [-1.0, 1.0]])
+    grad = np.array([[-0.5, -0.5], [0.5, 0.5]])  # int l_i' l_j
+    dint = np.array([-1.0, 1.0])
+    oint = np.array([0.5, 0.5])
+    locs = np.array(list(itertools.product((0, 1), repeat=dim)), dtype=int)
 
-        def kron(factor):       # product over the axes, corners in C order
-            return functools.reduce(np.kron, [factor(ax) for ax in range(dim)])
+    def kron(factor):       # product over the axes, corners in C order
+        return functools.reduce(np.kron, [factor(ax) for ax in range(dim)])
 
-        EK = np.array([[kron(lambda ax: stif if ax == a == b else grad if ax == a
-                             else grad.T if ax == b else mass)
-                        for b in range(dim)] for a in range(dim)])
-        EG = np.array([kron(lambda ax: dint if ax == a else oint) for a in range(dim)])
-        _REF_CACHE[dim] = (locs, EK, EG)
-    return _REF_CACHE[dim]
-
-
-_REF_CACHE: dict = {}
+    EK = np.array([[kron(lambda ax: stif if ax == a == b else grad if ax == a
+                         else grad.T if ax == b else mass)
+                    for b in range(dim)] for a in range(dim)])
+    EG = np.array([kron(lambda ax: dint if ax == a else oint) for a in range(dim)])
+    return locs, EK, EG
 
 
 @dataclass
@@ -173,7 +171,8 @@ class AssembledOperator:
     # |K_ff u_f - r| / (|r| + 1) of the last nodal solve, the quantity
     # ``_solve`` checks against its tolerance
     residual: float = float("nan")
-    # free nodes' bytes -> (K on them in CSC, its LU), filled by ``_solve``
+    # "dirichlet" or "neumann" -> (K on its free nodes in CSC, its LU),
+    # filled by ``_solve``
     _lu: dict = dc_field(default_factory=dict, init=False, repr=False)
 
     @property
@@ -185,10 +184,7 @@ class AssembledOperator:
         return self.elements_per_axis // self.resolution
 
 
-_GRID_SHAPES: dict = {}
-_FREE_BLOCKS: dict = {}
-
-
+@functools.cache
 def _grid_shape(dim: int, npa: int):
     """What assembly needs of an npa^dim node grid that depends on nothing else.
 
@@ -207,59 +203,56 @@ def _grid_shape(dim: int, npa: int):
     (dim, nodes_per_axis); a grid whose pattern would reach 2^31 entries is
     refused before anything is allocated.
     """
-    key = (dim, npa)
-    if key not in _GRID_SHAPES:
-        mE, nnz = npa - 1, (3 * npa - 2) ** dim
-        if nnz >= 2 ** 31:
-            raise ValueError(f"the stiffness of a {npa}^{dim} node grid has "
-                             f"{3 * npa - 2}^{dim} = {nnz} entries; int32 indices "
-                             "address fewer than 2^31")
-        locs = reference_tensors(dim)[0]
+    mE, nnz = npa - 1, (3 * npa - 2) ** dim
+    if nnz >= 2 ** 31:
+        raise ValueError(f"the stiffness of a {npa}^{dim} node grid has "
+                         f"{3 * npa - 2}^{dim} = {nnz} entries; int32 indices "
+                         "address fewer than 2^31")
+    locs = reference_tensors(dim)[0]
 
-        def along(vec, ax):     # axis 0 of vec laid along axis ax of the grid
-            return vec.reshape(vec.shape[:1] + (1,) * (dim - 1 - ax) + vec.shape[1:])
+    def along(vec, ax):     # axis 0 of vec laid along axis ax of the grid
+        return vec.reshape(vec.shape[:1] + (1,) * (dim - 1 - ax) + vec.shape[1:])
 
-        # per axis and coordinate: which offsets -1, 0, 1 stay on the grid,
-        # the rank of each among those, and their count
-        valid = np.add.outer(np.arange(npa), np.arange(-1, 2))
-        valid = (valid >= 0) & (valid <= mE)
-        rank = np.cumsum(valid, axis=1, dtype=np.int32) - 1
-        count = valid.sum(axis=1, dtype=np.int32)
-        indptr = np.zeros(npa ** dim + 1, np.int32)
-        np.cumsum(functools.reduce(np.multiply, [along(count, a) for a in range(dim)]),
-                  out=indptr[1:])
-        start = indptr[:-1].reshape((npa,) * dim)
+    # per axis and coordinate: which offsets -1, 0, 1 stay on the grid,
+    # the rank of each among those, and their count
+    valid = np.add.outer(np.arange(npa), np.arange(-1, 2))
+    valid = (valid >= 0) & (valid <= mE)
+    rank = np.cumsum(valid, axis=1, dtype=np.int32) - 1
+    count = valid.sum(axis=1, dtype=np.int32)
+    indptr = np.zeros(npa ** dim + 1, np.int32)
+    np.cumsum(functools.reduce(np.multiply, [along(count, a) for a in range(dim)]),
+              out=indptr[1:])
+    start = indptr[:-1].reshape((npa,) * dim)
 
-        def position(box, offsets):
-            """Where in the data each row of a box of the grid holds each
-            column offsets[:, t]: box shape + (t,)."""
-            digits = 0
-            for a, at in enumerate(box):
-                digits = (digits * along(count[at, None], a)
-                          + along(rank[at][:, offsets[a] + 1], a))
-            return start[box][..., None] + digits
+    def position(box, offsets):
+        """Where in the data each row of a box of the grid holds each
+        column offsets[:, t]: box shape + (t,)."""
+        digits = 0
+        for a, at in enumerate(box):
+            digits = (digits * along(count[at, None], a)
+                      + along(rank[at][:, offsets[a] + 1], a))
+        return start[box][..., None] + digits
 
-        ids = np.arange(npa ** dim, dtype=np.int32).reshape((npa,) * dim)
-        indices = np.empty(nnz, np.int32)
-        for o in itertools.product((-1, 0, 1), repeat=dim):
-            rows = tuple(slice(max(0, -c), npa - max(0, c)) for c in o)
-            cols = tuple(slice(max(0, c), npa + min(0, c)) for c in o)
-            indices[position(rows, np.array(o)[:, None])[..., 0]] = ids[cols]
-        corner = [tuple(slice(c, c + mE) for c in li) for li in locs]
-        gid = np.stack([ids[at] for at in corner], axis=-1)
-        slot = np.empty((mE,) * dim + (len(locs),) * 2, np.int32)
-        for i, li in enumerate(locs):
-            slot[..., i, :] = position(corner[i], (locs - li).T)
-        # interior nodes: all three offsets stay on the grid along every axis
-        inner = functools.reduce(np.logical_and, [along(count == 3, a) for a in range(dim)])
-        inner = np.broadcast_to(inner, (npa,) * dim).ravel()
-        arrays = (gid.reshape(-1, len(locs)), np.flatnonzero(inner).astype(np.int32),
-                  np.flatnonzero(~inner).astype(np.int32), indptr, indices,
-                  slot.reshape(-1))
-        for arr in arrays:
-            arr.flags.writeable = False
-        _GRID_SHAPES[key] = arrays
-    return _GRID_SHAPES[key]
+    ids = np.arange(npa ** dim, dtype=np.int32).reshape((npa,) * dim)
+    indices = np.empty(nnz, np.int32)
+    for o in itertools.product((-1, 0, 1), repeat=dim):
+        rows = tuple(slice(max(0, -c), npa - max(0, c)) for c in o)
+        cols = tuple(slice(max(0, c), npa + min(0, c)) for c in o)
+        indices[position(rows, np.array(o)[:, None])[..., 0]] = ids[cols]
+    corner = [tuple(slice(c, c + mE) for c in li) for li in locs]
+    gid = np.stack([ids[at] for at in corner], axis=-1)
+    slot = np.empty((mE,) * dim + (len(locs),) * 2, np.int32)
+    for i, li in enumerate(locs):
+        slot[..., i, :] = position(corner[i], (locs - li).T)
+    # interior nodes: all three offsets stay on the grid along every axis
+    inner = functools.reduce(np.logical_and, [along(count == 3, a) for a in range(dim)])
+    inner = np.broadcast_to(inner, (npa,) * dim).ravel()
+    arrays = (gid.reshape(-1, len(locs)), np.flatnonzero(inner).astype(np.int32),
+              np.flatnonzero(~inner).astype(np.int32), indptr, indices,
+              slot.reshape(-1))
+    for arr in arrays:
+        arr.flags.writeable = False
+    return arrays
 
 
 def assemble(field: CoefficientField, cube: TriadicCube | None = None,
@@ -394,9 +387,7 @@ def _eliminate(Lam, nb: int):
     return Lam[..., :nb, :nb] - Lam[..., :nb, nb:] @ X
 
 
-_CELL_REFS: dict = {}
-
-
+@functools.cache
 def _cell_reference(dim: int, r: int):
     """Unit-coefficient stiffness of one cell.
 
@@ -405,27 +396,20 @@ def _cell_reference(dim: int, r: int):
     (r+1)^dim nodes are ordered boundary first, then interior, each in C
     order.
     """
-    key = (dim, r)
-    if key not in _CELL_REFS:
-        locs, EK, _ = reference_tensors(dim)
-        h = 1.0 / r
-        shape = (r + 1,) * dim
-        coords = np.indices(shape).reshape(dim, -1)
-        bnd = _on_boundary(coords, r)
-        order = np.concatenate([np.nonzero(bnd)[0], np.nonzero(~bnd)[0]])
-        pos = np.empty_like(order)
-        pos[order] = np.arange(len(order))
-        corners = np.indices((r,) * dim).reshape(dim, -1)
-        Kref = np.zeros((dim, dim, len(order), len(order)))
-        for corner in corners.T:
-            g = pos[np.ravel_multi_index((corner + locs).T, shape)]
-            Kref[:, :, g[:, None], g] += EK * h ** (dim - 2)
-        _CELL_REFS[key] = (Kref, int(bnd.sum()))
-    return _CELL_REFS[key]
-
-
-_MERGE_STEPS: dict = {}
-_GEOMETRY: dict = {}
+    locs, EK, _ = reference_tensors(dim)
+    h = 1.0 / r
+    shape = (r + 1,) * dim
+    coords = np.indices(shape).reshape(dim, -1)
+    bnd = _on_boundary(coords, r)
+    order = np.concatenate([np.nonzero(bnd)[0], np.nonzero(~bnd)[0]])
+    pos = np.empty_like(order)
+    pos[order] = np.arange(len(order))
+    corners = np.indices((r,) * dim).reshape(dim, -1)
+    Kref = np.zeros((dim, dim, len(order), len(order)))
+    for corner in corners.T:
+        g = pos[np.ravel_multi_index((corner + locs).T, shape)]
+        Kref[:, :, g[:, None], g] += EK * h ** (dim - 2)
+    return Kref, int(bnd.sum())
 
 
 def _box_merge(shape: tuple, axes: tuple):
@@ -457,6 +441,7 @@ def _box_merge(shape: tuple, axes: tuple):
     return np.stack(maps), int(bnd.sum()), len(order)
 
 
+@functools.cache
 def _merge_steps(dim: int, level: int, r: int):
     """The steps that merge a 3^dim block of children into a level-``level``
     parent, one axis at a time (the pairwise merges of HPS: Gillman and
@@ -468,39 +453,34 @@ def _merge_steps(dim: int, level: int, r: int):
     every step of the cells' merge but the last) is fused into the next one.
     Indices only, built once per (dim, level, resolution).
     """
-    key = (dim, level, r)
-    if key not in _MERGE_STEPS:
-        shape = [r * 3 ** (level - 1)] * dim      # elements per child axis
-        steps, axes = [], ()
-        for ax in range(dim):
-            axes += (ax,)
-            maps, nb, nu = _box_merge(tuple(shape), axes)
-            if nu == nb and ax < dim - 1:
-                continue
-            for a in axes:
-                shape[a] *= 3
-            maps.flags.writeable = False
-            steps.append((axes, maps, nb, nu))
-            axes = ()
-        _MERGE_STEPS[key] = steps
-    return _MERGE_STEPS[key]
+    shape = [r * 3 ** (level - 1)] * dim      # elements per child axis
+    steps, axes = [], ()
+    for ax in range(dim):
+        axes += (ax,)
+        maps, nb, nu = _box_merge(tuple(shape), axes)
+        if nu == nb and ax < dim - 1:
+            continue
+        for a in axes:
+            shape[a] *= 3
+        maps.flags.writeable = False
+        steps.append((axes, maps, nb, nu))
+        axes = ()
+    return steps
 
 
+@functools.cache
 def _boundary_geometry(dim: int, level: int, r: int):
     """(X_b, G_b) of a level-``level`` cube: its boundary nodes' coordinates
     in cell units from the cube's centre, (nb, dim), and G u = int grad u on
     them, (dim, nb), a product of 1D hat-function integrals.  The columns of
     ``Lam`` sum to zero, so the origin of X does not change the loads.
     Built once per (dim, level, resolution)."""
-    key = (dim, level, r)
-    if key not in _GEOMETRY:
-        m = r * 3 ** level                        # elements per axis
-        c = np.indices((m + 1,) * dim).reshape(dim, -1)
-        c = c[:, _on_boundary(c, m)]
-        hat = np.where((c == 0) | (c == m), 0.5, 1.0) / r     # int phi_i
-        slope = (c == m) - (c == 0).astype(float)             # int phi_i'
-        _GEOMETRY[key] = ((c.T - m / 2) / r, slope * hat.prod(axis=0) / hat)
-    return _GEOMETRY[key]
+    m = r * 3 ** level                        # elements per axis
+    c = np.indices((m + 1,) * dim).reshape(dim, -1)
+    c = c[:, _on_boundary(c, m)]
+    hat = np.where((c == 0) | (c == m), 0.5, 1.0) / r     # int phi_i
+    slope = (c == m) - (c == 0).astype(float)             # int phi_i'
+    return (c.T - m / 2) / r, slope * hat.prod(axis=0) / hat
 
 
 def merge_traces(children: BoundaryTraces, stride: int = 3) -> BoundaryTraces:
@@ -598,47 +578,56 @@ def trace_loads(traces: BoundaryTraces):
     return V, LV, J, 0.5 * vQv / traces.vol
 
 
-def _free_block(dim: int, npa: int, free: np.ndarray):
-    """The CSC pattern of K on the ``free`` nodes of an npa^dim node grid, in
-    that order, and where each of its entries lies in K's CSR data.
+@functools.cache
+def _free_system(dim: int, npa: int, problem: str):
+    """The free nodes of a ``problem`` on an npa^dim node grid, in elimination
+    order, the CSC pattern of K on them and where each of its entries lies in
+    K's CSR data.
 
-    Returns (take, indptr, indices), so that ``K.data[take]`` with
-    ``indptr`` and ``indices`` is ``K[free][:, free].tocsc()``: columns in
-    the order given, rows ascending within each.  Every operator on the grid
-    has the same pattern, so this is that indexing done once, on a matrix
-    whose entries are their own positions in the data.  Read-only int32
-    indices, built once per grid shape and order.
+    A "dirichlet" problem solves for the interior nodes, in the
+    nested-dissection order of the interior grid; a "neumann" one for every
+    node but the pinned node 0, in that order of the node grid
+    (``_nd_order``).  Returns (free, take, indptr, indices), so that
+    ``K.data[take]`` with ``indptr`` and ``indices`` is
+    ``K[free][:, free].tocsc()``: columns in elimination order, rows
+    ascending within each.  Every operator on the grid has the same pattern,
+    so this is that indexing done once, on a matrix whose entries are their
+    own positions in the data.  Read-only int32 indices, built once per grid
+    shape and problem.
     """
-    key = (dim, npa, free.tobytes())
-    if key not in _FREE_BLOCKS:
-        import scipy.sparse as sp
-        K_indptr, K_indices = _grid_shape(dim, npa)[3:5]
-        positions = sp.csr_matrix((np.arange(len(K_indices), dtype=np.int32),
-                                   K_indices, K_indptr), shape=(npa ** dim,) * 2)
-        block = positions[free][:, free].tocsc()
-        arrays = (block.data, block.indptr, block.indices)
-        for arr in arrays:
-            arr.flags.writeable = False
-        _FREE_BLOCKS[key] = arrays
-    return _FREE_BLOCKS[key]
+    import scipy.sparse as sp
+    _, interior, _, K_indptr, K_indices, _ = _grid_shape(dim, npa)
+    if problem == "dirichlet":
+        free = interior[_nd_order((npa - 2,) * dim)]
+    else:
+        assert problem == "neumann", problem
+        order = _nd_order((npa,) * dim)
+        free = order[order != 0]
+    positions = sp.csr_matrix((np.arange(len(K_indices), dtype=np.int32),
+                               K_indices, K_indptr), shape=(npa ** dim,) * 2)
+    block = positions[free][:, free].tocsc()
+    arrays = (free, block.data, block.indptr, block.indices)
+    for arr in arrays:
+        arr.flags.writeable = False
+    return arrays
 
 
-def _solve(op: AssembledOperator, free: np.ndarray, u: np.ndarray,
+def _solve(op: AssembledOperator, problem: str, u: np.ndarray,
            load: np.ndarray | None) -> np.ndarray:
-    """Fill in u at the ``free`` nodes so that (K u)_i = load_i (zero if not
-    given) there, and return it.  K on the free nodes, in the order given, is
-    gathered from K's data into CSC (``_free_block``) and factored once per
-    operator and order (``op._lu``) by SuperLU with no further column
-    permutation; that one matrix also serves the residual, which, relative to
-    |r| + 1, is kept as ``op.residual`` and must not exceed 1e-9."""
-    key = free.tobytes()
-    if key not in op._lu:
+    """Fill in u at the free nodes of ``problem`` so that (K u)_i = load_i
+    (zero if not given) there, and return it.  K on the free nodes, in
+    elimination order, is gathered from K's data into CSC (``_free_system``)
+    and factored once per operator and problem (``op._lu``) by SuperLU with
+    no further column permutation; that one matrix also serves the residual,
+    which, relative to |r| + 1, is kept as ``op.residual`` and must not
+    exceed 1e-9."""
+    free, take, indptr, indices = _free_system(op.dim, op.nodes_per_axis, problem)
+    if problem not in op._lu:
         import scipy.sparse as sp
         from scipy.sparse.linalg import splu
-        take, indptr, indices = _free_block(op.dim, op.nodes_per_axis, free)
         K_ff = sp.csc_matrix((op.K.data[take], indices, indptr), shape=(len(free),) * 2)
-        op._lu[key] = (K_ff, splu(K_ff, permc_spec="NATURAL"))
-    K_ff, lu = op._lu[key]
+        op._lu[problem] = (K_ff, splu(K_ff, permc_spec="NATURAL"))
+    K_ff, lu = op._lu[problem]
     r = -(op.K @ u)[free]
     if load is not None:
         r += load[free]
@@ -658,12 +647,10 @@ def solve_dirichlet(op: AssembledOperator, boundary_values: np.ndarray,
     ``boundary_values`` is aligned with ``op.boundary``; ``load`` is a nodal
     functional, zero if not given, assembled by ``quadrature_flux_rhs``
     (minus the functional of f for the equation -div(a grad u) = div f).
-    The interior nodes are solved for in the nested-dissection order of the
-    interior grid (``_nd_order``).
     """
     u = np.zeros(op.N)
     u[op.boundary] = boundary_values
-    return _solve(op, op.interior[_nd_order((op.nodes_per_axis - 2,) * op.dim)], u, load)
+    return _solve(op, "dirichlet", u, load)
 
 
 def solve_neumann(op: AssembledOperator, f_cells: np.ndarray) -> np.ndarray:
@@ -672,15 +659,14 @@ def solve_neumann(op: AssembledOperator, f_cells: np.ndarray) -> np.ndarray:
     The constant in f is fixed first (cell mean removed), so the solution has
     zero average flux, which is checked to 1e-9 relative to |f| + 1.  The
     load is the order-1 rule of ``quadrature_flux_rhs``, exact for cellwise
-    f.  Node 0 is pinned, the others are solved for in the nested-dissection
-    order of the node grid, and the result is shifted to zero mean.
+    f.  Node 0 is pinned, the others are solved for, and the result is
+    shifted to zero mean.
     """
     d = op.dim
     f = np.asarray(f_cells, float).reshape(-1, d)
     f = (f - f.mean(axis=0)).reshape((op.cells_per_axis,) * d + (d,))
     F = quadrature_flux_rhs(op, lambda x: f[tuple(x.astype(int).T)], order=1)
-    order = _nd_order((op.nodes_per_axis,) * d)
-    u = _solve(op, order[order != 0], np.zeros(op.N), F)
+    u = _solve(op, "neumann", np.zeros(op.N), F)
     u = u - u[op.gid].mean()     # a Q1 element's mean is its corners' mean
     flux_avg = cell_averages(op, u)[1].reshape(-1, d).mean(axis=0)
     if np.linalg.norm(flux_avg) > 1e-9 * (np.linalg.norm(f) + 1.0):

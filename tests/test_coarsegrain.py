@@ -326,6 +326,24 @@ def test_hierarchy_sweep_subdomain_and_validation():
         hierarchy_sweep(field, domain=TriadicCube(level=2, offset=(3, 0), dim=2))
 
 
+def test_cache_lookup_refuses_offsets_off_the_swept_lattice():
+    field = gen_named_field("lognormal_iso", level=2, seed=30, sigma=0.3)
+    cache = hierarchy_sweep(field, domain=TriadicCube(level=1, offset=(3, 3), dim=2))
+    # below the domain: the index would wrap round to cell (3, 3)'s matrix
+    with pytest.raises(ValueError, match=r"offset \(0, 0\) is not a scale-0 cube of "
+                       r"the swept domain, the level-1 cube at \(3, 3\)"):
+        cache.A_at(0, (0, 0))
+    # off the scale-1 lattice: the cube at (3, 3) would be labelled (4, 4)
+    with pytest.raises(ValueError, match=r"offset \(4, 4\) is not a scale-1 cube"):
+        cache.matrices_at(1, (4, 4))
+    with pytest.raises(ValueError, match=r"offset \(4, 4\) is not a scale-1 cube"):
+        cache.A_at(1, (4, 4))
+    with pytest.raises(ValueError, match=r"offset \(6, 3\) is not a scale-0 cube"):
+        cache.A_at(0, (6, 3))           # just past the domain's far side
+    assert np.array_equal(cache.A_at(0, (5, 3)), cache.A_by_scale[0][2, 0])
+    assert np.array_equal(cache.A_at(1, (3, 3)), cache.A_by_scale[1][0, 0])
+
+
 def _assert_slacks_match_loops(cache):
     got = order_slacks(cache.A_by_scale)
     want = order_slacks_loops(cache.A_by_scale)
@@ -586,7 +604,9 @@ def test_sweep_matches_kkt_oracle_in_3d_refined_kmin_and_subdomain():
     _assert_sweep_matches_kkt(f2, sub2)
     # the merge steps are cached per (dim, level, resolution) and hold
     # indices: one step per axis, 3 boxes each, the last onto the parent
-    steps = solver._MERGE_STEPS[(2, 2, 2)]
+    hits = solver._merge_steps.cache_info().hits
+    steps = solver._merge_steps(2, 2, 2)
+    assert solver._merge_steps.cache_info().hits == hits + 1
     assert [axes for axes, *_ in steps] == [(0,), (1,)]
     for (_, maps, nb, nu), nc in zip(steps, (4 * 6, 2 * (18 + 6))):
         assert maps.dtype.kind == "i" and maps.shape == (3, nc)

@@ -297,6 +297,22 @@ def test_energy_diagnostic_keys_and_cache_reuse():
     assert "neumann_ratio" not in only_h
 
 
+def test_energy_diagnostic_factors_each_problem_once(monkeypatch):
+    field = gen_named_field("skew_lognormal", level=2, seed=7, sigma=0.4,
+                            kappa=0.5)
+    h = TargetFunction("affine", p=[1.0, 0.0])
+    ops, assemble = [], solver.assemble
+
+    def recorded(*args, **kw):
+        ops.append(assemble(*args, **kw))
+        return ops[-1]
+
+    monkeypatch.setattr(solver, "assemble", recorded)
+    energy_estimate_diagnostic(field, s=0.4, h=h, f_cells=np.ones((9, 9, 2)))
+    [op] = ops
+    assert sorted(op._lu) == ["dirichlet", "neumann"]
+
+
 def test_write_records_csv(tmp_path):
     # cghom homogenize writes one CSV row per (seed, scale) record, floats by repr
     assert cli.main(["homogenize", "--output-dir", str(tmp_path),

@@ -8,7 +8,7 @@ import pytest
 import scipy.sparse as sp
 
 from cghom import solver
-from cghom.coarsegrain import condensed_A
+from cghom.coarsegrain import condensed_A, hierarchy_sweep
 from cghom.fields import gen_named_field
 from cghom.solver import (DegenerateCellError, assemble, cell_averages,
                           energy_seminorm_sq, node_coordinates, partition_traces,
@@ -341,7 +341,9 @@ def test_grid_shape_is_cached_read_only_and_shared():
     f1 = gen_named_field("lognormal_iso", level=2, seed=17)
     f2 = gen_named_field("checkerboard", level=2, seed=18)
     op1, op2 = assemble(f1), assemble(f2)
-    gid, interior, boundary, indptr, indices, slot = solver._GRID_SHAPES[(2, 10)]
+    hits = solver._grid_shape.cache_info().hits
+    gid, interior, boundary, indptr, indices, slot = solver._grid_shape(2, 10)
+    assert solver._grid_shape.cache_info().hits == hits + 1   # built by assemble
     for op in (op1, op2):
         assert op.gid is gid and op.interior is interior and op.boundary is boundary
         assert np.shares_memory(op.K.indices, indices)
@@ -383,21 +385,19 @@ def test_grid_indices_match_sorting_and_recursion(dim, npa):
 
 def test_grid_shape_of_244_squared_nodes_stays_small_while_built():
     # the n = 5 Dirichlet window's node grid, its indices built one axis at
-    # a time
-    cached = solver._GRID_SHAPES.pop((2, 244), None)
+    # a time, past the cache so that they are built here
     tracemalloc.start()
     try:
-        arrays = solver._grid_shape(2, 244)
+        arrays = solver._grid_shape.__wrapped__(2, 244)
         held, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-        if cached is not None:
-            solver._GRID_SHAPES[(2, 244)] = cached
     assert sum(arr.nbytes for arr in arrays) <= held <= 8 * 2 ** 20
     assert peak <= 12 * 2 ** 20
 
 
 def test_grid_shape_refuses_a_pattern_beyond_int32_before_allocating():
+    before = solver._grid_shape.cache_info()
     tracemalloc.start()
     try:
         with pytest.raises(ValueError, match=r"59998\^2 = .* int32"):
@@ -405,22 +405,28 @@ def test_grid_shape_refuses_a_pattern_beyond_int32_before_allocating():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 2 ** 20 and (2, 20_000) not in solver._GRID_SHAPES
+    after = solver._grid_shape.cache_info()
+    # built, refused and not cached
+    assert peak < 2 ** 20 and after.misses == before.misses + 1
+    assert after.currsize == before.currsize
 
 
-def _gathered_block(op, order):
-    """The one cached matrix of ``op``'s solve in ``order``: CSC, equal in
-    pattern and values to K[order][:, order], its pattern the one cached per
-    grid shape and order, so the operator holds only its values."""
+def _gathered_block(op, problem, order):
+    """The one cached matrix of ``op``'s solve of ``problem``, whose free
+    nodes are ``order``: CSC, equal in pattern and values to
+    K[order][:, order], its pattern the one cached per grid shape and
+    problem, so the operator holds only its values."""
     [(key, (K_ff, lu))] = op._lu.items()
-    assert np.array_equal(np.frombuffer(key, dtype=np.int32), order)
+    assert key == problem
+    free, take, indptr, indices = solver._free_system(op.dim, op.nodes_per_axis, problem)
+    assert free.dtype == np.int32 and not free.flags.writeable
+    assert np.array_equal(free, order)
     want = op.K[order][:, order].tocsc()
     assert K_ff.format == "csc"
     for name in ("indptr", "indices", "data"):
         got = getattr(K_ff, name)
         assert got.dtype == getattr(want, name).dtype
         assert np.array_equal(got, getattr(want, name))
-    take, indptr, indices = solver._free_block(op.dim, op.nodes_per_axis, order)
     assert np.shares_memory(K_ff.indptr, indptr)
     assert np.shares_memory(K_ff.indices, indices)
     assert np.array_equal(K_ff.data, op.K.data[take])
@@ -434,7 +440,7 @@ def test_interior_order_is_a_permutation_of_the_interior():
     order = op.interior[solver._nd_order((8, 8))]
     assert order.dtype == np.int32
     assert np.array_equal(np.sort(order), op.interior)
-    _gathered_block(op, order)
+    _gathered_block(op, "dirichlet", order)
     assert np.allclose(u, 1.0, atol=1e-12)
     solve_dirichlet(op, np.zeros(len(op.boundary)))
     assert len(op._lu) == 1                 # factored once per operator
@@ -484,7 +490,7 @@ def test_residual_check_reads_the_neumann_solve():
     f = rng.normal(size=(9, 9, 2))
     solve_neumann(op, f)
     order = solver._nd_order((10, 10))
-    _gathered_block(op, order[order != 0])
+    _gathered_block(op, "neumann", order[order != 0])
     set_eps = _off_by(op, rng.normal(size=op.N - 1))
     set_eps(1e-12)
     u = solve_neumann(op, f)
@@ -496,6 +502,27 @@ def test_residual_check_reads_the_neumann_solve():
     set_eps(1e-6)
     with pytest.raises(solver.SolverError, match="interior solve residual"):
         solve_neumann(op, f)
+
+
+def test_a_second_field_of_the_same_shape_rebuilds_no_table():
+    rng = np.random.default_rng(9)
+    g, f = rng.normal(size=36), rng.normal(size=(9, 9, 2))
+    fields = [gen_named_field("skew_lognormal", level=2, seed=seed, sigma=0.5,
+                              kappa=0.6) for seed in (21, 22)]
+    tables = (solver._free_system, solver._merge_steps,
+              solver._boundary_geometry, solver._cell_reference)
+    for i, field in enumerate(fields):
+        op = assemble(field)
+        solve_dirichlet(op, g)
+        solve_neumann(op, f)
+        hierarchy_sweep(field)
+        # one factorization per problem, keyed by it
+        assert sorted(op._lu) == ["dirichlet", "neumann"]
+        info = [table.cache_info() for table in tables]
+        if i:
+            for was, now in zip(before, info):
+                assert now.misses == was.misses and now.hits > was.hits
+        before = info
 
 
 # ---------------------------------------------------------------------------
