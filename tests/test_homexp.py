@@ -276,7 +276,7 @@ def test_half_lattice_matches_kkt_oracle():
     assert np.array_equal(half_lattice_matrices(field, 1)[2 * 25 + 4], exact)
 
 
-def test_energy_diagnostic_keys_and_cache_reuse():
+def test_energy_diagnostic_keys_and_cache_reuse(monkeypatch):
     field = gen_named_field("skew_lognormal", level=2, seed=7, sigma=0.4,
                             kappa=0.5)
     h = TargetFunction("quadratic", H=[[0.0, 1.0], [1.0, 0.0]], p=[1.0, 0.0])
@@ -284,7 +284,17 @@ def test_energy_diagnostic_keys_and_cache_reuse():
     X, Y = np.meshgrid(np.arange(m) + 0.5, np.arange(m) + 0.5, indexing="ij")
     f_cells = np.stack([np.sin(2 * np.pi * X / m), np.cos(2 * np.pi * Y / m)],
                        axis=-1)
+    ops, assemble = [], solver.assemble
+
+    def recorded(*args, **kw):
+        ops.append(assemble(*args, **kw))
+        return ops[-1]
+
+    monkeypatch.setattr(solver, "assemble", recorded)
     out = energy_estimate_diagnostic(field, s=0.4, h=h, f_cells=f_cells)
+    # its one operator is factored once per problem
+    [op] = ops
+    assert sorted(op._lu) == ["dirichlet", "neumann"]
     assert set(out) == {"lambda_s", "Lambda_t", "dirichlet_ratio",
                         "neumann_ratio"}
     assert out["dirichlet_ratio"] > 0 and np.isfinite(out["dirichlet_ratio"])
@@ -295,22 +305,6 @@ def test_energy_diagnostic_keys_and_cache_reuse():
     assert again == out
     only_h = energy_estimate_diagnostic(field, s=0.4, h=h)
     assert "neumann_ratio" not in only_h
-
-
-def test_energy_diagnostic_factors_each_problem_once(monkeypatch):
-    field = gen_named_field("skew_lognormal", level=2, seed=7, sigma=0.4,
-                            kappa=0.5)
-    h = TargetFunction("affine", p=[1.0, 0.0])
-    ops, assemble = [], solver.assemble
-
-    def recorded(*args, **kw):
-        ops.append(assemble(*args, **kw))
-        return ops[-1]
-
-    monkeypatch.setattr(solver, "assemble", recorded)
-    energy_estimate_diagnostic(field, s=0.4, h=h, f_cells=np.ones((9, 9, 2)))
-    [op] = ops
-    assert sorted(op._lu) == ["dirichlet", "neumann"]
 
 
 def test_write_records_csv(tmp_path):

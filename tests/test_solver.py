@@ -511,18 +511,19 @@ def test_a_second_field_of_the_same_shape_rebuilds_no_table():
                               kappa=0.6) for seed in (21, 22)]
     tables = (solver._free_system, solver._merge_steps,
               solver._boundary_geometry, solver._cell_reference)
-    for i, field in enumerate(fields):
+
+    def solve_and_sweep(field):
         op = assemble(field)
         solve_dirichlet(op, g)
         solve_neumann(op, f)
         hierarchy_sweep(field)
         # one factorization per problem, keyed by it
         assert sorted(op._lu) == ["dirichlet", "neumann"]
-        info = [table.cache_info() for table in tables]
-        if i:
-            for was, now in zip(before, info):
-                assert now.misses == was.misses and now.hits > was.hits
-        before = info
+        return [table.cache_info() for table in tables]
+
+    first, second = map(solve_and_sweep, fields)
+    for was, now in zip(first, second):
+        assert now.misses == was.misses and now.hits > was.hits
 
 
 # ---------------------------------------------------------------------------
