@@ -1,12 +1,13 @@
 """Configuration-driven batch runner for all pipelines.
 
-One JSON config file (flat sections mirroring the modules) drives every
-subcommand; ``--set section.key=value`` flags override file values, and the
-``CGHOM_OUTPUT_DIR`` environment variable overrides the configured output
-directory (the ``--output-dir`` flag beats both).  Every output file embeds
-the sha256 fingerprint of the fully merged config; timestamps appear only
-under a separate ``meta`` key so that repeated runs with the same config and
-seed are byte-identical elsewhere.
+Each setting is one row of ``SETTINGS`` and each subcommand one entry of
+``COMMANDS``.  One JSON config file (flat sections mirroring the modules)
+drives every subcommand; ``--set section.key=value`` flags override file
+values, and the ``CGHOM_OUTPUT_DIR`` environment variable overrides the
+configured output directory (the ``--output-dir`` flag beats both).  Every
+output file embeds the sha256 fingerprint of the fully merged config;
+timestamps appear only under a separate ``meta`` key so that repeated runs
+with the same config and seed are byte-identical elsewhere.
 
 Exit codes: 0 success, 2 config error, 3 numerical failure, 4 self-test
 (acceptance-gate) failure.
@@ -23,6 +24,7 @@ import os
 import sys
 from datetime import datetime, timezone
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -187,9 +189,6 @@ def apply_overrides(config: dict, assignments: list[str]) -> dict:
 # (one BLAS thread, 2-core Xeon VM), too much per sample or seed.  Raising
 # the cap waits on a lower peak (ROADMAP item 7).
 MAX_LEVEL_3D = 2
-# the setting that gives the level of the largest cube a command coarse-grains
-_LEVEL_KEYS = {"coarsegrain": "field.level", "ellipticity": "field.level",
-               "ergodic": "ergodic.n_max", "homogenize": "homexp.n_max"}
 
 
 def _check_level(config: dict, command: str, dim: int, level: int, source: str) -> None:
@@ -201,7 +200,7 @@ def _check_level(config: dict, command: str, dim: int, level: int, source: str) 
             f"3D cubes above level {MAX_LEVEL_3D} are rejected because their last "
             f"merge step is a dense boundary problem of about 0.26 GB per matrix")
     k_min = config["coarsegrain"]["k_min"]
-    if command in ("coarsegrain", "ellipticity") and k_min > level:
+    if COMMANDS[command].level_key == "field.level" and k_min > level:
         raise ConfigError(f"coarsegrain.k_min={k_min} exceeds {source}: "
                           f"the sweep would keep no scale")
 
@@ -271,14 +270,18 @@ def validate_config(config: dict, command: str | None = None,
     if command == "homogenize" and hx["a_bar"] is not None and wanted:
         raise ConfigError(f"{' and '.join(wanted)}: E, G and H need the ensemble "
                           f"mean A_bar, estimated only when homexp.a_bar is null")
-    key = None if field_file else _LEVEL_KEYS.get(command)
+    if command == "homogenize" and hx["with_GH"] and hx["n_min"] == 0:
+        raise ConfigError("homexp.with_GH needs homexp.n_min >= 1: G and H sum over "
+                          "min(homexp.ring_levels, n) scales, none at n = 0")
+    key = None if field_file or command is None else COMMANDS[command].level_key
     if key and not (command == "homogenize" and hx["a_bar"] is not None):
         _check_level(config, command, config["dim"], _get(config, key),
                      f"{key}={_get(config, key)}")
     k_min = config["coarsegrain"]["k_min"]
-    if command == "ellipticity" and k_min > 0 and nm["tail"]:
-        raise ConfigError(f"coarsegrain.k_min={k_min} with norms.tail=true: "
-                          f"the tail continues the scale sum from the cells, "
+    cell_reads = [f"norms.{key}={json.dumps(nm[key])}" for key in ("tail", "p", "q") if nm[key]]
+    if command == "ellipticity" and k_min > 0 and cell_reads:
+        raise ConfigError(f"coarsegrain.k_min={k_min} with {' and '.join(cell_reads)}: "
+                          f"the tail and the L^p and L^q norms read the cells, "
                           f"scale 0, which the sweep would not keep")
     _check_homexp_inputs(config, command)
 
@@ -330,10 +333,6 @@ def write_csv(path: Path, header: list, rows) -> None:
         writer.writerows(rows)
 
 
-def field_from_config(config: dict):
-    return fieldspec_from_config(config).realize(config["field"]["level"], config["seed"])
-
-
 def fieldspec_from_config(config: dict) -> ergodic.FieldSpec:
     fld = config["field"]
     return ergodic.FieldSpec(kind=fld["kind"], dim=config["dim"],
@@ -350,8 +349,7 @@ def target_from_config(config: dict) -> homexp.TargetFunction:
 # subcommands
 
 
-def cmd_gen_field(config: dict, out_dir: Path, fingerprint: str) -> int:
-    field = field_from_config(config)
+def cmd_gen_field(config: dict, out_dir: Path, fingerprint: str, field) -> int:
     name = f"field_{field.kind}_n{field.level}_seed{field.seed}.cghf"
     path = save_field(field, out_dir / name)
     print(f"wrote {path} ({field.cells_per_axis ** field.dim} cells, "
@@ -359,18 +357,7 @@ def cmd_gen_field(config: dict, out_dir: Path, fingerprint: str) -> int:
     return EXIT_OK
 
 
-def _load_or_generate(config: dict, field_file: str | None, command: str):
-    if field_file:
-        field = load_field(field_file)
-        _check_level(config, command, field.dim, field.level,
-                     f"the level {field.level} of field file {field_file}")
-        return field
-    return field_from_config(config)
-
-
-def cmd_coarsegrain(config: dict, out_dir: Path, fingerprint: str,
-                    field_file: str | None) -> int:
-    field = _load_or_generate(config, field_file, "coarsegrain")
+def cmd_coarsegrain(config: dict, out_dir: Path, fingerprint: str, field) -> int:
     cg = config["coarsegrain"]
     cache = coarsegrain.hierarchy_sweep(field, k_min=cg["k_min"],
                                         resolution=cg["resolution"],
@@ -397,9 +384,7 @@ def cmd_coarsegrain(config: dict, out_dir: Path, fingerprint: str,
     return EXIT_OK
 
 
-def cmd_ellipticity(config: dict, out_dir: Path, fingerprint: str,
-                    field_file: str | None) -> int:
-    field = _load_or_generate(config, field_file, "ellipticity")
+def cmd_ellipticity(config: dict, out_dir: Path, fingerprint: str, field) -> int:
     cg = config["coarsegrain"]
     nm = config["norms"]
     cache = coarsegrain.hierarchy_sweep(field, k_min=cg["k_min"],
@@ -425,7 +410,7 @@ def cmd_ellipticity(config: dict, out_dir: Path, fingerprint: str,
     return EXIT_OK
 
 
-def cmd_ergodic(config: dict, out_dir: Path, fingerprint: str) -> int:
+def cmd_ergodic(config: dict, out_dir: Path, fingerprint: str, field) -> int:
     spec = fieldspec_from_config(config)
     er = config["ergodic"]
     with solver.worker_map(config["workers"]) as pmap:
@@ -463,7 +448,7 @@ def cmd_ergodic(config: dict, out_dir: Path, fingerprint: str) -> int:
     return EXIT_OK
 
 
-def cmd_homogenize(config: dict, out_dir: Path, fingerprint: str) -> int:
+def cmd_homogenize(config: dict, out_dir: Path, fingerprint: str, field) -> int:
     spec = fieldspec_from_config(config)
     hx = config["homexp"]
     resolution = config["coarsegrain"]["resolution"]
@@ -515,7 +500,7 @@ def cmd_homogenize(config: dict, out_dir: Path, fingerprint: str) -> int:
 # cascade verification
 
 
-def cmd_cascade_verify(config: dict, out_dir: Path, fingerprint: str) -> int:
+def cmd_cascade_verify(config: dict, out_dir: Path, fingerprint: str, field) -> int:
     ca = config["cascade"]
     report = {
         "moments": fields.layer_moment_check(
@@ -606,7 +591,7 @@ def _selftest_checks():
     ]
 
 
-def cmd_selftest(config: dict, out_dir: Path, fingerprint: str) -> int:
+def cmd_selftest(config: dict, out_dir: Path, fingerprint: str, field) -> int:
     failures = 0
     for name, check in _selftest_checks():
         try:
@@ -621,6 +606,35 @@ def cmd_selftest(config: dict, out_dir: Path, fingerprint: str) -> int:
 
 # ---------------------------------------------------------------------------
 # entry point
+
+
+class Command(NamedTuple):
+    """A subcommand: ``handler(config, out_dir, fingerprint, field)`` runs it
+    and returns its exit code.  ``field`` is where the run's field comes from:
+    None, "config" (drawn from it) or "config or file" (read from the optional
+    positional field file, drawn without one).  ``level_key`` names the
+    setting giving the level of the largest cube it coarse-grains."""
+
+    handler: Callable
+    help: str
+    field: str | None
+    level_key: str | None
+
+
+COMMANDS = {
+    "gen-field": Command(cmd_gen_field, "generate a coefficient field file", "config", None),
+    "coarsegrain": Command(cmd_coarsegrain, "run the coarsegrain pipeline",
+                           "config or file", "field.level"),
+    "ellipticity": Command(cmd_ellipticity, "run the ellipticity pipeline",
+                           "config or file", "field.level"),
+    "ergodic": Command(cmd_ergodic, "Monte Carlo mean coarse matrices by scale",
+                       None, "ergodic.n_max"),
+    "homogenize": Command(cmd_homogenize, "oscillating-vs-homogenized error sweep",
+                          None, "homexp.n_max"),
+    "cascade-verify": Command(cmd_cascade_verify, "cascade moment and norm statistics",
+                              None, None),
+    "selftest": Command(cmd_selftest, "fast identity battery (CI gate)", None, None),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -638,53 +652,32 @@ def build_parser() -> argparse.ArgumentParser:
         description="Coarse-graining laboratory for heterogeneous "
                     "divergence-form coefficients on triadic lattices.")
     sub = parser.add_subparsers(dest="command", required=True)
-    sub.add_parser("gen-field", parents=[common],
-                   help="generate a coefficient field file")
-    for name in ("coarsegrain", "ellipticity"):
-        p = sub.add_parser(name, parents=[common],
-                           help=f"run the {name} pipeline")
-        p.add_argument("field_file", nargs="?", default=None,
-                       help="field file (generated from config if omitted)")
-    sub.add_parser("ergodic", parents=[common],
-                   help="Monte Carlo mean coarse matrices by scale")
-    sub.add_parser("homogenize", parents=[common],
-                   help="oscillating-vs-homogenized error sweep")
-    sub.add_parser("cascade-verify", parents=[common],
-                   help="cascade moment and norm statistics")
-    sub.add_parser("selftest", parents=[common],
-                   help="fast identity battery (CI gate)")
+    for name, command in COMMANDS.items():
+        p = sub.add_parser(name, parents=[common], help=command.help)
+        if command.field == "config or file":
+            p.add_argument("field_file", nargs="?", default=None,
+                           help="field file (generated from config if omitted)")
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
+    command, field_file = COMMANDS[args.command], getattr(args, "field_file", None)
     try:
         config = apply_overrides(load_config(args.config), args.overrides)
         config = _assign(config, [(key, value) for key, value in (
             ("seed", args.seed), ("workers", args.workers)) if value is not None])
-        validate_config(config, args.command, getattr(args, "field_file", None))
+        validate_config(config, args.command, field_file)
         out_dir = resolve_output_dir(config, args.output_dir)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    fingerprint = config_fingerprint(config)
-    try:
-        if args.command == "gen-field":
-            return cmd_gen_field(config, out_dir, fingerprint)
-        if args.command == "coarsegrain":
-            return cmd_coarsegrain(config, out_dir, fingerprint, args.field_file)
-        if args.command == "ellipticity":
-            return cmd_ellipticity(config, out_dir, fingerprint, args.field_file)
-        if args.command == "ergodic":
-            return cmd_ergodic(config, out_dir, fingerprint)
-        if args.command == "homogenize":
-            return cmd_homogenize(config, out_dir, fingerprint)
-        if args.command == "cascade-verify":
-            return cmd_cascade_verify(config, out_dir, fingerprint)
-        if args.command == "selftest":
-            return cmd_selftest(config, out_dir, fingerprint)
-        raise AssertionError(f"unhandled command {args.command}")
+        field = None
+        if field_file:
+            field = load_field(field_file)
+            _check_level(config, args.command, field.dim, field.level,
+                         f"the level {field.level} of field file {field_file}")
+        elif command.field:
+            field = fieldspec_from_config(config).realize(config["field"]["level"],
+                                                          config["seed"])
+        return command.handler(config, out_dir, config_fingerprint(config), field)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

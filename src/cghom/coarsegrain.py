@@ -483,6 +483,8 @@ class HierarchyCache:
     def A_at(self, k: int, z: tuple) -> np.ndarray:
         """The matrix of the scale-k cube at offset z, in the field's cells;
         z must be one of the swept domain's scale-k partition cubes."""
+        if k not in self.A_by_scale:
+            raise ValueError(f"scale {k} was not swept; the sweep kept scales {self.scales}")
         A = self.A_by_scale[k]
         idx, rem = zip(*(divmod(int(o) - b, 3 ** k) for o, b in zip(z, self.base_offset)))
         if len(z) != self.dim or any(rem) or not all(0 <= i < n for i, n in zip(idx, A.shape)):

@@ -128,6 +128,13 @@ def worker_map(workers: int):
             fn, jobs, chunksize=max(1, len(jobs) // (4 * workers))))
 
 
+def _read_only(*arrays) -> tuple:
+    """The arrays, made read-only: a memoized table is shared by every caller."""
+    for arr in arrays:
+        arr.flags.writeable = False
+    return arrays
+
+
 @functools.cache
 def reference_tensors(dim: int):
     """Exact unit-element integrals of Q1 shape-function products.
@@ -150,7 +157,7 @@ def reference_tensors(dim: int):
                          else grad.T if ax == b else mass)
                     for b in range(dim)] for a in range(dim)])
     EG = np.array([kron(lambda ax: dint if ax == a else oint) for a in range(dim)])
-    return locs, EK, EG
+    return _read_only(locs, EK, EG)
 
 
 @dataclass
@@ -247,12 +254,9 @@ def _grid_shape(dim: int, npa: int):
     # interior nodes: all three offsets stay on the grid along every axis
     inner = functools.reduce(np.logical_and, [along(count == 3, a) for a in range(dim)])
     inner = np.broadcast_to(inner, (npa,) * dim).ravel()
-    arrays = (gid.reshape(-1, len(locs)), np.flatnonzero(inner).astype(np.int32),
-              np.flatnonzero(~inner).astype(np.int32), indptr, indices,
-              slot.reshape(-1))
-    for arr in arrays:
-        arr.flags.writeable = False
-    return arrays
+    return _read_only(gid.reshape(-1, len(locs)), np.flatnonzero(inner).astype(np.int32),
+                      np.flatnonzero(~inner).astype(np.int32), indptr, indices,
+                      slot.reshape(-1))
 
 
 def assemble(field: CoefficientField, cube: TriadicCube | None = None,
@@ -319,8 +323,7 @@ def _nd_order(shape: tuple) -> np.ndarray:
         halves = [ids[cut + (part,)] for part in (slice(None, mid), slice(mid + 1, None))]
         order = np.concatenate([half.ravel()[_nd_order(half.shape)] for half in halves]
                                + [ids[cut + (mid,)].ravel()])
-    order.flags.writeable = False
-    return order
+    return _read_only(order)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -409,7 +412,7 @@ def _cell_reference(dim: int, r: int):
     for corner in corners.T:
         g = pos[np.ravel_multi_index((corner + locs).T, shape)]
         Kref[:, :, g[:, None], g] += EK * h ** (dim - 2)
-    return Kref, int(bnd.sum())
+    return _read_only(Kref)[0], int(bnd.sum())
 
 
 def _box_merge(shape: tuple, axes: tuple):
@@ -445,7 +448,7 @@ def _box_merge(shape: tuple, axes: tuple):
 def _merge_steps(dim: int, level: int, r: int):
     """The steps that merge a 3^dim block of children into a level-``level``
     parent, one axis at a time (the pairwise merges of HPS: Gillman and
-    Martinsson, SISC 36, 2014).  Returns a list of (axes, maps, nb, nu),
+    Martinsson, SISC 36, 2014).  Returns a tuple of (axes, maps, nb, nu),
     with (maps, nb, nu) as in ``_box_merge``: step t merges 3 boxes along
     axis t, which are rectangular after the first step, and eliminates the
     nodes of its two interface planes off the merged box's boundary.  A
@@ -462,10 +465,9 @@ def _merge_steps(dim: int, level: int, r: int):
             continue
         for a in axes:
             shape[a] *= 3
-        maps.flags.writeable = False
-        steps.append((axes, maps, nb, nu))
+        steps.append((axes, *_read_only(maps), nb, nu))
         axes = ()
-    return steps
+    return tuple(steps)
 
 
 @functools.cache
@@ -480,7 +482,7 @@ def _boundary_geometry(dim: int, level: int, r: int):
     c = c[:, _on_boundary(c, m)]
     hat = np.where((c == 0) | (c == m), 0.5, 1.0) / r     # int phi_i
     slope = (c == m) - (c == 0).astype(float)             # int phi_i'
-    return (c.T - m / 2) / r, slope * hat.prod(axis=0) / hat
+    return _read_only((c.T - m / 2) / r, slope * hat.prod(axis=0) / hat)
 
 
 def merge_traces(children: BoundaryTraces, stride: int = 3) -> BoundaryTraces:
@@ -606,10 +608,7 @@ def _free_system(dim: int, npa: int, problem: str):
     positions = sp.csr_matrix((np.arange(len(K_indices), dtype=np.int32),
                                K_indices, K_indptr), shape=(npa ** dim,) * 2)
     block = positions[free][:, free].tocsc()
-    arrays = (free, block.data, block.indptr, block.indices)
-    for arr in arrays:
-        arr.flags.writeable = False
-    return arrays
+    return _read_only(free, block.data, block.indptr, block.indices)
 
 
 def _solve(op: AssembledOperator, problem: str, u: np.ndarray,

@@ -46,6 +46,37 @@ def test_selftest_gate_exit_code(tmp_path, monkeypatch):
     assert _run(["selftest"], tmp_path) == 4
 
 
+def test_the_command_table_builds_the_parser_and_dispatches(tmp_path, monkeypatch):
+    names = ["gen-field", "coarsegrain", "ellipticity", "ergodic", "homogenize",
+             "cascade-verify", "selftest"]
+    assert list(cli.COMMANDS) == names
+    parser = cli.build_parser()
+    assert "{" + ",".join(names) + "}" in parser.format_help()
+    for name in names:      # only these two take a positional field file
+        if name in ("coarsegrain", "ellipticity"):
+            assert parser.parse_args([name, "f.cghf"]).field_file == "f.cghf"
+        else:
+            with pytest.raises(SystemExit):
+                parser.parse_args([name, "f.cghf"])
+    calls = []
+    for name, command in cli.COMMANDS.items():
+        def handler(config, out_dir, fingerprint, field, name=name):
+            calls.append((name, field))
+            return 0
+        monkeypatch.setitem(cli.COMMANDS, name, command._replace(handler=handler))
+    for name in names:
+        assert _run([name], tmp_path) == 0
+    assert [name for name, _ in calls] == names
+    drawn = [name for name, field in calls if field is not None]
+    assert drawn == ["gen-field", "coarsegrain", "ellipticity"]
+    assert all(field.level == 2 and field.kind == "checkerboard"
+               for _, field in calls[:3])
+    # a field file is read in place of the drawn field
+    save_field(gen_named_field("constant", level=1), tmp_path / "one.cghf")
+    assert _run(["ellipticity", str(tmp_path / "one.cghf")], tmp_path) == 0
+    assert calls[-1][0] == "ellipticity" and calls[-1][1].kind == "constant"
+
+
 def test_config_file_errors(tmp_path):
     bad_section = tmp_path / "bad.json"
     bad_section.write_text(json.dumps({"fields": {"kind": "laminate"}}))
@@ -217,6 +248,11 @@ def test_invalid_overrides_exit_2(tmp_path, capsys, override):
     ["coarsegrain", "--set", 'field.params={"low":NaN}'],
     ["homogenize", "--set", 'homexp.target={"family":"affine","p":[NaN,0]}',
      "--set", "homexp.a_bar=[[1,0],[0,1]]"],
+    ["ellipticity", "--set", "coarsegrain.k_min=1", "--set", "norms.tail=false",
+     "--set", "norms.p=6"],
+    ["ellipticity", "--set", "coarsegrain.k_min=1", "--set", "norms.tail=false",
+     "--set", "norms.q=6"],
+    ["homogenize", "--set", "homexp.n_min=0", "--set", "homexp.with_GH=true"],
 ])
 def test_malformed_settings_stop_before_any_field_or_solve(tmp_path, monkeypatch,
                                                            capsys, argv):
@@ -227,8 +263,7 @@ def test_malformed_settings_stop_before_any_field_or_solve(tmp_path, monkeypatch
     def probe_only(spec, level, seed):     # the config check draws one cell
         return realize(spec, level, seed) if level == 0 else no_solve()
     monkeypatch.setattr(cli.ergodic.FieldSpec, "realize", probe_only)
-    for owner, name in ((cli, "field_from_config"),
-                        (cli.coarsegrain, "hierarchy_sweep"),
+    for owner, name in ((cli.coarsegrain, "hierarchy_sweep"),
                         (cli.ergodic, "estimate_Abar"),
                         (cli.homexp, "run_dirichlet_experiment"),
                         (cli.fields, "layer_moment_check")):
@@ -249,6 +284,12 @@ def test_ellipticity_tail_needs_the_cell_scale(tmp_path, monkeypatch, capsys):
         assert _run(argv + ["--set", "coarsegrain.k_min=1"], tmp_path / "out") == 2
         err = capsys.readouterr().err
         assert "coarsegrain.k_min=1" in err and "norms.tail=true" in err
+        # the L^p and L^q norms read the cells too; before, a lone p gave
+        # lp_b = nan, and p with q failed in the embedding check after the CSV
+        for norm in ("p", "q"):
+            assert _run(argv + ["--set", "coarsegrain.k_min=1", "--set", "norms.tail=false",
+                                "--set", f"norms.{norm}=6"], tmp_path / "out") == 2
+            assert f"coarsegrain.k_min=1 with norms.{norm}=6: " in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
     # without the tail the sweep may start above the cells
     cli.validate_config(cli.apply_overrides(
@@ -488,9 +529,17 @@ def test_deviation_functionals_need_the_estimated_A_bar(tmp_path, monkeypatch,
         cli.validate_config(config, "homogenize")
     cli.validate_config(cli.apply_overrides(cli.load_config(None), [a_bar]),
                         "homogenize")
+    # G and H at scale n sum over min(ring_levels, n) scales: none at n = 0
+    assert _run(["homogenize", "--set", "homexp.n_min=0", "--set", "homexp.with_GH=true"],
+                out) == 2
+    assert "homexp.with_GH needs homexp.n_min >= 1" in capsys.readouterr().err
+    assert not out.exists()
+    for flags in (["homexp.n_min=0", "homexp.with_E=true"],
+                  ["homexp.n_min=1", "homexp.with_GH=true"]):
+        cli.validate_config(cli.apply_overrides(cli.load_config(None), flags), "homogenize")
 
 
-def test_output_dir_precedence(tmp_path, monkeypatch):
+def test_output_dir_precedence(tmp_path, monkeypatch, capsys):
     cfg_dir = tmp_path / "from_config"
     env_dir = tmp_path / "from_env"
     flag_dir = tmp_path / "from_flag"
@@ -504,6 +553,12 @@ def test_output_dir_precedence(tmp_path, monkeypatch):
     assert cli.main(["gen-field", "--config", str(cfg),
                      "--output-dir", str(flag_dir)]) == 0
     assert any(flag_dir.glob("*.cghf"))
+    # a directory that cannot be made is an i/o error, not a traceback
+    blocker = tmp_path / "a_file"
+    blocker.write_text("")
+    for out in (blocker, blocker / "sub"):
+        assert cli.main(["gen-field", "--output-dir", str(out)]) == 2
+        assert "i/o error: " in capsys.readouterr().err
 
 
 def test_coarsegrain_command_artifacts(tmp_path, capsys):

@@ -342,6 +342,12 @@ def test_cache_lookup_refuses_offsets_off_the_swept_lattice():
         cache.A_at(0, (6, 3))           # just past the domain's far side
     assert np.array_equal(cache.A_at(0, (5, 3)), cache.A_by_scale[0][2, 0])
     assert np.array_equal(cache.A_at(1, (3, 3)), cache.A_by_scale[1][0, 0])
+    # a scale the sweep did not keep: before, a bare KeyError
+    coarse = hierarchy_sweep(field, k_min=1)
+    for lookup in (coarse.A_at, coarse.matrices_at):
+        with pytest.raises(ValueError, match=r"scale 0 was not swept; the sweep "
+                           r"kept scales \[1, 2\]"):
+            lookup(0, (0, 0))
 
 
 def _assert_slacks_match_loops(cache):

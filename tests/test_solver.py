@@ -357,6 +357,19 @@ def test_grid_shape_is_cached_read_only_and_shared():
     assert op3.gid is gid
 
 
+def test_every_memoized_table_is_read_only():
+    # one object serves every caller, so a write would change every later
+    # assembly or merge; writing an entry's own value shows the flag
+    EK = reference_tensors(2)[1]
+    with pytest.raises(ValueError, match="read-only"):
+        EK[0, 0, 0, 0] = EK[0, 0, 0, 0]
+    steps = solver._merge_steps(2, 2, 1)
+    assert type(steps) is tuple
+    tables = [*reference_tensors(3), solver._cell_reference(2, 2)[0],
+              *solver._boundary_geometry(2, 1, 1), *(maps for _, maps, _, _ in steps)]
+    assert not any(arr.flags.writeable for arr in tables)
+
+
 @pytest.mark.parametrize("dim,m", [(2, 0), (2, 1), (2, 7), (2, 26), (3, 7), (3, 8)])
 def test_nested_dissection_order_is_a_cached_permutation(dim, m):
     order = solver._nd_order((m,) * dim)
