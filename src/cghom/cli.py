@@ -401,8 +401,10 @@ def cmd_ellipticity(config: dict, out_dir: Path, fingerprint: str, field) -> int
               "contrast": rep.contrast, "per_scale_sinv": rep.per_scale_sinv,
               "per_scale_b": rep.per_scale_b, "field_sha256": field.fingerprint}
     if nm["p"] is not None and nm["q"] is not None:
-        report["embedding"] = norms.embedding_check(cache, nm["p"], nm["q"],
-                                                    nm["s"], nm["t"])
+        # the bound reads the report with tail and normalized, the defaults
+        bound_rep = rep if nm["tail"] and nm["normalized"] else norms.ellipticity_constants(
+            cache, nm["s"], nm["t"], p=nm["p"], q=nm["q"])
+        report["embedding"] = norms.embedding_check(bound_rep, nm["p"], nm["q"], field.dim)
     write_json_report(report, out_dir / f"ellipticity_{fingerprint[:10]}.json",
                       fingerprint)
     print(f"lambda_s={rep.lambda_s:.6g} Lambda_t={rep.Lambda_t:.6g} "

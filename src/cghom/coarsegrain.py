@@ -536,8 +536,15 @@ class HierarchyCache:
         npz = path if str(path).endswith(".npz") else str(path) + ".npz"
         with np.load(npz) as data:
             A_by_scale = {int(k.split("_")[1]): data[k] for k in data.files}
-        return cls(dim=manifest["dim"], top_level=manifest["top_level"],
-                   resolution=manifest["resolution"],
+        if sorted(A_by_scale) != manifest["scales"]:
+            raise ValueError(f"{npz} holds scales {sorted(A_by_scale)}, but its "
+                             f"manifest lists scales {manifest['scales']}")
+        n, d = manifest["top_level"], manifest["dim"]
+        for k, A in A_by_scale.items():
+            want = (3 ** (n - k),) * d + (2 * d, 2 * d)
+            if A.shape != want:
+                raise ValueError(f"{npz} scale {k} has shape {A.shape}, want {want}")
+        return cls(dim=d, top_level=n, resolution=manifest["resolution"],
                    fingerprint=manifest["fingerprint"], A_by_scale=A_by_scale,
                    base_offset=tuple(manifest["base_offset"]),
                    diagnostics=manifest["diagnostics"])

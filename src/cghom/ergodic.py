@@ -61,14 +61,15 @@ class ErgodicEstimate:
     A_se: np.ndarray
     sinv_bar: np.ndarray      # mean of per-cell s^{-1}, cell-averaged
     bpt_bar: np.ndarray       # mean of per-cell s + k^T s^{-1} k
-    s_star_bar: np.ndarray = None
-    k_bar: np.ndarray = None
-    b_bar: np.ndarray = None
-    s_bar: np.ndarray = None
-    gap: np.ndarray = None
-    sym_k: np.ndarray = None
-    reconstruction_err: float = 0.0
     A_samples: np.ndarray | None = None
+    # derived from A_bar by __post_init__
+    s_star_bar: np.ndarray = dc_field(init=False)
+    k_bar: np.ndarray = dc_field(init=False)
+    b_bar: np.ndarray = dc_field(init=False)
+    s_bar: np.ndarray = dc_field(init=False)
+    gap: np.ndarray = dc_field(init=False)
+    sym_k: np.ndarray = dc_field(init=False)
+    reconstruction_err: float = dc_field(init=False)
 
     def __post_init__(self):
         d = self.A_bar.shape[0] // 2

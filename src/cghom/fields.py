@@ -313,107 +313,88 @@ def _finite(value) -> bool:
     return not isinstance(value, float) or np.isfinite(value)
 
 
+# Each stock kind: its random stream tag (the stream is (seed, tag)) and its
+# parameters with their defaults.  A default of None is the identity for
+# constant's matrix, and 2 * level + 4 for cascade_iso's m_max (CascadeSpec).
+# cascade_iso draws from its own (seed, 0xCA5CADE) stream, so its tag 6 is
+# unused.
+KINDS = {
+    "constant": (1, {"matrix": None}),
+    "checkerboard": (2, {"low": 1.0, "high": 9.0, "mode": "iid", "phase": "random"}),
+    "laminate": (3, {"a1": 1.0, "a2": 4.0, "phase": 0}),
+    "lognormal_iso": (4, {"sigma": 0.5}),
+    "skew_lognormal": (5, {"sigma": 0.5, "kappa": 0.5}),
+    "cascade_iso": (6, {"sigma": 0.3, "m_max": None, "cap": 1e150}),
+}
+
+
 def gen_named_field(kind: str, level: int, dim: int = 2, seed: int = 0,
                     **params) -> CoefficientField:
-    """Build one of the stock coefficient fields.
+    """Build one of the stock coefficient fields, the kinds of ``KINDS``.
 
-    Kinds: constant, checkerboard, laminate, lognormal_iso, skew_lognormal,
-    cascade_iso.  Randomness is fully determined by ``seed``.
+    Parameters not given take the table's defaults; the field records only
+    those given (and cascade_iso its resolved m_max).  Randomness is fully
+    determined by ``seed``.
     """
-    if kind not in _KIND_PARAMS:
+    if kind not in KINDS:
         raise ValueError(f"unknown field kind {kind!r}")
-    unknown = set(params) - _KIND_PARAMS[kind]
+    tag, defaults = KINDS[kind]
+    unknown = set(params) - set(defaults)
     if unknown:
         raise ValueError(
             f"unknown parameter(s) {sorted(unknown)} for field kind {kind!r}; "
-            f"allowed: {sorted(_KIND_PARAMS[kind])}")
+            f"allowed: {sorted(defaults)}")
     if not _finite(list(params.values())):
         raise ValueError(f"field kind {kind!r} parameters must be finite, got {params}")
+    p = {**defaults, **params}
     m = 3 ** level
     shape = (m,) * dim
-    rng = np.random.default_rng((seed, _KIND_TAGS.get(kind, 0)))
+    rng = np.random.default_rng((seed, tag))
     k_cells = np.zeros(shape + (dim, dim))
 
     if kind == "constant":
-        a = np.asarray(params.get("matrix", np.eye(dim)), dtype=float)
-        s = 0.5 * (a + a.T)
-        k = 0.5 * (a - a.T)
-        s_cells = np.broadcast_to(s, shape + (dim, dim)).copy()
-        k_cells = np.broadcast_to(k, shape + (dim, dim)).copy()
+        a = np.eye(dim) if p["matrix"] is None else np.asarray(p["matrix"], dtype=float)
+        s_cells = np.broadcast_to(0.5 * (a + a.T), shape + (dim, dim)).copy()
+        k_cells = np.broadcast_to(0.5 * (a - a.T), shape + (dim, dim)).copy()
 
-    elif kind == "checkerboard":
-        lo = float(params.get("low", 1.0))
-        hi = float(params.get("high", 9.0))
-        mode = params.get("mode", "iid")
+    elif kind in ("checkerboard", "laminate"):
+        # two values alternating along every axis (checkerboard) or along
+        # axis 0 (laminate), from a given or a random phase; or, in mode
+        # iid, one fair coin flip per cell
+        lo, hi = (p["low"], p["high"]) if kind == "checkerboard" else (p["a1"], p["a2"])
+        mode = p.get("mode", "periodic")
         if mode == "iid":
             mask = rng.random(shape) < 0.5
         elif mode == "periodic":
-            phase = params.get("phase", "random")
-            ph = int(rng.integers(0, 2)) if phase == "random" else int(phase)
-            idx = np.indices(shape).sum(axis=0)
-            mask = (idx + ph) % 2 == 0
+            ph = int(rng.integers(0, 2)) if p["phase"] == "random" else int(p["phase"])
+            idx = np.indices(shape, sparse=True)
+            mask = ((sum(idx) if kind == "checkerboard" else idx[0]) + ph) % 2 == 0
         else:
             raise ValueError(f"unknown checkerboard mode {mode!r}")
-        vals = np.where(mask, lo, hi)
-        s_cells = _iso(vals, dim)
+        s_cells = _iso(np.where(np.broadcast_to(mask, shape), float(lo), float(hi)), dim)
 
-    elif kind == "laminate":
-        a1 = float(params.get("a1", 1.0))
-        a2 = float(params.get("a2", 4.0))
-        phase = params.get("phase", 0)
-        ph = int(rng.integers(0, 2)) if phase == "random" else int(phase)
-        cols = np.arange(m)
-        line = np.where((cols + ph) % 2 == 0, a1, a2)
-        vals = np.broadcast_to(line.reshape((m,) + (1,) * (dim - 1)), shape).copy()
+    elif kind in ("lognormal_iso", "skew_lognormal"):
+        vals = np.exp(rng.normal(0.0, float(p["sigma"]), size=shape))
         s_cells = _iso(vals, dim)
+        if kind == "skew_lognormal":
+            kappa = float(p["kappa"])
+            if dim == 2:
+                k_cells = _skew_from_scalar(kappa * vals * rng.uniform(-1.0, 1.0, size=shape))
+            else:
+                w = kappa * vals[..., None] * rng.uniform(-1.0, 1.0, size=shape + (3,))
+                k_cells = _skew_from_vector(w)
 
-    elif kind == "lognormal_iso":
-        sigma = float(params.get("sigma", 0.5))
-        vals = np.exp(rng.normal(0.0, sigma, size=shape))
-        s_cells = _iso(vals, dim)
-
-    elif kind == "skew_lognormal":
-        sigma = float(params.get("sigma", 0.5))
-        kappa = float(params.get("kappa", 0.5))
-        vals = np.exp(rng.normal(0.0, sigma, size=shape))
-        s_cells = _iso(vals, dim)
-        if dim == 2:
-            k_cells = _skew_from_scalar(kappa * vals * rng.uniform(-1.0, 1.0, size=shape))
-        else:
-            w = kappa * vals[..., None] * rng.uniform(-1.0, 1.0, size=shape + (3,))
-            k_cells = _skew_from_vector(w)
-
-    elif kind == "cascade_iso":
-        sigma = float(params.get("sigma", 0.3))
-        m_max = params.get("m_max")
-        cap = float(params.get("cap", 1e150))
-        spec = CascadeSpec(sigma=sigma, level=level, m_max=m_max, seed=seed, cap=cap)
+    else:   # cascade_iso
+        spec = CascadeSpec(sigma=float(p["sigma"]), level=level, m_max=p["m_max"],
+                           seed=seed, cap=float(p["cap"]))
         f, info = gen_cascade_field(spec, dim)
         s_cells = _iso(1.0 + f, dim)
         params = dict(params, m_max=info["m_max"])
-
-    else:
-        raise ValueError(f"unknown field kind {kind!r}")
 
     return CoefficientField(
         dim=dim, level=level, s_cells=s_cells, k_cells=k_cells,
         kind=kind, seed=seed, params=dict(params),
     )
-
-
-_KIND_TAGS = {
-    "constant": 1, "checkerboard": 2, "laminate": 3,
-    "lognormal_iso": 4, "skew_lognormal": 5, "cascade_iso": 6,
-}
-
-_KIND_PARAMS = {
-    "constant": {"matrix"},
-    "checkerboard": {"low", "high", "mode", "phase"},
-    "laminate": {"a1", "a2", "phase"},
-    "lognormal_iso": {"sigma"},
-    "skew_lognormal": {"sigma", "kappa"},
-    "cascade_iso": {"sigma", "m_max", "cap"},
-}
 
 
 def save_field(field: CoefficientField, path: str | Path) -> Path:

@@ -240,20 +240,23 @@ def ellipticity_constants(cache: HierarchyCache, s: float, t: float,
                              per_scale_b=b_max, fingerprint=cache.fingerprint)
 
 
-def embedding_check(cache: HierarchyCache, p: float, q: float, s: float,
-                    t: float) -> dict:
+def embedding_check(rep: EllipticityReport, p: float, q: float, dim: int) -> dict:
     """Integrability embedding: scale-weighted constants from L^p/L^q norms.
 
     Verifies  Lambda_t <= (1-3^{-2t})/(1-3^{d/p-2t}) * ||b||_{L^p}  and the
-    analogous bound of 1/lambda_s by ||s^{-1}||_{L^q}; requires p > d/(2t)
-    and q > d/(2s).  Returns both sides and margins (nonnegative = holds).
+    analogous bound of 1/lambda_s by ||s^{-1}||_{L^q} on ``rep``, the
+    ``ellipticity_constants`` of a d = ``dim`` hierarchy with ``tail``,
+    ``normalized`` and these ``p`` and ``q``; requires p > d/(2t) and
+    q > d/(2s).  Returns both sides and margins (nonnegative = holds).
     """
-    d = cache.dim
-    if p <= d / (2 * t) or q <= d / (2 * s):
+    s, t = rep.s_param, rep.t_param
+    if p <= dim / (2 * t) or q <= dim / (2 * s):
         raise ValueError("need p > d/(2t) and q > d/(2s)")
-    rep = ellipticity_constants(cache, s, t, p=p, q=q, tail=True, normalized=True)
-    rhs_b = (1.0 - 3.0 ** (-2 * t)) / (1.0 - 3.0 ** (d / p - 2 * t)) * rep.lp_b
-    rhs_sinv = (1.0 - 3.0 ** (-2 * s)) / (1.0 - 3.0 ** (d / q - 2 * s)) * rep.lq_sinv
+    if not (rep.tail and rep.normalized) or np.isnan(rep.lp_b) or np.isnan(rep.lq_sinv):
+        raise ValueError("the embedding check needs a report with tail and normalized "
+                         "and with the L^p and L^q norms of the cells")
+    rhs_b = (1.0 - 3.0 ** (-2 * t)) / (1.0 - 3.0 ** (dim / p - 2 * t)) * rep.lp_b
+    rhs_sinv = (1.0 - 3.0 ** (-2 * s)) / (1.0 - 3.0 ** (dim / q - 2 * s)) * rep.lq_sinv
     inv_lam = 1.0 / rep.lambda_s
     return {
         "Lambda_t": rep.Lambda_t, "bound_b": rhs_b,

@@ -1,4 +1,5 @@
 """Coarse-graining layer: closed forms, identities, orderings, hierarchy."""
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -304,6 +305,26 @@ def test_hierarchy_cache_save_load(tmp_path):
     assert back.top_level == cache.top_level
     for k in cache.scales:
         assert np.array_equal(back.A_by_scale[k], cache.A_by_scale[k])
+
+
+def test_hierarchy_cache_load_refuses_tampered_arrays(tmp_path):
+    field = gen_named_field("skew_lognormal", level=2, seed=3)
+    cache = hierarchy_sweep(field)
+    path = tmp_path / "cache.npz"
+    cache.save(str(path))
+    arrays = {f"scale_{k}": A for k, A in cache.A_by_scale.items()}
+    tampered = (({k: A for k, A in arrays.items() if k != "scale_1"},
+                 r"holds scales \[0, 2\], but its manifest lists scales \[0, 1, 2\]"),
+                (dict(arrays, scale_2=arrays["scale_1"]),
+                 r"scale 2 has shape \(3, 3, 4, 4\), want \(1, 1, 4, 4\)"))
+    for data, message in tampered:
+        np.savez_compressed(path, **data)
+        with pytest.raises(ValueError, match=re.escape(str(path)) + " " + message):
+            HierarchyCache.load(str(path))
+    np.savez_compressed(path, **arrays)
+    back = HierarchyCache.load(str(path))
+    assert back.scales == [0, 1, 2]
+    assert back.subadditivity_defect() == cache.subadditivity_defect()
 
 
 def test_blocks_from_A_rejects_degenerate_lower_block():

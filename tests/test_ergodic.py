@@ -178,6 +178,13 @@ def test_derived_blocks_reconstruction_identity():
     assert est.A_samples.shape == (6, 4, 4)
     # the sample mean is the stored mean
     assert np.allclose(est.A_samples.mean(axis=0), est.A_bar)
+    # the derived blocks are not constructor arguments
+    inputs = {name: getattr(est, name) for name in
+              ("n", "samples", "seed", "method", "A_bar", "A_se", "sinv_bar", "bpt_bar")}
+    for name in ("s_star_bar", "k_bar", "b_bar", "s_bar", "gap", "sym_k",
+                 "reconstruction_err"):
+        with pytest.raises(TypeError, match=name):
+            ErgodicEstimate(**inputs, **{name: 0.0})
 
 
 def test_gap_identity_is_algebraic():

@@ -81,6 +81,22 @@ def test_unknown_kind_and_params_rejected():
         gen_named_field("checkerboard", level=1, values=[1, 4])
     with pytest.raises(ValueError, match="unknown parameter"):
         gen_named_field("constant", level=1, value=1.0)
+    # every kind of the table builds from its defaults, records only the
+    # parameters given, and refuses a misspelt one naming its own parameters
+    for kind, (_, defaults) in fields.KINDS.items():
+        for dim in (2, 3):
+            f = gen_named_field(kind, level=1, dim=dim)
+            assert f.kind == kind and f.s_cells.shape == (3,) * dim + (dim, dim)
+            assert f.params == ({"m_max": 6} if kind == "cascade_iso" else {})
+            name, value = next(iter(defaults.items()))
+            if value is not None:
+                given = gen_named_field(kind, level=1, dim=dim, **{name: value})
+                assert given.params == dict({name: value}, **f.params)
+                assert given.fingerprint == f.fingerprint
+            with pytest.raises(ValueError) as err:
+                gen_named_field(kind, level=1, dim=dim, **{name + "_": 1.0})
+            assert str(err.value) == (f"unknown parameter(s) ['{name}_'] for field kind "
+                                      f"{kind!r}; allowed: {sorted(defaults)}")
     # a non-finite number is refused before any cell is drawn
     for kind, params in (("checkerboard", {"low": np.nan}),
                          ("lognormal_iso", {"sigma": np.inf}),

@@ -1,4 +1,6 @@
 """Triadic norms against brute-force loop recomputations and closed forms."""
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -319,12 +321,40 @@ def test_besov_and_lp_columns_populated():
 def test_embedding_check_bounds_hold():
     field = gen_named_field("checkerboard", level=2, seed=8, low=0.5, high=2.0)
     cache = hierarchy_sweep(field, check=False)
-    out = embedding_check(cache, p=6.0, q=6.0, s=0.4, t=0.4)
+    rep = ellipticity_constants(cache, s=0.4, t=0.4, p=6.0, q=6.0)
+    out = embedding_check(rep, p=6.0, q=6.0, dim=2)
     assert out["ok"]
     assert out["margin_b"] >= -1e-12
     assert out["margin_sinv"] >= -1e-12
-    with pytest.raises(ValueError):
-        embedding_check(cache, p=2.0, q=6.0, s=0.4, t=0.4)
+    assert out["Lambda_t"] == rep.Lambda_t and out["inv_lambda_s"] == 1.0 / rep.lambda_s
+    with pytest.raises(ValueError, match="need p"):
+        embedding_check(rep, p=2.0, q=6.0, dim=2)
+    # the bound reads a report with the tail, normalized, and both cell norms
+    for kwargs in ({"p": 6.0, "q": 6.0, "tail": False}, {"p": 6.0, "q": 6.0, "normalized": False},
+                   {"p": 6.0}, {"q": 6.0}):
+        other = ellipticity_constants(cache, s=0.4, t=0.4, **kwargs)
+        with pytest.raises(ValueError, match="embedding check needs"):
+            embedding_check(other, p=6.0, q=6.0, dim=2)
+
+
+@pytest.mark.parametrize("tail,calls", [("true", 1), ("false", 2)])
+def test_ellipticity_command_computes_the_constants_once(tmp_path, monkeypatch, tail, calls):
+    # the embedding check reuses the command's report when it has the tail and
+    # is normalized, the defaults; otherwise it needs the one report with both
+    reports = []
+
+    def counted(*args, **kwargs):
+        reports.append(ellipticity_constants(*args, **kwargs))
+        return reports[-1]
+
+    monkeypatch.setattr(norms, "ellipticity_constants", counted)
+    argv = ["ellipticity", "--output-dir", str(tmp_path), "--set", "field.level=2",
+            "--set", "norms.p=6", "--set", "norms.q=6", "--set", f"norms.tail={tail}"]
+    assert cli.main(argv) == 0
+    assert len(reports) == calls and reports[-1].tail and reports[-1].normalized
+    path, = tmp_path.glob("ellipticity_*.json")
+    emb = json.loads(path.read_text())["embedding"]
+    assert emb == embedding_check(reports[-1], 6.0, 6.0, 2)
 
 
 def test_ellipticity_csv(tmp_path):
