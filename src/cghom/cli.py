@@ -65,7 +65,6 @@ SETTINGS = {
     "norms.tail": (True, "bool", None),
     "norms.normalized": (True, "bool", None),
     "coarsegrain.resolution": (1, "int", "[1, inf)"),
-    "coarsegrain.k_min": (0, "int", "[0, inf)"),
     "coarsegrain.check": (True, "bool", None),
     "ergodic.n_min": (1, "int", "[0, inf)"),
     "ergodic.n_max": (3, "int", "[0, inf)"),
@@ -191,18 +190,14 @@ def apply_overrides(config: dict, assignments: list[str]) -> dict:
 MAX_LEVEL_3D = 2
 
 
-def _check_level(config: dict, command: str, dim: int, level: int, source: str) -> None:
+def _check_level(command: str, dim: int, level: int, source: str) -> None:
     """Refuse a run whose largest cube, of ``level`` (``source`` says where
-    that comes from), cannot finish, or is below a sweep's ``k_min``."""
+    that comes from), cannot finish."""
     if dim == 3 and level > MAX_LEVEL_3D:
         raise ConfigError(
             f"'{command}' would coarse-grain a 3D cube of level {level} ({source}); "
             f"3D cubes above level {MAX_LEVEL_3D} are rejected because their last "
             f"merge step is a dense boundary problem of about 0.26 GB per matrix")
-    k_min = config["coarsegrain"]["k_min"]
-    if COMMANDS[command].level_key == "field.level" and k_min > level:
-        raise ConfigError(f"coarsegrain.k_min={k_min} exceeds {source}: "
-                          f"the sweep would keep no scale")
 
 
 def _check_homexp_inputs(config: dict, command: str | None) -> None:
@@ -275,14 +270,7 @@ def validate_config(config: dict, command: str | None = None,
                           "min(homexp.ring_levels, n) scales, none at n = 0")
     key = None if field_file or command is None else COMMANDS[command].level_key
     if key and not (command == "homogenize" and hx["a_bar"] is not None):
-        _check_level(config, command, config["dim"], _get(config, key),
-                     f"{key}={_get(config, key)}")
-    k_min = config["coarsegrain"]["k_min"]
-    cell_reads = [f"norms.{key}={json.dumps(nm[key])}" for key in ("tail", "p", "q") if nm[key]]
-    if command == "ellipticity" and k_min > 0 and cell_reads:
-        raise ConfigError(f"coarsegrain.k_min={k_min} with {' and '.join(cell_reads)}: "
-                          f"the tail and the L^p and L^q norms read the cells, "
-                          f"scale 0, which the sweep would not keep")
+        _check_level(command, config["dim"], _get(config, key), f"{key}={_get(config, key)}")
     _check_homexp_inputs(config, command)
 
 
@@ -359,9 +347,7 @@ def cmd_gen_field(config: dict, out_dir: Path, fingerprint: str, field) -> int:
 
 def cmd_coarsegrain(config: dict, out_dir: Path, fingerprint: str, field) -> int:
     cg = config["coarsegrain"]
-    cache = coarsegrain.hierarchy_sweep(field, k_min=cg["k_min"],
-                                        resolution=cg["resolution"],
-                                        check=cg["check"])
+    cache = coarsegrain.hierarchy_sweep(field, resolution=cg["resolution"], check=cg["check"])
     cache_path = out_dir / f"cache_{fingerprint[:10]}.npz"
     cache.save(str(cache_path))
     top = cache.matrices_at(field.level, (0,) * field.dim)
@@ -370,11 +356,10 @@ def cmd_coarsegrain(config: dict, out_dir: Path, fingerprint: str, field) -> int
         "level": field.level,
         "s_star": top.s_star, "k": top.k, "b": top.b, "s": top.s,
         "subadditivity_defect": cache.subadditivity_defect(),
+        "sandwich_defect": cache.sandwich_defect(),
         "diagnostics": cache.diagnostics,
         "cache_file": cache_path.name,
     }
-    if cg["k_min"] == 0:
-        report["sandwich_defect"] = cache.sandwich_defect()
     slack_min = {str(k): {c: v.min() for c, v in checks.items()}
                  for k, checks in cache.slacks().items()}
     write_json_report(report, out_dir / f"coarsegrain_{fingerprint[:10]}.json",
@@ -385,10 +370,9 @@ def cmd_coarsegrain(config: dict, out_dir: Path, fingerprint: str, field) -> int
 
 
 def cmd_ellipticity(config: dict, out_dir: Path, fingerprint: str, field) -> int:
-    cg = config["coarsegrain"]
     nm = config["norms"]
-    cache = coarsegrain.hierarchy_sweep(field, k_min=cg["k_min"],
-                                        resolution=cg["resolution"], check=False)
+    cache = coarsegrain.hierarchy_sweep(field, resolution=config["coarsegrain"]["resolution"],
+                                        check=False)
     rep = norms.ellipticity_constants(cache, nm["s"], nm["t"], p=nm["p"],
                                       q=nm["q"], tail=nm["tail"],
                                       normalized=nm["normalized"])
@@ -404,7 +388,7 @@ def cmd_ellipticity(config: dict, out_dir: Path, fingerprint: str, field) -> int
         # the bound reads the report with tail and normalized, the defaults
         bound_rep = rep if nm["tail"] and nm["normalized"] else norms.ellipticity_constants(
             cache, nm["s"], nm["t"], p=nm["p"], q=nm["q"])
-        report["embedding"] = norms.embedding_check(bound_rep, nm["p"], nm["q"], field.dim)
+        report["embedding"] = norms.embedding_check(bound_rep, field.dim)
     write_json_report(report, out_dir / f"ellipticity_{fingerprint[:10]}.json",
                       fingerprint)
     print(f"lambda_s={rep.lambda_s:.6g} Lambda_t={rep.Lambda_t:.6g} "
@@ -674,7 +658,7 @@ def main(argv=None) -> int:
         field = None
         if field_file:
             field = load_field(field_file)
-            _check_level(config, args.command, field.dim, field.level,
+            _check_level(args.command, field.dim, field.level,
                          f"the level {field.level} of field file {field_file}")
         elif command.field:
             field = fieldspec_from_config(config).realize(config["field"]["level"],

@@ -430,37 +430,34 @@ def order_slacks(A_by_scale: dict) -> dict:
     """Smallest eigenvalue of each partition cube's order checks.
 
     Returns {k: {check: array of shape (3^(n-k),)*dim}} for the scales
-    k >= 1 with a check whose inputs are present: ``subadditivity``
-    (needs scale k-1) of the children's mean minus A, and, with scale 0,
-    ``sandwich_upper`` of the cells' mean minus A and ``sandwich_lower`` of
-    A minus jswap (cells' mean)^{-1} jswap.  Each entry is >= 0 up to roundoff.
+    k = 1..n of a hierarchy that holds every scale 0..n: ``subadditivity``
+    of the children's mean minus A, ``sandwich_upper`` of the cells' mean
+    minus A and ``sandwich_lower`` of A minus jswap (cells' mean)^{-1} jswap.
+    Each entry is >= 0 up to roundoff.
     """
     out = {}
-    for k in sorted(set(A_by_scale) - {0}):
+    for k in range(1, len(A_by_scale)):
         A = A_by_scale[k]
         d = A.shape[-1] // 2
-        gaps = {}
-        if k - 1 in A_by_scale:
-            gaps["subadditivity"] = block_means(A_by_scale[k - 1], d, 3) - A
-        if 0 in A_by_scale:
-            cells = block_means(A_by_scale[0], d, 3 ** k)
-            gaps["sandwich_upper"] = cells - A
-            gaps["sandwich_lower"] = A - jswap(d) @ np.linalg.inv(cells) @ jswap(d)
-        if gaps:
-            out[k] = {c: np.linalg.eigvalsh(g)[..., 0] for c, g in gaps.items()}
+        cells = block_means(A_by_scale[0], d, 3 ** k)
+        gaps = {"subadditivity": block_means(A_by_scale[k - 1], d, 3) - A,
+                "sandwich_upper": cells - A,
+                "sandwich_lower": A - jswap(d) @ np.linalg.inv(cells) @ jswap(d)}
+        out[k] = {c: np.linalg.eigvalsh(g)[..., 0] for c, g in gaps.items()}
     return out
 
 
 @dataclass
 class HierarchyCache:
-    """Coarse matrices of every partition subcube of a triadic domain.
+    """Coarse matrices of every partition subcube of a field's window, at
+    every scale from the cells (k = 0) to the window (k = n).
 
     ``A_by_scale[k]`` has shape (3^(n-k),)*dim + (2d, 2d), indexed by the
-    partition position of the scale-k cube relative to the domain corner.
-    ``diagnostics`` lists per-cube ordering violations found during a checked
-    sweep (empty = all clean).  ``slacks()`` is ``order_slacks`` of
-    ``A_by_scale``, computed on its first call and kept; the sweep's check,
-    both defects and the CLI's margins read it.
+    partition position of the scale-k cube.  ``diagnostics`` lists per-cube
+    ordering violations found during a checked sweep (empty = all clean).
+    ``slacks()`` is ``order_slacks`` of ``A_by_scale``, computed on its
+    first call and kept; the sweep's check, both defects and the CLI's
+    margins read it.
     """
 
     dim: int
@@ -468,13 +465,8 @@ class HierarchyCache:
     resolution: int
     fingerprint: str
     A_by_scale: dict
-    base_offset: tuple = ()
     diagnostics: list = dc_field(default_factory=list)
     _slacks: dict = dc_field(default=None, init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        if not self.base_offset:
-            self.base_offset = (0,) * self.dim
 
     @property
     def scales(self):
@@ -482,15 +474,13 @@ class HierarchyCache:
 
     def A_at(self, k: int, z: tuple) -> np.ndarray:
         """The matrix of the scale-k cube at offset z, in the field's cells;
-        z must be one of the swept domain's scale-k partition cubes."""
-        if k not in self.A_by_scale:
-            raise ValueError(f"scale {k} was not swept; the sweep kept scales {self.scales}")
-        A = self.A_by_scale[k]
-        idx, rem = zip(*(divmod(int(o) - b, 3 ** k) for o, b in zip(z, self.base_offset)))
-        if len(z) != self.dim or any(rem) or not all(0 <= i < n for i, n in zip(idx, A.shape)):
-            raise ValueError(f"offset {tuple(z)} is not a scale-{k} cube of the swept "
-                             f"domain, the level-{self.top_level} cube at {self.base_offset}")
-        return A[idx]
+        z must be one of the window's scale-k partition cubes."""
+        n = self.top_level
+        if not (0 <= k <= n and len(z) == self.dim
+                and all(o % 3 ** k == 0 and 0 <= o < 3 ** n for o in map(int, z))):
+            raise ValueError(f"offset {tuple(z)} is not a scale-{k} cube of the "
+                             f"level-{n} window")
+        return self.A_by_scale[k][tuple(int(o) // 3 ** k for o in z)]
 
     def matrices_at(self, k: int, z: tuple) -> CoarseGrainedMatrices:
         cube = TriadicCube(level=k, offset=tuple(int(o) for o in z), dim=self.dim)
@@ -503,13 +493,11 @@ class HierarchyCache:
 
     def subadditivity_defect(self) -> float:
         """Most negative eigenvalue of (children average - parent), all scales."""
-        return min((float(c["subadditivity"].min()) for c in self.slacks().values()
-                    if "subadditivity" in c), default=np.inf)
+        return min((float(c["subadditivity"].min()) for c in self.slacks().values()),
+                   default=np.inf)
 
     def sandwich_defect(self) -> dict:
         """Most negative eigenvalues of the pointwise upper and lower orderings."""
-        if 0 not in self.A_by_scale:
-            raise ValueError("sandwich check needs the cell scale (k_min = 0)")
         slacks = self.slacks().values()
         return {side: min((float(c[f"sandwich_{side}"].min()) for c in slacks),
                           default=np.inf)
@@ -521,7 +509,7 @@ class HierarchyCache:
         manifest = {
             "dim": self.dim, "top_level": self.top_level,
             "resolution": self.resolution, "fingerprint": self.fingerprint,
-            "base_offset": list(self.base_offset), "scales": self.scales,
+            "scales": self.scales,
             "diagnostics": self.diagnostics, "version": 1,
         }
         with open(str(path) + ".json", "w") as fh:
@@ -529,24 +517,32 @@ class HierarchyCache:
 
     @classmethod
     def load(cls, path: str) -> "HierarchyCache":
-        with open(str(path) + ".json") as fh:
+        """Read a saved cache; a file that does not hold every scale of one
+        whole window (or whose arrays differ from its manifest) is refused."""
+        where = str(path) + ".json"
+        with open(where) as fh:
             manifest = json.load(fh)
         if manifest.get("version") != 1:
             raise ValueError("unsupported cache version")
+        n, d = manifest["top_level"], manifest["dim"]
+        if manifest["scales"] != list(range(n + 1)):
+            raise ValueError(f"{where} lists scales {manifest['scales']}, but a "
+                             f"cache holds every scale 0..{n} of its window")
+        if any(manifest.get("base_offset", ())):
+            raise ValueError(f"{where} sweeps the cube at {manifest['base_offset']}, "
+                             f"but a cache holds its field's whole window")
         npz = path if str(path).endswith(".npz") else str(path) + ".npz"
         with np.load(npz) as data:
             A_by_scale = {int(k.split("_")[1]): data[k] for k in data.files}
         if sorted(A_by_scale) != manifest["scales"]:
             raise ValueError(f"{npz} holds scales {sorted(A_by_scale)}, but its "
                              f"manifest lists scales {manifest['scales']}")
-        n, d = manifest["top_level"], manifest["dim"]
         for k, A in A_by_scale.items():
             want = (3 ** (n - k),) * d + (2 * d, 2 * d)
             if A.shape != want:
                 raise ValueError(f"{npz} scale {k} has shape {A.shape}, want {want}")
         return cls(dim=d, top_level=n, resolution=manifest["resolution"],
                    fingerprint=manifest["fingerprint"], A_by_scale=A_by_scale,
-                   base_offset=tuple(manifest["base_offset"]),
                    diagnostics=manifest["diagnostics"])
 
 
@@ -554,33 +550,24 @@ class HierarchyCache:
 SLACK_TOL = 1e-8
 
 
-def hierarchy_sweep(field: CoefficientField, domain: TriadicCube | None = None,
-                    k_min: int = 0, resolution: int = 1,
+def hierarchy_sweep(field: CoefficientField, resolution: int = 1,
                     check: bool = True) -> HierarchyCache:
-    """Coarse-grain every partition subcube of the domain, scale by scale.
+    """Coarse-grain every partition subcube of the field's window, at every
+    scale from the cells (k = 0) to the window (k = n).
 
-    One condensation of the domain's cells gives every scale's boundary
-    traces (``solver.condense``; the cells were checked when the field was
-    built), and ``condensed_A`` reads each scale's matrices off them; the
-    cells (scale 0), like every constant cube, take the closed form.  With
-    ``check`` the sweep then reads the cache's ``slacks`` (per-parent
-    subadditivity and the two-sided pointwise sandwich on every cube); each
-    slack below -SLACK_TOL * max(1, |A|_2) is listed in the cache's
-    ``diagnostics`` by scale, cube (C order) and check (never aborting).
+    One condensation of the cells gives every scale's boundary traces
+    (``solver.condense``; the cells were checked when the field was built),
+    and ``condensed_A`` reads each scale's matrices off them; the cells,
+    like every constant cube, take the closed form.  With ``check`` the
+    sweep then reads the cache's ``slacks`` (per-parent subadditivity and
+    the two-sided pointwise sandwich on every cube); each slack below
+    -SLACK_TOL * max(1, |A|_2) is listed in the cache's ``diagnostics`` by
+    scale, cube (C order) and check (never aborting).
     """
-    domain = domain or field.domain
-    if not field.domain.contains(domain):
-        raise ValueError("domain not contained in the field window")
-    n, d = domain.level, field.dim
-    base = domain.offset
-    A_by_scale = {}
-    sl = domain.slices
-    for traces in condense(field.s_cells[sl], field.k_cells[sl], resolution):
-        if traces.level >= k_min:
-            A_by_scale[traces.level] = condensed_A(traces)
-    cache = HierarchyCache(dim=d, top_level=n, resolution=resolution,
-                           fingerprint=field.fingerprint, A_by_scale=A_by_scale,
-                           base_offset=base)
+    A_by_scale = {traces.level: condensed_A(traces)
+                  for traces in condense(field.s_cells, field.k_cells, resolution)}
+    cache = HierarchyCache(dim=field.dim, top_level=field.level, resolution=resolution,
+                           fingerprint=field.fingerprint, A_by_scale=A_by_scale)
     if check:
         for k, checks in cache.slacks().items():
             names = list(checks)
@@ -593,7 +580,7 @@ def hierarchy_sweep(field: CoefficientField, domain: TriadicCube | None = None,
             eigs = np.linalg.eigvalsh(A_by_scale[k][near])
             scale = np.maximum(1.0, np.abs(eigs).max(axis=-1))
             for j, c in np.argwhere(slack < -SLACK_TOL * scale[:, None]):
-                offset = [int(b + 3 ** k * i[j]) for b, i in zip(base, near)]
+                offset = [int(3 ** k * i[j]) for i in near]
                 cache.diagnostics.append({"cube": [k, offset], "check": names[c],
                                           "min_eig": float(slack[j, c])})
     return cache

@@ -284,14 +284,12 @@ def compute_E_s(cache: HierarchyCache, A_bar: np.ndarray, s: float,
     """Scale-weighted worst deviation of the hierarchy from a reference matrix.
 
     sum_{k = 0..n} 3^{2s(k-n)} max over partition cubes |A(z+cube_k) - A_bar|
-    in spectral norm.  Below the cell scale every cube of the partition
-    lattice lies inside a single cell, so the k < 0 terms all equal the
-    scale-0 maximum; ``tail`` adds that geometric continuation exactly.
+    in spectral norm, over every scale of the cache.  Below the cell scale
+    every cube of the partition lattice lies inside a single cell, so the
+    k < 0 terms all equal the scale-0 maximum; ``tail`` adds that geometric
+    continuation exactly.
     """
     n = cache.top_level
-    missing = [k for k in range(n + 1) if k not in cache.A_by_scale]
-    if missing:
-        raise ValueError(f"cache is missing scales {missing}")
     A_bar = np.asarray(A_bar, float)
     devs = {k: max_spec_norm(cache.A_by_scale[k] - A_bar) for k in range(n + 1)}
     return scale_weighted_sum(devs, s, n, tail)

@@ -169,6 +169,8 @@ class EllipticityReport:
     besov_sinv: float
     lp_b: float
     lq_sinv: float
+    p: float | None         # the exponents of lp_b and lq_sinv (None: not given)
+    q: float | None
     tail: bool
     normalized: bool
     per_scale_sinv: dict
@@ -199,10 +201,11 @@ def ellipticity_constants(cache: HierarchyCache, s: float, t: float,
     lambda_s = [ (1-3^{-2s}) sum_k 3^{2s(k-n)} max_z |s_*^{-1}(z+cube_k)| ]^{-1}
     Lambda_t =   (1-3^{-2t}) sum_k 3^{2t(k-n)} max_z |b(z+cube_k)|
 
-    (spectral norms; partition lattice).  ``tail`` continues the scale sum
-    below the cell scale using per-cell values (exact for cell-constant
-    coefficients); ``normalized=False`` drops the (1-3^{-2s}) prefactors —
-    both conventions appear in practice, so both are exposed.  ``p``/``q``
+    (spectral norms; partition lattice), summed over every scale of the
+    cache, k = 0..n.  ``tail`` continues the scale sum below the cell scale
+    using per-cell values (exact for cell-constant coefficients);
+    ``normalized=False`` drops the (1-3^{-2s}) prefactors — both
+    conventions appear in practice, so both are exposed.  ``p``/``q``
     additionally record volume-averaged L^p norms of the per-cell upper
     block and L^q norms of the per-cell inverse, used by the embedding
     check.
@@ -211,50 +214,44 @@ def ellipticity_constants(cache: HierarchyCache, s: float, t: float,
         raise ValueError("exponents must lie in (0, 1)")
     n = cache.top_level
     d = cache.dim
-    want = list(range(0 if tail else min(cache.scales), n + 1))
-    missing = [k for k in want if k not in cache.A_by_scale]
-    if missing:
-        raise ValueError(f"cache is missing scales {missing}")
     sinv_max, b_max = _scale_maxima(cache)
     cs = (1.0 - 3.0 ** (-2 * s)) if normalized else 1.0
     ct = (1.0 - 3.0 ** (-2 * t)) if normalized else 1.0
     lam = 1.0 / (cs * scale_weighted_sum(sinv_max, s, n, tail))
     Lam = ct * scale_weighted_sum(b_max, t, n, tail)
 
+    cells = cache.A_by_scale[0]
+    b_cells, sinv_cells = cells[..., :d, :d], cells[..., d:, d:]
+    besov_b = bnorm(b_cells, t, dim=d, tail=tail)
+    besov_sinv = bnorm(sinv_cells, s, dim=d, tail=tail)
     lp_b = lq_sinv = float("nan")
-    besov_b = besov_sinv = float("nan")
-    if 0 in cache.A_by_scale:
-        cells = cache.A_by_scale[0]
-        b_cells = cells[..., :d, :d]
-        sinv_cells = cells[..., d:, d:]
-        besov_b = bnorm(b_cells, t, dim=d, tail=tail)
-        besov_sinv = bnorm(sinv_cells, s, dim=d, tail=tail)
-        if p is not None:
-            lp_b = float(np.mean(spec_norms(b_cells) ** p) ** (1.0 / p))
-        if q is not None:
-            lq_sinv = float(np.mean(spec_norms(sinv_cells) ** q) ** (1.0 / q))
+    if p is not None:
+        lp_b = float(np.mean(spec_norms(b_cells) ** p) ** (1.0 / p))
+    if q is not None:
+        lq_sinv = float(np.mean(spec_norms(sinv_cells) ** q) ** (1.0 / q))
     return EllipticityReport(level=n, s_param=s, t_param=t, lambda_s=lam,
                              Lambda_t=Lam, besov_b=besov_b, besov_sinv=besov_sinv,
-                             lp_b=lp_b, lq_sinv=lq_sinv, tail=tail,
+                             lp_b=lp_b, lq_sinv=lq_sinv, p=p, q=q, tail=tail,
                              normalized=normalized, per_scale_sinv=sinv_max,
                              per_scale_b=b_max, fingerprint=cache.fingerprint)
 
 
-def embedding_check(rep: EllipticityReport, p: float, q: float, dim: int) -> dict:
+def embedding_check(rep: EllipticityReport, dim: int) -> dict:
     """Integrability embedding: scale-weighted constants from L^p/L^q norms.
 
     Verifies  Lambda_t <= (1-3^{-2t})/(1-3^{d/p-2t}) * ||b||_{L^p}  and the
     analogous bound of 1/lambda_s by ||s^{-1}||_{L^q} on ``rep``, the
     ``ellipticity_constants`` of a d = ``dim`` hierarchy with ``tail``,
-    ``normalized`` and these ``p`` and ``q``; requires p > d/(2t) and
-    q > d/(2s).  Returns both sides and margins (nonnegative = holds).
+    ``normalized`` and a ``p`` and ``q``, which the bound reads off the
+    report; requires p > d/(2t) and q > d/(2s).  Returns both sides and
+    margins (nonnegative = holds).
     """
-    s, t = rep.s_param, rep.t_param
-    if p <= dim / (2 * t) or q <= dim / (2 * s):
-        raise ValueError("need p > d/(2t) and q > d/(2s)")
-    if not (rep.tail and rep.normalized) or np.isnan(rep.lp_b) or np.isnan(rep.lq_sinv):
+    s, t, p, q = rep.s_param, rep.t_param, rep.p, rep.q
+    if not (rep.tail and rep.normalized) or p is None or q is None:
         raise ValueError("the embedding check needs a report with tail and normalized "
                          "and with the L^p and L^q norms of the cells")
+    if p <= dim / (2 * t) or q <= dim / (2 * s):
+        raise ValueError("need p > d/(2t) and q > d/(2s)")
     rhs_b = (1.0 - 3.0 ** (-2 * t)) / (1.0 - 3.0 ** (dim / p - 2 * t)) * rep.lp_b
     rhs_sinv = (1.0 - 3.0 ** (-2 * s)) / (1.0 - 3.0 ** (dim / q - 2 * s)) * rep.lq_sinv
     inv_lam = 1.0 / rep.lambda_s

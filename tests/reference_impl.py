@@ -138,38 +138,29 @@ def order_slacks_loops(A_by_scale):
     """Per-cube minimum eigenvalues of the three order checks, cube by cube.
 
     Same layout as ``coarsegrain.order_slacks``: {k: {check: array}} for
-    the scales k >= 1 with a check whose inputs are present.
+    the scales k = 1..n of a hierarchy with every scale 0..n.
     """
     out = {}
-    for k in sorted(A_by_scale):
-        if k == 0:
-            continue
+    for k in range(1, len(A_by_scale)):
         A = A_by_scale[k]
         d = A.shape[-1] // 2
         swap = np.zeros((2 * d, 2 * d))
         swap[:d, d:] = swap[d:, :d] = np.eye(d)
-        checks = {}
-        if k - 1 in A_by_scale:
-            checks["subadditivity"] = np.empty(A.shape[:-2])
-        if 0 in A_by_scale:
-            checks["sandwich_upper"] = np.empty(A.shape[:-2])
-            checks["sandwich_lower"] = np.empty(A.shape[:-2])
+        checks = {name: np.empty(A.shape[:-2])
+                  for name in ("subadditivity", "sandwich_upper", "sandwich_lower")}
         for idx in np.ndindex(*A.shape[:-2]):
-            if "subadditivity" in checks:
-                kids = [A_by_scale[k - 1][tuple(3 * i + j for i, j in zip(idx, sub))]
-                        for sub in np.ndindex(*(3,) * d)]
-                avg = sum(kids) / len(kids)
-                checks["subadditivity"][idx] = np.linalg.eigvalsh(avg - A[idx])[0]
-            if "sandwich_upper" in checks:
-                side = 3 ** k
-                cells = [A_by_scale[0][tuple(side * i + j for i, j in zip(idx, sub))]
-                         for sub in np.ndindex(*(side,) * d)]
-                avg = sum(cells) / len(cells)
-                checks["sandwich_upper"][idx] = np.linalg.eigvalsh(avg - A[idx])[0]
-                lower = swap @ np.linalg.inv(avg) @ swap
-                checks["sandwich_lower"][idx] = np.linalg.eigvalsh(A[idx] - lower)[0]
-        if checks:
-            out[k] = checks
+            kids = [A_by_scale[k - 1][tuple(3 * i + j for i, j in zip(idx, sub))]
+                    for sub in np.ndindex(*(3,) * d)]
+            avg = sum(kids) / len(kids)
+            checks["subadditivity"][idx] = np.linalg.eigvalsh(avg - A[idx])[0]
+            side = 3 ** k
+            cells = [A_by_scale[0][tuple(side * i + j for i, j in zip(idx, sub))]
+                     for sub in np.ndindex(*(side,) * d)]
+            avg = sum(cells) / len(cells)
+            checks["sandwich_upper"][idx] = np.linalg.eigvalsh(avg - A[idx])[0]
+            lower = swap @ np.linalg.inv(avg) @ swap
+            checks["sandwich_lower"][idx] = np.linalg.eigvalsh(A[idx] - lower)[0]
+        out[k] = checks
     return out
 
 

@@ -115,7 +115,7 @@ def test_config_file_target_replaces_the_default_target(tmp_path):
 def test_default_config_fingerprint_is_pinned():
     # output file names carry this digest, so the defaults must not drift
     assert cli.config_fingerprint(cli.DEFAULT_CONFIG) == (
-        "a2722d9b5642d862042626483432129f65cd3792d66bba1607c0946f0bc75676")
+        "7852f7ff5b54ad903dd4e8aa35b01aa50009a0e16071e3a5fe7de6e93f31851b")
 
 
 def test_config_file_and_set_assign_every_setting_alike(tmp_path):
@@ -127,10 +127,10 @@ def test_config_file_and_set_assign_every_setting_alike(tmp_path):
     assert from_file == from_set == cli.DEFAULT_CONFIG
     cli.validate_config(from_set)
     # a section given as one object is split into its settings either way
-    cfg.write_text(json.dumps({"coarsegrain": {"k_min": 1}, "homexp": {"target": {
+    cfg.write_text(json.dumps({"coarsegrain": {"resolution": 2}, "homexp": {"target": {
         "family": "trig", "m": [1, 2]}}}))
     assert cli.load_config(str(cfg)) == cli.apply_overrides(cli.load_config(None), [
-        'coarsegrain={"k_min": 1}', 'homexp={"target": {"family": "trig", "m": [1, 2]}}'])
+        'coarsegrain={"resolution": 2}', 'homexp={"target": {"family": "trig", "m": [1, 2]}}'])
 
 
 @pytest.mark.parametrize("override, message", [
@@ -149,6 +149,7 @@ def test_setting_errors_name_kind_and_range(tmp_path, capsys, override, message)
 
 @pytest.mark.parametrize("override", [
     "norms.zeta=0.5",                 # unknown key
+    "coarsegrain.k_min=1",            # a setting that is gone
     "dim=5",                          # unsupported dimension
     "norms.s=0.6",                    # with default t=0.4 breaks s + t < 1
     "ergodic.samples=1",
@@ -181,8 +182,6 @@ def test_setting_errors_name_kind_and_range(tmp_path, capsys, override, message)
     "workers=true",
     "field.level=true",
     "coarsegrain.resolution=true",
-    "coarsegrain.k_min=-1",
-    "coarsegrain.k_min=\"a\"",
     "norms.s=\"x\"",
     "norms.t=\"x\"",
     "homexp.alpha=\"x\"",
@@ -228,7 +227,9 @@ def test_invalid_overrides_exit_2(tmp_path, capsys, override):
     assert _run(argv, tmp_path) == 2
     err = capsys.readouterr().err
     key, _, value = override.partition("=")
-    if key.startswith(("norms.p", "norms.q", "norms.tail", "norms.normalized",
+    if key in ("norms.zeta", "coarsegrain.k_min"):
+        assert f"config error: unknown config key(s): ['{key}']" in err
+    elif key.startswith(("norms.p", "norms.q", "norms.tail", "norms.normalized",
                        "coarsegrain.check", "ergodic.csv", "homexp.with_",
                        "homexp.target", "homexp.a_bar")) or value == '"x"':
         assert f"config error: {key} must" in err
@@ -248,10 +249,8 @@ def test_invalid_overrides_exit_2(tmp_path, capsys, override):
     ["coarsegrain", "--set", 'field.params={"low":NaN}'],
     ["homogenize", "--set", 'homexp.target={"family":"affine","p":[NaN,0]}',
      "--set", "homexp.a_bar=[[1,0],[0,1]]"],
-    ["ellipticity", "--set", "coarsegrain.k_min=1", "--set", "norms.tail=false",
-     "--set", "norms.p=6"],
-    ["ellipticity", "--set", "coarsegrain.k_min=1", "--set", "norms.tail=false",
-     "--set", "norms.q=6"],
+    ["ellipticity", "--set", "norms.p=2", "--set", "norms.q=6"],
+    ["coarsegrain", "--set", "dim=3", "--set", "field.level=3"],
     ["homogenize", "--set", "homexp.n_min=0", "--set", "homexp.with_GH=true"],
 ])
 def test_malformed_settings_stop_before_any_field_or_solve(tmp_path, monkeypatch,
@@ -271,29 +270,6 @@ def test_malformed_settings_stop_before_any_field_or_solve(tmp_path, monkeypatch
     assert _run(argv, tmp_path / "out") == 2
     assert "config error: " in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
-
-
-def test_ellipticity_tail_needs_the_cell_scale(tmp_path, monkeypatch, capsys):
-    assert _run(["gen-field"], tmp_path) == 0
-    field_file = str(tmp_path / "field_checkerboard_n2_seed0.cghf")
-
-    def no_solve(*args, **kwargs):
-        raise AssertionError("a solve was started")
-    monkeypatch.setattr(cli.coarsegrain, "hierarchy_sweep", no_solve)
-    for argv in (["ellipticity"], ["ellipticity", field_file]):
-        assert _run(argv + ["--set", "coarsegrain.k_min=1"], tmp_path / "out") == 2
-        err = capsys.readouterr().err
-        assert "coarsegrain.k_min=1" in err and "norms.tail=true" in err
-        # the L^p and L^q norms read the cells too; before, a lone p gave
-        # lp_b = nan, and p with q failed in the embedding check after the CSV
-        for norm in ("p", "q"):
-            assert _run(argv + ["--set", "coarsegrain.k_min=1", "--set", "norms.tail=false",
-                                "--set", f"norms.{norm}=6"], tmp_path / "out") == 2
-            assert f"coarsegrain.k_min=1 with norms.{norm}=6: " in capsys.readouterr().err
-    assert not (tmp_path / "out").exists()
-    # without the tail the sweep may start above the cells
-    cli.validate_config(cli.apply_overrides(
-        cli.load_config(None), ["coarsegrain.k_min=1", "norms.tail=false"]), "ellipticity")
 
 
 def test_homogenize_inputs_that_do_not_fit_dim_exit_2(tmp_path, monkeypatch,
@@ -461,33 +437,12 @@ def test_3d_levels_that_cannot_finish_are_config_errors(tmp_path, monkeypatch,
         cli.validate_config(config, "homogenize")
 
 
-def test_k_min_above_the_field_level_is_a_config_error(tmp_path, monkeypatch,
-                                                      capsys):
-    def no_solve(*args, **kwargs):
-        raise AssertionError("a solve was started")
-    monkeypatch.setattr(cli.coarsegrain, "hierarchy_sweep", no_solve)
-    out = tmp_path / "out"
-    for command in ("coarsegrain", "ellipticity"):
-        assert _run([command, "--set", "field.level=1",
-                     "--set", "coarsegrain.k_min=3"], out) == 2
-        err = capsys.readouterr().err
-        assert "coarsegrain.k_min=3" in err and "field.level=1" in err
-    assert not out.exists()
-    # a field file's own level is checked too
-    assert _run(["gen-field", "--set", "field.level=1"], tmp_path) == 0
-    field_file = str(tmp_path / "field_checkerboard_n1_seed0.cghf")
-    assert _run(["coarsegrain", field_file, "--set", "coarsegrain.k_min=2"],
-                tmp_path) == 2
-    assert "coarsegrain.k_min=2 exceeds the level 1 of field file" in capsys.readouterr().err
-
-
 def test_a_field_file_gives_the_level_that_is_checked(tmp_path):
-    # k_min and the 3D cap are checked against the file's level, not field.level
+    # the run and the 3D cap read the file's level, not field.level
     assert _run(["gen-field", "--set", "field.level=3"], tmp_path) == 0
     field_file = str(tmp_path / "field_checkerboard_n3_seed0.cghf")
-    assert _run(["coarsegrain", field_file, "--set", "coarsegrain.k_min=3"],
-                tmp_path / "k_min") == 0
-    report = _load_report(next((tmp_path / "k_min").glob("coarsegrain_*.json")))
+    assert _run(["coarsegrain", field_file], tmp_path / "file") == 0
+    report = _load_report(next((tmp_path / "file").glob("coarsegrain_*.json")))
     assert report["level"] == 3
     assert _run(["ellipticity", field_file, "--set", "dim=3", "--set", "field.level=4"],
                 tmp_path / "cap") == 0

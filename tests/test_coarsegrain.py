@@ -1,4 +1,5 @@
 """Coarse-graining layer: closed forms, identities, orderings, hierarchy."""
+import json
 import re
 from dataclasses import replace
 
@@ -322,6 +323,20 @@ def test_hierarchy_cache_load_refuses_tampered_arrays(tmp_path):
         with pytest.raises(ValueError, match=re.escape(str(path)) + " " + message):
             HierarchyCache.load(str(path))
     np.savez_compressed(path, **arrays)
+    # the manifests of a sweep that dropped the cells and of one that covered
+    # part of the window: both would load, then fail or read the wrong cubes
+    manifest_path = tmp_path / "cache.npz.json"
+    manifest = json.loads(manifest_path.read_text())
+    forged = ((dict(manifest, scales=[1, 2]),
+               r"lists scales \[1, 2\], but a cache holds every scale 0\.\.2 of its window"),
+              (dict(manifest, top_level=1, scales=[0, 1], base_offset=[3, 3]),
+               r"sweeps the cube at \[3, 3\], but a cache holds its field's whole window"))
+    for data, message in forged:
+        manifest_path.write_text(json.dumps(data))
+        with pytest.raises(ValueError, match=re.escape(str(manifest_path)) + " " + message):
+            HierarchyCache.load(str(path))
+    # a whole-window manifest that records its offset, (0, 0), still loads
+    manifest_path.write_text(json.dumps(dict(manifest, base_offset=[0, 0])))
     back = HierarchyCache.load(str(path))
     assert back.scales == [0, 1, 2]
     assert back.subadditivity_defect() == cache.subadditivity_defect()
@@ -334,41 +349,28 @@ def test_blocks_from_A_rejects_degenerate_lower_block():
         blocks_from_A(A, 2)
 
 
-def test_hierarchy_sweep_subdomain_and_validation():
-    field = gen_named_field("lognormal_iso", level=2, seed=30, sigma=0.3)
-    sub = TriadicCube(level=1, offset=(3, 3), dim=2)
-    cache = hierarchy_sweep(field, domain=sub)
-    assert cache.scales == [0, 1]
-    assert cache.A_by_scale[0].shape == (3, 3, 4, 4)
-    assert cache.base_offset == (3, 3)
-    direct = coarse_grain_cube(field, sub)
-    assert np.allclose(cache.A_at(1, (3, 3)), direct.A, atol=1e-12)
-    with pytest.raises(ValueError, match="not contained"):
-        hierarchy_sweep(field, domain=TriadicCube(level=2, offset=(3, 0), dim=2))
-
-
 def test_cache_lookup_refuses_offsets_off_the_swept_lattice():
     field = gen_named_field("lognormal_iso", level=2, seed=30, sigma=0.3)
-    cache = hierarchy_sweep(field, domain=TriadicCube(level=1, offset=(3, 3), dim=2))
-    # below the domain: the index would wrap round to cell (3, 3)'s matrix
-    with pytest.raises(ValueError, match=r"offset \(0, 0\) is not a scale-0 cube of "
-                       r"the swept domain, the level-1 cube at \(3, 3\)"):
-        cache.A_at(0, (0, 0))
+    cache = hierarchy_sweep(field)
+    # below the window: the index would wrap round to the last cell's matrix
+    with pytest.raises(ValueError, match=r"offset \(-1, 0\) is not a scale-0 cube of "
+                       r"the level-2 window"):
+        cache.A_at(0, (-1, 0))
     # off the scale-1 lattice: the cube at (3, 3) would be labelled (4, 4)
     with pytest.raises(ValueError, match=r"offset \(4, 4\) is not a scale-1 cube"):
         cache.matrices_at(1, (4, 4))
     with pytest.raises(ValueError, match=r"offset \(4, 4\) is not a scale-1 cube"):
         cache.A_at(1, (4, 4))
-    with pytest.raises(ValueError, match=r"offset \(6, 3\) is not a scale-0 cube"):
-        cache.A_at(0, (6, 3))           # just past the domain's far side
-    assert np.array_equal(cache.A_at(0, (5, 3)), cache.A_by_scale[0][2, 0])
-    assert np.array_equal(cache.A_at(1, (3, 3)), cache.A_by_scale[1][0, 0])
-    # a scale the sweep did not keep: before, a bare KeyError
-    coarse = hierarchy_sweep(field, k_min=1)
-    for lookup in (coarse.A_at, coarse.matrices_at):
-        with pytest.raises(ValueError, match=r"scale 0 was not swept; the sweep "
-                           r"kept scales \[1, 2\]"):
-            lookup(0, (0, 0))
+    with pytest.raises(ValueError, match=r"offset \(9, 3\) is not a scale-0 cube"):
+        cache.A_at(0, (9, 3))           # just past the window's far side
+    # a scale outside 0..n, and an offset of another dimension
+    for k, z in ((3, (0, 0)), (-1, (0, 0)), (0, (0, 0, 0))):
+        with pytest.raises(ValueError, match=re.escape(f"offset {z} is not a scale-{k} cube")):
+            cache.A_at(k, z)
+    assert np.array_equal(cache.A_at(0, (5, 3)), cache.A_by_scale[0][5, 3])
+    assert np.array_equal(cache.A_at(1, (3, 6)), cache.A_by_scale[1][1, 2])
+    direct = coarse_grain_cube(field, TriadicCube(level=1, offset=(3, 3), dim=2))
+    assert np.allclose(cache.A_at(1, (3, 3)), direct.A, atol=1e-12)
 
 
 def _assert_slacks_match_loops(cache):
@@ -391,26 +393,23 @@ def test_order_slacks_match_loops_on_suite_fields():
         _assert_slacks_match_loops(hierarchy_sweep(field, check=False))
 
 
-def test_order_slacks_match_loops_in_3d_kmin_and_subdomain(monkeypatch):
+def test_order_slacks_match_loops_in_3d_and_list_in_order(monkeypatch):
     f3 = gen_named_field("skew_lognormal", level=2, dim=3, seed=38, sigma=0.5,
                          kappa=0.6)
     _assert_slacks_match_loops(hierarchy_sweep(f3, check=False))
     f2 = gen_named_field("skew_lognormal", level=3, seed=39, sigma=0.6,
                          kappa=0.7)
-    kmin = hierarchy_sweep(f2, k_min=1, check=False)
-    assert {k: list(c) for k, c in order_slacks(kmin.A_by_scale).items()} == {
-        2: ["subadditivity"], 3: ["subadditivity"]}
-    _assert_slacks_match_loops(kmin)
-    subdomain = TriadicCube(level=2, offset=(9, 18), dim=2)
-    sub = hierarchy_sweep(f2, domain=subdomain, check=False)
-    _assert_slacks_match_loops(sub)
+    cache = hierarchy_sweep(f2, check=False)
+    assert {k: list(c) for k, c in order_slacks(cache.A_by_scale).items()} == {
+        k: ["subadditivity", "sandwich_upper", "sandwich_lower"] for k in (1, 2, 3)}
+    _assert_slacks_match_loops(cache)
     # with a tolerance of -1 every slack passes the threshold, so the sweep
     # lists every check of every cube: by scale, then cube in C order, then
-    # check
+    # check, each cube at its offset in cells
     monkeypatch.setattr(coarsegrain, "SLACK_TOL", -1.0)
-    listed = hierarchy_sweep(f2, domain=subdomain).diagnostics
-    want = [([k, [9 + 3 ** k * i, 18 + 3 ** k * j]], check, slacks[check][i, j])
-            for k, slacks in order_slacks_loops(sub.A_by_scale).items()
+    listed = hierarchy_sweep(f2).diagnostics
+    want = [([k, [3 ** k * i, 3 ** k * j]], check, slacks[check][i, j])
+            for k, slacks in order_slacks_loops(cache.A_by_scale).items()
             for i, j in np.ndindex(*slacks["sandwich_upper"].shape)
             for check in slacks]
     assert [(d["cube"], d["check"]) for d in listed] == [w[:2] for w in want]
@@ -597,8 +596,7 @@ def _assert_sweep_matches_kkt(field, cache):
         mats = cache.A_by_scale[k].reshape(-1, 2 * d, 2 * d)
         offsets = partition_offsets(3 ** cache.top_level, 3 ** k, d)
         assert len(mats) == len(offsets)
-        for A, rel in zip(mats, offsets):
-            off = tuple(z + r for z, r in zip(cache.base_offset, rel))
+        for A, off in zip(mats, offsets):
             cube = TriadicCube(level=k, offset=off, dim=d)
             want = kkt_A(assemble(field, cube, cache.resolution))
             assert (np.abs(A - want).max()
@@ -613,7 +611,7 @@ def test_sweep_matches_kkt_oracle_on_suite_fields():
         _assert_sweep_matches_kkt(field, hierarchy_sweep(field, check=False))
 
 
-def test_sweep_matches_kkt_oracle_in_3d_refined_kmin_and_subdomain():
+def test_sweep_matches_kkt_oracle_in_3d_and_refined():
     f3 = gen_named_field("skew_lognormal", level=2, dim=3, seed=41, sigma=0.5,
                          kappa=0.6)
     _assert_sweep_matches_kkt(f3, hierarchy_sweep(f3, check=False))
@@ -621,14 +619,7 @@ def test_sweep_matches_kkt_oracle_in_3d_refined_kmin_and_subdomain():
                          kappa=0.9)
     _assert_sweep_matches_kkt(f2, hierarchy_sweep(f2, resolution=2))
     f3 = gen_named_field("cascade_iso", level=3, seed=43)
-    kmin = hierarchy_sweep(f3, k_min=1, check=False)
-    assert kmin.scales == [1, 2, 3]
-    _assert_sweep_matches_kkt(f3, kmin)
-    sub = hierarchy_sweep(f3, domain=TriadicCube(level=2, offset=(9, 18), dim=2))
-    _assert_sweep_matches_kkt(f3, sub)
-    sub2 = hierarchy_sweep(f2, domain=TriadicCube(level=1, offset=(6, 3), dim=2),
-                           k_min=1, resolution=2)
-    _assert_sweep_matches_kkt(f2, sub2)
+    _assert_sweep_matches_kkt(f3, hierarchy_sweep(f3))
     # the merge steps are cached per (dim, level, resolution) and hold
     # indices: one step per axis, 3 boxes each, the last onto the parent
     hits = solver._merge_steps.cache_info().hits

@@ -222,9 +222,6 @@ def test_compute_E_s_matches_explicit_scale_sum():
                * float(spec_norms(cache.A_by_scale[k] - A_bar).max())
                for k in (0, 1, 2))
     assert np.isclose(compute_E_s(cache, A_bar, s), want, rtol=1e-12)
-    partial = hierarchy_sweep(field, k_min=1, check=False)
-    with pytest.raises(ValueError, match="missing scales"):
-        compute_E_s(partial, A_bar, s)
 
 
 def test_half_lattice_count_and_GH_properties():

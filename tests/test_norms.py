@@ -322,19 +322,34 @@ def test_embedding_check_bounds_hold():
     field = gen_named_field("checkerboard", level=2, seed=8, low=0.5, high=2.0)
     cache = hierarchy_sweep(field, check=False)
     rep = ellipticity_constants(cache, s=0.4, t=0.4, p=6.0, q=6.0)
-    out = embedding_check(rep, p=6.0, q=6.0, dim=2)
+    out = embedding_check(rep, dim=2)
     assert out["ok"]
     assert out["margin_b"] >= -1e-12
     assert out["margin_sinv"] >= -1e-12
     assert out["Lambda_t"] == rep.Lambda_t and out["inv_lambda_s"] == 1.0 / rep.lambda_s
     with pytest.raises(ValueError, match="need p"):
-        embedding_check(rep, p=2.0, q=6.0, dim=2)
+        embedding_check(ellipticity_constants(cache, s=0.4, t=0.4, p=2.0, q=6.0), dim=2)
     # the bound reads a report with the tail, normalized, and both cell norms
     for kwargs in ({"p": 6.0, "q": 6.0, "tail": False}, {"p": 6.0, "q": 6.0, "normalized": False},
                    {"p": 6.0}, {"q": 6.0}):
         other = ellipticity_constants(cache, s=0.4, t=0.4, **kwargs)
         with pytest.raises(ValueError, match="embedding check needs"):
-            embedding_check(other, p=6.0, q=6.0, dim=2)
+            embedding_check(other, dim=2)
+
+
+def test_embedding_check_reads_the_exponents_of_its_report():
+    # a report built at p = q = 4 gets the p = 4 bound (3.447), not the p = 6
+    # factor applied to its L^4 norms (2.413) nor the p = 6 report's (2.931)
+    cache = hierarchy_sweep(gen_named_field("skew_lognormal", level=2, seed=1), check=False)
+    rep = ellipticity_constants(cache, s=0.4, t=0.4, p=4.0, q=4.0)
+    assert (rep.p, rep.q) == (4.0, 4.0)
+    factor = (1.0 - 3.0 ** -0.8) / (1.0 - 3.0 ** (2 / 4.0 - 0.8))
+    out = embedding_check(rep, dim=2)
+    assert out["bound_b"] == pytest.approx(factor * rep.lp_b, rel=1e-14)
+    assert out["bound_sinv"] == pytest.approx(factor * rep.lq_sinv, rel=1e-14)
+    six = embedding_check(ellipticity_constants(cache, s=0.4, t=0.4, p=6.0, q=6.0), dim=2)
+    assert round(out["bound_b"], 3) == 3.447 and round(six["bound_b"], 3) == 2.931
+    assert ellipticity_constants(cache, s=0.4, t=0.4).p is None
 
 
 @pytest.mark.parametrize("tail,calls", [("true", 1), ("false", 2)])
@@ -354,7 +369,7 @@ def test_ellipticity_command_computes_the_constants_once(tmp_path, monkeypatch, 
     assert len(reports) == calls and reports[-1].tail and reports[-1].normalized
     path, = tmp_path.glob("ellipticity_*.json")
     emb = json.loads(path.read_text())["embedding"]
-    assert emb == embedding_check(reports[-1], 6.0, 6.0, 2)
+    assert emb == embedding_check(reports[-1], 2)
 
 
 def test_ellipticity_csv(tmp_path):
