@@ -62,10 +62,7 @@ SETTINGS = {
     "norms.t": (0.4, "number", "(0, 1)"),
     "norms.p": (None, "number", "(0, inf)"),
     "norms.q": (None, "number", "(0, inf)"),
-    "norms.tail": (True, "bool", None),
-    "norms.normalized": (True, "bool", None),
     "coarsegrain.resolution": (1, "int", "[1, inf)"),
-    "coarsegrain.check": (True, "bool", None),
     "ergodic.n_min": (1, "int", "[0, inf)"),
     "ergodic.n_max": (3, "int", "[0, inf)"),
     "ergodic.samples": (32, "int", "[2, inf)"),
@@ -346,8 +343,7 @@ def cmd_gen_field(config: dict, out_dir: Path, fingerprint: str, field) -> int:
 
 
 def cmd_coarsegrain(config: dict, out_dir: Path, fingerprint: str, field) -> int:
-    cg = config["coarsegrain"]
-    cache = coarsegrain.hierarchy_sweep(field, resolution=cg["resolution"], check=cg["check"])
+    cache = coarsegrain.hierarchy_sweep(field, resolution=config["coarsegrain"]["resolution"])
     cache_path = out_dir / f"cache_{fingerprint[:10]}.npz"
     cache.save(str(cache_path))
     top = cache.matrices_at(field.level, (0,) * field.dim)
@@ -373,9 +369,7 @@ def cmd_ellipticity(config: dict, out_dir: Path, fingerprint: str, field) -> int
     nm = config["norms"]
     cache = coarsegrain.hierarchy_sweep(field, resolution=config["coarsegrain"]["resolution"],
                                         check=False)
-    rep = norms.ellipticity_constants(cache, nm["s"], nm["t"], p=nm["p"],
-                                      q=nm["q"], tail=nm["tail"],
-                                      normalized=nm["normalized"])
+    rep = norms.ellipticity_constants(cache, nm["s"], nm["t"], p=nm["p"], q=nm["q"])
     write_csv(out_dir / f"ellipticity_{fingerprint[:10]}.csv",
               ["sample", "n", "lambda_s", "Lambda_t", "besov_b", "besov_sinv",
                "lp_b", "lq_sinv", "config_sha256"],
@@ -385,10 +379,7 @@ def cmd_ellipticity(config: dict, out_dir: Path, fingerprint: str, field) -> int
               "contrast": rep.contrast, "per_scale_sinv": rep.per_scale_sinv,
               "per_scale_b": rep.per_scale_b, "field_sha256": field.fingerprint}
     if nm["p"] is not None and nm["q"] is not None:
-        # the bound reads the report with tail and normalized, the defaults
-        bound_rep = rep if nm["tail"] and nm["normalized"] else norms.ellipticity_constants(
-            cache, nm["s"], nm["t"], p=nm["p"], q=nm["q"])
-        report["embedding"] = norms.embedding_check(bound_rep, field.dim)
+        report["embedding"] = norms.embedding_check(rep, field.dim)
     write_json_report(report, out_dir / f"ellipticity_{fingerprint[:10]}.json",
                       fingerprint)
     print(f"lambda_s={rep.lambda_s:.6g} Lambda_t={rep.Lambda_t:.6g} "
@@ -410,7 +401,7 @@ def cmd_ergodic(config: dict, out_dir: Path, fingerprint: str, field) -> int:
     report = ergodic.estimates_report(estimates, gap)
     report["monotone"] = ergodic.check_monotone(estimates)
     try:
-        hom = ergodic.homogenized_matrix(estimates, spec=spec)
+        hom = ergodic.homogenized_matrix(estimates)
         report["a_bar"] = hom.a_bar
         report["s_bar"] = hom.s_bar
         report["k_bar"] = hom.k_bar

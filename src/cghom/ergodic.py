@@ -235,19 +235,14 @@ def gap_diagnostic(estimates: list) -> dict:
 
 @dataclass(frozen=True)
 class HomogenizedMatrix:
-    """Final homogenized coefficient with its provenance."""
+    """Final homogenized coefficient a_bar = s_bar + k_bar."""
 
     a_bar: np.ndarray
     s_bar: np.ndarray
     k_bar: np.ndarray
-    n: int
-    samples: int
-    seed: int
-    spec: FieldSpec
 
 
-def homogenized_matrix(estimates: list, factor: float = 3.0,
-                       spec: FieldSpec | None = None) -> HomogenizedMatrix:
+def homogenized_matrix(estimates: list, factor: float = 3.0) -> HomogenizedMatrix:
     """ā = s̄ + k̄ at the largest scale, after the sandwich bound checks.
 
     Verifies (within ``factor`` standard errors where statistical):
@@ -267,9 +262,7 @@ def homogenized_matrix(estimates: list, factor: float = 3.0,
     sym = 0.5 * (a_bar + a_bar.T)
     if np.linalg.eigvalsh(sym).min() <= 0:
         raise ValueError("symmetric part of the homogenized matrix is not SPD")
-    return HomogenizedMatrix(a_bar=a_bar, s_bar=est.s_bar, k_bar=est.k_bar,
-                             n=est.n, samples=est.samples, seed=est.seed,
-                             spec=spec)
+    return HomogenizedMatrix(a_bar=a_bar, s_bar=est.s_bar, k_bar=est.k_bar)
 
 
 def estimates_report(estimates: list, gap: dict | None = None) -> dict:

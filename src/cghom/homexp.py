@@ -279,20 +279,16 @@ def summarize_records(per_seed: list[list[ErrorRecord]]) -> dict:
     }
 
 
-def compute_E_s(cache: HierarchyCache, A_bar: np.ndarray, s: float,
-                tail: bool = False) -> float:
+def compute_E_s(cache: HierarchyCache, A_bar: np.ndarray, s: float) -> float:
     """Scale-weighted worst deviation of the hierarchy from a reference matrix.
 
     sum_{k = 0..n} 3^{2s(k-n)} max over partition cubes |A(z+cube_k) - A_bar|
-    in spectral norm, over every scale of the cache.  Below the cell scale
-    every cube of the partition lattice lies inside a single cell, so the
-    k < 0 terms all equal the scale-0 maximum; ``tail`` adds that geometric
-    continuation exactly.
+    in spectral norm, over every scale of the cache, truncated at the cells.
     """
     n = cache.top_level
     A_bar = np.asarray(A_bar, float)
     devs = {k: max_spec_norm(cache.A_by_scale[k] - A_bar) for k in range(n + 1)}
-    return scale_weighted_sum(devs, s, n, tail)
+    return scale_weighted_sum(devs, s, n, False)
 
 
 def _half_lattice_A(partition: solver.BoundaryTraces) -> np.ndarray:
@@ -359,8 +355,7 @@ def compute_GH(field: CoefficientField, A_top: np.ndarray, A_bar: np.ndarray,
 def energy_estimate_diagnostic(field: CoefficientField, s: float = 0.4,
                                h: TargetFunction | None = None,
                                f_cells: np.ndarray | None = None,
-                               resolution: int = 1,
-                               cache: HierarchyCache | None = None) -> dict:
+                               resolution: int = 1) -> dict:
     """Energy of solutions against the coarse-grained data factors.
 
     Dirichlet (data h, zero divergence load): ratio of the energy seminorm of
@@ -373,9 +368,8 @@ def energy_estimate_diagnostic(field: CoefficientField, s: float = 0.4,
     """
     d = field.dim
     n = field.level
-    if cache is None:
-        cache = hierarchy_sweep(field, resolution=resolution, check=False)
-    rep = ellipticity_constants(cache, s, s, tail=True, normalized=True)
+    cache = hierarchy_sweep(field, resolution=resolution, check=False)
+    rep = ellipticity_constants(cache, s, s)
     cg = cache.matrices_at(n, (0,) * d)
     op = solver.assemble(field, resolution=resolution)
     out = {"lambda_s": rep.lambda_s, "Lambda_t": rep.Lambda_t}

@@ -171,8 +171,6 @@ class EllipticityReport:
     lq_sinv: float
     p: float | None         # the exponents of lp_b and lq_sinv (None: not given)
     q: float | None
-    tail: bool
-    normalized: bool
     per_scale_sinv: dict
     per_scale_b: dict
     fingerprint: str = ""
@@ -194,36 +192,31 @@ def _scale_maxima(cache: HierarchyCache) -> tuple[dict, dict]:
 
 
 def ellipticity_constants(cache: HierarchyCache, s: float, t: float,
-                          p: float | None = None, q: float | None = None,
-                          tail: bool = True, normalized: bool = True) -> EllipticityReport:
+                          p: float | None = None, q: float | None = None) -> EllipticityReport:
     """Coarse-grained ellipticity constants from a hierarchy cache.
 
     lambda_s = [ (1-3^{-2s}) sum_k 3^{2s(k-n)} max_z |s_*^{-1}(z+cube_k)| ]^{-1}
     Lambda_t =   (1-3^{-2t}) sum_k 3^{2t(k-n)} max_z |b(z+cube_k)|
 
     (spectral norms; partition lattice), summed over every scale of the
-    cache, k = 0..n.  ``tail`` continues the scale sum below the cell scale
-    using per-cell values (exact for cell-constant coefficients);
-    ``normalized=False`` drops the (1-3^{-2s}) prefactors — both
-    conventions appear in practice, so both are exposed.  ``p``/``q``
-    additionally record volume-averaged L^p norms of the per-cell upper
-    block and L^q norms of the per-cell inverse, used by the embedding
-    check.
+    cache, k = 0..n, and continued below the cell scale with the per-cell
+    values (exact for cell-constant coefficients); the prefactors make
+    a = cI give lambda_s = Lambda_t = c.  ``p``/``q`` additionally record
+    volume-averaged L^p norms of the per-cell upper block and L^q norms of
+    the per-cell inverse, used by the embedding check.
     """
     if not (0.0 < s < 1.0 and 0.0 < t < 1.0):
         raise ValueError("exponents must lie in (0, 1)")
     n = cache.top_level
     d = cache.dim
     sinv_max, b_max = _scale_maxima(cache)
-    cs = (1.0 - 3.0 ** (-2 * s)) if normalized else 1.0
-    ct = (1.0 - 3.0 ** (-2 * t)) if normalized else 1.0
-    lam = 1.0 / (cs * scale_weighted_sum(sinv_max, s, n, tail))
-    Lam = ct * scale_weighted_sum(b_max, t, n, tail)
+    lam = 1.0 / ((1.0 - 3.0 ** (-2 * s)) * scale_weighted_sum(sinv_max, s, n, True))
+    Lam = (1.0 - 3.0 ** (-2 * t)) * scale_weighted_sum(b_max, t, n, True)
 
     cells = cache.A_by_scale[0]
     b_cells, sinv_cells = cells[..., :d, :d], cells[..., d:, d:]
-    besov_b = bnorm(b_cells, t, dim=d, tail=tail)
-    besov_sinv = bnorm(sinv_cells, s, dim=d, tail=tail)
+    besov_b = bnorm(b_cells, t, dim=d)
+    besov_sinv = bnorm(sinv_cells, s, dim=d)
     lp_b = lq_sinv = float("nan")
     if p is not None:
         lp_b = float(np.mean(spec_norms(b_cells) ** p) ** (1.0 / p))
@@ -231,9 +224,9 @@ def ellipticity_constants(cache: HierarchyCache, s: float, t: float,
         lq_sinv = float(np.mean(spec_norms(sinv_cells) ** q) ** (1.0 / q))
     return EllipticityReport(level=n, s_param=s, t_param=t, lambda_s=lam,
                              Lambda_t=Lam, besov_b=besov_b, besov_sinv=besov_sinv,
-                             lp_b=lp_b, lq_sinv=lq_sinv, p=p, q=q, tail=tail,
-                             normalized=normalized, per_scale_sinv=sinv_max,
-                             per_scale_b=b_max, fingerprint=cache.fingerprint)
+                             lp_b=lp_b, lq_sinv=lq_sinv, p=p, q=q,
+                             per_scale_sinv=sinv_max, per_scale_b=b_max,
+                             fingerprint=cache.fingerprint)
 
 
 def embedding_check(rep: EllipticityReport, dim: int) -> dict:
@@ -241,15 +234,14 @@ def embedding_check(rep: EllipticityReport, dim: int) -> dict:
 
     Verifies  Lambda_t <= (1-3^{-2t})/(1-3^{d/p-2t}) * ||b||_{L^p}  and the
     analogous bound of 1/lambda_s by ||s^{-1}||_{L^q} on ``rep``, the
-    ``ellipticity_constants`` of a d = ``dim`` hierarchy with ``tail``,
-    ``normalized`` and a ``p`` and ``q``, which the bound reads off the
-    report; requires p > d/(2t) and q > d/(2s).  Returns both sides and
-    margins (nonnegative = holds).
+    ``ellipticity_constants`` of a d = ``dim`` hierarchy with a ``p`` and
+    ``q``, which the bound reads off the report; requires p > d/(2t) and
+    q > d/(2s).  Returns both sides and margins (nonnegative = holds).
     """
     s, t, p, q = rep.s_param, rep.t_param, rep.p, rep.q
-    if not (rep.tail and rep.normalized) or p is None or q is None:
-        raise ValueError("the embedding check needs a report with tail and normalized "
-                         "and with the L^p and L^q norms of the cells")
+    if p is None or q is None:
+        raise ValueError("the embedding check needs a report with the L^p and L^q "
+                         "norms of the cells")
     if p <= dim / (2 * t) or q <= dim / (2 * s):
         raise ValueError("need p > d/(2t) and q > d/(2s)")
     rhs_b = (1.0 - 3.0 ** (-2 * t)) / (1.0 - 3.0 ** (dim / p - 2 * t)) * rep.lp_b

@@ -94,6 +94,10 @@ def test_config_file_keys_are_checked_at_every_depth(tmp_path, capsys):
     assert _run(["coarsegrain", "--config", str(cfg)], tmp_path / "out") == 2
     assert "['coarsegrain.resolutoin']" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
+    # a setting that is gone is an unknown key in a file too
+    cfg.write_text(json.dumps({"norms": {"tail": False}}))
+    assert _run(["ellipticity", "--config", str(cfg)], tmp_path / "out") == 2
+    assert "unknown config key(s): ['norms.tail']" in capsys.readouterr().err
     # a kind's parameters and a target's keys are free-form
     cfg.write_text(json.dumps({"field": {"params": {"low": 0.5}},
                                "homexp": {"target": {"family": "trig", "m": [1, 2]}}}))
@@ -115,7 +119,7 @@ def test_config_file_target_replaces_the_default_target(tmp_path):
 def test_default_config_fingerprint_is_pinned():
     # output file names carry this digest, so the defaults must not drift
     assert cli.config_fingerprint(cli.DEFAULT_CONFIG) == (
-        "7852f7ff5b54ad903dd4e8aa35b01aa50009a0e16071e3a5fe7de6e93f31851b")
+        "e9991658f8d06d8328921ad3f92db16fb5562c86056d47e9895442351efe9aff")
 
 
 def test_config_file_and_set_assign_every_setting_alike(tmp_path):
@@ -149,7 +153,10 @@ def test_setting_errors_name_kind_and_range(tmp_path, capsys, override, message)
 
 @pytest.mark.parametrize("override", [
     "norms.zeta=0.5",                 # unknown key
-    "coarsegrain.k_min=1",            # a setting that is gone
+    "coarsegrain.k_min=1",            # settings that are gone
+    "norms.tail=False",
+    "norms.normalized=0",
+    "coarsegrain.check=\"yes\"",
     "dim=5",                          # unsupported dimension
     "norms.s=0.6",                    # with default t=0.4 breaks s + t < 1
     "ergodic.samples=1",
@@ -172,9 +179,6 @@ def test_setting_errors_name_kind_and_range(tmp_path, capsys, override, message)
     "norms.q=true",
     "norms.p=2 norms.q=3",            # p <= d/(2t) = 2.5
     "norms.q=2.5 norms.p=3",          # q <= d/(2s) = 2.5
-    "norms.tail=False",               # not JSON, so kept as a string
-    "norms.normalized=0",
-    "coarsegrain.check=\"yes\"",
     "ergodic.csv=1",
     "homexp.with_E=null",
     "homexp.with_GH=\"true\"",
@@ -227,11 +231,11 @@ def test_invalid_overrides_exit_2(tmp_path, capsys, override):
     assert _run(argv, tmp_path) == 2
     err = capsys.readouterr().err
     key, _, value = override.partition("=")
-    if key in ("norms.zeta", "coarsegrain.k_min"):
+    if key in ("norms.zeta", "coarsegrain.k_min", "norms.tail", "norms.normalized",
+               "coarsegrain.check"):
         assert f"config error: unknown config key(s): ['{key}']" in err
-    elif key.startswith(("norms.p", "norms.q", "norms.tail", "norms.normalized",
-                       "coarsegrain.check", "ergodic.csv", "homexp.with_",
-                       "homexp.target", "homexp.a_bar")) or value == '"x"':
+    elif key.startswith(("norms.p", "norms.q", "ergodic.csv", "homexp.with_",
+                         "homexp.target", "homexp.a_bar")) or value == '"x"':
         assert f"config error: {key} must" in err
     elif key.startswith(("seed", "workers", "field.level", "coarsegrain.",
                          "ergodic.", "homexp.n_", "homexp.seeds", "homexp.ring")):
@@ -599,10 +603,10 @@ def test_cascade_verify_smoke(tmp_path, capsys):
 def test_override_value_parsing():
     cfg = cli.apply_overrides(cli.load_config(None),
                               ["workers=3", 'field.kind="laminate"',
-                               "norms.tail=false"])
+                               "ergodic.csv=true"])
     assert cfg["workers"] == 3
     assert cfg["field"]["kind"] == "laminate"
-    assert cfg["norms"]["tail"] is False
+    assert cfg["ergodic"]["csv"] is True
     # bare words (not valid JSON) fall back to strings
     cfg2 = cli.apply_overrides(cli.load_config(None), ["field.kind=laminate"])
     assert cfg2["field"]["kind"] == "laminate"

@@ -104,11 +104,8 @@ def _pruned_reductions(field):
     cells = cache.A_by_scale[0]
     A_mean = cells.reshape(-1, 2 * d, 2 * d).mean(axis=0)
     return (
-        [homexp.compute_E_s(cache, A_bar, 0.6, tail=tail)
-         for A_bar in (np.eye(2 * d), A_mean) for tail in (True, False)],
-        [vars(ellipticity_constants(cache, 0.4, 0.3, p=4.0, q=5.0, tail=tail,
-                                    normalized=normalized))
-         for tail in (True, False) for normalized in (True, False)],
+        [homexp.compute_E_s(cache, A_bar, 0.6) for A_bar in (np.eye(2 * d), A_mean)],
+        vars(ellipticity_constants(cache, 0.4, 0.3, p=4.0, q=5.0)),
         [bnorm(block, t, dim=d) for t in (0.3, 0.7)
          for block in (cells[..., :d, :d], cells[..., d:, d:], cells[..., :d, d:])],
     )
@@ -280,32 +277,23 @@ def test_exponent_ranges_rejected():
 
 
 def test_ellipticity_constants_constant_field():
-    # tail-corrected + normalized constants of a = cI reproduce c exactly
+    # the constants of a = cI, continued below the cells and normalized, are c
     field = gen_named_field("constant", level=2, matrix=(3.0 * np.eye(2)).tolist())
     cache = hierarchy_sweep(field, check=False)
     rep = ellipticity_constants(cache, s=0.4, t=0.4)
     assert abs(rep.lambda_s - 3.0) < 1e-10
     assert abs(rep.Lambda_t - 3.0) < 1e-10
     assert abs(rep.contrast - 1.0) < 1e-10
-    # truncated sums miss the sub-cell geometric continuation
-    rep_tr = ellipticity_constants(cache, s=0.4, t=0.4, tail=False)
-    r = 3.0 ** (-2 * 0.4)
-    assert np.isclose(rep_tr.lambda_s, 3.0 / (1 - r ** 3))
-    assert np.isclose(rep_tr.Lambda_t, 3.0 * (1 - r ** 3))
 
 
 def test_ellipticity_constants_against_bruteforce():
     field = gen_named_field("skew_lognormal", level=2, seed=13, sigma=0.6,
                             kappa=0.5)
     cache = hierarchy_sweep(field, check=False)
-    for tail in (False, True):
-        for normalized in (False, True):
-            rep = ellipticity_constants(cache, s=0.35, t=0.55, tail=tail,
-                                        normalized=normalized)
-            lam, Lam = ellipticity_loops(cache, 0.35, 0.55, tail=tail,
-                                         normalized=normalized)
-            assert abs(rep.lambda_s - lam) < 1e-10 * lam
-            assert abs(rep.Lambda_t - Lam) < 1e-10 * Lam
+    rep = ellipticity_constants(cache, s=0.35, t=0.55)
+    lam, Lam = ellipticity_loops(cache, 0.35, 0.55)
+    assert abs(rep.lambda_s - lam) < 1e-10 * lam
+    assert abs(rep.Lambda_t - Lam) < 1e-10 * Lam
 
 
 def test_besov_and_lp_columns_populated():
@@ -329,9 +317,8 @@ def test_embedding_check_bounds_hold():
     assert out["Lambda_t"] == rep.Lambda_t and out["inv_lambda_s"] == 1.0 / rep.lambda_s
     with pytest.raises(ValueError, match="need p"):
         embedding_check(ellipticity_constants(cache, s=0.4, t=0.4, p=2.0, q=6.0), dim=2)
-    # the bound reads a report with the tail, normalized, and both cell norms
-    for kwargs in ({"p": 6.0, "q": 6.0, "tail": False}, {"p": 6.0, "q": 6.0, "normalized": False},
-                   {"p": 6.0}, {"q": 6.0}):
+    # the bound reads a report with both cell norms
+    for kwargs in ({"p": 6.0}, {"q": 6.0}):
         other = ellipticity_constants(cache, s=0.4, t=0.4, **kwargs)
         with pytest.raises(ValueError, match="embedding check needs"):
             embedding_check(other, dim=2)
@@ -352,10 +339,8 @@ def test_embedding_check_reads_the_exponents_of_its_report():
     assert ellipticity_constants(cache, s=0.4, t=0.4).p is None
 
 
-@pytest.mark.parametrize("tail,calls", [("true", 1), ("false", 2)])
-def test_ellipticity_command_computes_the_constants_once(tmp_path, monkeypatch, tail, calls):
-    # the embedding check reuses the command's report when it has the tail and
-    # is normalized, the defaults; otherwise it needs the one report with both
+def test_ellipticity_command_computes_the_constants_once(tmp_path, monkeypatch):
+    # the embedding check reads the command's one report
     reports = []
 
     def counted(*args, **kwargs):
@@ -364,12 +349,12 @@ def test_ellipticity_command_computes_the_constants_once(tmp_path, monkeypatch, 
 
     monkeypatch.setattr(norms, "ellipticity_constants", counted)
     argv = ["ellipticity", "--output-dir", str(tmp_path), "--set", "field.level=2",
-            "--set", "norms.p=6", "--set", "norms.q=6", "--set", f"norms.tail={tail}"]
+            "--set", "norms.p=6", "--set", "norms.q=6"]
     assert cli.main(argv) == 0
-    assert len(reports) == calls and reports[-1].tail and reports[-1].normalized
+    [rep] = reports
     path, = tmp_path.glob("ellipticity_*.json")
     emb = json.loads(path.read_text())["embedding"]
-    assert emb == embedding_check(reports[-1], 2)
+    assert emb == embedding_check(rep, 2)
 
 
 def test_ellipticity_csv(tmp_path):
