@@ -20,6 +20,7 @@ import csv
 import functools
 import hashlib
 import json
+import math
 import os
 import sys
 from datetime import datetime, timezone
@@ -76,17 +77,6 @@ SETTINGS = {
     "homexp.with_E": (False, "bool", None),
     "homexp.with_GH": (False, "bool", None),
     "homexp.ring_levels": (2, "int", "[1, inf)"),
-    "cascade.sigmas": ([0.25, 0.5], ["number"], "[0, inf)"),
-    "cascade.powers": ([1, 2, 3], ["number"], "(-inf, inf)"),
-    "cascade.draws": (200000, "int", "[2, inf)"),
-    "cascade.slope_sigma": (0.25, "number", "[0, inf)"),
-    "cascade.slope_power": (3, "number", "(-inf, inf)"),
-    "cascade.slope_level": (2, "int", "[0, inf)"),
-    "cascade.slope_seeds": (200, "int", "[1, inf)"),
-    "cascade.trend_sigma": (0.3, "number", "[0, inf)"),
-    "cascade.trend_t": (0.9, "number", "(0, 1)"),
-    "cascade.trend_levels": ([2, 3, 4, 5], ["int"], "[0, inf)"),
-    "cascade.trend_seeds": (12, "int", "[1, inf)"),
 }
 _SECTIONS = {key.rpartition(".")[0] for key in SETTINGS}     # "" is the root
 # kind: (noun, the types of its values; true and false are not numbers)
@@ -289,14 +279,16 @@ def resolve_output_dir(config: dict, flag_value: str | None) -> Path:
     return path
 
 
-def _jsonable(obj):
-    if isinstance(obj, (np.floating, np.integer)):
-        return obj.item()
-    if isinstance(obj, np.bool_):
-        return bool(obj)
-    if isinstance(obj, np.ndarray):
-        return obj.tolist()
-    raise TypeError(f"not JSON-serializable: {type(obj)}")
+def _plain(obj):
+    """``obj`` with NumPy scalars and arrays made Python ones, and each
+    non-finite float made None: strict JSON has no NaN or Infinity."""
+    if isinstance(obj, (np.ndarray, np.generic)):
+        obj = obj.tolist()
+    if isinstance(obj, dict):
+        return {key: _plain(value) for key, value in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_plain(value) for value in obj]
+    return None if isinstance(obj, float) and not math.isfinite(obj) else obj
 
 
 def write_json_report(obj: dict, path: Path, fingerprint: str,
@@ -305,8 +297,8 @@ def write_json_report(obj: dict, path: Path, fingerprint: str,
     body["config_sha256"] = fingerprint
     body["meta"] = {"created": datetime.now(timezone.utc).isoformat(timespec="seconds"),
                     **(meta or {})}
-    path.write_text(json.dumps(body, sort_keys=True, indent=1,
-                               default=_jsonable) + "\n")
+    path.write_text(json.dumps(_plain(body), sort_keys=True, indent=1,
+                               allow_nan=False) + "\n")
 
 
 def write_csv(path: Path, header: list, rows) -> None:
@@ -474,37 +466,12 @@ def cmd_homogenize(config: dict, out_dir: Path, fingerprint: str, field) -> int:
 
 
 # ---------------------------------------------------------------------------
-# cascade verification
-
-
-def cmd_cascade_verify(config: dict, out_dir: Path, fingerprint: str, field) -> int:
-    ca = config["cascade"]
-    report = {
-        "moments": fields.layer_moment_check(
-            ca["sigmas"], ca["powers"], ca["draws"], seed=config["seed"]),
-        "slope": fields.product_slope_check(
-            ca["slope_sigma"], ca["slope_level"], ca["slope_power"],
-            ca["slope_seeds"], seed0=config["seed"], dim=config["dim"]),
-        "bounded_trend": homexp.bnorm_trend_check(
-            ca["trend_sigma"], ca["trend_t"], ca["trend_levels"],
-            ca["trend_seeds"], seed0=config["seed"], dim=config["dim"]),
-    }
-    write_json_report(report, out_dir / f"cascade_{fingerprint[:10]}.json",
-                      fingerprint)
-    worst_z = max(row["z"] for row in report["moments"])
-    print(f"moment worst z={worst_z:.2f}; slope rel err "
-          f"{report['slope']['rel_err']:.3f}; trend stat "
-          f"{report['bounded_trend']['trend']}")
-    return EXIT_OK
-
-
-# ---------------------------------------------------------------------------
 # self test
 
 
 def _selftest_checks():
-    """(name, check) pairs; a check returns (passed, detail).  Each identity
-    is one ``coarsegrain.verify_*`` call, the one the c1 tests make too."""
+    """(name, check) pairs; a check returns (passed, detail).  Each identity,
+    and each cascade check, is the one call that a c1 or c7 test makes too."""
     d, eye = 2, np.eye(2)
 
     def field(kind, **params):
@@ -512,6 +479,9 @@ def _selftest_checks():
 
     def below(tol, detail, value):
         return value < tol, detail.format(value)
+
+    def at_most(bound, detail, value):
+        return value <= bound, detail.format(value)
 
     def constant_matrix():
         res = coarsegrain.verify_constant_field(2.0, d, [(eye[0], eye[0])])
@@ -537,7 +507,8 @@ def _selftest_checks():
                                    a_bar=eye, h=homexp.TargetFunction("affine", p=[1.0, -0.5]),
                                    alpha=0.6, n_min=2, n_max=2)
         rec = homexp.run_dirichlet_experiment(exp, seed=0)[0]
-        ok, detail = below(1e-10, "control errors {:.2e}", max(rec.grad_err, rec.flux_err))
+        ok, detail = below(homexp.ZERO_ERROR, "control errors {:.2e}",
+                           max(rec.grad_err, rec.flux_err))
         return ok and not rec.failed, detail
 
     def determinism():
@@ -545,6 +516,13 @@ def _selftest_checks():
         f2 = gen_named_field("cascade_iso", level=2, dim=d, seed=21, sigma=0.3)
         same = f1.fingerprint == f2.fingerprint
         return same, f"fingerprints {'match' if same else 'differ'}"
+
+    def trend_contrast():       # no rising trend at t = 0.9, a rising one at t = 0.2
+        bounded = homexp.bnorm_trend_check(0.3, 0.9, [2, 3, 4, 5], 12, seed0=0)
+        growing = homexp.bnorm_trend_check(0.9, 0.2, [2, 3, 4, 5], 12, seed0=0)
+        return (bounded["trend"] <= 0 < growing["trend"] and growing["final_over_initial"] > 1,
+                f"trends {bounded['trend']} and {growing['trend']}, growing final/initial "
+                f"{growing['final_over_initial']:.3g}")
 
     return [
         ("constant-field matrix and J", constant_matrix),
@@ -565,6 +543,13 @@ def _selftest_checks():
         ("constant-field ellipticity constants", constant_ellipticity),
         ("zero-oscillation control", zero_oscillation),
         ("field determinism", determinism),
+        ("cascade factor moments", lambda: at_most(4.0, "worst z {:.2f}", max(
+            row["z"] for row in fields.layer_moment_check([0.25, 0.5], [1, 2, 3], 200000,
+                                                          seed=0)))),
+        ("cascade product slope", lambda: at_most(
+            0.10, "slope relative error {:.3f}",
+            fields.product_slope_check(0.25, 2, 3, 200, seed0=0)["rel_err"])),
+        ("cascade norm-trend contrast", trend_contrast),
     ]
 
 
@@ -608,9 +593,7 @@ COMMANDS = {
                        None, "ergodic.n_max"),
     "homogenize": Command(cmd_homogenize, "oscillating-vs-homogenized error sweep",
                           None, "homexp.n_max"),
-    "cascade-verify": Command(cmd_cascade_verify, "cascade moment and norm statistics",
-                              None, None),
-    "selftest": Command(cmd_selftest, "fast identity battery (CI gate)", None, None),
+    "selftest": Command(cmd_selftest, "identity and cascade checks (CI gate)", None, None),
 }
 
 

@@ -27,6 +27,9 @@ from .fields import CascadeSpec, CoefficientField, gen_cascade_field
 from .norms import (bnorm, ellipticity_constants, max_spec_norm,
                     ring_dual_norm, scale_weighted_sum, spec_norms)
 
+# An error at most this is round-off: the bound of the zero-oscillation control.
+ZERO_ERROR = 1e-10
+
 
 class TargetFunction:
     """Scalar target h with exact gradient and exact cell-averaged gradient.
@@ -258,7 +261,9 @@ def bnorm_trend_check(sigma: float, t: float, levels, seeds: int,
 
 
 def summarize_records(per_seed: list[list[ErrorRecord]]) -> dict:
-    """Median errors per scale with trend statistics over an ensemble."""
+    """Median errors per scale with trend statistics over an ensemble.  Each
+    ``*_final_over_initial`` ratio is None when the first median error is at
+    most ``ZERO_ERROR``: a ratio over round-off measures nothing."""
     ns = sorted({r.n for recs in per_seed for r in recs if not r.failed})
     med_g, med_f = [], []
     for n in ns:
@@ -272,9 +277,9 @@ def summarize_records(per_seed: list[list[ErrorRecord]]) -> dict:
         "n": ns, "median_grad_err": med_g, "median_flux_err": med_f,
         "mk_grad": mann_kendall(med_g), "mk_flux": mann_kendall(med_f),
         "grad_final_over_initial": med_g[-1] / med_g[0]
-            if med_g and med_g[0] > 0 else float("nan"),
+            if med_g and med_g[0] > ZERO_ERROR else None,
         "flux_final_over_initial": med_f[-1] / med_f[0]
-            if med_f and med_f[0] > 0 else float("nan"),
+            if med_f and med_f[0] > ZERO_ERROR else None,
         "failures": sum(r.failed for recs in per_seed for r in recs),
     }
 

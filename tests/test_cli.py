@@ -35,9 +35,25 @@ def _no_env_output_dir(monkeypatch):
 def test_selftest_passes(tmp_path, capsys):
     assert _run(["selftest"], tmp_path) == 0
     out = capsys.readouterr().out
-    assert out.count("PASS") == 9
+    assert out.count("PASS") == 12
     assert "FAIL" not in out
     assert "0 failure(s)" in out
+
+
+@pytest.mark.parametrize("owner, name, value, check", [
+    (cli.fields, "layer_moment_check", [{"z": 0.5}] * 5 + [{"z": 4.5}],
+     "cascade factor moments"),
+    (cli.fields, "product_slope_check", {"rel_err": 0.11}, "cascade product slope"),
+    (cli.homexp, "bnorm_trend_check", {"trend": 1, "final_over_initial": 2.0},
+     "cascade norm-trend contrast"),     # a rising trend in the bounded regime
+], ids=["moments", "slope", "trend"])
+def test_selftest_fails_a_cascade_statistic_past_its_bound(tmp_path, capsys, monkeypatch,
+                                                           owner, name, value, check):
+    monkeypatch.setattr(owner, name, lambda *args, **kwargs: value)
+    assert _run(["selftest"], tmp_path) == 4
+    failed = [line for line in capsys.readouterr().out.splitlines()
+              if line.startswith("FAIL")]
+    assert len(failed) == 1 and failed[0].startswith(f"FAIL  {check}  (")
 
 
 def test_selftest_gate_exit_code(tmp_path, monkeypatch):
@@ -48,7 +64,7 @@ def test_selftest_gate_exit_code(tmp_path, monkeypatch):
 
 def test_the_command_table_builds_the_parser_and_dispatches(tmp_path, monkeypatch):
     names = ["gen-field", "coarsegrain", "ellipticity", "ergodic", "homogenize",
-             "cascade-verify", "selftest"]
+             "selftest"]
     assert list(cli.COMMANDS) == names
     parser = cli.build_parser()
     assert "{" + ",".join(names) + "}" in parser.format_help()
@@ -119,7 +135,7 @@ def test_config_file_target_replaces_the_default_target(tmp_path):
 def test_default_config_fingerprint_is_pinned():
     # output file names carry this digest, so the defaults must not drift
     assert cli.config_fingerprint(cli.DEFAULT_CONFIG) == (
-        "e9991658f8d06d8328921ad3f92db16fb5562c86056d47e9895442351efe9aff")
+        "bc4e7021a0e12a7b6cc2bcf8e392d8e9bf707a2613ee0c60647c9e99c4b6baba")
 
 
 def test_config_file_and_set_assign_every_setting_alike(tmp_path):
@@ -138,8 +154,8 @@ def test_config_file_and_set_assign_every_setting_alike(tmp_path):
 
 
 @pytest.mark.parametrize("override, message", [
-    ("cascade.sigmas=[NaN]", "cascade.sigmas must be a non-empty list of numbers "
-                             "in [0, inf), got [nan]"),
+    ("homexp.a_bar=[[NaN]]", "homexp.a_bar must be null or a non-empty list of non-empty "
+                             "lists of numbers in (-inf, inf), got [[nan]]"),
     ("norms.q=Infinity", "norms.q must be null or a number in (0, inf), got inf"),
     ("output_dir=5", "output_dir must be a string, got 5"),
     ("dim=2.0", "dim must be an integer in [2, 3], got 2.0"),
@@ -157,6 +173,21 @@ def test_setting_errors_name_kind_and_range(tmp_path, capsys, override, message)
     "norms.tail=False",
     "norms.normalized=0",
     "coarsegrain.check=\"yes\"",
+    "cascade.draws=\"x\"",           # the cascade section is gone too
+    "cascade.draws=1",
+    "cascade.slope_seeds=0",
+    "cascade.trend_seeds=0",
+    "cascade.slope_level=true",
+    "cascade.trend_levels=[]",
+    "cascade.trend_levels=[2,\"x\"]",
+    "cascade.sigmas=[-0.5]",
+    "cascade.powers=\"x\"",
+    "cascade.slope_sigma=\"x\"",
+    "cascade.trend_t=1",
+    "cascade.trend_t=0",
+    "cascade.sigmas=[NaN]",
+    "cascade.slope_sigma=Infinity",
+    "cascade.trend_sigma=NaN",
     "dim=5",                          # unsupported dimension
     "norms.s=0.6",                    # with default t=0.4 breaks s + t < 1
     "ergodic.samples=1",
@@ -194,27 +225,12 @@ def test_setting_errors_name_kind_and_range(tmp_path, capsys, override, message)
     "homexp.target={\"family\":\"affine\",\"p\":[1,0],\"H\":\"junk\"}",  # H unused
     "homexp.a_bar=[[1,0]]",
     "homexp.a_bar=\"x\"",
-    "cascade.draws=\"x\"",
-    "cascade.draws=1",
-    "cascade.slope_seeds=0",
-    "cascade.trend_seeds=0",
-    "cascade.slope_level=true",
-    "cascade.trend_levels=[]",
-    "cascade.trend_levels=[2,\"x\"]",
-    "cascade.sigmas=[-0.5]",
-    "cascade.powers=\"x\"",
-    "cascade.slope_sigma=\"x\"",
-    "cascade.trend_t=1",
-    "cascade.trend_t=0",
     "field.params={\"mode\":\"foo\"}",
     "field.params={\"sigma\":1}",                  # not a checkerboard parameter
     "field.params=[1]",
     "coarsegrain=5",                  # a section must stay an object
     "field.kind=\"lognormal_iso\" field.params={\"sigma\":\"abc\"}",
-    "cascade.sigmas=[NaN]",           # non-finite numbers are refused
-    "cascade.slope_sigma=Infinity",
-    "cascade.trend_sigma=NaN",
-    "norms.p=Infinity",
+    "norms.p=Infinity",               # non-finite numbers are refused
     "homexp.a_bar=[[1,0],[0,NaN]]",
     "homexp.target={\"family\":\"affine\",\"p\":[NaN,0]}",
     "homexp.target={\"family\":\"trig\",\"m\":[1,0],\"amp\":Infinity}",
@@ -232,7 +248,7 @@ def test_invalid_overrides_exit_2(tmp_path, capsys, override):
     err = capsys.readouterr().err
     key, _, value = override.partition("=")
     if key in ("norms.zeta", "coarsegrain.k_min", "norms.tail", "norms.normalized",
-               "coarsegrain.check"):
+               "coarsegrain.check") or key.startswith("cascade."):
         assert f"config error: unknown config key(s): ['{key}']" in err
     elif key.startswith(("norms.p", "norms.q", "ergodic.csv", "homexp.with_",
                          "homexp.target", "homexp.a_bar")) or value == '"x"':
@@ -247,8 +263,8 @@ def test_invalid_overrides_exit_2(tmp_path, capsys, override):
     ["ergodic", "--set", "field.kind=lognormal_iso", "--set", 'field.params={"sigma":"abc"}'],
     ["homogenize", "--set", 'field.params={"phase":"x","mode":"periodic"}'],
     ["ellipticity", "--set", "coarsegrain.k_min=1"],
-    ["cascade-verify", "--set", 'cascade.draws="x"'],
-    ["cascade-verify", "--set", "cascade.slope_seeds=0"],
+    ["selftest", "--set", "cascade.draws=1"],       # unknown keys stop the selftest
+    ["selftest", "--set", "cascade.slope_seeds=0"],
     ["gen-field", "--set", 'field.params={"low":NaN}'],
     ["coarsegrain", "--set", 'field.params={"low":NaN}'],
     ["homogenize", "--set", 'homexp.target={"family":"affine","p":[NaN,0]}',
@@ -584,20 +600,20 @@ def test_homogenize_worker_equivalence(tmp_path):
     assert len(r1["median_grad_err"]) == 2
 
 
-def test_cascade_verify_smoke(tmp_path, capsys):
-    code = _run(["cascade-verify",
-                 "--set", "cascade.draws=20000",
-                 "--set", "cascade.slope_seeds=5",
-                 "--set", "cascade.slope_level=1",
-                 "--set", "cascade.trend_levels=[2, 3]",
-                 "--set", "cascade.trend_seeds=3"], tmp_path)
-    assert code == 0
-    assert "slope rel err" in capsys.readouterr().out
-    report_path, = tmp_path.glob("cascade_*.json")
-    report = _load_report(report_path)
-    assert {"moments", "slope", "bounded_trend"} <= set(report)
-    assert len(report["moments"]) == 6
-    assert report["slope"]["m_max"] == 6
+def test_reports_are_strict_json(tmp_path):
+    def refuse(constant):
+        raise ValueError(f"{constant} is not JSON")
+    runs = {"ergodic": ["--set", "ergodic.samples=4"],
+            "homogenize": ["--set", "homexp.a_bar=[[1,0],[0,1]]", "--set", "homexp.seeds=2"]}
+    for command, sets in runs.items():
+        assert _run([command, "--set", "field.kind=constant"] + sets, tmp_path / command) == 0
+    (report,), (summary,) = ((tmp_path / "ergodic").glob("ergodic_*.json"),
+                             (tmp_path / "homogenize").glob("homog_summary_*.json"))
+    report, summary = (json.loads(path.read_text(), parse_constant=refuse)
+                       for path in (report, summary))
+    assert report["gap_diagnostic"]["spearman_rho"] is None     # constant gap traces
+    assert summary["grad_final_over_initial"] is None           # zero errors
+    assert summary["flux_final_over_initial"] is None
 
 
 def test_override_value_parsing():

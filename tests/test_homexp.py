@@ -205,6 +205,15 @@ def test_summarize_records_medians_and_trends():
     assert out["failures"] == 1
 
 
+def test_summarize_records_gives_no_ratio_over_a_round_off_initial_error():
+    # a cascade_iso level-1 window is constant, so its n = 1 grad error is 7e-17
+    per_seed = [[ErrorRecord(n=n, seed=0, grad_err=g, flux_err=f, energy=1.0)
+                 for n, g, f in ((1, 7e-17, 0.25), (2, 0.037, 0.125))]]
+    out = summarize_records(per_seed)
+    assert out["grad_final_over_initial"] is None
+    assert out["flux_final_over_initial"] == 0.125 / 0.25
+
+
 def test_compute_E_s_zero_for_matched_constant():
     field = gen_named_field("constant", level=2, matrix=np.eye(2).tolist())
     cache = hierarchy_sweep(field, check=False)
